@@ -7,7 +7,7 @@ with guilt odds inflated by exactly the product of the per-stream tilts.
 
 Everything random takes a numpy Generator; replicated experiments derive
 one substream per replicate from a master seed, so results are
-reproducible bit for bit no matter the thread count.
+reproducible bit for bit and any replicate can be re-created alone.
 """
 
 from .odds import (

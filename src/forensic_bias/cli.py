@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--config", type=Path, help="KEY=VALUE file of overrides")
     run.add_argument("--out", required=True, type=Path, help="output directory")
-    run.add_argument("--threads", type=_positive_int, default=1, help="worker threads (outputs do not depend on this)")
+    run.add_argument("--threads", type=_positive_int, default=1, help="accepted for compatibility; has no effect")
 
     sub.add_parser("list-presets", help="list presets and their parameters")
 

@@ -4,13 +4,16 @@ Each preset pairs a typed parameter schema with a runner that writes its
 artifacts into an output directory and returns their filenames.  The
 orchestrator resolves parameters (defaults plus validated overrides),
 runs the preset, and writes a manifest recording the preset name, seed,
-fully resolved parameters, and a sha256 checksum per artifact.  Thread
-count is an execution detail and deliberately stays out of the manifest;
-outputs are identical for any thread count.
+fully resolved parameters, and a sha256 checksum per artifact.  Every
+preset runs in one thread; the thread count that run_preset accepts is
+only validated, kept for callers that pass it, and never reaches a
+runner or the manifest.
 """
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import dataclass
 from importlib import metadata
 from pathlib import Path
@@ -54,7 +57,7 @@ except metadata.PackageNotFoundError:  # running from a source tree
     TOOL_VERSION = "0+unknown"
 
 
-Runner = Callable[[dict, int, Path, int], list[str]]
+Runner = Callable[[dict, int, Path], list[str]]
 
 
 @dataclass(frozen=True)
@@ -125,7 +128,7 @@ _MAYFIELD_SCHEMA = PresetSchema(
 )
 
 
-def _run_mayfield(params: dict, seed: int, out: Path, threads: int) -> list[str]:
+def _run_mayfield(params: dict, seed: int, out: Path) -> list[str]:
     factors = tuple(
         BiasFactor.from_linear(d, Provenance.CONTEXTUAL) for d in MAYFIELD_DELTAS
     )
@@ -158,7 +161,7 @@ _RACE_SCHEMA = PresetSchema(
 )
 
 
-def _run_race(params: dict, seed: int, out: Path, threads: int) -> list[str]:
+def _run_race(params: dict, seed: int, out: Path) -> list[str]:
     p = params["trait_prob"]
     pool = SuspectPool(params["pool_n"])
     lr_true = LikelihoodRatio.from_linear(params["lr_true"])
@@ -195,7 +198,7 @@ _RELEVANCE_SCHEMA = PresetSchema(
 )
 
 
-def _run_relevance(params: dict, seed: int, out: Path, threads: int) -> list[str]:
+def _run_relevance(params: dict, seed: int, out: Path) -> list[str]:
     rows = []
     detail = {}
     for name in builtin_joint_names():
@@ -229,7 +232,7 @@ _TABLE_Y = MinutiaVector.from_text(".m.mm.")
 _TABLE_LATENT = LatentVector.from_text("??.?m.")
 
 
-def _run_imputation_table(params: dict, seed: int, out: Path, threads: int) -> list[str]:
+def _run_imputation_table(params: dict, seed: int, out: Path) -> list[str]:
     imputed = impute_from_reference(_TABLE_LATENT, _TABLE_X)
     assert isinstance(imputed, MinutiaVector)
     rows = []
@@ -267,7 +270,7 @@ _GRID_SCHEMA = PresetSchema(
 )
 
 
-def _run_imputation_grid(params: dict, seed: int, out: Path, threads: int) -> list[str]:
+def _run_imputation_grid(params: dict, seed: int, out: Path) -> list[str]:
     fixture = imputation_grid_fixture()
     names = []
     for name, grid in (
@@ -319,7 +322,7 @@ def _agreement_model(params: Mapping[str, object]) -> CellAgreementModel:
         raise ConfigError(str(exc)) from exc
 
 
-def _run_delta_impute(params: dict, seed: int, out: Path, threads: int) -> list[str]:
+def _run_delta_impute(params: dict, seed: int, out: Path) -> list[str]:
     model = _agreement_model(params)
     try:
         sim = ImputationSimParams(
@@ -373,7 +376,7 @@ _FEEDBACK_SCHEMA = PresetSchema(
 )
 
 
-def _run_feedback(params: dict, seed: int, out: Path, threads: int) -> list[str]:
+def _run_feedback(params: dict, seed: int, out: Path) -> list[str]:
     prior = BetaPrior(params["prior_a"], params["prior_b"])
     biased_regime = FeedbackRegime.biased(params["wrongful_rate"], params["trait_skew"])
     truthful_regime = FeedbackRegime.truthful()
@@ -389,14 +392,19 @@ def _run_feedback(params: dict, seed: int, out: Path, threads: int) -> list[str]
         )
     write_csv(out / "trajectory.csv", ("step", "posterior_mean", "regime", "seed"), rows)
 
-    result = run_paired_feedback(
-        params["n_seeds"],
-        params["alpha_true"],
-        params["n_obs"],
-        prior,
-        biased_regime,
-        master_seed=seed,
-    )
+    with warnings.catch_warnings():
+        # The illustrative biased trajectory has already warned if the
+        # wrongful-case trait rate is clamped; the replicates share its
+        # parameters, so one warning per run says it all.
+        warnings.filterwarnings("ignore", message=r"trait_skew \* alpha_true", category=RuntimeWarning)
+        result = run_paired_feedback(
+            params["n_seeds"],
+            params["alpha_true"],
+            params["n_obs"],
+            prior,
+            biased_regime,
+            master_seed=seed,
+        )
     write_csv(
         out / "gaps.csv",
         ("seed", "truthful_final_mean", "biased_final_mean", "truthful_gap", "biased_gap"),
@@ -447,7 +455,7 @@ _PROPAGATION_SCHEMA = PresetSchema(
 )
 
 
-def _run_propagation(params: dict, seed: int, out: Path, threads: int) -> list[str]:
+def _run_propagation(params: dict, seed: int, out: Path) -> list[str]:
     try:
         model = CellAgreementModel(params["p_match_same"], params["p_match_diff"])
     except ValueError as exc:
@@ -456,7 +464,6 @@ def _run_propagation(params: dict, seed: int, out: Path, threads: int) -> list[s
     study = monte_carlo_chains(
         params["n_runs"],
         master_seed=seed,
-        threads=threads,
         k=params["k"],
         pool=SuspectPool(params["pool_n"]),
         trait_prob=params["trait_prob"],
@@ -534,12 +541,12 @@ def _parse_positive_list(name: str, text: str) -> tuple[float, ...]:
         raise ConfigError(f"parameter {name}: expected comma-separated numbers, got {text!r}") from exc
     if not values:
         raise ConfigError(f"parameter {name}: needs at least one value, got {text!r}")
-    if any(v <= 0 for v in values):
-        raise ConfigError(f"parameter {name}: all values must be > 0, got {text!r}")
+    if not all(0 < v < math.inf for v in values):
+        raise ConfigError(f"parameter {name}: all values must be finite and > 0, got {text!r}")
     return values
 
 
-def _run_trier(params: dict, seed: int, out: Path, threads: int) -> list[str]:
+def _run_trier(params: dict, seed: int, out: Path) -> list[str]:
     lrs = _parse_positive_list("stream_lrs", params["stream_lrs"])
     betas = _parse_positive_list("betas", params["betas"])
     if len(lrs) != len(betas):
@@ -598,7 +605,7 @@ def run_preset(
     params = preset.schema.resolve(dict(overrides or {}))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    artifacts = preset.run(params, seed, out_dir, threads)
+    artifacts = preset.run(params, seed, out_dir)
     manifest = RunManifest(
         preset=name,
         seed=seed,

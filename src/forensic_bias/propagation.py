@@ -24,28 +24,29 @@ prior, i.e. the reported LR as odds relative to an even prior
 raw reported posterior odds instead; with a small prior (say 1/10) those
 rarely clear 1, which mutes the history terms and makes snowball collapse
 onto cascade.
+
+One kernel evaluates every replicate at once, as (n_runs, k) arrays of
+log terms; a single chain is the n_runs = 1 case.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .contextual import BiasFactor, BiasLedger, Provenance, apply_bias, race_example_delta
+from .contextual import BiasFactor, BiasLedger, LedgerEntry, Provenance, race_example_delta
 from .fingerprints import CellAgreementModel
 from .odds import LikelihoodRatio, OddsRatio, SuspectPool, posterior_odds, uniform_prior_odds
 from .seeding import substream
 
 __all__ = [
     "ChainMode",
-    "HistoryFn",
     "BiasProfile",
     "tilde_peer_count",
-    "cascade_delta",
     "AnalystReport",
     "ChainResult",
     "run_chain",
@@ -62,7 +63,7 @@ class ChainMode(Enum):
     SNOWBALL = "snowball"
 
 
-HistoryFn = Callable[[tuple[OddsRatio, ...]], BiasFactor]
+_MODES = (ChainMode.CASCADE, ChainMode.SNOWBALL)
 
 
 def tilde_peer_count(history: Sequence[OddsRatio]) -> BiasFactor:
@@ -71,27 +72,28 @@ def tilde_peer_count(history: Sequence[OddsRatio]) -> BiasFactor:
     return BiasFactor.from_linear(1.0 + supportive, Provenance.PEER)
 
 
-def _unit_history(provenance: Provenance) -> HistoryFn:
-    def fn(history: tuple[OddsRatio, ...]) -> BiasFactor:
-        return BiasFactor.unit(provenance)
-
-    return fn
-
-
 @dataclass(frozen=True)
 class BiasProfile:
-    """The six per-analyst tilt terms.
+    """Coefficients of the per-analyst tilt terms.
 
-    Direct terms may depend on the analyst's own missing share and the
-    case trait; history terms see the tuple of earlier reports.
+    impute      1 + impute_share * missing_share + impute_trait * trait
+    context     race_example_delta(context_trait_prob, trait), unit when None
+    tilde_peer  1 + conformity * (number of earlier supportive reports)
+
+    peer, tilde_impute and tilde_context are unit in every profile.
     """
 
-    delta_impute: Callable[[float, bool], BiasFactor]
-    delta_context: Callable[[bool], BiasFactor]
-    delta_peer: BiasFactor
-    tilde_impute: HistoryFn
-    tilde_context: HistoryFn
-    tilde_peer: HistoryFn
+    impute_share: float
+    impute_trait: float
+    context_trait_prob: float | None
+    conformity: float
+
+    def __post_init__(self) -> None:
+        for name in ("impute_share", "impute_trait", "conformity"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value) or value < 0.0:
+                raise ValueError(f"BiasProfile.{name} must be finite and >= 0, got {value!r}")
+            object.__setattr__(self, name, value)
 
     @classmethod
     def standard(cls, trait_prob: float = 0.15) -> "BiasProfile":
@@ -101,43 +103,25 @@ class BiasProfile:
         context tilts like an analyst doubling a rare trait's source-side
         rate; the only active history term is the conformity count.
         """
-
-        def delta_impute(missing_share: float, trait: bool) -> BiasFactor:
-            return BiasFactor.from_linear(
-                1.0 + missing_share + (0.5 if trait else 0.0), Provenance.IMPUTE
-            )
-
-        def delta_context(trait: bool) -> BiasFactor:
-            return race_example_delta(trait_prob, trait)
-
-        return cls(
-            delta_impute=delta_impute,
-            delta_context=delta_context,
-            delta_peer=BiasFactor.unit(Provenance.PEER),
-            tilde_impute=_unit_history(Provenance.IMPUTE),
-            tilde_context=_unit_history(Provenance.CONTEXTUAL),
-            tilde_peer=tilde_peer_count,
-        )
+        return cls(impute_share=1.0, impute_trait=0.5, context_trait_prob=trait_prob, conformity=1.0)
 
     @classmethod
     def unbiased(cls) -> "BiasProfile":
         """All six terms unit: reports reproduce neutral odds exactly."""
-        return cls(
-            delta_impute=lambda share, trait: BiasFactor.unit(Provenance.IMPUTE),
-            delta_context=lambda trait: BiasFactor.unit(Provenance.CONTEXTUAL),
-            delta_peer=BiasFactor.unit(Provenance.PEER),
-            tilde_impute=_unit_history(Provenance.IMPUTE),
-            tilde_context=_unit_history(Provenance.CONTEXTUAL),
-            tilde_peer=_unit_history(Provenance.PEER),
-        )
+        return cls(impute_share=0.0, impute_trait=0.0, context_trait_prob=None, conformity=0.0)
 
+    def impute(self, missing_share, trait):
+        """Linear imputation tilt; takes floats or broadcastable arrays."""
+        return 1.0 + self.impute_share * missing_share + self.impute_trait * trait
 
-def cascade_delta(*factors: BiasFactor) -> BiasFactor:
-    """Product of one analyst's direct tilt terms."""
-    total = 0.0
-    for f in factors:
-        total += f.log_value
-    return BiasFactor(total, Provenance.CASCADE)
+    def context(self, trait: bool) -> BiasFactor:
+        if self.context_trait_prob is None:
+            return BiasFactor.unit(Provenance.CONTEXTUAL)
+        return race_example_delta(self.context_trait_prob, trait)
+
+    def tilde_peer(self, supportive: int) -> float:
+        """Linear conformity tilt after `supportive` earlier supportive reports."""
+        return 1.0 + self.conformity * supportive
 
 
 @dataclass(frozen=True)
@@ -169,102 +153,47 @@ class ChainResult:
         return tuple(r.bias_ratio for r in self.reports)
 
 
-@dataclass(frozen=True)
-class _ChainDraws:
-    trait: bool
-    missing_shares: tuple[float, ...]
-    matches: tuple[bool, ...]
+_LEDGER = (
+    ("impute", Provenance.IMPUTE),
+    ("context", Provenance.CONTEXTUAL),
+    ("peer", Provenance.PEER),
+    ("tilde_impute", Provenance.IMPUTE),
+    ("tilde_context", Provenance.CONTEXTUAL),
+    ("tilde_peer", Provenance.PEER),
+)
 
 
-_LEDGER_ORDER = ("impute", "context", "peer", "tilde_impute", "tilde_context", "tilde_peer")
+@dataclass(frozen=True, eq=False)
+class _ChainArrays:
+    """Paired chains in log space, indexed [run, mode, analyst - 1, ledger term]."""
+
+    prior: float
+    trait: np.ndarray  # (n,) bool
+    missing_share: np.ndarray  # (n, k)
+    match: np.ndarray  # (n, k) bool
+    neutral_lr: np.ndarray  # (n, k)
+    terms: np.ndarray  # (n, 2, k, 6), in _LEDGER order
+    reported_lr: np.ndarray  # (n, 2, k)
 
 
-def _draw_chain(
-    rng: np.random.Generator,
+def _chain_kernel(
+    n: int,
+    rngs: Iterable[np.random.Generator],
     k: int,
+    pool: SuspectPool,
     trait_prob: float,
     model: CellAgreementModel,
+    profile: BiasProfile | None,
     same_source: bool,
     missing_share: float | None,
-) -> _ChainDraws:
-    # Draw order is part of the reproducibility contract: trait, then
-    # missing shares (only when random), then the k match indicators.
-    trait = bool(rng.random() < trait_prob)
-    if missing_share is None:
-        shares = tuple(float(s) for s in rng.random(k) * 0.5)
-    else:
-        shares = (float(missing_share),) * k
-    p_agree = model.p_same if same_source else model.p_diff
-    matches = tuple(bool(m) for m in (rng.random(k) < p_agree))
-    return _ChainDraws(trait=trait, missing_shares=shares, matches=matches)
-
-
-def _evaluate_chain(
-    mode: ChainMode,
-    draws: _ChainDraws,
-    pool: SuspectPool,
-    model: CellAgreementModel,
-    profile: BiasProfile,
-    same_source: bool,
     peer_history: str,
-) -> ChainResult:
-    prior = uniform_prior_odds(pool)
-    lr_match = LikelihoodRatio.from_linear(model.p_same / model.p_diff)
-    lr_mismatch = LikelihoodRatio.from_linear((1.0 - model.p_same) / (1.0 - model.p_diff))
-    history: tuple[OddsRatio, ...] = ()
-    snowball = mode is ChainMode.SNOWBALL
-    reports = []
-    for j, (match, share) in enumerate(zip(draws.matches, draws.missing_shares), start=1):
-        neutral_lr = lr_match if match else lr_mismatch
-        factors = {
-            "impute": profile.delta_impute(share, draws.trait),
-            "context": profile.delta_context(draws.trait),
-            "peer": profile.delta_peer,
-            "tilde_impute": profile.tilde_impute(history)
-            if snowball
-            else BiasFactor.unit(Provenance.IMPUTE),
-            "tilde_context": profile.tilde_context(history)
-            if snowball
-            else BiasFactor.unit(Provenance.CONTEXTUAL),
-            "tilde_peer": profile.tilde_peer(history)
-            if snowball
-            else BiasFactor.unit(Provenance.PEER),
-        }
-        ledger = BiasLedger()
-        reported_lr = neutral_lr
-        for label in _LEDGER_ORDER:
-            ledger = ledger.add(label, factors[label])
-            reported_lr = apply_bias(reported_lr, factors[label])
-        neutral = posterior_odds(prior, neutral_lr)
-        reported = posterior_odds(prior, reported_lr)
-        reports.append(
-            AnalystReport(
-                index=j,
-                match=match,
-                missing_share=share,
-                neutral_lr=neutral_lr,
-                reported_lr=reported_lr,
-                neutral_odds=neutral,
-                reported_odds=reported,
-                ledger=ledger,
-            )
-        )
-        if peer_history == "contribution":
-            history = history + (OddsRatio(reported_lr.log_value),)
-        else:
-            history = history + (reported,)
-    return ChainResult(
-        mode=mode,
-        pool=pool,
-        same_source=same_source,
-        trait=draws.trait,
-        reports=tuple(reports),
-    )
+) -> _ChainArrays:
+    """Draw and evaluate n paired chains, replicate i from the i-th generator.
 
-
-def _check_chain_args(
-    k: int, trait_prob: float, missing_share: float | None, peer_history: str
-) -> None:
+    Sums keep the ledger's order and logs of drawn values are scalar
+    math.log (np.log can differ in the last bit), so every replicate is
+    bit-identical to evaluating its chain one report at a time.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k!r}")
     if not 0.0 <= trait_prob <= 1.0:
@@ -275,6 +204,74 @@ def _check_chain_args(
         raise ValueError(
             f"peer_history must be 'contribution' or 'posterior', got {peer_history!r}"
         )
+    if profile is None:
+        profile = BiasProfile.standard(trait_prob)
+    p_agree = model.p_same if same_source else model.p_diff
+    trait = np.empty(n, dtype=bool)
+    shares = np.full((n, k), 0.0 if missing_share is None else float(missing_share))
+    match = np.empty((n, k), dtype=bool)
+    for i, rng in zip(range(n), rngs):
+        # Draw order is part of the reproducibility contract: trait, then
+        # missing shares (only when random), then the k match indicators.
+        trait[i] = rng.random() < trait_prob
+        if missing_share is None:
+            shares[i] = rng.random(k) * 0.5
+        match[i] = rng.random(k) < p_agree
+
+    prior = uniform_prior_odds(pool).log_value
+    lr_match = LikelihoodRatio.from_linear(model.p_same / model.p_diff).log_value
+    lr_mismatch = LikelihoodRatio.from_linear((1.0 - model.p_same) / (1.0 - model.p_diff)).log_value
+    neutral_lr = np.where(match, lr_match, lr_mismatch)
+    terms = np.zeros((n, 2, k, len(_LEDGER)))
+    linear_impute = profile.impute(shares, trait[:, None]).ravel().tolist()
+    terms[..., 0] = np.reshape([math.log(v) for v in linear_impute], (n, 1, k))
+    context = np.where(trait, profile.context(True).log_value, profile.context(False).log_value)
+    terms[..., 1] = context[:, None, None]
+    cascade_lr = neutral_lr + terms[:, 0, :, 0] + terms[:, 0, :, 1]
+
+    # Snowball: the conformity term counts the supportive reports so far.
+    log_conformity = np.array([math.log(profile.tilde_peer(c)) for c in range(k)])
+    supportive = np.zeros(n, dtype=np.intp)
+    for j in range(k):
+        terms[:, 1, j, 5] = log_conformity[supportive]
+        history = cascade_lr[:, j] + terms[:, 1, j, 5]
+        if peer_history == "posterior":
+            history = prior + history
+        supportive += history >= 0.0
+    return _ChainArrays(
+        prior=prior,
+        trait=trait,
+        missing_share=shares,
+        match=match,
+        neutral_lr=neutral_lr,
+        terms=terms,
+        reported_lr=np.stack((cascade_lr, cascade_lr + terms[:, 1, :, 5]), axis=1),
+    )
+
+
+def _chain_result(arrays: _ChainArrays, m: int, pool: SuspectPool, same_source: bool) -> ChainResult:
+    """Replicate 0 in mode _MODES[m] as reports with their ledgers."""
+    prior = OddsRatio(arrays.prior)
+    reports = []
+    for j, logs in enumerate(arrays.terms[0, m].tolist()):
+        neutral_lr = LikelihoodRatio(arrays.neutral_lr[0, j])
+        reported_lr = LikelihoodRatio(arrays.reported_lr[0, m, j])
+        ledger = BiasLedger(
+            tuple(LedgerEntry(label, BiasFactor(v, p)) for (label, p), v in zip(_LEDGER, logs))
+        )
+        reports.append(
+            AnalystReport(
+                j + 1,
+                bool(arrays.match[0, j]),
+                float(arrays.missing_share[0, j]),
+                neutral_lr,
+                reported_lr,
+                posterior_odds(prior, neutral_lr),
+                posterior_odds(prior, reported_lr),
+                ledger,
+            )
+        )
+    return ChainResult(_MODES[m], pool, same_source, bool(arrays.trait[0]), tuple(reports))
 
 
 def run_chain(
@@ -291,11 +288,10 @@ def run_chain(
     rng: np.random.Generator,
 ) -> ChainResult:
     """Run one k-analyst chain in one mode."""
-    _check_chain_args(k, trait_prob, missing_share, peer_history)
-    if profile is None:
-        profile = BiasProfile.standard(trait_prob)
-    draws = _draw_chain(rng, k, trait_prob, model, same_source, missing_share)
-    return _evaluate_chain(mode, draws, pool, model, profile, same_source, peer_history)
+    arrays = _chain_kernel(
+        1, (rng,), k, pool, trait_prob, model, profile, same_source, missing_share, peer_history
+    )
+    return _chain_result(arrays, _MODES.index(mode), pool, same_source)
 
 
 def run_chain_pair(
@@ -316,17 +312,10 @@ def run_chain_pair(
     differ only in the history terms, and at k = 1 their reports are
     bit-identical.
     """
-    _check_chain_args(k, trait_prob, missing_share, peer_history)
-    if profile is None:
-        profile = BiasProfile.standard(trait_prob)
-    draws = _draw_chain(rng, k, trait_prob, model, same_source, missing_share)
-    cascade = _evaluate_chain(
-        ChainMode.CASCADE, draws, pool, model, profile, same_source, peer_history
+    arrays = _chain_kernel(
+        1, (rng,), k, pool, trait_prob, model, profile, same_source, missing_share, peer_history
     )
-    snowball = _evaluate_chain(
-        ChainMode.SNOWBALL, draws, pool, model, profile, same_source, peer_history
-    )
-    return cascade, snowball
+    return _chain_result(arrays, 0, pool, same_source), _chain_result(arrays, 1, pool, same_source)
 
 
 @dataclass(frozen=True)
@@ -368,27 +357,10 @@ class PropagationStudy:
         return tuple(by_index[i] for i in range(1, self.k + 1))
 
 
-def _records_from_chain(run_id: int, chain: ChainResult) -> list[ChainRecord]:
-    return [
-        ChainRecord(
-            mode=chain.mode.value,
-            run_id=run_id,
-            analyst_index=r.index,
-            neutral_odds=float(np.exp(r.neutral_odds.log_value)),
-            reported_odds=float(np.exp(r.reported_odds.log_value)),
-            bias_ratio=r.bias_ratio,
-            trait=chain.trait,
-            missing_share=r.missing_share,
-        )
-        for r in chain.reports
-    ]
-
-
 def monte_carlo_chains(
     n_runs: int = 1000,
     *,
     master_seed: int,
-    threads: int = 1,
     k: int = 5,
     pool: SuspectPool = SuspectPool(10),
     trait_prob: float = 0.15,
@@ -400,55 +372,36 @@ def monte_carlo_chains(
 ) -> PropagationStudy:
     """Replicate paired chains; deterministic for a given master seed.
 
-    Replicate i draws from substream(master_seed, i) regardless of which
-    thread runs it, so any thread count produces identical records.
+    Replicate i draws from substream(master_seed, i), so run_chain_pair
+    with that generator re-creates it on its own, bit for bit.
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs!r}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads!r}")
-
-    def one(run_id: int) -> tuple[ChainResult, ChainResult]:
-        return run_chain_pair(
-            k=k,
-            pool=pool,
-            trait_prob=trait_prob,
-            model=model,
-            profile=profile,
-            same_source=same_source,
-            missing_share=missing_share,
-            peer_history=peer_history,
-            rng=substream(master_seed, run_id),
-        )
-
-    if threads == 1:
-        pairs = [one(i) for i in range(n_runs)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool_:
-            pairs = list(pool_.map(one, range(n_runs)))
-
-    records: list[ChainRecord] = []
-    for run_id, (cascade, snowball) in enumerate(pairs):
-        records.extend(_records_from_chain(run_id, cascade))
-        records.extend(_records_from_chain(run_id, snowball))
-
-    summaries = []
-    for mode in (ChainMode.CASCADE, ChainMode.SNOWBALL):
-        for index in range(1, k + 1):
-            ratios = np.array(
-                [r.bias_ratio for r in records if r.mode == mode.value and r.analyst_index == index]
-            )
-            q025, median, q975 = np.percentile(ratios, [2.5, 50.0, 97.5])
-            summaries.append(
-                IndexSummary(
-                    mode=mode.value,
-                    analyst_index=index,
-                    mean_bias_ratio=float(ratios.mean()),
-                    q025=float(q025),
-                    median=float(median),
-                    q975=float(q975),
-                )
-            )
-    return PropagationStudy(
-        n_runs=n_runs, k=k, records=tuple(records), summaries=tuple(summaries)
+    rngs = (substream(master_seed, i) for i in range(n_runs))
+    arrays = _chain_kernel(
+        n_runs, rngs, k, pool, trait_prob, model, profile, same_source, missing_share, peer_history
     )
+    neutral_log = arrays.prior + arrays.neutral_lr
+    reported_log = arrays.prior + arrays.reported_lr
+    ratio = np.exp(reported_log - neutral_log[:, None, :])
+    # Records hold Python floats and bools: the CSV writer formats numpy
+    # scalars differently.
+    neutral, reported = np.exp(neutral_log).tolist(), np.exp(reported_log).tolist()
+    ratios, traits, shares = ratio.tolist(), arrays.trait.tolist(), arrays.missing_share.tolist()
+    records = tuple(
+        ChainRecord(mode.value, run, j + 1, neutral[run][j], reported[run][m][j],
+                    ratios[run][m][j], traits[run], shares[run][j])
+        for run in range(n_runs)
+        for m, mode in enumerate(_MODES)
+        for j in range(k)
+    )
+
+    # One contiguous row per (mode, analyst), so each mean sums in the
+    # same order as a mean over that column's values alone.
+    columns = np.ascontiguousarray(ratio.reshape(n_runs, 2 * k).T)
+    quantiles = np.percentile(columns, [2.5, 50.0, 97.5], axis=1).T.tolist()
+    summaries = tuple(
+        IndexSummary(_MODES[c // k].value, c % k + 1, float(column.mean()), *quantiles[c])
+        for c, column in enumerate(columns)
+    )
+    return PropagationStudy(n_runs=n_runs, k=k, records=records, summaries=summaries)

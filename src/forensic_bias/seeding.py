@@ -3,8 +3,8 @@
 Every randomized routine in this package takes a numpy Generator.  For
 replicated runs, each replicate gets its own generator derived from the
 master seed and the replicate index, so results are independent of
-execution order and thread count, and any single replicate can be
-re-created in isolation.
+execution order, and any single replicate can be re-created in
+isolation.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Parameter schemas, config parsing, and the command-line harness."""
 
 import json
+import warnings
 
 import pytest
 
@@ -161,6 +162,19 @@ class TestRunPreset:
         assert report["neutral_guilt_odds"] == pytest.approx(3.0, abs=1e-12)
         assert report["systemic_bias_ratio"] == pytest.approx(3.0, rel=1e-10)
 
+    def test_feedback_clamp_warns_once_per_run(self, tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_preset(
+                "feedback",
+                7,
+                {"trait_skew": "20", "n_seeds": "30", "n_obs": "20"},
+                out_dir=tmp_path,
+            )
+        clamps = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(clamps) == 1
+        assert "clamping" in str(clamps[0].message)
+
 
 class TestCli:
     def test_run_writes_artifacts(self, tmp_path, capsys):
@@ -224,21 +238,29 @@ class TestCli:
         assert "unknown preset" in capsys.readouterr().err
 
     def test_bad_override_exit_2_names_parameter(self, tmp_path, capsys):
-        code = main(
-            [
-                "run",
-                "--preset",
-                "race",
-                "--seed",
-                "1",
-                "--set",
-                "trait_prob=0.9",
-                "--out",
-                str(tmp_path / "x"),
-            ]
-        )
-        assert code == 2
-        assert "trait_prob" in capsys.readouterr().err
+        for preset, setting in (
+            ("race", "trait_prob=0.9"),
+            ("trier", "stream_lrs=2,nan,5"),
+            ("trier", "stream_lrs=2,inf,5"),
+            ("trier", "stream_lrs=1e400,3,5"),
+            ("trier", "betas=1.5,nan,2.0"),
+            ("trier", "betas=1.5,-inf,2.0"),
+        ):
+            code = main(
+                [
+                    "run",
+                    "--preset",
+                    preset,
+                    "--seed",
+                    "1",
+                    "--set",
+                    setting,
+                    "--out",
+                    str(tmp_path / "x"),
+                ]
+            )
+            assert code == 2, setting
+            assert setting.split("=")[0] in capsys.readouterr().err, setting
 
     def test_numeric_runtime_failure_exit_1_names_module(self, tmp_path, capsys):
         code = main(

@@ -1,15 +1,29 @@
 """Cascade vs snowball chains and their replicated comparison."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
-from forensic_bias.contextual import BiasFactor, Provenance, race_example_delta
+from forensic_bias.contextual import (
+    BiasFactor,
+    BiasLedger,
+    Provenance,
+    apply_bias,
+    compose_bias,
+    race_example_delta,
+)
 from forensic_bias.fingerprints import CellAgreementModel
-from forensic_bias.odds import OddsRatio, SuspectPool
+from forensic_bias.odds import (
+    LikelihoodRatio,
+    OddsRatio,
+    SuspectPool,
+    posterior_odds,
+    uniform_prior_odds,
+)
 from forensic_bias.propagation import (
     BiasProfile,
     ChainMode,
-    cascade_delta,
     monte_carlo_chains,
     run_chain,
     run_chain_pair,
@@ -18,6 +32,133 @@ from forensic_bias.propagation import (
 from forensic_bias.seeding import substream
 
 TOL = 1e-12
+
+
+def _oracle_chain(
+    rng,
+    *,
+    k=5,
+    pool=SuspectPool(10),
+    trait_prob=0.15,
+    model=CellAgreementModel(),
+    profile=None,
+    same_source=True,
+    missing_share=None,
+    peer_history="contribution",
+):
+    """Reference: one paired chain, one report and one ledger entry at a time.
+
+    Returns (trait, {mode: [(missing share, neutral odds, reported odds,
+    bias ratio, ledger log-values)] per report}).
+    """
+    if profile is None:
+        profile = BiasProfile.standard(trait_prob)
+    trait = bool(rng.random() < trait_prob)
+    if missing_share is None:
+        shares = tuple(float(s) for s in rng.random(k) * 0.5)
+    else:
+        shares = (float(missing_share),) * k
+    p_agree = model.p_same if same_source else model.p_diff
+    matches = tuple(bool(m) for m in (rng.random(k) < p_agree))
+
+    prior = uniform_prior_odds(pool)
+    lr_match = LikelihoodRatio.from_linear(model.p_same / model.p_diff)
+    lr_mismatch = LikelihoodRatio.from_linear((1.0 - model.p_same) / (1.0 - model.p_diff))
+    out = {}
+    for mode in ChainMode:
+        snowball = mode is ChainMode.SNOWBALL
+        history = ()
+        reports = []
+        for match, share in zip(matches, shares):
+            neutral_lr = lr_match if match else lr_mismatch
+            supportive = sum(1 for h in history if h.log_value >= 0.0)
+            factors = (
+                ("impute", BiasFactor.from_linear(profile.impute(share, trait), Provenance.IMPUTE)),
+                ("context", profile.context(trait)),
+                ("peer", BiasFactor.unit(Provenance.PEER)),
+                ("tilde_impute", BiasFactor.unit(Provenance.IMPUTE)),
+                ("tilde_context", BiasFactor.unit(Provenance.CONTEXTUAL)),
+                (
+                    "tilde_peer",
+                    BiasFactor.from_linear(profile.tilde_peer(supportive), Provenance.PEER)
+                    if snowball
+                    else BiasFactor.unit(Provenance.PEER),
+                ),
+            )
+            ledger = BiasLedger()
+            reported_lr = neutral_lr
+            for label, factor in factors:
+                ledger = ledger.add(label, factor)
+                reported_lr = apply_bias(reported_lr, factor)
+            neutral = posterior_odds(prior, neutral_lr)
+            reported = posterior_odds(prior, reported_lr)
+            reports.append(
+                (
+                    share,
+                    float(np.exp(neutral.log_value)),
+                    float(np.exp(reported.log_value)),
+                    float(np.exp(reported.log_value - neutral.log_value)),
+                    tuple(e.factor.log_value for e in ledger.entries),
+                )
+            )
+            if peer_history == "contribution":
+                history = history + (OddsRatio(reported_lr.log_value),)
+            else:
+                history = history + (reported,)
+        out[mode] = reports
+    return trait, out
+
+
+ORACLE_CASES = {
+    "defaults": {},
+    "posterior-history": {"peer_history": "posterior"},
+    "fixed-share": {"missing_share": 0.2},
+    "different-source": {"same_source": False},
+    "k1": {"k": 1},
+    "k12-pool1": {"k": 12, "pool": SuspectPool(1)},
+    "unbiased": {"profile": BiasProfile.unbiased()},
+}
+
+
+class TestKernelMatchesScalarOracle:
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    def test_study_bit_equal(self, case, seed):
+        kwargs = ORACLE_CASES[case]
+        n_runs = 80
+        study = monte_carlo_chains(n_runs, master_seed=seed, **kwargs)
+        records = study.records
+        per_run = len(records) // n_runs
+        for run_id in range(n_runs):
+            trait, oracle = _oracle_chain(substream(seed, run_id), **kwargs)
+            expected = [
+                (mode.value, run_id, j, neutral, reported, ratio, trait, share)
+                for mode in ChainMode
+                for j, (share, neutral, reported, ratio, _) in enumerate(oracle[mode], start=1)
+            ]
+            got = [astuple(r) for r in records[run_id * per_run : (run_id + 1) * per_run]]
+            assert got == expected
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    def test_chain_ledgers_bit_equal(self, case, seed):
+        kwargs = ORACLE_CASES[case]
+        for run_id in range(20):
+            pair = run_chain_pair(rng=substream(seed, run_id), **kwargs)
+            trait, oracle = _oracle_chain(substream(seed, run_id), **kwargs)
+            for chain in pair:
+                assert chain.trait == trait
+                got = [
+                    (
+                        r.missing_share,
+                        float(np.exp(r.neutral_odds.log_value)),
+                        float(np.exp(r.reported_odds.log_value)),
+                        r.bias_ratio,
+                        tuple(e.factor.log_value for e in r.ledger.entries),
+                    )
+                    for r in chain.reports
+                ]
+                assert got == oracle[chain.mode]
 
 
 class TestTildePeer:
@@ -40,26 +181,38 @@ class TestTildePeer:
 class TestProfile:
     def test_standard_direct_terms(self):
         profile = BiasProfile.standard(0.15)
-        assert profile.delta_impute(0.25, True).linear == pytest.approx(1.75, abs=TOL)
-        assert profile.delta_impute(0.25, False).linear == pytest.approx(1.25, abs=TOL)
-        assert profile.delta_impute(0.0, False).linear == pytest.approx(1.0, abs=TOL)
-        assert profile.delta_context(True).linear == 2.0
-        assert profile.delta_context(False).linear == pytest.approx(
+        assert profile.impute(0.25, True) == pytest.approx(1.75, abs=TOL)
+        assert profile.impute(0.25, False) == pytest.approx(1.25, abs=TOL)
+        assert profile.impute(0.0, False) == pytest.approx(1.0, abs=TOL)
+        assert profile.context(True).linear == 2.0
+        assert profile.context(False).linear == pytest.approx(
             race_example_delta(0.15, False).linear, abs=TOL
         )
-        assert profile.delta_peer.log_value == 0.0
+        chain = run_chain(ChainMode.SNOWBALL, rng=substream(13))
+        assert all(r.ledger["peer"].log_value == 0.0 for r in chain.reports)
 
     def test_standard_history_terms(self):
         profile = BiasProfile.standard(0.15)
-        history = tuple(OddsRatio.from_linear(v) for v in (2.0, 3.0))
-        assert profile.tilde_impute(history).log_value == 0.0
-        assert profile.tilde_context(history).log_value == 0.0
-        assert profile.tilde_peer(history).linear == pytest.approx(3.0, abs=TOL)
+        supportive = sum(1 for v in (2.0, 3.0) if OddsRatio.from_linear(v).log_value >= 0.0)
+        assert profile.tilde_peer(supportive) == pytest.approx(3.0, abs=TOL)
+        chain = run_chain(ChainMode.SNOWBALL, rng=substream(14))
+        for r in chain.reports:
+            assert r.ledger["tilde_impute"].log_value == 0.0
+            assert r.ledger["tilde_context"].log_value == 0.0
+
+    def test_coefficients_validated(self):
+        with pytest.raises(ValueError):
+            BiasProfile(-1.0, 0.5, 0.15, 1.0)
+        with pytest.raises(ValueError):
+            BiasProfile(1.0, 0.5, 0.15, float("nan"))
 
     def test_cascade_delta_product(self):
-        combined = cascade_delta(
-            BiasFactor.from_linear(1.75, Provenance.IMPUTE),
-            BiasFactor.from_linear(2.0, Provenance.CONTEXTUAL),
+        combined = compose_bias(
+            (
+                BiasFactor.from_linear(1.75, Provenance.IMPUTE),
+                BiasFactor.from_linear(2.0, Provenance.CONTEXTUAL),
+            ),
+            Provenance.CASCADE,
         )
         assert combined.provenance is Provenance.CASCADE
         assert combined.linear == pytest.approx(3.5, abs=TOL)
@@ -189,12 +342,6 @@ class TestMonteCarlo:
             assert snowball[i] > cascade[i]
         assert all(b >= a - TOL for a, b in zip(snowball, snowball[1:]))
 
-    def test_thread_count_invisible_in_results(self):
-        a = monte_carlo_chains(60, master_seed=5, threads=1)
-        b = monte_carlo_chains(60, master_seed=5, threads=4)
-        assert a.records == b.records
-        assert a.summaries == b.summaries
-
     def test_summary_quantiles_ordered(self):
         study = monte_carlo_chains(200, master_seed=17)
         for s in study.summaries:
@@ -203,5 +350,3 @@ class TestMonteCarlo:
     def test_validation(self):
         with pytest.raises(ValueError):
             monte_carlo_chains(0, master_seed=0)
-        with pytest.raises(ValueError):
-            monte_carlo_chains(5, master_seed=0, threads=0)
