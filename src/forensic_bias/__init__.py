@@ -65,6 +65,7 @@ from .fingerprints import (
     decide_source,
     delta_impute_exact,
     estimate_delta_impute,
+    exact_mean_delta,
     generate_print,
     imputation_grid_fixture,
     impute_from_reference,

@@ -131,6 +131,24 @@ def _validate_alpha(alpha_true: float) -> float:
     return alpha_true
 
 
+_CLAMP_MESSAGE = r"trait_skew \* alpha_true = .* exceeds 1"
+
+
+def _wrongful_trait_rate(regime: FeedbackRegime, alpha_true: float) -> float:
+    """The trait rate in wrongful cases, clamped to 1 with a warning that
+    names the caller's caller."""
+    skewed = regime.trait_skew * alpha_true
+    if regime.kind is FeedbackKind.BIASED and skewed > 1.0:
+        warnings.warn(
+            f"trait_skew * alpha_true = {skewed!r} exceeds 1; clamping the "
+            "wrongful-case trait rate to 1",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        skewed = 1.0
+    return skewed
+
+
 def simulate_feedback(
     regime: FeedbackRegime,
     alpha_true: float,
@@ -143,15 +161,7 @@ def simulate_feedback(
     alpha_true = _validate_alpha(alpha_true)
     if n_obs < 1:
         raise ValueError(f"n_obs must be >= 1, got {n_obs!r}")
-    skewed = regime.trait_skew * alpha_true
-    if regime.kind is FeedbackKind.BIASED and skewed > 1.0:
-        warnings.warn(
-            f"trait_skew * alpha_true = {skewed!r} exceeds 1; clamping the "
-            "wrongful-case trait rate to 1",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        skewed = 1.0
+    skewed = _wrongful_trait_rate(regime, alpha_true)
     # Fixed stream layout: one uniform for the wrongful draw, one for the
     # trait, for every case in both regimes.
     u_wrongful = rng.random(n_obs)
@@ -214,20 +224,24 @@ def run_paired_feedback(
 
     Replicate i replays substream(master_seed, i) for both regimes, so
     every difference between the paired trajectories is the regime's
-    doing, not the draw's.
+    doing, not the draw's.  A clamped wrongful-case trait rate warns once
+    per call, not once per biased trajectory.
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds!r}")
     if biased is None:
         biased = FeedbackRegime.biased()
     truthful = FeedbackRegime.truthful()
+    _wrongful_trait_rate(biased, _validate_alpha(alpha_true))
     t_means = []
     b_means = []
-    for i in range(n_seeds):
-        t = simulate_feedback(truthful, alpha_true, n_obs, prior, rng=substream(master_seed, i))
-        b = simulate_feedback(biased, alpha_true, n_obs, prior, rng=substream(master_seed, i))
-        t_means.append(t.posterior_means[-1])
-        b_means.append(b.posterior_means[-1])
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message=_CLAMP_MESSAGE, category=RuntimeWarning)
+        for i in range(n_seeds):
+            t = simulate_feedback(truthful, alpha_true, n_obs, prior, rng=substream(master_seed, i))
+            b = simulate_feedback(biased, alpha_true, n_obs, prior, rng=substream(master_seed, i))
+            t_means.append(t.posterior_means[-1])
+            b_means.append(b.posterior_means[-1])
     return PairedFeedbackResult(
         alpha_true=float(alpha_true),
         n_obs=n_obs,

@@ -4,7 +4,12 @@ Prints are binary grids: each cell either shows a minutia or does not.
 A latent print additionally has missing cells (smudged or not lifted).
 An examiner who fills missing cells by copying the suspect's exemplar
 ("imputation") manufactures agreement, which inflates the reported
-likelihood ratio by a factor of (p_same/p_diff) per imputed cell.
+likelihood ratio by a factor of r = p_same/p_diff per imputed cell, so
+by exactly r**M for M missing cells, whatever the prints show.  The
+Monte Carlo over that factor draws only M, so the minutiae rate and the
+mark's source do not affect it; the delta-impute preset reports its mean
+with a standard error (mc_standard_error) next to the exact mean
+(exact_mean_delta).
 
 Grid text format, one row per line:
 
@@ -49,6 +54,7 @@ __all__ = [
     "source_lr",
     "delta_impute_exact",
     "sample_delta_impute",
+    "exact_mean_delta",
     "estimate_delta_impute",
     "GridFixture",
     "imputation_grid_fixture",
@@ -158,11 +164,8 @@ class PrintGrid:
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"grid shape must be positive, got {self.rows}x{self.cols}")
-        if self.rows * self.cols != len(self.vector):
-            raise ValueError(
-                f"{self.rows}x{self.cols} grid needs {self.rows * self.cols} cells, "
-                f"got {len(self.vector)}"
-            )
+        if (n := self.rows * self.cols) != len(self.vector):
+            raise ValueError(f"{self.rows}x{self.cols} grid needs {n} cells, got {len(self.vector)}")
 
     @classmethod
     def from_text(cls, text: str) -> "PrintGrid":
@@ -173,18 +176,12 @@ class PrintGrid:
         if len(widths) != 1:
             raise ValueError(f"ragged grid rows: widths {sorted(widths)!r}")
         cells = _cells_from_text("".join(lines))
-        vector: PrintVector
-        if any(c is Cell.MISSING for c in cells):
-            vector = LatentVector(cells)
-        else:
-            vector = MinutiaVector(cells)
+        vector = (LatentVector if Cell.MISSING in cells else MinutiaVector)(cells)
         return cls(len(lines), widths.pop(), vector)
 
     def to_text(self) -> str:
-        chars = [c.value for c in self.vector.cells]
-        return "\n".join(
-            "".join(chars[r * self.cols : (r + 1) * self.cols]) for r in range(self.rows)
-        )
+        chars = "".join(c.value for c in self.vector.cells)
+        return "\n".join(chars[r * self.cols : (r + 1) * self.cols] for r in range(self.rows))
 
     def __len__(self) -> int:
         return len(self.vector)
@@ -192,6 +189,18 @@ class PrintGrid:
 
 def _as_vector(print_like: Union[PrintGrid, PrintVector]) -> PrintVector:
     return print_like.vector if isinstance(print_like, PrintGrid) else print_like
+
+
+def _as_pair(
+    reference: Union[PrintGrid, PrintVector], print_: Union[PrintGrid, PrintVector], role: str
+) -> tuple[MinutiaVector, PrintVector]:
+    x = _as_vector(reference)
+    y = _as_vector(print_)
+    if isinstance(x, LatentVector):
+        raise ValueError(f"the {role} must be fully observed")
+    if len(x) != len(y):
+        raise ValueError(f"length mismatch: {role} has {len(x)} cells, print has {len(y)}")
+    return x, y
 
 
 @dataclass(frozen=True)
@@ -233,12 +242,7 @@ def count_matches(
 
     Missing cells are not comparable and contribute only to n_missing.
     """
-    x = _as_vector(exemplar)
-    y = _as_vector(print_)
-    if isinstance(x, LatentVector):
-        raise ValueError("the exemplar must be fully observed")
-    if len(x) != len(y):
-        raise ValueError(f"length mismatch: exemplar has {len(x)} cells, print has {len(y)}")
+    x, y = _as_pair(exemplar, print_, "exemplar")
     correspondences = 0
     matches = 0
     missing = 0
@@ -281,14 +285,20 @@ def generate_print(
         raise ValueError(
             f"expected_minutiae={expected_minutiae!r} implies presence rate {rate!r} outside [0, 1]"
         )
-    bits = rng.random(n) < rate
-    return PrintGrid(rows, cols, MinutiaVector.from_bits(bits.tolist()))
+    return PrintGrid(rows, cols, MinutiaVector.from_bits((rng.random(n) < rate).tolist()))
 
 
 def _round_half_up(x: float) -> int:
     # round() would take 12.5 to 12 (banker's rounding); the share contract
     # is half-up, so 0.25 of 50 cells masks 13 of them.
     return int(math.floor(x + 0.5))
+
+
+def _check_mask(missing_share: float, mode: str) -> None:
+    if not 0.0 <= missing_share <= 1.0:
+        raise ValueError(f"missing_share must lie in [0, 1], got {missing_share!r}")
+    if mode not in ("exact", "per_cell"):
+        raise ValueError(f"mode must be 'exact' or 'per_cell', got {mode!r}")
 
 
 def mask_missing(
@@ -304,8 +314,7 @@ def mask_missing(
     uniformly; mode="per_cell" hides each cell independently with
     probability `missing_share`.  The return type mirrors the input.
     """
-    if not 0.0 <= missing_share <= 1.0:
-        raise ValueError(f"missing_share must lie in [0, 1], got {missing_share!r}")
+    _check_mask(missing_share, mode)
     vector = _as_vector(print_like)
     if isinstance(vector, LatentVector):
         raise ValueError("input already has missing cells")
@@ -313,14 +322,9 @@ def mask_missing(
     if mode == "exact":
         k = _round_half_up(missing_share * n)
         hidden = set(rng.choice(n, size=k, replace=False).tolist()) if k else set()
-    elif mode == "per_cell":
-        hidden = {i for i, u in enumerate(rng.random(n)) if u < missing_share}
     else:
-        raise ValueError(f"mode must be 'exact' or 'per_cell', got {mode!r}")
-    cells = tuple(
-        Cell.MISSING if i in hidden else c for i, c in enumerate(vector.cells)
-    )
-    latent = LatentVector(cells)
+        hidden = {i for i, u in enumerate(rng.random(n)) if u < missing_share}
+    latent = LatentVector(tuple(Cell.MISSING if i in hidden else c for i, c in enumerate(vector.cells)))
     if isinstance(print_like, PrintGrid):
         return PrintGrid(print_like.rows, print_like.cols, latent)
     return latent
@@ -335,12 +339,7 @@ def impute_from_reference(
     This is the biasing move: the examiner resolves ambiguity toward the
     exemplar, so each imputed cell agrees with it by construction.
     """
-    y = _as_vector(latent)
-    x = _as_vector(reference)
-    if isinstance(x, LatentVector):
-        raise ValueError("the reference must be fully observed")
-    if len(x) != len(y):
-        raise ValueError(f"length mismatch: reference has {len(x)} cells, print has {len(y)}")
+    x, y = _as_pair(reference, latent, "reference")
     cells = tuple(cx if cy is Cell.MISSING else cy for cx, cy in zip(x.cells, y.cells))
     completed = MinutiaVector(cells)
     if isinstance(latent, PrintGrid):
@@ -363,9 +362,7 @@ class CellAgreementModel:
     def __post_init__(self) -> None:
         p_same, p_diff = float(self.p_same), float(self.p_diff)
         if not (0.0 < p_diff < p_same < 1.0):
-            raise ValueError(
-                f"need 0 < p_diff < p_same < 1, got p_same={p_same!r} p_diff={p_diff!r}"
-            )
+            raise ValueError(f"need 0 < p_diff < p_same < 1, got p_same={p_same!r} p_diff={p_diff!r}")
         object.__setattr__(self, "p_same", p_same)
         object.__setattr__(self, "p_diff", p_diff)
 
@@ -381,12 +378,7 @@ def agreement_log_likelihood(
     """
     if not 0.0 < p_agree < 1.0:
         raise ValueError(f"p_agree must lie strictly inside (0, 1), got {p_agree!r}")
-    y = _as_vector(print_)
-    x = _as_vector(reference)
-    if isinstance(x, LatentVector):
-        raise ValueError("the reference must be fully observed")
-    if len(x) != len(y):
-        raise ValueError(f"length mismatch: reference has {len(x)} cells, print has {len(y)}")
+    x, y = _as_pair(reference, print_, "reference")
     log_agree = math.log(p_agree)
     log_disagree = math.log1p(-p_agree)
     total = 0.0
@@ -443,21 +435,12 @@ class ImputationSimParams:
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"grid shape must be positive, got {self.rows}x{self.cols}")
         if not 0.0 <= self.expected_minutiae <= n:
-            raise ValueError(
-                f"expected_minutiae must lie in [0, {n}], got {self.expected_minutiae!r}"
-            )
+            raise ValueError(f"expected_minutiae must lie in [0, {n}], got {self.expected_minutiae!r}")
 
 
-def _draw_pair(
-    rng: np.random.Generator, params: ImputationSimParams
-) -> tuple[MinutiaVector, MinutiaVector]:
-    """Draw an exemplar and a mark whose cells agree per the agreement model."""
-    x = _as_vector(generate_print(rng, params.rows, params.cols, params.expected_minutiae))
-    p_agree = params.model.p_same if params.same_source else params.model.p_diff
-    agree = rng.random(len(x)) < p_agree
-    flip = {Cell.PRESENT: Cell.ABSENT, Cell.ABSENT: Cell.PRESENT}
-    cells = tuple(cx if a else flip[cx] for cx, a in zip(x.cells, agree))
-    return x, MinutiaVector(cells)
+# Replicates per block of uniforms; 1,024 raised a default run's peak RSS by 6%.
+_BLOCK_REPS = 256
+_LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
 
 def sample_delta_impute(
@@ -468,21 +451,40 @@ def sample_delta_impute(
     rng: np.random.Generator,
     mask_mode: str = "per_cell",
 ) -> np.ndarray:
-    """Monte Carlo draws of the linear imputation bias factor.
+    """Monte Carlo draws of the imputation bias factor r**M, r = p_same/p_diff.
 
-    Each replicate draws an exemplar, a mark from the agreement model,
-    and a missing mask, then evaluates LR(imputed)/LR(observed).  The
-    default per-cell masking makes n_missing random, which is what gives
-    the factor a nondegenerate distribution.
-    """
+    Only the missing count M is drawn; expected_minutiae and same_source do
+    not affect it.  "per_cell": M ~ Binomial(n, s), counted on the mask third
+    of each replicate's exemplar/agreement/mask layout of 3n uniforms.
+    "exact": M = round-half-up(s * n), no draws.  Raises OverflowError,
+    checked in log space, if a draw exceeds float range."""
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps!r}")
-    out = np.empty(n_reps, dtype=float)
-    for i in range(n_reps):
-        x, y = _draw_pair(rng, params)
-        latent = mask_missing(y, missing_share, rng=rng, mode=mask_mode)
-        out[i] = delta_impute_exact(latent, x, params.model).linear
-    return out
+    _check_mask(missing_share, mask_mode)
+    n = params.rows * params.cols
+    if mask_mode == "exact":
+        counts = np.full(n_reps, _round_half_up(missing_share * n))
+    else:
+        blocks = (rng.random((min(_BLOCK_REPS, n_reps - i), 3, n)) for i in range(0, n_reps, _BLOCK_REPS))
+        counts = np.concatenate([np.count_nonzero(u[:, 2] < missing_share, axis=1) for u in blocks])
+    log_draws = counts * math.log(params.model.p_same / params.model.p_diff)
+    if log_draws.max() > _LOG_FLOAT_MAX:
+        raise OverflowError(f"the draw r**{counts.max()} = e**{log_draws.max():.1f} exceeds float range")
+    return np.exp(log_draws)
+
+
+def exact_mean_delta(params: ImputationSimParams, missing_share: float, mask_mode: str) -> float:
+    """Exact mean of sample_delta_impute's draws: (1 - s + s * r) ** n per cell,
+    r ** round-half-up(s * n) for an exact mask; OverflowError past float range."""
+    n = params.rows * params.cols
+    r = params.model.p_same / params.model.p_diff
+    if mask_mode == "exact":
+        log_mean = _round_half_up(missing_share * n) * math.log(r)
+    else:
+        log_mean = n * math.log1p(missing_share * (r - 1.0))
+    if log_mean > _LOG_FLOAT_MAX:
+        raise OverflowError(f"the exact mean e**{log_mean:.1f} exceeds float range")
+    return math.exp(log_mean)
 
 
 def estimate_delta_impute(
@@ -495,7 +497,8 @@ def estimate_delta_impute(
 ) -> BiasFactor:
     """Mean imputation bias factor over Monte Carlo replicates."""
     draws = sample_delta_impute(params, missing_share, n_reps, rng=rng, mask_mode=mask_mode)
-    return BiasFactor.from_linear(float(draws.mean()), Provenance.IMPUTE)
+    top = draws.max()  # scale so the sum cannot overflow
+    return BiasFactor(math.log(top) + math.log((draws / top).mean()), Provenance.IMPUTE)
 
 
 @dataclass(frozen=True)
@@ -514,10 +517,6 @@ class GridFixture:
     imputed_decision: SourceDecision
 
 
-def _grid_dir():
-    return resources.files("forensic_bias").joinpath("fixtures/grids")
-
-
 def imputation_grid_fixture() -> GridFixture:
     """Load the committed 10x5 example where imputation flips the decision.
 
@@ -525,7 +524,7 @@ def imputation_grid_fixture() -> GridFixture:
     observed count to 3 (Inconclusive) and imputation raises it to 8
     (SupportSameSource).
     """
-    d = _grid_dir()
+    d = resources.files("forensic_bias").joinpath("fixtures/grids")
     exemplar = PrintGrid.from_text(d.joinpath("exemplar_x.txt").read_text(encoding="utf-8"))
     true_mark = PrintGrid.from_text(d.joinpath("true_y.txt").read_text(encoding="utf-8"))
     observed = PrintGrid.from_text(d.joinpath("observed_y.txt").read_text(encoding="utf-8"))

@@ -37,6 +37,7 @@ from .fingerprints import (
     count_matches,
     decide_source,
     delta_impute_exact,
+    exact_mean_delta,
     imputation_grid_fixture,
     impute_from_reference,
     LatentVector,
@@ -334,22 +335,34 @@ def _run_delta_impute(params: dict, seed: int, out: Path) -> list[str]:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    draws = sample_delta_impute(
-        sim,
-        params["missing_share"],
-        params["n_reps"],
-        rng=substream(seed, 0),
-        mask_mode=params["mask_mode"],
-    )
+    try:
+        exact_mean = exact_mean_delta(sim, params["missing_share"], params["mask_mode"])
+        draws = sample_delta_impute(
+            sim,
+            params["missing_share"],
+            params["n_reps"],
+            rng=substream(seed, 0),
+            mask_mode=params["mask_mode"],
+        )
+    except OverflowError as exc:
+        named = ", ".join(f"{k}={params[k]!r}" for k in ("rows", "cols", "missing_share", "p_same", "p_diff"))
+        raise ConfigError(f"{exc} at {named}; use a smaller grid, missing_share or p_same/p_diff") from exc
     q025, median, q975 = np.percentile(draws, [2.5, 50.0, 97.5])
+    # Scaled by the largest draw so neither the sum nor the squares overflow.
+    top = float(draws.max())
+    scaled = draws / top
+    n_reps = params["n_reps"]
+    se = top * float(scaled.std(ddof=1)) / math.sqrt(n_reps) if n_reps > 1 else None
     write_json(
         out / "estimate.json",
         {
-            "mean_delta": float(draws.mean()),
+            "mean_delta": top * float(scaled.mean()),
+            "exact_mean_delta": exact_mean,
+            "mc_standard_error": se,
             "q025": float(q025),
             "median": float(median),
             "q975": float(q975),
-            "n_reps": params["n_reps"],
+            "n_reps": n_reps,
             "missing_share": params["missing_share"],
             "mask_mode": params["mask_mode"],
             "p_same": model.p_same,

@@ -156,6 +156,21 @@ class TestRunPreset:
                 "delta-impute", 0, {"p_same": "0.2", "p_diff": "0.4"}, out_dir=tmp_path
             )
 
+    def test_delta_impute_reports_exact_mean_and_error_bar(self, tmp_path):
+        run_preset("delta-impute", 7, {"n_reps": "2000"}, out_dir=tmp_path)
+        est = json.loads((tmp_path / "estimate.json").read_text())
+        assert est["exact_mean_delta"] == pytest.approx(1.25**50, rel=1e-12)
+        assert 0 < est["mc_standard_error"] < est["mean_delta"]
+        assert abs(est["mean_delta"] - est["exact_mean_delta"]) < 4 * est["mc_standard_error"]
+
+    def test_delta_impute_mean_stays_finite(self, tmp_path):
+        # Each draw is 2**1021; the plain sum of the draws overflows.
+        overrides = {"rows": "1", "cols": "1021", "missing_share": "1", "n_reps": "10"}
+        run_preset("delta-impute", 7, overrides, out_dir=tmp_path)
+        est = json.loads((tmp_path / "estimate.json").read_text())
+        assert est["mean_delta"] == pytest.approx(2.0**1021, rel=1e-12)
+        assert est["exact_mean_delta"] == pytest.approx(2.0**1021, rel=1e-12)
+
     def test_trier_report(self, tmp_path):
         run_preset("trier", 0, out_dir=tmp_path)
         report = json.loads((tmp_path / "case_report.json").read_text())
@@ -261,6 +276,16 @@ class TestCli:
             )
             assert code == 2, setting
             assert setting.split("=")[0] in capsys.readouterr().err, setting
+
+    @pytest.mark.parametrize("size", ["60", "80"])
+    def test_delta_impute_overflow_is_config_error(self, size, tmp_path, capsys):
+        args = ["--set", f"rows={size}", "--set", f"cols={size}", "--out", str(tmp_path / "x")]
+        code = main(["run", "--preset", "delta-impute", "--seed", "7", *args])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "float range" in err
+        for name in ("rows", "cols", "missing_share", "p_same", "p_diff"):
+            assert f"{name}=" in err
 
     def test_numeric_runtime_failure_exit_1_names_module(self, tmp_path, capsys):
         code = main(

@@ -1,5 +1,7 @@
 """The conviction feedback loop on a conjugate prevalence belief."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,13 @@ class TestSimulate:
     def test_skew_clamp_warns(self):
         with pytest.warns(RuntimeWarning, match="clamping"):
             simulate_feedback(FeedbackRegime.biased(0.5, 3.0), 0.4, 20, rng=substream(5))
+
+    def test_paired_run_warns_once_per_call(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_paired_feedback(30, 0.4, 20, biased=FeedbackRegime.biased(0.5, 3.0), master_seed=5)
+        assert [str(w.message).count("clamping") for w in caught] == [1]
+        assert caught[0].filename == __file__
 
     def test_convergence_gap(self):
         traj = Trajectory(DEFAULT_PRIOR, 0.5, (True,), (0.61904761904761907,))

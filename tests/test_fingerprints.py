@@ -21,6 +21,7 @@ from forensic_bias.fingerprints import (
     decide_source,
     delta_impute_exact,
     estimate_delta_impute,
+    exact_mean_delta,
     generate_print,
     imputation_grid_fixture,
     impute_from_reference,
@@ -340,6 +341,107 @@ class TestDeltaImpute:
             ImputationSimParams(expected_minutiae=51.0)
         with pytest.raises(ValueError):
             sample_delta_impute(n_reps=0, rng=substream(16))
+        with pytest.raises(ValueError, match="missing_share"):
+            sample_delta_impute(missing_share=1.5, rng=substream(16))
+        with pytest.raises(ValueError, match="mode"):
+            sample_delta_impute(mask_mode="often", rng=substream(16))
+
+
+def _reference_sample(params, missing_share, n_reps, rng, mask_mode):
+    """The per-replicate object path sample_delta_impute replaced.
+
+    Each replicate draws an exemplar, a mark whose cells agree with it per
+    the agreement model, and a mask, then evaluates LR(imputed)/LR(observed)
+    cell by cell.  Returns the missing counts and the draws.
+    """
+    flip = {Cell.PRESENT: Cell.ABSENT, Cell.ABSENT: Cell.PRESENT}
+    p_agree = params.model.p_same if params.same_source else params.model.p_diff
+    counts, draws = [], []
+    for _ in range(n_reps):
+        x = generate_print(rng, params.rows, params.cols, params.expected_minutiae).vector
+        agree = rng.random(len(x)) < p_agree
+        y = MinutiaVector(tuple(cx if a else flip[cx] for cx, a in zip(x.cells, agree)))
+        latent = mask_missing(y, missing_share, rng=rng, mode=mask_mode)
+        counts.append(latent.n_missing)
+        draws.append(delta_impute_exact(latent, x, params.model).linear)
+    return np.array(counts), np.array(draws)
+
+
+# (seed, rows, cols, model, same_source, missing_share, mask_mode, n_reps):
+# every seed, shape, share, mode and source setting, and replicate counts
+# on both sides of the 256-replicate block edge.
+ORACLE_CASES = [
+    (0, 10, 5, CellAgreementModel(), True, 0.25, "per_cell", 257),
+    (7, 2, 3, CellAgreementModel(0.7, 0.2), True, 0.4, "per_cell", 600),
+    (13, 7, 9, CellAgreementModel(), False, 0.4, "per_cell", 256),
+    (7, 10, 5, CellAgreementModel(0.7, 0.2), False, 0.0, "per_cell", 255),
+    (13, 2, 3, CellAgreementModel(), True, 1.0, "per_cell", 1),
+    (0, 7, 9, CellAgreementModel(0.7, 0.2), True, 1.0, "per_cell", 255),
+    (0, 7, 9, CellAgreementModel(), False, 0.4, "exact", 257),
+    (7, 2, 3, CellAgreementModel(0.7, 0.2), True, 0.4, "exact", 1),
+    (13, 10, 5, CellAgreementModel(), True, 0.25, "exact", 256),
+    (0, 2, 3, CellAgreementModel(), False, 0.0, "exact", 255),
+    (7, 10, 5, CellAgreementModel(0.7, 0.2), False, 1.0, "exact", 600),
+]
+
+
+def _case_id(case):
+    seed, rows, cols, model, same_source, share, mode, n_reps = case
+    return f"{seed}-{rows}x{cols}-{model.p_same}-{same_source}-{share}-{mode}-{n_reps}"
+
+
+class TestSampleMatchesObjectOracle:
+    @pytest.mark.parametrize("case", ORACLE_CASES, ids=_case_id)
+    def test_same_missing_count_and_draw(self, case):
+        seed, rows, cols, model, same_source, share, mode, n_reps = case
+        params = ImputationSimParams(rows, cols, min(15.0, rows * cols / 2), model, same_source)
+        ref_rng, rng = substream(seed, 0), substream(seed, 0)
+        ref_counts, ref_draws = _reference_sample(params, share, n_reps, ref_rng, mode)
+        draws = sample_delta_impute(params, share, n_reps, rng=rng, mask_mode=mode)
+        assert draws.shape == (n_reps,)
+        counts = np.rint(np.log(draws) / math.log(model.p_same / model.p_diff))
+        np.testing.assert_array_equal(counts, ref_counts)
+        np.testing.assert_allclose(draws, ref_draws, rtol=1e-12, atol=0.0)
+        if mode == "per_cell":
+            # The stream is consumed exactly as the object path did.
+            assert rng.random() == ref_rng.random()
+
+
+class TestExactMean:
+    def test_per_cell_closed_form(self):
+        sim = ImputationSimParams(rows=10, cols=5)
+        assert exact_mean_delta(sim, 0.25, "per_cell") == pytest.approx(1.25**50, rel=1e-12)
+
+    def test_per_cell_matches_enumeration(self):
+        model = CellAgreementModel(0.7, 0.2)
+        sim = ImputationSimParams(rows=2, cols=3, expected_minutiae=3.0, model=model)
+        share, r = 0.4, 0.7 / 0.2
+        oracle = sum(
+            math.comb(6, m) * share**m * (1 - share) ** (6 - m) * r**m for m in range(7)
+        )
+        assert exact_mean_delta(sim, share, "per_cell") == pytest.approx(oracle, rel=1e-12)
+
+    def test_exact_mode_rounds_half_up(self):
+        sim = ImputationSimParams(rows=10, cols=5)
+        assert exact_mean_delta(sim, 0.25, "exact") == pytest.approx(2.0**13, rel=1e-12)
+
+    def test_overflow_raises_before_exponentiating(self):
+        sim = ImputationSimParams(rows=60, cols=60)
+        with pytest.raises(OverflowError, match="exact mean"):
+            exact_mean_delta(sim, 0.25, "per_cell")
+        # The draws themselves still fit at 60x60 ...
+        assert np.all(np.isfinite(sample_delta_impute(sim, 0.25, 20, rng=substream(17))))
+        # ... but not at 80x80.
+        with pytest.raises(OverflowError, match="draw"):
+            sample_delta_impute(ImputationSimParams(rows=80, cols=80), 0.25, 20, rng=substream(17))
+
+    def test_estimate_finite_where_the_sum_overflows(self):
+        # Every draw is r**1021 ~ 2.2e307, so the plain sum of ten overflows.
+        sim = ImputationSimParams(rows=1, cols=1021, expected_minutiae=3.0)
+        draws = sample_delta_impute(sim, 1.0, 10, rng=substream(18))
+        assert np.all(np.isfinite(draws))
+        est = estimate_delta_impute(sim, 1.0, 10, rng=substream(18))
+        assert est.log_value == pytest.approx(1021 * math.log(2.0), rel=1e-12)
 
 
 class TestGridFixture:

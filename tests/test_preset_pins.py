@@ -26,6 +26,13 @@ SMALL = {
     "trier": {},
 }
 
+# Further pinned configurations, keyed like PINS.
+VARIANTS = {
+    ("propagation", "default"): {},
+    ("delta-impute", "exact"): {**SMALL["delta-impute"], "mask_mode": "exact"},
+    ("delta-impute", "other_source"): {**SMALL["delta-impute"], "same_source": "false"},
+}
+
 PINS = {
     ("mayfield", "small"): {
         "manifest.json": "561e9853c37dbaf1b038a08b3ac00202a93f1377fa79a65063e2f89a0b75a05d",
@@ -55,8 +62,17 @@ PINS = {
         "true_y.txt": "931971965f0f542cf6d76e50e8a3901633d9dae7195c3732137a88aa9016852e",
     },
     ("delta-impute", "small"): {
-        "estimate.json": "9459ae928c46298e635e1d0341f48252fd2fed64fcd60adc37ddcf6b3d087ed3",
-        "manifest.json": "af8312d87f34bc215c74e8649d2c2d5efc6d3462fcad9c895e694c894fda9083",
+        "estimate.json": "a3150dddb425cdbddfa081ded94c85c3dac689ba3c4af2b9201416399db0161d",
+        "manifest.json": "ad2eee0e12bce4d67e740a34bdec3c7cd094f8cdbbf1bef769d6f469f8033932",
+    },
+    ("delta-impute", "exact"): {
+        "estimate.json": "5029250543a9d5877021b8d31fefa585a539dbbdc6030f979567ef957d48741b",
+        "manifest.json": "c849982f496675f5b7b0a915fa8e438742576f12fd2a3c7a9792c7c0992b838d",
+    },
+    ("delta-impute", "other_source"): {
+        # same_source does not affect the draws: the small pin's estimate.
+        "estimate.json": "a3150dddb425cdbddfa081ded94c85c3dac689ba3c4af2b9201416399db0161d",
+        "manifest.json": "38b1735c04724a9558cb86a93cd959ba049a5fce1afc9fa42588e72c1c2822aa",
     },
     ("feedback", "small"): {
         "aggregate.json": "cb4566269995a929cb07a9a02e2dcc791d480d6b27ec200be7cd7ae3b198f047",
@@ -90,7 +106,7 @@ def test_every_preset_is_pinned():
 @pytest.mark.parametrize("name,size", sorted(PINS), ids=lambda v: v)
 def test_artifact_bytes_pinned(name, size, tmp_path, monkeypatch):
     monkeypatch.setattr(presets, "TOOL_VERSION", "0+unknown")
-    overrides = SMALL[name] if size == "small" else {}
+    overrides = SMALL[name] if size == "small" else VARIANTS[(name, size)]
     presets.run_preset(name, 7, overrides, out_dir=tmp_path)
     got = {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())
