@@ -131,9 +131,6 @@ def _validate_alpha(alpha_true: float) -> float:
     return alpha_true
 
 
-_CLAMP_MESSAGE = r"trait_skew \* alpha_true = .* exceeds 1"
-
-
 def _wrongful_trait_rate(regime: FeedbackRegime, alpha_true: float) -> float:
     """The trait rate in wrongful cases, clamped to 1 with a warning that
     names the caller's caller."""
@@ -149,6 +146,11 @@ def _wrongful_trait_rate(regime: FeedbackRegime, alpha_true: float) -> float:
     return skewed
 
 
+def _traits(u: np.ndarray, regime: FeedbackRegime, alpha_true: float, skewed: float) -> np.ndarray:
+    """Traits from a (2, n_obs) uniform block: row 0 wrongful, row 1 trait."""
+    return u[1] < np.where(u[0] < regime.wrongful_rate, skewed, alpha_true)
+
+
 def simulate_feedback(
     regime: FeedbackRegime,
     alpha_true: float,
@@ -162,13 +164,7 @@ def simulate_feedback(
     if n_obs < 1:
         raise ValueError(f"n_obs must be >= 1, got {n_obs!r}")
     skewed = _wrongful_trait_rate(regime, alpha_true)
-    # Fixed stream layout: one uniform for the wrongful draw, one for the
-    # trait, for every case in both regimes.
-    u_wrongful = rng.random(n_obs)
-    u_trait = rng.random(n_obs)
-    wrongful = u_wrongful < regime.wrongful_rate
-    p_trait = np.where(wrongful, skewed, alpha_true)
-    traits = u_trait < p_trait
+    traits = _traits(rng.random((2, n_obs)), regime, alpha_true, skewed)
     steps = np.arange(1, n_obs + 1, dtype=float)
     means = (prior.a + np.cumsum(traits)) / (prior.a + prior.b + steps)
     return Trajectory(
@@ -222,28 +218,31 @@ def run_paired_feedback(
 ) -> PairedFeedbackResult:
     """Replicate truthful and biased runs under common random numbers.
 
-    Replicate i replays substream(master_seed, i) for both regimes, so
-    every difference between the paired trajectories is the regime's
-    doing, not the draw's.  A clamped wrongful-case trait rate warns once
-    per call, not once per biased trajectory.
+    Replicate i reads both regimes' traits from one (2, n_obs) block of
+    substream(master_seed, i), the draws simulate_feedback makes, so every
+    difference in a pair is the regime's doing; each final mean is
+    (a + K) / (a + b + n_obs) for its trait count K.  A clamped
+    wrongful-case trait rate warns once per call.
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds!r}")
+    if n_obs < 1:
+        raise ValueError(f"n_obs must be >= 1, got {n_obs!r}")
     if biased is None:
         biased = FeedbackRegime.biased()
     truthful = FeedbackRegime.truthful()
-    _wrongful_trait_rate(biased, _validate_alpha(alpha_true))
-    t_means = []
-    b_means = []
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message=_CLAMP_MESSAGE, category=RuntimeWarning)
-        for i in range(n_seeds):
-            t = simulate_feedback(truthful, alpha_true, n_obs, prior, rng=substream(master_seed, i))
-            b = simulate_feedback(biased, alpha_true, n_obs, prior, rng=substream(master_seed, i))
-            t_means.append(t.posterior_means[-1])
-            b_means.append(b.posterior_means[-1])
+    alpha_true = _validate_alpha(alpha_true)
+    skewed = _wrongful_trait_rate(biased, alpha_true)
+    total = prior.a + prior.b + n_obs
+    t_means, b_means = [], []
+    for i in range(n_seeds):
+        u = substream(master_seed, i).random((2, n_obs))
+        k_truthful = int(np.count_nonzero(_traits(u, truthful, alpha_true, alpha_true)))
+        k_biased = int(np.count_nonzero(_traits(u, biased, alpha_true, skewed)))
+        t_means.append((prior.a + k_truthful) / total)
+        b_means.append((prior.a + k_biased) / total)
     return PairedFeedbackResult(
-        alpha_true=float(alpha_true),
+        alpha_true=alpha_true,
         n_obs=n_obs,
         truthful_means=tuple(t_means),
         biased_means=tuple(b_means),
