@@ -12,10 +12,18 @@ Both regimes consume the random stream identically (two uniforms per
 case), so running them on generators with the same seed compares them
 under common random numbers; a biased regime with a zero wrongful rate
 reproduces the truthful run bit for bit.
+
+A final posterior mean depends only on the trait count K, which is
+Binomial(n_obs, p) in either regime.  The paired experiment
+(run_paired_feedback) therefore draws each replicate's (2, n_obs) block
+once and keeps only the two regimes' counts, and
+exact_final_mean_and_gap gives the exact means it estimates: the final
+posterior mean and its gap to the true rate.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -33,6 +41,7 @@ __all__ = [
     "Trajectory",
     "simulate_feedback",
     "convergence_gap",
+    "exact_final_mean_and_gap",
     "PairedFeedbackResult",
     "run_paired_feedback",
 ]
@@ -181,6 +190,30 @@ def convergence_gap(trajectory: Trajectory, alpha_true: float | None = None) -> 
     return abs(trajectory.posterior_means[-1] - target)
 
 
+def exact_final_mean_and_gap(
+    regime: FeedbackRegime, alpha_true: float, n_obs: int = 100, prior: BetaPrior = DEFAULT_PRIOR
+) -> tuple[float, float]:
+    """Exact means of a trajectory's final posterior mean and of its gap to
+    alpha_true.  The trait count K is Binomial(n_obs, p) with
+    p = (1 - w) * alpha + w * min(1, skew * alpha), so the final mean
+    (a + K) / (a + b + n_obs) averages (a + n_obs * p) / (a + b + n_obs);
+    the gap sums the binomial pmf, taken in log space, over |final - alpha|."""
+    alpha_true = _validate_alpha(alpha_true)
+    if n_obs < 1:
+        raise ValueError(f"n_obs must be >= 1, got {n_obs!r}")
+    w = regime.wrongful_rate
+    p = (1.0 - w) * alpha_true + w * _wrongful_trait_rate(regime, alpha_true)
+    total = prior.a + prior.b + n_obs
+    k = np.arange(n_obs + 1)
+    gaps = np.abs((prior.a + k) / total - alpha_true)
+    mean = (prior.a + n_obs * p) / total
+    if p == 1.0:  # every case carries the trait
+        return mean, float(gaps[-1])
+    log_fact = np.array([math.lgamma(j + 1.0) for j in range(n_obs + 1)])  # log j!
+    log_pmf = log_fact[-1] - log_fact - log_fact[::-1] + k * math.log(p) + (n_obs - k) * math.log1p(-p)
+    return mean, float(np.exp(log_pmf) @ gaps)
+
+
 @dataclass(frozen=True)
 class PairedFeedbackResult:
     """Final posterior means from truthful/biased pairs sharing each seed."""
@@ -221,8 +254,9 @@ def run_paired_feedback(
     Replicate i reads both regimes' traits from one (2, n_obs) block of
     substream(master_seed, i), the draws simulate_feedback makes, so every
     difference in a pair is the regime's doing; each final mean is
-    (a + K) / (a + b + n_obs) for its trait count K.  A clamped
-    wrongful-case trait rate warns once per call.
+    (a + K) / (a + b + n_obs) for its trait count K, and no trajectory is
+    built.  exact_final_mean_and_gap gives the exact means of the results.
+    A clamped wrongful-case trait rate warns once per call.
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds!r}")

@@ -55,6 +55,7 @@ __all__ = [
     "delta_impute_exact",
     "sample_delta_impute",
     "exact_mean_delta",
+    "exact_relative_standard_error",
     "estimate_delta_impute",
     "GridFixture",
     "imputation_grid_fixture",
@@ -485,6 +486,27 @@ def exact_mean_delta(params: ImputationSimParams, missing_share: float, mask_mod
     if log_mean > _LOG_FLOAT_MAX:
         raise OverflowError(f"the exact mean e**{log_mean:.1f} exceeds float range")
     return math.exp(log_mean)
+
+
+def exact_relative_standard_error(
+    params: ImputationSimParams, missing_share: float, mask_mode: str, n_reps: int
+) -> float | None:
+    """Exact standard error of the mean of n_reps draws, relative to the
+    exact mean: sqrt(expm1(L) / n_reps) with
+    L = n * (log1p(s * (r**2 - 1)) - 2 * log1p(s * (r - 1))), the log of
+    E[r**2M] / E[r**M]**2.  0.0 when M is fixed (an exact mask, share 0 or
+    1); None past float range."""
+    if mask_mode == "exact" or missing_share in (0.0, 1.0):
+        return 0.0
+    n = params.rows * params.cols
+    r = params.model.p_same / params.model.p_diff
+    s = missing_share
+    log_ratio = n * (math.log1p(s * (r * r - 1.0)) - 2.0 * math.log1p(s * (r - 1.0)))
+    if log_ratio <= 0.0:  # rounding, when r is within a few ulps of 1
+        return 0.0
+    # log expm1(L) = L + log(1 - e**-L), finite for every L > 0.
+    log_se = 0.5 * (log_ratio + math.log(-math.expm1(-log_ratio)) - math.log(n_reps))
+    return math.exp(log_se) if log_se <= _LOG_FLOAT_MAX else None
 
 
 def estimate_delta_impute(

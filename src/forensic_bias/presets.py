@@ -27,6 +27,7 @@ from .contextual import BiasFactor, Provenance
 from .feedback import (
     BetaPrior,
     FeedbackRegime,
+    exact_final_mean_and_gap,
     run_paired_feedback,
     simulate_feedback,
 )
@@ -38,6 +39,7 @@ from .fingerprints import (
     decide_source,
     delta_impute_exact,
     exact_mean_delta,
+    exact_relative_standard_error,
     imputation_grid_fixture,
     impute_from_reference,
     LatentVector,
@@ -359,6 +361,9 @@ def _run_delta_impute(params: dict, seed: int, out: Path) -> list[str]:
             "mean_delta": top * float(scaled.mean()),
             "exact_mean_delta": exact_mean,
             "mc_standard_error": se,
+            "exact_relative_standard_error": exact_relative_standard_error(
+                sim, params["missing_share"], params["mask_mode"], n_reps
+            ),
             "q025": float(q025),
             "median": float(median),
             "q975": float(q975),
@@ -407,8 +412,8 @@ def _run_feedback(params: dict, seed: int, out: Path) -> list[str]:
 
     with warnings.catch_warnings():
         # The illustrative biased trajectory has already warned if the
-        # wrongful-case trait rate is clamped; the replicates share its
-        # parameters, so one warning per run says it all.
+        # wrongful-case trait rate is clamped; the replicates and the exact
+        # means share its parameters, so one warning per run says it all.
         warnings.filterwarnings("ignore", message=r"trait_skew \* alpha_true", category=RuntimeWarning)
         result = run_paired_feedback(
             params["n_seeds"],
@@ -418,6 +423,8 @@ def _run_feedback(params: dict, seed: int, out: Path) -> list[str]:
             biased_regime,
             master_seed=seed,
         )
+        exact_truthful = exact_final_mean_and_gap(truthful_regime, params["alpha_true"], params["n_obs"], prior)
+        exact_biased = exact_final_mean_and_gap(biased_regime, params["alpha_true"], params["n_obs"], prior)
     write_csv(
         out / "gaps.csv",
         ("seed", "truthful_final_mean", "biased_final_mean", "truthful_gap", "biased_gap"),
@@ -444,6 +451,10 @@ def _run_feedback(params: dict, seed: int, out: Path) -> list[str]:
             "mean_final_biased": float(np.mean(result.biased_means)),
             "mean_gap_truthful": result.mean_truthful_gap,
             "mean_gap_biased": result.mean_biased_gap,
+            "exact_mean_final_truthful": exact_truthful[0],
+            "exact_mean_final_biased": exact_biased[0],
+            "exact_mean_gap_truthful": exact_truthful[1],
+            "exact_mean_gap_biased": exact_biased[1],
         },
     )
     return ["trajectory.csv", "gaps.csv", "aggregate.json"]

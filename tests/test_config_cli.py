@@ -162,6 +162,30 @@ class TestRunPreset:
         assert est["exact_mean_delta"] == pytest.approx(1.25**50, rel=1e-12)
         assert 0 < est["mc_standard_error"] < est["mean_delta"]
         assert abs(est["mean_delta"] - est["exact_mean_delta"]) < 4 * est["mc_standard_error"]
+        # The exact error bar: 0.1697 at 10,000 replicates, sqrt(5) times that at 2,000.
+        assert est["exact_relative_standard_error"] == pytest.approx(0.16970627266839 * 5**0.5, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "overrides, relative_se",
+        [
+            ({}, 0.16970627266839),
+            ({"mask_mode": "exact"}, 0.0),
+            ({"missing_share": "0"}, 0.0),
+            ({"rows": "40", "cols": "40"}, 2.368198687828e37),
+            ({"rows": "56", "cols": "56"}, 1.492311709951e75),
+            # Beyond float range: the Monte Carlo mean reads 4.4e5 against 6.8e298.
+            ({"rows": "1", "cols": "1000", "p_same": "0.99", "p_diff": "0.0001", "missing_share": "0.0001"}, None),
+        ],
+        ids=["defaults", "exact", "share-0", "40x40", "56x56", "beyond-float"],
+    )
+    def test_delta_impute_exact_relative_standard_error(self, overrides, relative_se, tmp_path):
+        # 100 replicates: the relative error bar is 10 times that at 10,000.
+        run_preset("delta-impute", 7, {**overrides, "n_reps": "100"}, out_dir=tmp_path)
+        est = json.loads((tmp_path / "estimate.json").read_text())
+        if relative_se is None:
+            assert est["exact_relative_standard_error"] is None
+        else:
+            assert est["exact_relative_standard_error"] == pytest.approx(10 * relative_se, rel=1e-11)
 
     def test_delta_impute_mean_stays_finite(self, tmp_path):
         # Each draw is 2**1021; the plain sum of the draws overflows.
@@ -170,6 +194,7 @@ class TestRunPreset:
         est = json.loads((tmp_path / "estimate.json").read_text())
         assert est["mean_delta"] == pytest.approx(2.0**1021, rel=1e-12)
         assert est["exact_mean_delta"] == pytest.approx(2.0**1021, rel=1e-12)
+        assert est["exact_relative_standard_error"] == 0.0
 
     def test_trier_report(self, tmp_path):
         run_preset("trier", 0, out_dir=tmp_path)

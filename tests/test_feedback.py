@@ -1,6 +1,9 @@
 """The conviction feedback loop on a conjugate prevalence belief."""
 
+import itertools
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +15,9 @@ from forensic_bias.feedback import (
     FeedbackRegime,
     Trajectory,
     conjugate_update,
+    PairedFeedbackResult,
     convergence_gap,
+    exact_final_mean_and_gap,
     run_paired_feedback,
     simulate_feedback,
 )
@@ -159,5 +164,115 @@ class TestPairedExperiment:
         assert a == b
 
     def test_validation(self):
+        for n_seeds, alpha_true, n_obs in ((0, 0.5, 100), (5, 0.5, 0), (5, 0.0, 100), (5, 1.0, 100)):
+            with pytest.raises(ValueError):
+                run_paired_feedback(n_seeds, alpha_true, n_obs, master_seed=0)
+
+
+def _reference_paired(n_seeds, alpha_true, n_obs, prior, biased, master_seed):
+    """The object path: two simulate_feedback runs per replicate on equal
+    substreams, keeping each trajectory's last posterior mean."""
+    t_means, b_means = [], []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for i in range(n_seeds):
+            t = simulate_feedback(
+                FeedbackRegime.truthful(), alpha_true, n_obs, prior, rng=substream(master_seed, i)
+            )
+            b = simulate_feedback(biased, alpha_true, n_obs, prior, rng=substream(master_seed, i))
+            t_means.append(t.posterior_means[-1])
+            b_means.append(b.posterior_means[-1])
+    return PairedFeedbackResult(float(alpha_true), n_obs, tuple(t_means), tuple(b_means))
+
+
+class TestPairedMatchesReference:
+    @pytest.mark.parametrize("master_seed", [0, 7, 2**64 - 1])
+    @pytest.mark.parametrize(
+        "n_seeds, alpha_true, n_obs, prior, regime",
+        [
+            (200, 0.5, 100, DEFAULT_PRIOR, (0.06, 2.0)),
+            (200, 0.5, 1, DEFAULT_PRIOR, (0.06, 2.0)),
+            (20, 0.5, 2_000, DEFAULT_PRIOR, (0.06, 2.0)),
+            (100, 0.3, 100, DEFAULT_PRIOR, (0.0, 2.0)),
+            (100, 0.3, 100, DEFAULT_PRIOR, (1.0, 2.0)),
+            (100, 0.4, 100, DEFAULT_PRIOR, (0.5, 3.0)),
+            (100, 0.2, 30, BetaPrior(0.3, 7.0), (0.06, 2.0)),
+        ],
+        ids=["defaults", "n_obs-1", "n_obs-2000", "rate-0", "rate-1", "clamped", "prior"],
+    )
+    def test_equals_object_path(self, master_seed, n_seeds, alpha_true, n_obs, prior, regime):
+        biased = FeedbackRegime.biased(*regime)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = run_paired_feedback(
+                n_seeds, alpha_true, n_obs, prior, biased, master_seed=master_seed
+            )
+        want = _reference_paired(n_seeds, alpha_true, n_obs, prior, biased, master_seed)
+        assert got == want
+        assert all(type(m) is float for m in got.truthful_means + got.biased_means)
+
+
+def _enumerated_final_mean_and_gap(regime, alpha_true, n_obs, prior):
+    """Exact means over every (wrongful, trait) outcome of every case."""
+    alpha, w = Fraction(alpha_true), Fraction(regime.wrongful_rate)
+    skewed = min(Fraction(1), Fraction(regime.trait_skew) * alpha)
+    outcomes = [  # (probability, trait) of one case
+        (w * skewed, 1),
+        (w * (1 - skewed), 0),
+        ((1 - w) * alpha, 1),
+        ((1 - w) * (1 - alpha), 0),
+    ]
+    a, total = Fraction(prior.a), Fraction(prior.a) + Fraction(prior.b) + n_obs
+    mean = gap = Fraction(0)
+    for cases in itertools.product(outcomes, repeat=n_obs):
+        prob = math.prod((p for p, _ in cases), start=Fraction(1))
+        final = (a + sum(t for _, t in cases)) / total
+        mean += prob * final
+        gap += prob * abs(final - alpha)
+    return mean, gap
+
+
+class TestExactFinalMeanAndGap:
+    @pytest.mark.parametrize(
+        "regime, alpha_true, n_obs, prior",
+        [
+            (FeedbackRegime.truthful(), 0.5, 1, DEFAULT_PRIOR),
+            (FeedbackRegime.truthful(), 0.3, 6, DEFAULT_PRIOR),
+            (FeedbackRegime.biased(), 0.5, 6, DEFAULT_PRIOR),
+            (FeedbackRegime.biased(0.5, 3.0), 0.4, 5, DEFAULT_PRIOR),
+            (FeedbackRegime.biased(1.0, 3.0), 0.4, 4, DEFAULT_PRIOR),
+            (FeedbackRegime.biased(0.2, 1.5), 0.1, 6, BetaPrior(0.3, 7.0)),
+        ],
+    )
+    def test_matches_enumeration(self, regime, alpha_true, n_obs, prior):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            mean, gap = exact_final_mean_and_gap(regime, alpha_true, n_obs, prior)
+        want_mean, want_gap = _enumerated_final_mean_and_gap(regime, alpha_true, n_obs, prior)
+        assert mean == pytest.approx(float(want_mean), rel=1e-13)
+        assert gap == pytest.approx(float(want_gap), rel=1e-12)
+
+    def test_defaults(self):
+        # Gaps from the exact binomial sum in fractions, rounded to float.
+        truthful = exact_final_mean_and_gap(FeedbackRegime.truthful(), 0.5)
+        biased = exact_final_mean_and_gap(FeedbackRegime.biased(), 0.5)
+        assert truthful == pytest.approx((62 / 120, 0.03578914726952875), rel=1e-13)
+        assert biased == pytest.approx((65 / 120, 0.04854660119493734), rel=1e-13)
+
+    def test_monte_carlo_within_four_standard_errors(self):
+        res = run_paired_feedback(master_seed=7)
+        for regime, means, gaps in (
+            (FeedbackRegime.truthful(), res.truthful_means, res.truthful_gaps),
+            (FeedbackRegime.biased(), res.biased_means, res.biased_gaps),
+        ):
+            for sample, exact in zip((means, gaps), exact_final_mean_and_gap(regime, 0.5)):
+                se = np.std(sample, ddof=1) / math.sqrt(len(sample))
+                assert abs(np.mean(sample) - exact) < 4 * se
+
+    def test_validation_and_clamp_warning(self):
         with pytest.raises(ValueError):
-            run_paired_feedback(0, 0.5, 100, master_seed=0)
+            exact_final_mean_and_gap(FeedbackRegime.truthful(), 0.5, 0)
+        with pytest.raises(ValueError):
+            exact_final_mean_and_gap(FeedbackRegime.truthful(), 1.0)
+        with pytest.warns(RuntimeWarning, match="clamping"):
+            exact_final_mean_and_gap(FeedbackRegime.biased(0.5, 3.0), 0.4)

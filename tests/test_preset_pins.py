@@ -62,22 +62,22 @@ PINS = {
         "true_y.txt": "931971965f0f542cf6d76e50e8a3901633d9dae7195c3732137a88aa9016852e",
     },
     ("delta-impute", "small"): {
-        "estimate.json": "a3150dddb425cdbddfa081ded94c85c3dac689ba3c4af2b9201416399db0161d",
-        "manifest.json": "ad2eee0e12bce4d67e740a34bdec3c7cd094f8cdbbf1bef769d6f469f8033932",
+        "estimate.json": "4b86bc390494db6a203ed34f2c42bf2cce1c5a843f78e185cb484ff1fa9d2db1",
+        "manifest.json": "04786bf54bad7df17d8e06d00b3247dc2562c37d9a3e83af4d56511c438816a0",
     },
     ("delta-impute", "exact"): {
-        "estimate.json": "5029250543a9d5877021b8d31fefa585a539dbbdc6030f979567ef957d48741b",
-        "manifest.json": "c849982f496675f5b7b0a915fa8e438742576f12fd2a3c7a9792c7c0992b838d",
+        "estimate.json": "995ea32bbb0bbcec5e72b7ff4beeea02da22f334550c9072a8b9164960b57ce6",
+        "manifest.json": "9fbe0937c6b24149c93a69f651b76b6f18f894bd0781ec498b99dc2d401fb211",
     },
     ("delta-impute", "other_source"): {
         # same_source does not affect the draws: the small pin's estimate.
-        "estimate.json": "a3150dddb425cdbddfa081ded94c85c3dac689ba3c4af2b9201416399db0161d",
-        "manifest.json": "38b1735c04724a9558cb86a93cd959ba049a5fce1afc9fa42588e72c1c2822aa",
+        "estimate.json": "4b86bc390494db6a203ed34f2c42bf2cce1c5a843f78e185cb484ff1fa9d2db1",
+        "manifest.json": "7522792e34ee74554e1e0aee74072abbe41a4a295dd3d7846b23046982b2c30a",
     },
     ("feedback", "small"): {
-        "aggregate.json": "cb4566269995a929cb07a9a02e2dcc791d480d6b27ec200be7cd7ae3b198f047",
+        "aggregate.json": "6ce91f9739547e8568d587546d35bc589e1f769f0bbdf5a10c7952b73f68a866",
         "gaps.csv": "ea9c13d2bb196152d581c31e798a667bbed7b611fba9f42d56177e3e1d2669ea",
-        "manifest.json": "28d09589f8a3cd320b04fab28889a5dfbfda7c1e28b5b14c06bdd3e944e1ab23",
+        "manifest.json": "d476f9296fdc20abeeb6e881f33ae699b3ce8e77a8eb0767add4699830ffe5ad",
         "trajectory.csv": "d7551664818ba7bba9226837f3bd4ce37a7ab73d26bb960cb3bcd42aa88b603e",
     },
     ("propagation", "small"): {
