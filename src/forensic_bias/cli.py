@@ -1,8 +1,12 @@
-"""Command-line harness: `bias run`, `bias list-presets`, `bias validate`.
+"""Command-line harness: `bias run`, `bias list-presets`, `bias validate`,
+`bias verify`.
 
 Exit codes: 0 success, 2 for usage and configuration errors (unknown
 preset or key, type or range violation, bad seed), 1 for a numeric
-failure at runtime, reported with the module it came from.
+failure at runtime, reported with the module it came from.  `verify`
+exits 0 when every artifact matches the manifest, 1 when one does not
+or a file is missing or unlisted, and 2 when the manifest is absent or
+unreadable.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, parse_config_text, parse_set_args
+from .outputs import MANIFEST_NAME, read_manifest, verify_artifacts
 from .presets import PRESETS, get_preset, run_preset
 from .seeding import MAX_SEED
 
@@ -65,6 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
     validate = sub.add_parser("validate", help="check a config file against a preset schema")
     validate.add_argument("config", type=Path, help="KEY=VALUE file to check")
     validate.add_argument("--preset", help="preset to validate against (overrides the file's 'preset' key)")
+
+    verify = sub.add_parser("verify", help="check a run directory's files against its manifest")
+    verify.add_argument("dir", type=Path, help="output directory of a run")
 
     return parser
 
@@ -145,6 +153,17 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_verify(args: argparse.Namespace) -> int:
+    try:
+        manifest = read_manifest(args.dir)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {args.dir / MANIFEST_NAME}: {exc}") from exc
+    status = verify_artifacts(args.dir, manifest)
+    for name, state in status.items():
+        print(f"{state} {args.dir / name}")
+    return 0 if all(state == "ok" for state in status.values()) else 1
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -155,6 +174,8 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_list_presets()
         if args.command == "validate":
             return _cmd_validate(args)
+        if args.command == "verify":
+            return _cmd_verify(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,6 +5,14 @@ CSV rows use the csv module's RFC 4180 dialect (CRLF line endings) with
 floats rendered by repr (shortest round-trip form), and JSON is written
 with sorted keys.  Manifests carry no timestamps or host details, so a
 rerun with the same seed is byte-for-byte comparable.
+
+format_value is the canonical text of one CSV field.  write_csv formats
+a column at a time, in blocks of rows: a column whose values all have
+one exact type among float, int, str and bool maps that type's formatter
+over the column, which gives format_value's text; any other column
+(mixed types, enums, numpy scalars, fractions) goes through format_value
+value by value.  A row whose length differs from the header's is a
+ValueError, not a ragged line.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -26,6 +35,7 @@ __all__ = [
     "MANIFEST_NAME",
     "write_manifest",
     "read_manifest",
+    "verify_artifacts",
 ]
 
 MANIFEST_NAME = "manifest.json"
@@ -42,12 +52,40 @@ def format_value(value: object) -> str:
     return str(value)
 
 
+# Formatters equal to format_value on values of exactly these types.
+_COLUMN_FORMATTERS = {
+    float: float.__repr__,
+    int: int.__repr__,
+    str: str,
+    bool: {True: "true", False: "false"}.__getitem__,
+}
+
+# Rows formatted at once: bounds the text held in memory on large tables.
+_BLOCK_ROWS = 1024
+
+
+def _format_column(values: tuple) -> list[str]:
+    types = set(map(type, values))
+    formatter = _COLUMN_FORMATTERS.get(types.pop()) if len(types) == 1 else None
+    return list(map(formatter or format_value, values))
+
+
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+    width = len(header)
+    rows = iter(rows)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_value(v) for v in row])
+        start = 1
+        while block := list(islice(rows, _BLOCK_ROWS)):
+            for number, row in enumerate(block, start):
+                if len(row) != width:
+                    raise ValueError(
+                        f"{path}: row {number} has {len(row)} fields, the header has {width}"
+                    )
+            start += len(block)
+            columns = [_format_column(values) for values in zip(*block)]
+            writer.writerows(zip(*columns) if width else block)
 
 
 def _jsonable(value: object) -> object:
@@ -100,11 +138,46 @@ def write_manifest(out_dir: Path, manifest: RunManifest) -> Path:
 
 
 def read_manifest(out_dir: Path) -> RunManifest:
+    """Parse out_dir's manifest.
+
+    Raises OSError when it cannot be read and ValueError when it is not
+    JSON, lacks a field, or lists an artifact by anything but a plain
+    file name and a digest string.
+    """
     data = json.loads((out_dir / MANIFEST_NAME).read_text(encoding="utf-8"))
-    return RunManifest(
-        preset=data["preset"],
-        seed=data["seed"],
-        parameters=data["parameters"],
-        artifacts=data["artifacts"],
-        tool_version=data["tool_version"],
-    )
+    try:
+        manifest = RunManifest(
+            preset=data["preset"],
+            seed=data["seed"],
+            parameters=data["parameters"],
+            artifacts=data["artifacts"],
+            tool_version=data["tool_version"],
+        )
+    except (KeyError, TypeError):
+        raise ValueError(
+            "not a run manifest (needs preset, seed, parameters, artifacts, tool_version)"
+        ) from None
+    artifacts = manifest.artifacts
+    if not isinstance(artifacts, dict) or not all(
+        isinstance(digest, str) and name not in ("", "..") and Path(name).name == name
+        for name, digest in artifacts.items()
+    ):
+        raise ValueError("'artifacts' must map plain file names to sha256 digests")
+    return manifest
+
+
+def verify_artifacts(out_dir: Path, manifest: RunManifest) -> dict[str, str]:
+    """Status of every file in out_dir and every artifact the manifest lists.
+
+    Maps each name, sorted, to "ok" (checksum matches), "mismatch",
+    "missing" (listed, not a file in out_dir) or "unlisted" (in out_dir,
+    not listed; the manifest itself excepted).
+    """
+    status = {p.name: "unlisted" for p in out_dir.iterdir() if p.name != MANIFEST_NAME}
+    for name, digest in manifest.artifacts.items():
+        path = out_dir / name
+        if not path.is_file():
+            status[name] = "missing"
+        else:
+            status[name] = "ok" if sha256_file(path) == digest else "mismatch"
+    return dict(sorted(status.items()))

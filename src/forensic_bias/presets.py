@@ -508,19 +508,7 @@ def _run_propagation(params: dict, seed: int, out: Path) -> list[str]:
             "trait",
             "missing_share",
         ),
-        [
-            (
-                r.mode,
-                r.run_id,
-                r.analyst_index,
-                r.neutral_odds,
-                r.reported_odds,
-                r.bias_ratio,
-                r.trait,
-                r.missing_share,
-            )
-            for r in study.records
-        ],
+        list(zip(*study.columns)),
     )
     write_csv(
         out / "summary.csv",

@@ -344,10 +344,22 @@ class IndexSummary:
 
 @dataclass(frozen=True)
 class PropagationStudy:
+    """A replicated paired chain experiment.
+
+    `columns` holds the eight results.csv columns, in ChainRecord field
+    order, as lists of Python values with one row per (run, mode,
+    analyst), run outermost.  `records` builds ChainRecords from them on
+    demand.
+    """
+
     n_runs: int
     k: int
-    records: tuple[ChainRecord, ...]
+    columns: tuple[list, ...]
     summaries: tuple[IndexSummary, ...]
+
+    @property
+    def records(self) -> tuple[ChainRecord, ...]:
+        return tuple(ChainRecord(*row) for row in zip(*self.columns))
 
     def records_for(self, mode: ChainMode) -> tuple[ChainRecord, ...]:
         return tuple(r for r in self.records if r.mode == mode.value)
@@ -384,24 +396,30 @@ def monte_carlo_chains(
     neutral_log = arrays.prior + arrays.neutral_lr
     reported_log = arrays.prior + arrays.reported_lr
     ratio = np.exp(reported_log - neutral_log[:, None, :])
-    # Records hold Python floats and bools: the CSV writer formats numpy
-    # scalars differently.
-    neutral, reported = np.exp(neutral_log).tolist(), np.exp(reported_log).tolist()
-    ratios, traits, shares = ratio.tolist(), arrays.trait.tolist(), arrays.missing_share.tolist()
-    records = tuple(
-        ChainRecord(mode.value, run, j + 1, neutral[run][j], reported[run][m][j],
-                    ratios[run][m][j], traits[run], shares[run][j])
-        for run in range(n_runs)
-        for m, mode in enumerate(_MODES)
-        for j in range(k)
+    # .tolist() gives Python floats and bools: the CSV writer formats
+    # numpy scalars differently.  Modes and run ids are object arrays, so
+    # their rows share one str or int per value instead of one per row.
+    shape = (n_runs, 2, k)
+    columns = tuple(
+        np.broadcast_to(values, shape).ravel().tolist()
+        for values in (
+            np.array([mode.value for mode in _MODES], dtype=object)[:, None],
+            np.arange(n_runs).astype(object)[:, None, None],
+            np.arange(1, k + 1),
+            np.exp(neutral_log)[:, None, :],
+            np.exp(reported_log),
+            ratio,
+            arrays.trait[:, None, None],
+            arrays.missing_share[:, None, :],
+        )
     )
 
     # One contiguous row per (mode, analyst), so each mean sums in the
     # same order as a mean over that column's values alone.
-    columns = np.ascontiguousarray(ratio.reshape(n_runs, 2 * k).T)
-    quantiles = np.percentile(columns, [2.5, 50.0, 97.5], axis=1).T.tolist()
+    per_index = np.ascontiguousarray(ratio.reshape(n_runs, 2 * k).T)
+    quantiles = np.percentile(per_index, [2.5, 50.0, 97.5], axis=1).T.tolist()
     summaries = tuple(
-        IndexSummary(_MODES[c // k].value, c % k + 1, float(column.mean()), *quantiles[c])
-        for c, column in enumerate(columns)
+        IndexSummary(_MODES[c // k].value, c % k + 1, float(row.mean()), *quantiles[c])
+        for c, row in enumerate(per_index)
     )
-    return PropagationStudy(n_runs=n_runs, k=k, records=records, summaries=summaries)
+    return PropagationStudy(n_runs=n_runs, k=k, columns=columns, summaries=summaries)

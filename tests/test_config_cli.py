@@ -391,6 +391,57 @@ class TestCli:
         assert code == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def _mayfield_run(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["run", "--preset", "mayfield", "--seed", "3", "--out", str(out)]) == 0
+        return out
+
+    def test_verify_ok_exit_0(self, tmp_path, capsys):
+        out = self._mayfield_run(tmp_path)
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [f"ok {out / 'panel.csv'}", f"ok {out / 'report.json'}"]
+
+    @pytest.mark.parametrize(
+        "damage, line",
+        [
+            (lambda out: (out / "panel.csv").write_bytes(b"x"), "mismatch {out}/panel.csv"),
+            (lambda out: (out / "report.json").unlink(), "missing {out}/report.json"),
+            (lambda out: (out / "old.csv").write_text("stale\n"), "unlisted {out}/old.csv"),
+        ],
+        ids=["mismatch", "missing", "unlisted"],
+    )
+    def test_verify_bad_artifact_exit_1(self, tmp_path, capsys, damage, line):
+        out = self._mayfield_run(tmp_path)
+        damage(out)
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 1
+        assert line.format(out=out) in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize(
+        "manifest",
+        [None, "{", "[]", '{"preset": "mayfield"}'],
+        ids=["absent", "not-json", "not-object", "no-artifacts"],
+    )
+    def test_verify_unreadable_manifest_exit_2(self, tmp_path, capsys, manifest):
+        out = self._mayfield_run(tmp_path)
+        if manifest is None:
+            (out / "manifest.json").unlink()
+        else:
+            (out / "manifest.json").write_text(manifest)
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 2
+        assert "cannot read" in capsys.readouterr().err
+
+    def test_verify_rejects_artifact_paths(self, tmp_path, capsys):
+        out = self._mayfield_run(tmp_path)
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["artifacts"]["../panel.csv"] = manifest["artifacts"].pop("panel.csv")
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["verify", str(out)]) == 2
+        assert "plain file names" in capsys.readouterr().err
+
     def test_feedback_trajectory_layout(self, tmp_path):
         out = tmp_path / "fb"
         main(
