@@ -12,6 +12,7 @@ unreadable.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -164,9 +165,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(state == "ok" for state in status.values()) else 1
 
 
+# Built once per process: every call parses into a fresh namespace.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "run":
             return _cmd_run(args)

@@ -3,13 +3,14 @@
 A preset declares its parameters as ParamSpecs (name, type, default,
 range check).  User overrides arrive as KEY=VALUE strings, either from
 --set arguments or from a config file; resolution rejects unknown keys,
-type mismatches, and out-of-range values with messages that name the
+type mismatches, non-finite floats and out-of-range values with messages that name the
 offending parameter, and echoes every default into the resolved map so
 the manifest records the full effective configuration.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -41,18 +42,22 @@ def _coerce(spec: "ParamSpec", raw: object) -> object:
                 if lowered in _FALSE:
                     return False
                 raise ValueError(f"not a boolean: {text!r}")
-            return spec.type(text)
+            value = spec.type(text)
         except ValueError as exc:
             raise ConfigError(
                 f"parameter {spec.name}: expected {spec.type.__name__}, got {raw!r}"
             ) from exc
-    if spec.type is float and isinstance(raw, int) and not isinstance(raw, bool):
-        return float(raw)
-    if not isinstance(raw, spec.type) or (spec.type is not bool and isinstance(raw, bool)):
+    elif spec.type is float and isinstance(raw, int) and not isinstance(raw, bool):
+        value = float(raw)
+    elif not isinstance(raw, spec.type) or (spec.type is not bool and isinstance(raw, bool)):
         raise ConfigError(
             f"parameter {spec.name}: expected {spec.type.__name__}, got {raw!r}"
         )
-    return raw
+    else:
+        value = raw
+    if spec.type is float and not math.isfinite(value):
+        raise ConfigError(f"parameter {spec.name}: must be finite, got {raw!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -88,12 +93,6 @@ class PresetSchema:
         names = [p.name for p in self.params]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate parameter names in schema {self.name!r}: {names!r}")
-
-    def spec(self, name: str) -> ParamSpec:
-        for p in self.params:
-            if p.name == name:
-                return p
-        raise KeyError(name)
 
     def resolve(self, overrides: Mapping[str, object]) -> dict[str, object]:
         """Defaults plus validated overrides; every parameter is present."""

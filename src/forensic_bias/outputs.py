@@ -6,13 +6,13 @@ floats rendered by repr (shortest round-trip form), and JSON is written
 with sorted keys.  Manifests carry no timestamps or host details, so a
 rerun with the same seed is byte-for-byte comparable.
 
-format_value is the canonical text of one CSV field.  write_csv formats
-a column at a time, in blocks of rows: a column whose values all have
+format_value is the canonical text of one CSV field.  write_csv takes a
+table as columns, a {header: column} mapping of equal-length sequences,
+and formats it a column slice at a time: a slice whose values all have
 one exact type among float, int, str and bool maps that type's formatter
-over the column, which gives format_value's text; any other column
-(mixed types, enums, numpy scalars, fractions) goes through format_value
-value by value.  A row whose length differs from the header's is a
-ValueError, not a ragged line.
+over it, which gives format_value's text; any other slice (mixed types,
+enums, numpy scalars, fractions) goes through format_value value by
+value.  Columns of unequal length are a ValueError, not ragged lines.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ import hashlib
 import json
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 __all__ = [
     "format_value",
@@ -64,28 +63,27 @@ _COLUMN_FORMATTERS = {
 _BLOCK_ROWS = 1024
 
 
-def _format_column(values: tuple) -> list[str]:
+def _format_column(values: Sequence[object]) -> list[str]:
     types = set(map(type, values))
     formatter = _COLUMN_FORMATTERS.get(types.pop()) if len(types) == 1 else None
     return list(map(formatter or format_value, values))
 
 
-def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    width = len(header)
-    rows = iter(rows)
+def write_csv(path: Path, columns: Mapping[str, Sequence[object]]) -> None:
+    """Write columns, a {header: column} mapping, as a CSV table."""
+    n_rows = len(next(iter(columns.values()), ()))
+    for name, column in columns.items():
+        if len(column) != n_rows:
+            first = next(iter(columns))
+            raise ValueError(
+                f"{path}: column {name!r} has {len(column)} values, column {first!r} has {n_rows}"
+            )
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        start = 1
-        while block := list(islice(rows, _BLOCK_ROWS)):
-            for number, row in enumerate(block, start):
-                if len(row) != width:
-                    raise ValueError(
-                        f"{path}: row {number} has {len(row)} fields, the header has {width}"
-                    )
-            start += len(block)
-            columns = [_format_column(values) for values in zip(*block)]
-            writer.writerows(zip(*columns) if width else block)
+        writer.writerow(columns.keys())
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            stop = start + _BLOCK_ROWS
+            writer.writerows(zip(*(_format_column(c[start:stop]) for c in columns.values())))
 
 
 def _jsonable(value: object) -> object:

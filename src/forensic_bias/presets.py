@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import metadata
 from pathlib import Path
 from typing import Callable, Mapping
@@ -47,7 +47,7 @@ from .fingerprints import (
 )
 from .odds import LikelihoodRatio, OddsRatio, SuspectPool, posterior_odds, uniform_prior_odds
 from .outputs import RunManifest, sha256_file, write_csv, write_json, write_manifest
-from .propagation import ChainMode, monte_carlo_chains
+from .propagation import ChainMode, IndexSummary, monte_carlo_chains
 from .relevance import builtin_joint_names, classify_relevance, load_builtin_joint
 from .seeding import substream, validate_seed
 from .trier import EvidenceBundle, StreamBias, case_report
@@ -123,6 +123,12 @@ def _check_share_or_random(value: object) -> str | None:
     return None
 
 
+def _detail_columns(key: str, detail: Mapping[str, Mapping[str, object]]) -> dict[str, list]:
+    """CSV columns of a {name: {field: value}} report: `key` names, then each field."""
+    first = next(iter(detail.values()))
+    return {key: list(detail)} | {f: [row[f] for row in detail.values()] for f in first}
+
+
 # ---------------------------------------------------------------- mayfield
 
 _MAYFIELD_SCHEMA = PresetSchema(
@@ -137,8 +143,7 @@ def _run_mayfield(params: dict, seed: int, out: Path) -> list[str]:
     )
     write_csv(
         out / "panel.csv",
-        ("examiner", "delta"),
-        [(i + 1, d) for i, d in enumerate(MAYFIELD_DELTAS)],
+        {"examiner": range(1, len(MAYFIELD_DELTAS) + 1), "delta": MAYFIELD_DELTAS},
     )
     write_json(
         out / "report.json",
@@ -202,7 +207,6 @@ _RELEVANCE_SCHEMA = PresetSchema(
 
 
 def _run_relevance(params: dict, seed: int, out: Path) -> list[str]:
-    rows = []
     detail = {}
     for name in builtin_joint_names():
         joint, roles = load_builtin_joint(name)
@@ -213,12 +217,11 @@ def _run_relevance(params: dict, seed: int, out: Path) -> list[str]:
             info=roles["info"][0],
             hypothesis=roles["hypothesis"][0],
         )
-        rows.append((name, verdict.verdict.value, verdict.max_discrepancy))
         detail[name] = {
             "verdict": verdict.verdict.value,
             "max_discrepancy": verdict.max_discrepancy,
         }
-    write_csv(out / "verdicts.csv", ("fixture", "verdict", "max_discrepancy"), rows)
+    write_csv(out / "verdicts.csv", _detail_columns("fixture", detail))
     write_json(out / "report.json", {"tolerance": params["tolerance"], "fixtures": detail})
     return ["verdicts.csv", "report.json"]
 
@@ -238,27 +241,17 @@ _TABLE_LATENT = LatentVector.from_text("??.?m.")
 def _run_imputation_table(params: dict, seed: int, out: Path) -> list[str]:
     imputed = impute_from_reference(_TABLE_LATENT, _TABLE_X)
     assert isinstance(imputed, MinutiaVector)
-    rows = []
     detail = {}
     for label, print_ in (("true_mark", _TABLE_Y), ("observed", _TABLE_LATENT), ("imputed", imputed)):
         summary = count_matches(_TABLE_X, print_)
-        decision = decide_source(summary)
-        cells = "".join(c.value for c in print_.cells)
-        rows.append(
-            (label, cells, summary.n_correspondences, summary.n_matches, summary.n_missing, decision)
-        )
         detail[label] = {
-            "cells": cells,
+            "cells": "".join(c.value for c in print_.cells),
             "n_correspondences": summary.n_correspondences,
             "n_matches": summary.n_matches,
             "n_missing": summary.n_missing,
-            "decision": decision.value,
+            "decision": decide_source(summary).value,
         }
-    write_csv(
-        out / "tables.csv",
-        ("print", "cells", "n_correspondences", "n_matches", "n_missing", "decision"),
-        rows,
-    )
+    write_csv(out / "tables.csv", _detail_columns("print", detail))
     detail["exemplar"] = {"cells": "".join(c.value for c in _TABLE_X.cells)}
     detail["delta_impute"] = delta_impute_exact(_TABLE_LATENT, _TABLE_X).linear
     write_json(out / "report.json", detail)
@@ -400,15 +393,20 @@ def _run_feedback(params: dict, seed: int, out: Path) -> list[str]:
     truthful_regime = FeedbackRegime.truthful()
 
     # Illustrative pair: replicate 0 under common random numbers.
-    rows = []
-    for regime, label in ((truthful_regime, "truthful"), (biased_regime, "biased")):
-        traj = simulate_feedback(
-            regime, params["alpha_true"], params["n_obs"], prior, rng=substream(seed, 0)
-        )
-        rows.extend(
-            (step + 1, mean, label, 0) for step, mean in enumerate(traj.posterior_means)
-        )
-    write_csv(out / "trajectory.csv", ("step", "posterior_mean", "regime", "seed"), rows)
+    n_obs = params["n_obs"]
+    truthful, biased = (
+        simulate_feedback(regime, params["alpha_true"], n_obs, prior, rng=substream(seed, 0))
+        for regime in (truthful_regime, biased_regime)
+    )
+    write_csv(
+        out / "trajectory.csv",
+        {
+            "step": list(range(1, n_obs + 1)) * 2,
+            "posterior_mean": truthful.posterior_means + biased.posterior_means,
+            "regime": ["truthful"] * n_obs + ["biased"] * n_obs,
+            "seed": [0] * (2 * n_obs),
+        },
+    )
 
     with warnings.catch_warnings():
         # The illustrative biased trajectory has already warned if the
@@ -418,27 +416,22 @@ def _run_feedback(params: dict, seed: int, out: Path) -> list[str]:
         result = run_paired_feedback(
             params["n_seeds"],
             params["alpha_true"],
-            params["n_obs"],
+            n_obs,
             prior,
             biased_regime,
             master_seed=seed,
         )
-        exact_truthful = exact_final_mean_and_gap(truthful_regime, params["alpha_true"], params["n_obs"], prior)
-        exact_biased = exact_final_mean_and_gap(biased_regime, params["alpha_true"], params["n_obs"], prior)
+        exact_truthful = exact_final_mean_and_gap(truthful_regime, params["alpha_true"], n_obs, prior)
+        exact_biased = exact_final_mean_and_gap(biased_regime, params["alpha_true"], n_obs, prior)
     write_csv(
         out / "gaps.csv",
-        ("seed", "truthful_final_mean", "biased_final_mean", "truthful_gap", "biased_gap"),
-        [
-            (i, tm, bm, tg, bg)
-            for i, (tm, bm, tg, bg) in enumerate(
-                zip(
-                    result.truthful_means,
-                    result.biased_means,
-                    result.truthful_gaps,
-                    result.biased_gaps,
-                )
-            )
-        ],
+        {
+            "seed": range(len(result.truthful_means)),
+            "truthful_final_mean": result.truthful_means,
+            "biased_final_mean": result.biased_means,
+            "truthful_gap": result.truthful_gaps,
+            "biased_gap": result.biased_gaps,
+        },
     )
     write_json(
         out / "aggregate.json",
@@ -496,27 +489,10 @@ def _run_propagation(params: dict, seed: int, out: Path) -> list[str]:
         missing_share=share,
         peer_history=params["peer_history"],
     )
-    write_csv(
-        out / "results.csv",
-        (
-            "mode",
-            "run_id",
-            "analyst_index",
-            "neutral_odds",
-            "reported_odds",
-            "bias_ratio",
-            "trait",
-            "missing_share",
-        ),
-        list(zip(*study.columns)),
-    )
+    write_csv(out / "results.csv", study.columns)
     write_csv(
         out / "summary.csv",
-        ("mode", "analyst_index", "mean_bias_ratio", "q025", "median", "q975"),
-        [
-            (s.mode, s.analyst_index, s.mean_bias_ratio, s.q025, s.median, s.q975)
-            for s in study.summaries
-        ],
+        {f.name: [getattr(s, f.name) for s in study.summaries] for f in fields(IndexSummary)},
     )
     write_json(
         out / "report.json",

@@ -165,19 +165,25 @@ _LEDGER = (
 
 @dataclass(frozen=True, eq=False)
 class _ChainArrays:
-    """Paired chains in log space, indexed [run, mode, analyst - 1, ledger term]."""
+    """Paired chains in log space, indexed [run, (mode,) analyst - 1].
+
+    Only the live tilt terms are stored: impute and context apply in both
+    modes, the conformity count only in snowball; peer, tilde_impute and
+    tilde_context are unit in every profile.
+    """
 
     prior: float
     trait: np.ndarray  # (n,) bool
     missing_share: np.ndarray  # (n, k)
     match: np.ndarray  # (n, k) bool
     neutral_lr: np.ndarray  # (n, k)
-    terms: np.ndarray  # (n, 2, k, 6), in _LEDGER order
+    log_impute: np.ndarray  # (n, k)
+    log_context: np.ndarray  # (n,)
+    log_conformity: np.ndarray  # (n, k), snowball's tilde_peer
     reported_lr: np.ndarray  # (n, 2, k)
 
 
 def _chain_kernel(
-    n: int,
     rngs: Iterable[np.random.Generator],
     k: int,
     pool: SuspectPool,
@@ -188,7 +194,7 @@ def _chain_kernel(
     missing_share: float | None,
     peer_history: str,
 ) -> _ChainArrays:
-    """Draw and evaluate n paired chains, replicate i from the i-th generator.
+    """Draw and evaluate one paired chain per generator.
 
     Sums keep the ledger's order and logs of drawn values are scalar
     math.log (np.log can differ in the last bit), so every replicate is
@@ -207,34 +213,35 @@ def _chain_kernel(
     if profile is None:
         profile = BiasProfile.standard(trait_prob)
     p_agree = model.p_same if same_source else model.p_diff
-    trait = np.empty(n, dtype=bool)
-    shares = np.full((n, k), 0.0 if missing_share is None else float(missing_share))
-    match = np.empty((n, k), dtype=bool)
-    for i, rng in zip(range(n), rngs):
-        # Draw order is part of the reproducibility contract: trait, then
-        # missing shares (only when random), then the k match indicators.
-        trait[i] = rng.random() < trait_prob
-        if missing_share is None:
-            shares[i] = rng.random(k) * 0.5
-        match[i] = rng.random(k) < p_agree
+    # Draw order is part of the reproducibility contract: trait, then
+    # missing shares (only when random), then the k match indicators, as
+    # one random(m) call per replicate.
+    m = 1 + k if missing_share is not None else 1 + 2 * k
+    draws = np.array([rng.random(m) for rng in rngs])
+    n = len(draws)
+    trait = draws[:, 0] < trait_prob
+    if missing_share is None:
+        shares = draws[:, 1 : k + 1] * 0.5
+    else:
+        shares = np.full((n, k), float(missing_share))
+    match = draws[:, -k:] < p_agree
 
     prior = uniform_prior_odds(pool).log_value
     lr_match = LikelihoodRatio.from_linear(model.p_same / model.p_diff).log_value
     lr_mismatch = LikelihoodRatio.from_linear((1.0 - model.p_same) / (1.0 - model.p_diff)).log_value
     neutral_lr = np.where(match, lr_match, lr_mismatch)
-    terms = np.zeros((n, 2, k, len(_LEDGER)))
     linear_impute = profile.impute(shares, trait[:, None]).ravel().tolist()
-    terms[..., 0] = np.reshape([math.log(v) for v in linear_impute], (n, 1, k))
-    context = np.where(trait, profile.context(True).log_value, profile.context(False).log_value)
-    terms[..., 1] = context[:, None, None]
-    cascade_lr = neutral_lr + terms[:, 0, :, 0] + terms[:, 0, :, 1]
+    log_impute = np.reshape([math.log(v) for v in linear_impute], (n, k))
+    log_context = np.where(trait, profile.context(True).log_value, profile.context(False).log_value)
+    cascade_lr = neutral_lr + log_impute + log_context[:, None]
 
     # Snowball: the conformity term counts the supportive reports so far.
-    log_conformity = np.array([math.log(profile.tilde_peer(c)) for c in range(k)])
+    by_count = np.array([math.log(profile.tilde_peer(c)) for c in range(k)])
+    log_conformity = np.empty((n, k))
     supportive = np.zeros(n, dtype=np.intp)
     for j in range(k):
-        terms[:, 1, j, 5] = log_conformity[supportive]
-        history = cascade_lr[:, j] + terms[:, 1, j, 5]
+        log_conformity[:, j] = by_count[supportive]
+        history = cascade_lr[:, j] + log_conformity[:, j]
         if peer_history == "posterior":
             history = prior + history
         supportive += history >= 0.0
@@ -244,18 +251,24 @@ def _chain_kernel(
         missing_share=shares,
         match=match,
         neutral_lr=neutral_lr,
-        terms=terms,
-        reported_lr=np.stack((cascade_lr, cascade_lr + terms[:, 1, :, 5]), axis=1),
+        log_impute=log_impute,
+        log_context=log_context,
+        log_conformity=log_conformity,
+        reported_lr=np.stack((cascade_lr, cascade_lr + log_conformity), axis=1),
     )
 
 
 def _chain_result(arrays: _ChainArrays, m: int, pool: SuspectPool, same_source: bool) -> ChainResult:
-    """Replicate 0 in mode _MODES[m] as reports with their ledgers."""
+    """Replicate 0 in mode _MODES[m] as reports with their six-entry ledgers."""
     prior = OddsRatio(arrays.prior)
+    context = float(arrays.log_context[0])
+    impute = arrays.log_impute[0].tolist()
+    conformity = arrays.log_conformity[0].tolist() if m else [0.0] * len(impute)
     reports = []
-    for j, logs in enumerate(arrays.terms[0, m].tolist()):
+    for j, (log_impute, tilde_peer) in enumerate(zip(impute, conformity)):
         neutral_lr = LikelihoodRatio(arrays.neutral_lr[0, j])
         reported_lr = LikelihoodRatio(arrays.reported_lr[0, m, j])
+        logs = (log_impute, context, 0.0, 0.0, 0.0, tilde_peer)
         ledger = BiasLedger(
             tuple(LedgerEntry(label, BiasFactor(v, p)) for (label, p), v in zip(_LEDGER, logs))
         )
@@ -289,7 +302,7 @@ def run_chain(
 ) -> ChainResult:
     """Run one k-analyst chain in one mode."""
     arrays = _chain_kernel(
-        1, (rng,), k, pool, trait_prob, model, profile, same_source, missing_share, peer_history
+        (rng,), k, pool, trait_prob, model, profile, same_source, missing_share, peer_history
     )
     return _chain_result(arrays, _MODES.index(mode), pool, same_source)
 
@@ -313,7 +326,7 @@ def run_chain_pair(
     bit-identical.
     """
     arrays = _chain_kernel(
-        1, (rng,), k, pool, trait_prob, model, profile, same_source, missing_share, peer_history
+        (rng,), k, pool, trait_prob, model, profile, same_source, missing_share, peer_history
     )
     return _chain_result(arrays, 0, pool, same_source), _chain_result(arrays, 1, pool, same_source)
 
@@ -346,20 +359,20 @@ class IndexSummary:
 class PropagationStudy:
     """A replicated paired chain experiment.
 
-    `columns` holds the eight results.csv columns, in ChainRecord field
-    order, as lists of Python values with one row per (run, mode,
-    analyst), run outermost.  `records` builds ChainRecords from them on
-    demand.
+    `columns` maps each results.csv header, which is a ChainRecord field
+    name, in field order, to its column: a list of Python values with one
+    row per (run, mode, analyst), run outermost.  `records` builds
+    ChainRecords from them on demand.
     """
 
     n_runs: int
     k: int
-    columns: tuple[list, ...]
+    columns: dict[str, list]
     summaries: tuple[IndexSummary, ...]
 
     @property
     def records(self) -> tuple[ChainRecord, ...]:
-        return tuple(ChainRecord(*row) for row in zip(*self.columns))
+        return tuple(ChainRecord(*row) for row in zip(*self.columns.values()))
 
     def records_for(self, mode: ChainMode) -> tuple[ChainRecord, ...]:
         return tuple(r for r in self.records if r.mode == mode.value)
@@ -391,7 +404,7 @@ def monte_carlo_chains(
         raise ValueError(f"n_runs must be >= 1, got {n_runs!r}")
     rngs = (substream(master_seed, i) for i in range(n_runs))
     arrays = _chain_kernel(
-        n_runs, rngs, k, pool, trait_prob, model, profile, same_source, missing_share, peer_history
+        rngs, k, pool, trait_prob, model, profile, same_source, missing_share, peer_history
     )
     neutral_log = arrays.prior + arrays.neutral_lr
     reported_log = arrays.prior + arrays.reported_lr
@@ -400,19 +413,19 @@ def monte_carlo_chains(
     # numpy scalars differently.  Modes and run ids are object arrays, so
     # their rows share one str or int per value instead of one per row.
     shape = (n_runs, 2, k)
-    columns = tuple(
-        np.broadcast_to(values, shape).ravel().tolist()
-        for values in (
-            np.array([mode.value for mode in _MODES], dtype=object)[:, None],
-            np.arange(n_runs).astype(object)[:, None, None],
-            np.arange(1, k + 1),
-            np.exp(neutral_log)[:, None, :],
-            np.exp(reported_log),
-            ratio,
-            arrays.trait[:, None, None],
-            arrays.missing_share[:, None, :],
+    columns = {
+        name: np.broadcast_to(values, shape).ravel().tolist()
+        for name, values in (
+            ("mode", np.array([mode.value for mode in _MODES], dtype=object)[:, None]),
+            ("run_id", np.arange(n_runs).astype(object)[:, None, None]),
+            ("analyst_index", np.arange(1, k + 1)),
+            ("neutral_odds", np.exp(neutral_log)[:, None, :]),
+            ("reported_odds", np.exp(reported_log)),
+            ("bias_ratio", ratio),
+            ("trait", arrays.trait[:, None, None]),
+            ("missing_share", arrays.missing_share[:, None, :]),
         )
-    )
+    }
 
     # One contiguous row per (mode, analyst), so each mean sums in the
     # same order as a mean over that column's values alone.

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .contextual import BiasFactor, Provenance
 from .odds import (
@@ -74,67 +73,35 @@ class StreamBias:
         return total
 
 
-def _weights(bundle: EvidenceBundle, stream_weights: Sequence[float] | None) -> tuple[float, ...]:
-    if stream_weights is None:
-        return (1.0,) * bundle.n_streams
-    weights = tuple(float(w) for w in stream_weights)
-    if len(weights) != bundle.n_streams:
-        raise ValueError(
-            f"{len(weights)} weights for {bundle.n_streams} streams"
-        )
-    if any(not math.isfinite(w) or w < 0.0 for w in weights):
-        raise ValueError(f"stream weights must be finite and nonnegative, got {weights!r}")
-    return weights
-
-
-def neutral_guilt_odds(
-    bundle: EvidenceBundle, stream_weights: Sequence[float] | None = None
-) -> OddsRatio:
-    """Guilt odds from unbiased reports: prior * prod(LR_j) * context.
-
-    `stream_weights` exponentiates each stream's LR before compounding
-    (1.0 recovers the plain product); the default trier weighs nothing.
-    """
-    weights = _weights(bundle, stream_weights)
+def neutral_guilt_odds(bundle: EvidenceBundle) -> OddsRatio:
+    """Guilt odds from unbiased reports: prior * prod(LR_j) * context."""
     total = uniform_prior_odds(bundle.pool).log_value
-    for w, lr in zip(weights, bundle.stream_lrs):
-        total += w * lr.log_value
+    for lr in bundle.stream_lrs:
+        total += lr.log_value
     total += bundle.context_lr.log_value
     if not math.isfinite(total):
         raise OverflowError("guilt log-odds overflowed")
     return OddsRatio(total)
 
 
-def biased_guilt_odds(
-    bundle: EvidenceBundle,
-    bias: StreamBias,
-    stream_weights: Sequence[float] | None = None,
-) -> OddsRatio:
+def biased_guilt_odds(bundle: EvidenceBundle, bias: StreamBias) -> OddsRatio:
     """Guilt odds when stream j arrives tilted by beta_j."""
     if len(bias.betas) != bundle.n_streams:
         raise ValueError(
             f"{len(bias.betas)} bias factors for {bundle.n_streams} streams"
         )
-    weights = _weights(bundle, stream_weights)
     total = uniform_prior_odds(bundle.pool).log_value
-    for w, lr, beta in zip(weights, bundle.stream_lrs, bias.betas):
-        total += w * (lr.log_value + beta.log_value)
+    for lr, beta in zip(bundle.stream_lrs, bias.betas):
+        total += lr.log_value + beta.log_value
     total += bundle.context_lr.log_value
     if not math.isfinite(total):
         raise OverflowError("guilt log-odds overflowed")
     return OddsRatio(total)
 
 
-def systemic_bias_ratio(
-    bundle: EvidenceBundle,
-    bias: StreamBias,
-    stream_weights: Sequence[float] | None = None,
-) -> BiasFactor:
-    """biased / neutral guilt odds; the product of the betas when unweighted."""
-    ratio = (
-        biased_guilt_odds(bundle, bias, stream_weights).log_value
-        - neutral_guilt_odds(bundle, stream_weights).log_value
-    )
+def systemic_bias_ratio(bundle: EvidenceBundle, bias: StreamBias) -> BiasFactor:
+    """biased / neutral guilt odds: the product of the betas."""
+    ratio = biased_guilt_odds(bundle, bias).log_value - neutral_guilt_odds(bundle).log_value
     return BiasFactor(ratio, Provenance.COMPOSITE)
 
 
@@ -151,15 +118,11 @@ def bundle_from_chain(
     return bundle, bias
 
 
-def case_report(
-    bundle: EvidenceBundle,
-    bias: StreamBias,
-    stream_weights: Sequence[float] | None = None,
-) -> dict:
+def case_report(bundle: EvidenceBundle, bias: StreamBias) -> dict:
     """JSON-ready account of one case: inputs, both verdict odds, the gap."""
-    neutral = neutral_guilt_odds(bundle, stream_weights)
-    biased = biased_guilt_odds(bundle, bias, stream_weights)
-    ratio = systemic_bias_ratio(bundle, bias, stream_weights)
+    neutral = neutral_guilt_odds(bundle)
+    biased = biased_guilt_odds(bundle, bias)
+    ratio = systemic_bias_ratio(bundle, bias)
     return {
         "pool_size": bundle.pool.n,
         "prior_odds": uniform_prior_odds(bundle.pool).linear,

@@ -272,6 +272,14 @@ class TestCli:
         for name in ("results.csv", "summary.csv", "report.json", "manifest.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    def test_set_values_do_not_leak_into_the_next_call(self, tmp_path):
+        base = ["run", "--preset", "race", "--seed", "1"]
+        assert main([*base, "--set", "trait_prob=0.3", "--set", "pool_n=4", "--out", str(tmp_path / "a")]) == 0
+        assert main([*base, "--out", str(tmp_path / "b")]) == 0
+        for sub, expected in (("a", {"trait_prob": 0.3, "pool_n": 4}), ("b", {"trait_prob": 0.15, "pool_n": 10})):
+            manifest = json.loads((tmp_path / sub / "manifest.json").read_text())
+            assert {k: manifest["parameters"][k] for k in expected} == expected
+
     def test_unknown_preset_exit_2(self, tmp_path, capsys):
         code = main(["run", "--preset", "nope", "--seed", "1", "--out", str(tmp_path / "x")])
         assert code == 2
@@ -285,6 +293,11 @@ class TestCli:
             ("trier", "stream_lrs=1e400,3,5"),
             ("trier", "betas=1.5,nan,2.0"),
             ("trier", "betas=1.5,-inf,2.0"),
+            ("trier", "context_lr=inf"),
+            ("feedback", "trait_skew=inf"),
+            ("feedback", "prior_a=inf"),
+            ("race", "lr_true=1e400"),
+            ("relevance", "tolerance=nan"),
         ):
             code = main(
                 [

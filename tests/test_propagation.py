@@ -1,6 +1,6 @@
 """Cascade vs snowball chains and their replicated comparison."""
 
-from dataclasses import astuple
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -24,6 +24,7 @@ from forensic_bias.odds import (
 from forensic_bias.propagation import (
     BiasProfile,
     ChainMode,
+    ChainRecord,
     monte_carlo_chains,
     run_chain,
     run_chain_pair,
@@ -332,6 +333,11 @@ class TestMonteCarlo:
         assert len(study.records) == 8 * 5 * 2
         assert {r.mode for r in study.records} == {"cascade", "snowball"}
         assert {r.run_id for r in study.records} == set(range(8))
+
+    def test_columns_keyed_by_record_fields(self):
+        study = monte_carlo_chains(3, master_seed=1, k=2)
+        assert list(study.columns) == [f.name for f in fields(ChainRecord)]
+        assert all(len(column) == 3 * 2 * 2 for column in study.columns.values())
 
     def test_mean_curves_separate(self):
         study = monte_carlo_chains(300, master_seed=42)

@@ -119,29 +119,6 @@ class TestSystemicRatio:
             assert tilted >= neutral - TOL
 
 
-class TestWeights:
-    def test_default_weights_are_unit(self):
-        bundle = _bundle((2.0, 3.0, 5.0))
-        assert neutral_guilt_odds(bundle, (1.0, 1.0, 1.0)) == neutral_guilt_odds(bundle)
-
-    def test_zero_weight_silences_a_stream(self):
-        bundle = _bundle((2.0, 3.0, 5.0))
-        odds = neutral_guilt_odds(bundle, (1.0, 1.0, 0.0))
-        assert abs(odds.linear - 0.6) < TOL
-
-    def test_weighted_systemic_ratio(self):
-        bundle = _bundle((2.0, 2.0))
-        ratio = systemic_bias_ratio(bundle, _bias((4.0, 3.0)), (0.5, 1.0))
-        assert abs(ratio.linear - 2.0 * 3.0) < 1e-10
-
-    def test_bad_weights_rejected(self):
-        bundle = _bundle((2.0, 3.0))
-        with pytest.raises(ValueError):
-            neutral_guilt_odds(bundle, (1.0,))
-        with pytest.raises(ValueError):
-            neutral_guilt_odds(bundle, (1.0, -1.0))
-
-
 class TestChainHandoff:
     def test_bundle_reproduces_chain_totals(self):
         chain = run_chain(ChainMode.SNOWBALL, rng=substream(61))
