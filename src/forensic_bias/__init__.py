@@ -65,6 +65,7 @@ from .fingerprints import (
     decide_source,
     delta_impute_exact,
     estimate_delta_impute,
+    exact_delta_quantiles,
     exact_mean_delta,
     generate_print,
     imputation_grid_fixture,
@@ -105,7 +106,7 @@ from .trier import (
     neutral_guilt_odds,
     systemic_bias_ratio,
 )
-from .seeding import substream, validate_seed
+from .seeding import substream, substream_uniforms, validate_seed
 from .config import ConfigError, ParamSpec, PresetSchema
 from .outputs import RunManifest, read_manifest, sha256_file, write_manifest
 from .presets import PRESETS, Preset, TOOL_VERSION, get_preset, run_preset

@@ -15,22 +15,22 @@ reproduces the truthful run bit for bit.
 
 A final posterior mean depends only on the trait count K, which is
 Binomial(n_obs, p) in either regime.  The paired experiment
-(run_paired_feedback) therefore draws each replicate's (2, n_obs) block
-once and keeps only the two regimes' counts, and
+(run_paired_feedback) therefore draws the replicates' (2, n_obs) blocks
+in batches and keeps only the two regimes' counts, and
 exact_final_mean_and_gap gives the exact means it estimates: the final
 posterior mean and its gap to the true rate.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .seeding import substream
+from .odds import binomial_log_pmf
+from .seeding import substream_uniforms
 
 __all__ = [
     "FeedbackKind",
@@ -156,8 +156,8 @@ def _wrongful_trait_rate(regime: FeedbackRegime, alpha_true: float) -> float:
 
 
 def _traits(u: np.ndarray, regime: FeedbackRegime, alpha_true: float, skewed: float) -> np.ndarray:
-    """Traits from a (2, n_obs) uniform block: row 0 wrongful, row 1 trait."""
-    return u[1] < np.where(u[0] < regime.wrongful_rate, skewed, alpha_true)
+    """Traits from (..., 2, n_obs) uniform blocks: row 0 wrongful, row 1 trait."""
+    return u[..., 1, :] < np.where(u[..., 0, :] < regime.wrongful_rate, skewed, alpha_true)
 
 
 def simulate_feedback(
@@ -204,14 +204,9 @@ def exact_final_mean_and_gap(
     w = regime.wrongful_rate
     p = (1.0 - w) * alpha_true + w * _wrongful_trait_rate(regime, alpha_true)
     total = prior.a + prior.b + n_obs
-    k = np.arange(n_obs + 1)
-    gaps = np.abs((prior.a + k) / total - alpha_true)
+    gaps = np.abs((prior.a + np.arange(n_obs + 1)) / total - alpha_true)
     mean = (prior.a + n_obs * p) / total
-    if p == 1.0:  # every case carries the trait
-        return mean, float(gaps[-1])
-    log_fact = np.array([math.lgamma(j + 1.0) for j in range(n_obs + 1)])  # log j!
-    log_pmf = log_fact[-1] - log_fact - log_fact[::-1] + k * math.log(p) + (n_obs - k) * math.log1p(-p)
-    return mean, float(np.exp(log_pmf) @ gaps)
+    return mean, float(np.exp(binomial_log_pmf(n_obs, p)) @ gaps)
 
 
 @dataclass(frozen=True)
@@ -240,6 +235,12 @@ class PairedFeedbackResult:
         return float(np.mean(self.biased_gaps))
 
 
+# Replicates per substream_uniforms call in run_paired_feedback: 256 keeps
+# the uniforms held at once to 256 * 2 * n_obs doubles (400 kB at the
+# default n_obs); drawing all replicates at once costs more peak memory.
+_BATCH = 256
+
+
 def run_paired_feedback(
     n_seeds: int = 1000,
     alpha_true: float = 0.5,
@@ -255,8 +256,10 @@ def run_paired_feedback(
     substream(master_seed, i), the draws simulate_feedback makes, so every
     difference in a pair is the regime's doing; each final mean is
     (a + K) / (a + b + n_obs) for its trait count K, and no trajectory is
-    built.  exact_final_mean_and_gap gives the exact means of the results.
-    A clamped wrongful-case trait rate warns once per call.
+    built.  The blocks come from substream_uniforms in batches of
+    _BATCH replicates, which bounds the uniforms held at once.
+    exact_final_mean_and_gap gives the exact means of the results.  A
+    clamped wrongful-case trait rate warns once per call.
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds!r}")
@@ -267,17 +270,18 @@ def run_paired_feedback(
     truthful = FeedbackRegime.truthful()
     alpha_true = _validate_alpha(alpha_true)
     skewed = _wrongful_trait_rate(biased, alpha_true)
+    k_truthful = np.empty(n_seeds, dtype=np.intp)
+    k_biased = np.empty(n_seeds, dtype=np.intp)
+    for start in range(0, n_seeds, _BATCH):
+        stop = min(start + _BATCH, n_seeds)
+        u = substream_uniforms(master_seed, range(start, stop), 2 * n_obs).reshape(-1, 2, n_obs)
+        k_truthful[start:stop] = np.count_nonzero(_traits(u, truthful, alpha_true, alpha_true), axis=1)
+        k_biased[start:stop] = np.count_nonzero(_traits(u, biased, alpha_true, skewed), axis=1)
+        del u  # free this batch before the next is drawn
     total = prior.a + prior.b + n_obs
-    t_means, b_means = [], []
-    for i in range(n_seeds):
-        u = substream(master_seed, i).random((2, n_obs))
-        k_truthful = int(np.count_nonzero(_traits(u, truthful, alpha_true, alpha_true)))
-        k_biased = int(np.count_nonzero(_traits(u, biased, alpha_true, skewed)))
-        t_means.append((prior.a + k_truthful) / total)
-        b_means.append((prior.a + k_biased) / total)
     return PairedFeedbackResult(
         alpha_true=alpha_true,
         n_obs=n_obs,
-        truthful_means=tuple(t_means),
-        biased_means=tuple(b_means),
+        truthful_means=tuple(((prior.a + k_truthful) / total).tolist()),
+        biased_means=tuple(((prior.a + k_biased) / total).tolist()),
     )

@@ -9,7 +9,8 @@ by exactly r**M for M missing cells, whatever the prints show.  The
 Monte Carlo over that factor draws only M, so the minutiae rate and the
 mark's source do not affect it; the delta-impute preset reports its mean
 with a standard error (mc_standard_error) next to the exact mean
-(exact_mean_delta).
+(exact_mean_delta), and its quantiles next to the exact ones
+(exact_delta_quantiles).
 
 Grid text format, one row per line:
 
@@ -33,7 +34,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .contextual import BiasFactor, Provenance
-from .odds import LikelihoodRatio
+from .odds import LikelihoodRatio, binomial_log_pmf
 
 __all__ = [
     "Cell",
@@ -55,6 +56,7 @@ __all__ = [
     "delta_impute_exact",
     "sample_delta_impute",
     "exact_mean_delta",
+    "exact_delta_quantiles",
     "exact_relative_standard_error",
     "estimate_delta_impute",
     "GridFixture",
@@ -486,6 +488,39 @@ def exact_mean_delta(params: ImputationSimParams, missing_share: float, mask_mod
     if log_mean > _LOG_FLOAT_MAX:
         raise OverflowError(f"the exact mean e**{log_mean:.1f} exceeds float range")
     return math.exp(log_mean)
+
+
+# A cumulative probability this close to a quantile level counts as
+# reaching it, so rounding in the log-space pmf cannot move a quantile
+# off an exact tie such as P(M <= 4) = 1/2 at n = 9, s = 1/2.
+_CDF_SLACK = 1e-9
+
+
+def exact_delta_quantiles(
+    params: ImputationSimParams, missing_share: float, mask_mode: str
+) -> tuple[float, float, float]:
+    """Exact 2.5%, 50% and 97.5% quantiles of sample_delta_impute's draws.
+
+    A draw is r**M with r > 1 and M ~ Binomial(n, s) per cell, so each
+    quantile is r**j for the first count j whose cumulative probability
+    reaches the level.  The pmf and the power are taken in log space.  An
+    exact mask gives r**round-half-up(s * n) for all three.  Raises
+    OverflowError past float range.
+    """
+    _check_mask(missing_share, mask_mode)
+    n = params.rows * params.cols
+    log_r = math.log(params.model.p_same / params.model.p_diff)
+    if mask_mode == "exact":
+        counts = [_round_half_up(missing_share * n)] * 3
+    else:
+        cdf = np.cumsum(np.exp(binomial_log_pmf(n, missing_share)))
+        counts = np.searchsorted(cdf, [0.025 - _CDF_SLACK, 0.5 - _CDF_SLACK, 0.975 - _CDF_SLACK])
+    # The draws' own arithmetic, so a quantile the Monte Carlo hits is equal.
+    log_quantiles = np.asarray(counts) * log_r
+    if log_quantiles.max() > _LOG_FLOAT_MAX:
+        raise OverflowError(f"the exact quantile e**{log_quantiles.max():.1f} exceeds float range")
+    q025, median, q975 = np.exp(log_quantiles).tolist()
+    return q025, median, q975
 
 
 def exact_relative_standard_error(

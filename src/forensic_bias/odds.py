@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Union
 
+import numpy as np
+
 __all__ = [
     "Probability",
     "OddsRatio",
@@ -25,6 +27,7 @@ __all__ = [
     "probability_to_odds",
     "odds_to_probability",
     "compose_lr",
+    "binomial_log_pmf",
 ]
 
 
@@ -186,3 +189,15 @@ def compose_lr(parts: Iterable[LikelihoodRatio]) -> LikelihoodRatio:
     if not math.isfinite(total):
         raise OverflowError("composed log likelihood ratio overflowed")
     return LikelihoodRatio(total)
+
+
+def binomial_log_pmf(n: int, p: float) -> np.ndarray:
+    """log P(K = k) for k = 0..n, K ~ Binomial(n, p); -inf where P(K = k) is 0.
+
+    Taken from log factorials, so it neither overflows nor underflows
+    for large n."""
+    k = np.arange(n + 1)
+    if p in (0.0, 1.0):
+        return np.where(k == round(p * n), 0.0, -np.inf)
+    log_fact = np.array([math.lgamma(j + 1.0) for j in range(n + 1)])  # log j!
+    return log_fact[-1] - log_fact - log_fact[::-1] + k * math.log(p) + (n - k) * math.log1p(-p)

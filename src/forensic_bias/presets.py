@@ -38,6 +38,7 @@ from .fingerprints import (
     count_matches,
     decide_source,
     delta_impute_exact,
+    exact_delta_quantiles,
     exact_mean_delta,
     exact_relative_standard_error,
     imputation_grid_fixture,
@@ -332,6 +333,9 @@ def _run_delta_impute(params: dict, seed: int, out: Path) -> list[str]:
         raise ConfigError(str(exc)) from exc
     try:
         exact_mean = exact_mean_delta(sim, params["missing_share"], params["mask_mode"])
+        exact_q025, exact_median, exact_q975 = exact_delta_quantiles(
+            sim, params["missing_share"], params["mask_mode"]
+        )
         draws = sample_delta_impute(
             sim,
             params["missing_share"],
@@ -360,6 +364,9 @@ def _run_delta_impute(params: dict, seed: int, out: Path) -> list[str]:
             "q025": float(q025),
             "median": float(median),
             "q975": float(q975),
+            "exact_q025": exact_q025,
+            "exact_median": exact_median,
+            "exact_q975": exact_q975,
             "n_reps": n_reps,
             "missing_share": params["missing_share"],
             "mask_mode": params["mask_mode"],

@@ -34,14 +34,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .contextual import BiasFactor, BiasLedger, LedgerEntry, Provenance, race_example_delta
 from .fingerprints import CellAgreementModel
 from .odds import LikelihoodRatio, OddsRatio, SuspectPool, posterior_odds, uniform_prior_odds
-from .seeding import substream
+from .seeding import substream_uniforms
 
 __all__ = [
     "ChainMode",
@@ -183,22 +183,12 @@ class _ChainArrays:
     reported_lr: np.ndarray  # (n, 2, k)
 
 
-def _chain_kernel(
-    rngs: Iterable[np.random.Generator],
-    k: int,
-    pool: SuspectPool,
-    trait_prob: float,
-    model: CellAgreementModel,
-    profile: BiasProfile | None,
-    same_source: bool,
-    missing_share: float | None,
-    peer_history: str,
-) -> _ChainArrays:
-    """Draw and evaluate one paired chain per generator.
+def _draw_count(k: int, trait_prob: float, missing_share: float | None, peer_history: str) -> int:
+    """Validate a chain's arguments; return the uniforms one replicate draws.
 
-    Sums keep the ledger's order and logs of drawn values are scalar
-    math.log (np.log can differ in the last bit), so every replicate is
-    bit-identical to evaluating its chain one report at a time.
+    Draw order is part of the reproducibility contract: trait, then the
+    k missing shares (only when random), then the k match indicators, as
+    the first m uniforms of the replicate's stream.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k!r}")
@@ -210,14 +200,31 @@ def _chain_kernel(
         raise ValueError(
             f"peer_history must be 'contribution' or 'posterior', got {peer_history!r}"
         )
+    return 1 + k if missing_share is not None else 1 + 2 * k
+
+
+def _chain_kernel(
+    draws: np.ndarray,
+    k: int,
+    pool: SuspectPool,
+    trait_prob: float,
+    model: CellAgreementModel,
+    profile: BiasProfile | None,
+    same_source: bool,
+    missing_share: float | None,
+    peer_history: str,
+) -> _ChainArrays:
+    """Evaluate one paired chain per row of the (n, m) uniform block.
+
+    Row i holds replicate i's m = _draw_count(...) uniforms in draw
+    order; the caller validates the arguments through _draw_count.  Sums
+    keep the ledger's order and logs of drawn values are scalar math.log
+    (np.log can differ in the last bit), so every replicate is
+    bit-identical to evaluating its chain one report at a time.
+    """
     if profile is None:
         profile = BiasProfile.standard(trait_prob)
     p_agree = model.p_same if same_source else model.p_diff
-    # Draw order is part of the reproducibility contract: trait, then
-    # missing shares (only when random), then the k match indicators, as
-    # one random(m) call per replicate.
-    m = 1 + k if missing_share is not None else 1 + 2 * k
-    draws = np.array([rng.random(m) for rng in rngs])
     n = len(draws)
     trait = draws[:, 0] < trait_prob
     if missing_share is None:
@@ -301,8 +308,9 @@ def run_chain(
     rng: np.random.Generator,
 ) -> ChainResult:
     """Run one k-analyst chain in one mode."""
+    draws = rng.random((1, _draw_count(k, trait_prob, missing_share, peer_history)))
     arrays = _chain_kernel(
-        (rng,), k, pool, trait_prob, model, profile, same_source, missing_share, peer_history
+        draws, k, pool, trait_prob, model, profile, same_source, missing_share, peer_history
     )
     return _chain_result(arrays, _MODES.index(mode), pool, same_source)
 
@@ -325,8 +333,9 @@ def run_chain_pair(
     differ only in the history terms, and at k = 1 their reports are
     bit-identical.
     """
+    draws = rng.random((1, _draw_count(k, trait_prob, missing_share, peer_history)))
     arrays = _chain_kernel(
-        (rng,), k, pool, trait_prob, model, profile, same_source, missing_share, peer_history
+        draws, k, pool, trait_prob, model, profile, same_source, missing_share, peer_history
     )
     return _chain_result(arrays, 0, pool, same_source), _chain_result(arrays, 1, pool, same_source)
 
@@ -397,14 +406,16 @@ def monte_carlo_chains(
 ) -> PropagationStudy:
     """Replicate paired chains; deterministic for a given master seed.
 
-    Replicate i draws from substream(master_seed, i), so run_chain_pair
+    Replicate i reads the first uniforms of substream(master_seed, i), all
+    replicates drawn in one substream_uniforms call, so run_chain_pair
     with that generator re-creates it on its own, bit for bit.
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs!r}")
-    rngs = (substream(master_seed, i) for i in range(n_runs))
+    m = _draw_count(k, trait_prob, missing_share, peer_history)
+    draws = substream_uniforms(master_seed, range(n_runs), m)
     arrays = _chain_kernel(
-        rngs, k, pool, trait_prob, model, profile, same_source, missing_share, peer_history
+        draws, k, pool, trait_prob, model, profile, same_source, missing_share, peer_history
     )
     neutral_log = arrays.prior + arrays.neutral_lr
     reported_log = arrays.prior + arrays.reported_lr

@@ -197,8 +197,25 @@ class TestPairedMatchesReference:
             (100, 0.3, 100, DEFAULT_PRIOR, (1.0, 2.0)),
             (100, 0.4, 100, DEFAULT_PRIOR, (0.5, 3.0)),
             (100, 0.2, 30, BetaPrior(0.3, 7.0), (0.06, 2.0)),
+            # Around and past the 256-replicate batch edges.
+            (255, 0.5, 20, DEFAULT_PRIOR, (0.06, 2.0)),
+            (256, 0.5, 20, DEFAULT_PRIOR, (0.06, 2.0)),
+            (257, 0.5, 20, DEFAULT_PRIOR, (0.06, 2.0)),
+            (1_000, 0.5, 100, DEFAULT_PRIOR, (0.06, 2.0)),
         ],
-        ids=["defaults", "n_obs-1", "n_obs-2000", "rate-0", "rate-1", "clamped", "prior"],
+        ids=[
+            "defaults",
+            "n_obs-1",
+            "n_obs-2000",
+            "rate-0",
+            "rate-1",
+            "clamped",
+            "prior",
+            "n_seeds-255",
+            "n_seeds-256",
+            "n_seeds-257",
+            "n_seeds-1000",
+        ],
     )
     def test_equals_object_path(self, master_seed, n_seeds, alpha_true, n_obs, prior, regime):
         biased = FeedbackRegime.biased(*regime)

@@ -1,6 +1,8 @@
 """Grids, masking, imputation, match scoring, and the imputation bias factor."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from forensic_bias.fingerprints import (
     decide_source,
     delta_impute_exact,
     estimate_delta_impute,
+    exact_delta_quantiles,
     exact_mean_delta,
     generate_print,
     imputation_grid_fixture,
@@ -442,6 +445,74 @@ class TestExactMean:
         assert np.all(np.isfinite(draws))
         est = estimate_delta_impute(sim, 1.0, 10, rng=substream(18))
         assert est.log_value == pytest.approx(1021 * math.log(2.0), rel=1e-12)
+
+
+def _enumerated_quantile_counts(n, share, r):
+    """Missing counts M at the 2.5%, 50% and 97.5% quantiles of r**M, from
+    exact Fraction probabilities of every per-cell mask: for each level,
+    the first r**M in ascending order whose cumulative probability reaches it."""
+    s = Fraction(share)
+    law = {}
+    for mask in itertools.product((0, 1), repeat=n):
+        m = sum(mask)
+        law[m] = law.get(m, 0) + s**m * (1 - s) ** (n - m)
+    ordered = sorted(law, key=lambda m: r**m)
+    counts = []
+    for level in (Fraction(1, 40), Fraction(1, 2), Fraction(39, 40)):
+        cumulative = Fraction(0)
+        for m in ordered:
+            cumulative += law[m]
+            if cumulative >= level:
+                counts.append(m)
+                break
+    return counts
+
+
+class TestExactQuantiles:
+    @pytest.mark.parametrize(
+        "rows, cols, share, p_same, p_diff",
+        [
+            (2, 3, 0.25, 0.5, 0.25),
+            # P(M <= 4) = 1/2 exactly, so the median is M = 4; the float
+            # cumulative sum reads 0.4999999999999988 there.
+            (3, 3, 0.5, 0.5, 0.25),
+            (2, 2, 0.5, 0.5, 0.25),
+            (2, 4, 0.1, 0.7, 0.2),
+            (2, 4, 0.9, 0.6, 0.3),
+            (2, 3, 0.0, 0.5, 0.25),
+            (2, 3, 1.0, 0.5, 0.25),
+        ],
+    )
+    def test_per_cell_matches_enumeration(self, rows, cols, share, p_same, p_diff):
+        model = CellAgreementModel(p_same, p_diff)
+        sim = ImputationSimParams(rows=rows, cols=cols, expected_minutiae=0.0, model=model)
+        r = Fraction(p_same) / Fraction(p_diff)
+        want = [float(r**m) for m in _enumerated_quantile_counts(rows * cols, share, r)]
+        got = exact_delta_quantiles(sim, share, "per_cell")
+        assert got == pytest.approx(want, rel=1e-12)
+        assert all(type(q) is float for q in got)
+
+    def test_exact_mode_rounds_half_up(self):
+        sim = ImputationSimParams(rows=10, cols=5)
+        assert exact_delta_quantiles(sim, 0.25, "exact") == pytest.approx((2.0**13,) * 3, rel=1e-12)
+
+    def test_defaults_equal_the_monte_carlo_where_it_hits(self):
+        # At defaults the 10,000-draw quantiles fall on the exact atoms 2**7,
+        # 2**12 and 2**19, bit for bit.
+        sim = ImputationSimParams()
+        draws = sample_delta_impute(sim, 0.25, 10_000, rng=substream(7, 0))
+        monte_carlo = tuple(np.percentile(draws, [2.5, 50.0, 97.5]).tolist())
+        assert exact_delta_quantiles(sim, 0.25, "per_cell") == monte_carlo
+
+    def test_overflow_raises(self):
+        with pytest.raises(OverflowError, match="exact quantile"):
+            exact_delta_quantiles(ImputationSimParams(rows=80, cols=80), 0.25, "per_cell")
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            exact_delta_quantiles(ImputationSimParams(), 1.5, "per_cell")
+        with pytest.raises(ValueError):
+            exact_delta_quantiles(ImputationSimParams(), 0.25, "often")
 
 
 class TestGridFixture:

@@ -62,17 +62,17 @@ PINS = {
         "true_y.txt": "931971965f0f542cf6d76e50e8a3901633d9dae7195c3732137a88aa9016852e",
     },
     ("delta-impute", "small"): {
-        "estimate.json": "4b86bc390494db6a203ed34f2c42bf2cce1c5a843f78e185cb484ff1fa9d2db1",
-        "manifest.json": "04786bf54bad7df17d8e06d00b3247dc2562c37d9a3e83af4d56511c438816a0",
+        "estimate.json": "505a49d1f90804e771b8119c23ff947e7c92f5878d4f9a49c6708aba2c579433",
+        "manifest.json": "83779fa2df3573efb304ffec233e4323bbb20ab19fecf4f1ecd053d3d9d0227d",
     },
     ("delta-impute", "exact"): {
-        "estimate.json": "995ea32bbb0bbcec5e72b7ff4beeea02da22f334550c9072a8b9164960b57ce6",
-        "manifest.json": "9fbe0937c6b24149c93a69f651b76b6f18f894bd0781ec498b99dc2d401fb211",
+        "estimate.json": "1056485d23bd9e8ef90c731ffb8269b80de8c6ecdae9def4f2eded4c84e594b0",
+        "manifest.json": "4be457c2a3c7abe15d0cc1438b8cd63eb8c4f0b69beca2cbc84488380cea2729",
     },
     ("delta-impute", "other_source"): {
         # same_source does not affect the draws: the small pin's estimate.
-        "estimate.json": "4b86bc390494db6a203ed34f2c42bf2cce1c5a843f78e185cb484ff1fa9d2db1",
-        "manifest.json": "7522792e34ee74554e1e0aee74072abbe41a4a295dd3d7846b23046982b2c30a",
+        "estimate.json": "505a49d1f90804e771b8119c23ff947e7c92f5878d4f9a49c6708aba2c579433",
+        "manifest.json": "26efcab14a2621009586a4e6fadedcf222dc4aa1a8261b99d708230a72528902",
     },
     ("feedback", "small"): {
         "aggregate.json": "6ce91f9739547e8568d587546d35bc589e1f769f0bbdf5a10c7952b73f68a866",
