@@ -1,29 +1,32 @@
 """Byte-deterministic artifact writers.
 
 Given identical inputs these produce identical bytes on every platform:
-CSV rows use the csv module's RFC 4180 dialect (CRLF line endings) with
-floats rendered by repr (shortest round-trip form), and JSON is written
-with sorted keys.  Manifests carry no timestamps or host details, so a
-rerun with the same seed is byte-for-byte comparable.
+write_csv emits the csv module's excel dialect itself (CRLF line endings,
+a field quoted only when it must be) with floats rendered by repr, and
+JSON is written with sorted keys.  Manifests carry no timestamps or host
+details, so a rerun with the same seed is byte-for-byte comparable.
 
 format_value is the canonical text of one CSV field.  write_csv takes a
-table as columns, a {header: column} mapping of equal-length sequences,
-and formats it a column slice at a time: a slice whose values all have
-one exact type among float, int, str and bool maps that type's formatter
-over it, which gives format_value's text; any other slice (mixed types,
-enums, numpy scalars, fractions) goes through format_value value by
-value.  Columns of unequal length are a ValueError, not ragged lines.
+table as columns, a {header: column} mapping of equal-length columns,
+and formats each column once: one whose values all have one exact type
+among float, int, str and bool maps that type's formatter over it, any
+other goes through format_value value by value.  An ndarray column's
+rows are its elements in C order, with the text of their .tolist()
+values; each stored element is formatted once, so a broadcast view costs
+what the array it repeats costs.  Unequal columns are a ValueError.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
+
+import numpy as np
 
 __all__ = [
     "format_value",
@@ -59,31 +62,49 @@ _COLUMN_FORMATTERS = {
     bool: {True: "true", False: "false"}.__getitem__,
 }
 
-# Rows formatted at once: bounds the text held in memory on large tables.
+# Characters that make the excel dialect quote a field.
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+# Rows joined into one write: bounds the size of each string written.
 _BLOCK_ROWS = 1024
 
 
-def _format_column(values: Sequence[object]) -> list[str]:
-    types = set(map(type, values))
-    formatter = _COLUMN_FORMATTERS.get(types.pop()) if len(types) == 1 else None
-    return list(map(formatter or format_value, values))
+def _quote_minimal(fields: list[str], lone: bool) -> list[str]:
+    """fields as excel's QUOTE_MINIMAL writes them; lone: a one-column table's, where "" is quoted."""
+    if _NEEDS_QUOTES.search("".join(fields)):
+        fields = ['"' + f.replace('"', '""') + '"' if _NEEDS_QUOTES.search(f) else f for f in fields]
+    return [f or '""' for f in fields] if lone and "" in fields else fields
 
 
-def write_csv(path: Path, columns: Mapping[str, Sequence[object]]) -> None:
+def _format_column(column: Sequence[object] | np.ndarray, lone: bool) -> list[str]:
+    if isinstance(column, np.ndarray):
+        # Index 0 on the stride-0 axes, which a broadcast view repeats.
+        stored = column[(*(slice(None) if s else slice(0, 1) for s in column.strides), ...)]
+        text = _format_column(stored.ravel().tolist(), lone)
+        if stored.size == column.size:
+            return text
+        return np.broadcast_to(np.array(text, dtype=object).reshape(stored.shape), column.shape).ravel().tolist()
+    types = set(map(type, column))
+    kind = types.pop() if len(types) == 1 else None
+    text = list(map(_COLUMN_FORMATTERS.get(kind) or format_value, column))
+    return text if kind in (float, int, bool) else _quote_minimal(text, lone)
+
+
+def write_csv(path: Path, columns: Mapping[str, Sequence[object] | np.ndarray]) -> None:
     """Write columns, a {header: column} mapping, as a CSV table."""
-    n_rows = len(next(iter(columns.values()), ()))
-    for name, column in columns.items():
-        if len(column) != n_rows:
+    sizes = [c.size if isinstance(c, np.ndarray) else len(c) for c in columns.values()]
+    n_rows = sizes[0] if sizes else 0
+    for name, size in zip(columns, sizes):
+        if size != n_rows:
             first = next(iter(columns))
-            raise ValueError(
-                f"{path}: column {name!r} has {len(column)} values, column {first!r} has {n_rows}"
-            )
+            raise ValueError(f"{path}: column {name!r} has {size} values, column {first!r} has {n_rows}")
+    lone = len(columns) == 1
+    texts = [_format_column(c, lone) for c in columns.values()]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns.keys())
+        fh.write(",".join(_quote_minimal(list(columns), lone)) + "\r\n")
         for start in range(0, n_rows, _BLOCK_ROWS):
-            stop = start + _BLOCK_ROWS
-            writer.writerows(zip(*(_format_column(c[start:stop]) for c in columns.values())))
+            rows = zip(*(t[start : start + _BLOCK_ROWS] for t in texts))
+            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
 
 
 def _jsonable(value: object) -> object:

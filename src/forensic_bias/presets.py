@@ -408,10 +408,10 @@ def _run_feedback(params: dict, seed: int, out: Path) -> list[str]:
     write_csv(
         out / "trajectory.csv",
         {
-            "step": list(range(1, n_obs + 1)) * 2,
+            "step": np.broadcast_to(np.arange(1, n_obs + 1), (2, n_obs)),
             "posterior_mean": truthful.posterior_means + biased.posterior_means,
-            "regime": ["truthful"] * n_obs + ["biased"] * n_obs,
-            "seed": [0] * (2 * n_obs),
+            "regime": np.broadcast_to(np.array(["truthful", "biased"])[:, None], (2, n_obs)),
+            "seed": np.broadcast_to(0, 2 * n_obs),
         },
     )
 
@@ -556,7 +556,12 @@ def _run_trier(params: dict, seed: int, out: Path) -> list[str]:
     bias = StreamBias(
         tuple(BiasFactor.from_linear(v, Provenance.COMPOSITE) for v in betas)
     )
-    write_json(out / "case_report.json", case_report(bundle, bias))
+    try:
+        report = case_report(bundle, bias)
+    except OverflowError as exc:
+        named = ", ".join(f"{k}={params[k]!r}" for k in ("pool_n", "stream_lrs", "betas", "context_lr"))
+        raise ConfigError(f"{exc} at {named}; use smaller stream_lrs, betas or context_lr") from exc
+    write_json(out / "case_report.json", report)
     return ["case_report.json"]
 
 

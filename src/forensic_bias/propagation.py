@@ -369,19 +369,20 @@ class PropagationStudy:
     """A replicated paired chain experiment.
 
     `columns` maps each results.csv header, which is a ChainRecord field
-    name, in field order, to its column: a list of Python values with one
-    row per (run, mode, analyst), run outermost.  `records` builds
-    ChainRecords from them on demand.
+    name, in field order, to its column: an (n_runs, 2, k) broadcast view
+    indexed by (run, mode, analyst), so its C-order rows put the run
+    outermost.  `records` builds ChainRecords from them on demand.
     """
 
     n_runs: int
     k: int
-    columns: dict[str, list]
+    columns: dict[str, np.ndarray]
     summaries: tuple[IndexSummary, ...]
 
     @property
     def records(self) -> tuple[ChainRecord, ...]:
-        return tuple(ChainRecord(*row) for row in zip(*self.columns.values()))
+        values = (column.ravel().tolist() for column in self.columns.values())
+        return tuple(ChainRecord(*row) for row in zip(*values))
 
     def records_for(self, mode: ChainMode) -> tuple[ChainRecord, ...]:
         return tuple(r for r in self.records if r.mode == mode.value)
@@ -420,15 +421,14 @@ def monte_carlo_chains(
     neutral_log = arrays.prior + arrays.neutral_lr
     reported_log = arrays.prior + arrays.reported_lr
     ratio = np.exp(reported_log - neutral_log[:, None, :])
-    # .tolist() gives Python floats and bools: the CSV writer formats
-    # numpy scalars differently.  Modes and run ids are object arrays, so
-    # their rows share one str or int per value instead of one per row.
+    # Broadcast views: the CSV writer formats each stored value once, so a
+    # value repeated across modes or analysts is formatted once per run.
     shape = (n_runs, 2, k)
     columns = {
-        name: np.broadcast_to(values, shape).ravel().tolist()
+        name: np.broadcast_to(values, shape)
         for name, values in (
-            ("mode", np.array([mode.value for mode in _MODES], dtype=object)[:, None]),
-            ("run_id", np.arange(n_runs).astype(object)[:, None, None]),
+            ("mode", np.array([mode.value for mode in _MODES])[:, None]),
+            ("run_id", np.arange(n_runs)[:, None, None]),
             ("analyst_index", np.arange(1, k + 1)),
             ("neutral_odds", np.exp(neutral_log)[:, None, :]),
             ("reported_odds", np.exp(reported_log)),

@@ -11,6 +11,7 @@ never dilute.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .contextual import BiasFactor, Provenance
@@ -32,6 +33,8 @@ __all__ = [
     "bundle_from_chain",
     "case_report",
 ]
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -119,10 +122,23 @@ def bundle_from_chain(
 
 
 def case_report(bundle: EvidenceBundle, bias: StreamBias) -> dict:
-    """JSON-ready account of one case: inputs, both verdict odds, the gap."""
+    """JSON-ready account of one case: inputs, both verdict odds, the gap.
+
+    Raises OverflowError when a reported LR, either guilt odds or the
+    systemic ratio exceeds float range.
+    """
     neutral = neutral_guilt_odds(bundle)
     biased = biased_guilt_odds(bundle, bias)
     ratio = systemic_bias_ratio(bundle, bias)
+    reported = [lr.log_value + beta.log_value for lr, beta in zip(bundle.stream_lrs, bias.betas)]
+    for name, log_value in (
+        ("a reported LR", max(reported)),
+        ("the neutral guilt odds", neutral.log_value),
+        ("the biased guilt odds", biased.log_value),
+        ("the systemic bias ratio", ratio.log_value),
+    ):
+        if log_value > _LOG_FLOAT_MAX:
+            raise OverflowError(f"{name}: e**{log_value:.1f} exceeds float range")
     return {
         "pool_size": bundle.pool.n,
         "prior_odds": uniform_prior_odds(bundle.pool).linear,
@@ -132,9 +148,9 @@ def case_report(bundle: EvidenceBundle, bias: StreamBias) -> dict:
                 "stream": i + 1,
                 "neutral_lr": lr.linear,
                 "beta": beta.linear,
-                "reported_lr": math.exp(lr.log_value + beta.log_value),
+                "reported_lr": math.exp(log_lr),
             }
-            for i, (lr, beta) in enumerate(zip(bundle.stream_lrs, bias.betas))
+            for i, (lr, beta, log_lr) in enumerate(zip(bundle.stream_lrs, bias.betas, reported))
         ],
         "neutral_guilt_odds": neutral.linear,
         "biased_guilt_odds": biased.linear,

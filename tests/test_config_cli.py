@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+from forensic_bias import presets
 from forensic_bias.cli import main
 from forensic_bias.config import ConfigError, parse_config_text, parse_set_args
 from forensic_bias.outputs import sha256_file
@@ -325,22 +326,33 @@ class TestCli:
         for name in ("rows", "cols", "missing_share", "p_same", "p_diff"):
             assert f"{name}=" in err
 
-    def test_numeric_runtime_failure_exit_1_names_module(self, tmp_path, capsys):
-        code = main(
-            [
-                "run",
-                "--preset",
-                "trier",
-                "--seed",
-                "1",
-                "--set",
-                "stream_lrs=1e300,1e300,1e300",
-                "--set",
-                "betas=1,1,1",
-                "--out",
-                str(tmp_path / "x"),
-            ]
-        )
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            ("stream_lrs=1e200,1e200,1e200", "betas=1e200,1e200,1e200"),
+            ("stream_lrs=1e308,1e308,1e308",),
+            ("stream_lrs=1e300,1e300,1e300", "betas=1,1,1"),
+            ("stream_lrs=1e-300,1e-300,1", "betas=1e300,1e300,1"),
+            ("context_lr=1e308",),
+        ],
+        ids=["reported-lr", "reported-lr-at-beta-1.5", "guilt-odds", "systemic-ratio", "context"],
+    )
+    def test_trier_overflow_is_config_error(self, settings, tmp_path, capsys):
+        args = [arg for setting in settings for arg in ("--set", setting)]
+        code = main(["run", "--preset", "trier", "--seed", "1", *args, "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "float range" in err
+        for name in ("pool_n", "stream_lrs", "betas", "context_lr"):
+            assert f"{name}=" in err
+
+    def test_numeric_runtime_failure_exit_1_names_module(self, tmp_path, capsys, monkeypatch):
+        # A stand-in failure: this checks how the CLI reports one, not where it arises.
+        def overflowing_average():
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(presets, "mayfield_average", overflowing_average)
+        code = main(["run", "--preset", "mayfield", "--seed", "1", "--out", str(tmp_path / "x")])
         assert code == 1
         err = capsys.readouterr().err
         assert "error in forensic_bias." in err

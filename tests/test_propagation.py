@@ -337,7 +337,14 @@ class TestMonteCarlo:
     def test_columns_keyed_by_record_fields(self):
         study = monte_carlo_chains(3, master_seed=1, k=2)
         assert list(study.columns) == [f.name for f in fields(ChainRecord)]
-        assert all(len(column) == 3 * 2 * 2 for column in study.columns.values())
+        assert all(column.shape == (3, 2, 2) for column in study.columns.values())
+        rebuilt = tuple(
+            ChainRecord(*(column[run, mode, i].item() for column in study.columns.values()))
+            for run in range(3)
+            for mode in range(2)
+            for i in range(2)
+        )
+        assert study.records == rebuilt
 
     def test_mean_curves_separate(self):
         study = monte_carlo_chains(300, master_seed=42)
