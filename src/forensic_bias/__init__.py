@@ -5,9 +5,10 @@ reported likelihood ratio, how that tilt propagates along chains of
 analysts (independently or compounding), and how a trier of fact ends up
 with guilt odds inflated by exactly the product of the per-stream tilts.
 
-Everything random takes a numpy Generator; replicated experiments derive
-one substream per replicate from a master seed, so results are
-reproducible bit for bit and any replicate can be re-created alone.
+A function that draws once takes a numpy Generator; a replicated
+experiment takes a master seed and draws replicate i from
+substream(master_seed, i), so results are reproducible bit for bit and
+any replicate can be re-created alone.
 """
 
 from .odds import (
@@ -87,21 +88,15 @@ from .feedback import (
     simulate_feedback,
 )
 from .propagation import (
-    AnalystReport,
     BiasProfile,
     ChainMode,
-    ChainResult,
     PropagationStudy,
     monte_carlo_chains,
-    run_chain,
-    run_chain_pair,
-    tilde_peer_count,
 )
 from .trier import (
     EvidenceBundle,
     StreamBias,
     biased_guilt_odds,
-    bundle_from_chain,
     case_report,
     neutral_guilt_odds,
     systemic_bias_ratio,

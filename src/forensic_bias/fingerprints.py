@@ -34,7 +34,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .contextual import BiasFactor, Provenance
-from .odds import LikelihoodRatio, binomial_log_pmf
+from .odds import LOG_FLOAT_MAX, LikelihoodRatio, binomial_log_pmf
 
 __all__ = [
     "Cell",
@@ -443,7 +443,6 @@ class ImputationSimParams:
 
 # Replicates per block of uniforms; 1,024 raised a default run's peak RSS by 6%.
 _BLOCK_REPS = 256
-_LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
 
 def sample_delta_impute(
@@ -471,7 +470,7 @@ def sample_delta_impute(
         blocks = (rng.random((min(_BLOCK_REPS, n_reps - i), 3, n)) for i in range(0, n_reps, _BLOCK_REPS))
         counts = np.concatenate([np.count_nonzero(u[:, 2] < missing_share, axis=1) for u in blocks])
     log_draws = counts * math.log(params.model.p_same / params.model.p_diff)
-    if log_draws.max() > _LOG_FLOAT_MAX:
+    if log_draws.max() > LOG_FLOAT_MAX:
         raise OverflowError(f"the draw r**{counts.max()} = e**{log_draws.max():.1f} exceeds float range")
     return np.exp(log_draws)
 
@@ -485,7 +484,7 @@ def exact_mean_delta(params: ImputationSimParams, missing_share: float, mask_mod
         log_mean = _round_half_up(missing_share * n) * math.log(r)
     else:
         log_mean = n * math.log1p(missing_share * (r - 1.0))
-    if log_mean > _LOG_FLOAT_MAX:
+    if log_mean > LOG_FLOAT_MAX:
         raise OverflowError(f"the exact mean e**{log_mean:.1f} exceeds float range")
     return math.exp(log_mean)
 
@@ -517,7 +516,7 @@ def exact_delta_quantiles(
         counts = np.searchsorted(cdf, [0.025 - _CDF_SLACK, 0.5 - _CDF_SLACK, 0.975 - _CDF_SLACK])
     # The draws' own arithmetic, so a quantile the Monte Carlo hits is equal.
     log_quantiles = np.asarray(counts) * log_r
-    if log_quantiles.max() > _LOG_FLOAT_MAX:
+    if log_quantiles.max() > LOG_FLOAT_MAX:
         raise OverflowError(f"the exact quantile e**{log_quantiles.max():.1f} exceeds float range")
     q025, median, q975 = np.exp(log_quantiles).tolist()
     return q025, median, q975
@@ -541,7 +540,7 @@ def exact_relative_standard_error(
         return 0.0
     # log expm1(L) = L + log(1 - e**-L), finite for every L > 0.
     log_se = 0.5 * (log_ratio + math.log(-math.expm1(-log_ratio)) - math.log(n_reps))
-    return math.exp(log_se) if log_se <= _LOG_FLOAT_MAX else None
+    return math.exp(log_se) if log_se <= LOG_FLOAT_MAX else None
 
 
 def estimate_delta_impute(

@@ -10,6 +10,7 @@ converted to odds: every odds ratio in this package is finite and positive.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -28,7 +29,11 @@ __all__ = [
     "odds_to_probability",
     "compose_lr",
     "binomial_log_pmf",
+    "LOG_FLOAT_MAX",
 ]
+
+# The largest log value whose linear value is a finite float.
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def _require_finite(name: str, value: float) -> float:

@@ -46,7 +46,7 @@ from .fingerprints import (
     LatentVector,
     sample_delta_impute,
 )
-from .odds import LikelihoodRatio, OddsRatio, SuspectPool, posterior_odds, uniform_prior_odds
+from .odds import LOG_FLOAT_MAX, LikelihoodRatio, OddsRatio, SuspectPool, posterior_odds, uniform_prior_odds
 from .outputs import RunManifest, sha256_file, write_csv, write_json, write_manifest
 from .propagation import ChainMode, IndexSummary, monte_carlo_chains
 from .relevance import builtin_joint_names, classify_relevance, load_builtin_joint
@@ -180,6 +180,13 @@ def _run_race(params: dict, seed: int, out: Path) -> list[str]:
     neutral = posterior_odds(prior, lr_true)
     biased_present = OddsRatio(neutral.log_value + delta_present.log_value)
     biased_absent = OddsRatio(neutral.log_value + delta_absent.log_value)
+    biased_log = max(biased_present.log_value, biased_absent.log_value)
+    if biased_log > LOG_FLOAT_MAX:
+        named = ", ".join(f"{k}={params[k]!r}" for k in ("trait_prob", "pool_n", "lr_true"))
+        raise ConfigError(
+            f"the biased posterior odds: e**{biased_log:.1f} exceeds float range at {named}; "
+            "use a smaller lr_true or a larger pool_n"
+        )
     write_json(
         out / "report.json",
         {

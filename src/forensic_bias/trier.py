@@ -11,18 +11,17 @@ never dilute.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .contextual import BiasFactor, Provenance
 from .odds import (
+    LOG_FLOAT_MAX,
     LikelihoodRatio,
     OddsRatio,
     SuspectPool,
     odds_to_probability,
     uniform_prior_odds,
 )
-from .propagation import ChainResult
 
 __all__ = [
     "EvidenceBundle",
@@ -30,11 +29,8 @@ __all__ = [
     "neutral_guilt_odds",
     "biased_guilt_odds",
     "systemic_bias_ratio",
-    "bundle_from_chain",
     "case_report",
 ]
-
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -108,19 +104,6 @@ def systemic_bias_ratio(bundle: EvidenceBundle, bias: StreamBias) -> BiasFactor:
     return BiasFactor(ratio, Provenance.COMPOSITE)
 
 
-def bundle_from_chain(
-    chain: ChainResult, context_lr: LikelihoodRatio = LikelihoodRatio(0.0)
-) -> tuple[EvidenceBundle, StreamBias]:
-    """Treat each chain analyst as one expert stream before the trier."""
-    bundle = EvidenceBundle(
-        pool=chain.pool,
-        stream_lrs=tuple(r.neutral_lr for r in chain.reports),
-        context_lr=context_lr,
-    )
-    bias = StreamBias(tuple(r.ledger.total for r in chain.reports))
-    return bundle, bias
-
-
 def case_report(bundle: EvidenceBundle, bias: StreamBias) -> dict:
     """JSON-ready account of one case: inputs, both verdict odds, the gap.
 
@@ -137,7 +120,7 @@ def case_report(bundle: EvidenceBundle, bias: StreamBias) -> dict:
         ("the biased guilt odds", biased.log_value),
         ("the systemic bias ratio", ratio.log_value),
     ):
-        if log_value > _LOG_FLOAT_MAX:
+        if log_value > LOG_FLOAT_MAX:
             raise OverflowError(f"{name}: e**{log_value:.1f} exceeds float range")
     return {
         "pool_size": bundle.pool.n,

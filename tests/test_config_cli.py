@@ -346,6 +346,16 @@ class TestCli:
         for name in ("pool_n", "stream_lrs", "betas", "context_lr"):
             assert f"{name}=" in err
 
+    def test_race_overflow_is_config_error(self, tmp_path, capsys):
+        # Even prior odds and a doubled trait tilt put 1e308 past float range.
+        args = ["--set", "pool_n=1", "--set", "lr_true=1e308", "--out", str(tmp_path / "x")]
+        code = main(["run", "--preset", "race", "--seed", "1", *args])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "float range" in err
+        for name in ("trait_prob", "pool_n", "lr_true"):
+            assert f"{name}=" in err
+
     def test_numeric_runtime_failure_exit_1_names_module(self, tmp_path, capsys, monkeypatch):
         # A stand-in failure: this checks how the CLI reports one, not where it arises.
         def overflowing_average():

@@ -1,7 +1,5 @@
 """Cascade vs snowball chains and their replicated comparison."""
 
-from dataclasses import astuple, fields
-
 import numpy as np
 import pytest
 
@@ -21,18 +19,36 @@ from forensic_bias.odds import (
     posterior_odds,
     uniform_prior_odds,
 )
-from forensic_bias.propagation import (
-    BiasProfile,
-    ChainMode,
-    ChainRecord,
-    monte_carlo_chains,
-    run_chain,
-    run_chain_pair,
-    tilde_peer_count,
-)
+from forensic_bias.propagation import BiasProfile, ChainMode, monte_carlo_chains
 from forensic_bias.seeding import substream
 
 TOL = 1e-12
+HEADER = [
+    "mode",
+    "run_id",
+    "analyst_index",
+    "neutral_odds",
+    "reported_odds",
+    "bias_ratio",
+    "trait",
+    "missing_share",
+]
+LIVE_TERMS = ("impute", "context", "tilde_peer")
+UNIT_TERMS = ("peer", "tilde_impute", "tilde_context")
+CASCADE, SNOWBALL = 0, 1  # the mode axis, in ChainMode order
+
+
+def _rows(study):
+    """The results.csv rows as tuples of Python values, run outermost."""
+    return list(zip(*(column.ravel().tolist() for column in study.columns.values())))
+
+
+def _total_log(study):
+    """Each report's ledger total: the sum of its live log terms, in order."""
+    total = 0.0
+    for name in LIVE_TERMS:
+        total = total + study.log_terms[name]
+    return total
 
 
 def _oracle_chain(
@@ -50,7 +66,7 @@ def _oracle_chain(
     """Reference: one paired chain, one report and one ledger entry at a time.
 
     Returns (trait, {mode: [(missing share, neutral odds, reported odds,
-    bias ratio, ledger log-values)] per report}).
+    bias ratio, {ledger label: log-value})] per report}).
     """
     if profile is None:
         profile = BiasProfile.standard(trait_prob)
@@ -99,7 +115,7 @@ def _oracle_chain(
                     float(np.exp(neutral.log_value)),
                     float(np.exp(reported.log_value)),
                     float(np.exp(reported.log_value - neutral.log_value)),
-                    tuple(e.factor.log_value for e in ledger.entries),
+                    {e.label: e.factor.log_value for e in ledger.entries},
                 )
             )
             if peer_history == "contribution":
@@ -118,6 +134,13 @@ ORACLE_CASES = {
     "k1": {"k": 1},
     "k12-pool1": {"k": 12, "pool": SuspectPool(1)},
     "unbiased": {"profile": BiasProfile.unbiased()},
+    # log(0.5) + log(2.0) == 0.0 exactly: every mismatching report sits on
+    # the supportive threshold, so `>=` against `>` shows.
+    "tie": {
+        "model": CellAgreementModel(0.75, 0.5),
+        "missing_share": 1.0,
+        "profile": BiasProfile(1.0, 0.0, None, 1.0),
+    },
 }
 
 
@@ -128,8 +151,8 @@ class TestKernelMatchesScalarOracle:
         kwargs = ORACLE_CASES[case]
         n_runs = 80
         study = monte_carlo_chains(n_runs, master_seed=seed, **kwargs)
-        records = study.records
-        per_run = len(records) // n_runs
+        rows = _rows(study)
+        per_run = len(rows) // n_runs
         for run_id in range(n_runs):
             trait, oracle = _oracle_chain(substream(seed, run_id), **kwargs)
             expected = [
@@ -137,46 +160,22 @@ class TestKernelMatchesScalarOracle:
                 for mode in ChainMode
                 for j, (share, neutral, reported, ratio, _) in enumerate(oracle[mode], start=1)
             ]
-            got = [astuple(r) for r in records[run_id * per_run : (run_id + 1) * per_run]]
+            got = rows[run_id * per_run : (run_id + 1) * per_run]
             assert got == expected
 
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
     def test_chain_ledgers_bit_equal(self, case, seed):
         kwargs = ORACLE_CASES[case]
+        study = monte_carlo_chains(20, master_seed=seed, **kwargs)
+        assert tuple(study.log_terms) == LIVE_TERMS
         for run_id in range(20):
-            pair = run_chain_pair(rng=substream(seed, run_id), **kwargs)
-            trait, oracle = _oracle_chain(substream(seed, run_id), **kwargs)
-            for chain in pair:
-                assert chain.trait == trait
-                got = [
-                    (
-                        r.missing_share,
-                        float(np.exp(r.neutral_odds.log_value)),
-                        float(np.exp(r.reported_odds.log_value)),
-                        r.bias_ratio,
-                        tuple(e.factor.log_value for e in r.ledger.entries),
-                    )
-                    for r in chain.reports
-                ]
-                assert got == oracle[chain.mode]
-
-
-class TestTildePeer:
-    def test_empty_history_is_unit(self):
-        assert tilde_peer_count(()).linear == 1.0
-
-    def test_counts_supportive_reports(self):
-        history = tuple(OddsRatio.from_linear(v) for v in (2.0, 0.5, 3.0))
-        assert tilde_peer_count(history).linear == pytest.approx(3.0, abs=TOL)
-
-    def test_even_odds_count_as_supportive(self):
-        history = (OddsRatio.from_linear(1.0),)
-        assert tilde_peer_count(history).linear == pytest.approx(2.0, abs=TOL)
-
-    def test_all_supportive(self):
-        history = tuple(OddsRatio.from_linear(v) for v in (1.5, 2.0, 9.0, 1.0, 4.0))
-        assert tilde_peer_count(history).linear == pytest.approx(6.0, abs=TOL)
+            _, oracle = _oracle_chain(substream(seed, run_id), **kwargs)
+            for m, mode in enumerate(ChainMode):
+                for j, (*_, ledger) in enumerate(oracle[mode]):
+                    assert all(ledger[name] == 0.0 for name in UNIT_TERMS)
+                    got = tuple(float(study.log_terms[name][run_id, m, j]) for name in LIVE_TERMS)
+                    assert got == tuple(ledger[name] for name in LIVE_TERMS)
 
 
 class TestProfile:
@@ -189,17 +188,23 @@ class TestProfile:
         assert profile.context(False).linear == pytest.approx(
             race_example_delta(0.15, False).linear, abs=TOL
         )
-        chain = run_chain(ChainMode.SNOWBALL, rng=substream(13))
-        assert all(r.ledger["peer"].log_value == 0.0 for r in chain.reports)
+        # The direct terms are the same in both modes; peer is no live term.
+        study = monte_carlo_chains(1, master_seed=13)
+        assert not set(UNIT_TERMS) & set(study.log_terms)
+        for name in ("impute", "context"):
+            cascade, snowball = study.log_terms[name][0]
+            assert cascade.tolist() == snowball.tolist()
 
     def test_standard_history_terms(self):
         profile = BiasProfile.standard(0.15)
         supportive = sum(1 for v in (2.0, 3.0) if OddsRatio.from_linear(v).log_value >= 0.0)
         assert profile.tilde_peer(supportive) == pytest.approx(3.0, abs=TOL)
-        chain = run_chain(ChainMode.SNOWBALL, rng=substream(14))
-        for r in chain.reports:
-            assert r.ledger["tilde_impute"].log_value == 0.0
-            assert r.ledger["tilde_context"].log_value == 0.0
+        # Only the conformity count is a live history term, and only in snowball.
+        study = monte_carlo_chains(1, master_seed=14)
+        assert not set(UNIT_TERMS) & set(study.log_terms)
+        tilde_peer = study.log_terms["tilde_peer"][0]
+        assert tilde_peer[CASCADE].tolist() == [0.0] * 5
+        assert tilde_peer[SNOWBALL, 0] == 0.0
 
     def test_coefficients_validated(self):
         with pytest.raises(ValueError):
@@ -220,131 +225,119 @@ class TestProfile:
 
 
 class TestRunChain:
+    """Single paired chains, each a run of a study."""
+
     def test_report_shape(self):
-        chain = run_chain(ChainMode.SNOWBALL, rng=substream(1))
-        assert len(chain.reports) == 5
-        assert [r.index for r in chain.reports] == [1, 2, 3, 4, 5]
-        for r in chain.reports:
-            assert r.ledger.labels == (
-                "impute",
-                "context",
-                "peer",
-                "tilde_impute",
-                "tilde_context",
-                "tilde_peer",
-            )
+        study = monte_carlo_chains(1, master_seed=1)
+        assert all(column.shape == (1, 2, 5) for column in study.columns.values())
+        assert study.columns["analyst_index"][0, SNOWBALL].tolist() == [1, 2, 3, 4, 5]
+        assert tuple(study.log_terms) == LIVE_TERMS
+        assert all(term.shape == (1, 2, 5) for term in study.log_terms.values())
 
     def test_unbiased_profile_reports_neutral(self):
-        chain = run_chain(
-            ChainMode.SNOWBALL, profile=BiasProfile.unbiased(), rng=substream(2)
-        )
-        for r in chain.reports:
-            assert r.reported_odds == r.neutral_odds
-            assert r.bias_ratio == pytest.approx(1.0, abs=TOL)
+        study = monte_carlo_chains(1, master_seed=2, profile=BiasProfile.unbiased())
+        columns = study.columns
+        assert np.array_equal(columns["reported_odds"], columns["neutral_odds"])
+        assert np.allclose(columns["bias_ratio"], 1.0, rtol=0.0, atol=TOL)
+        assert all(not term.any() for term in study.log_terms.values())
 
     def test_ledger_soundness(self):
-        _, chain = run_chain_pair(rng=substream(3))
-        for r in chain.reports:
-            gap = (r.reported_lr.log_value - r.neutral_lr.log_value) - r.ledger.total_log
-            assert abs(gap) <= 1e-10
+        study = monte_carlo_chains(1, master_seed=3)
+        columns = study.columns
+        gap = np.log(columns["reported_odds"]) - np.log(columns["neutral_odds"]) - _total_log(study)
+        assert np.abs(gap).max() <= 1e-10
 
     def test_counterfactual_removal(self):
-        _, chain = run_chain_pair(rng=substream(4))
-        r = chain.reports[-1]
-        without_peer = r.ledger.without("tilde_peer").total_log
-        explained = r.ledger.total_log - r.ledger["tilde_peer"].log_value
-        assert without_peer == pytest.approx(explained, abs=TOL)
+        # Removing the conformity term from a snowball report leaves exactly
+        # the cascade report of the same chain.
+        study = monte_carlo_chains(1, master_seed=4)
+        total = _total_log(study)[0]
+        without_peer = total[SNOWBALL] - study.log_terms["tilde_peer"][0, SNOWBALL]
+        assert without_peer == pytest.approx(total[CASCADE], abs=TOL)
+        assert np.allclose(np.log(study.columns["bias_ratio"][0, CASCADE]), without_peer, atol=1e-10)
 
     def test_deflation_when_trait_absent_and_nothing_missing(self):
         # With no missing cells and no trait, the only active tilt is the
         # context term below one: every cascade report is deflated.
         expected = race_example_delta(0.15, False).linear
-        for i in range(40):
-            chain = run_chain(
-                ChainMode.CASCADE, missing_share=0.0, rng=substream(5, i)
-            )
-            if not chain.trait:
-                for r in chain.reports:
-                    assert r.bias_ratio == pytest.approx(expected, abs=1e-12)
-                break
-        else:
-            pytest.fail("no trait-absent chain in 40 seeds")
+        study = monte_carlo_chains(40, master_seed=5, missing_share=0.0)
+        absent = ~study.columns["trait"][:, CASCADE, 0]
+        assert absent.any(), "no trait-absent chain in 40 seeds"
+        ratios = study.columns["bias_ratio"][absent, CASCADE]
+        assert np.allclose(ratios, expected, rtol=0.0, atol=1e-12)
 
     def test_pair_sharing_draws(self):
-        cascade, snowball = run_chain_pair(rng=substream(6))
-        assert cascade.trait == snowball.trait
-        for a, b in zip(cascade.reports, snowball.reports):
-            assert a.match == b.match
-            assert a.missing_share == b.missing_share
-            assert a.neutral_odds == b.neutral_odds
+        study = monte_carlo_chains(1, master_seed=6)
+        for name in ("trait", "missing_share", "neutral_odds"):
+            cascade, snowball = study.columns[name][0]
+            assert cascade.tolist() == snowball.tolist()
 
     def test_k1_pair_bit_identical(self):
-        for i in range(100):
-            cascade, snowball = run_chain_pair(k=1, rng=substream(7, i))
-            assert cascade.reports[0].reported_odds == snowball.reports[0].reported_odds
-            assert cascade.reports[0].ledger == snowball.reports[0].ledger
+        study = monte_carlo_chains(100, master_seed=7, k=1)
+        reported = study.columns["reported_odds"]
+        assert reported[:, CASCADE].tolist() == reported[:, SNOWBALL].tolist()
+        for name, term in study.log_terms.items():
+            assert term[:, CASCADE].tolist() == term[:, SNOWBALL].tolist(), name
 
     def test_snowball_dominates_cascade_pointwise(self):
-        for i in range(60):
-            cascade, snowball = run_chain_pair(rng=substream(8, i))
-            for a, b in zip(cascade.reports, snowball.reports):
-                assert b.bias_ratio >= a.bias_ratio - TOL
+        ratio = monte_carlo_chains(60, master_seed=8).columns["bias_ratio"]
+        assert (ratio[:, SNOWBALL] >= ratio[:, CASCADE] - TOL).all()
 
     def test_posterior_history_collapses_snowball(self):
         # Raw posterior odds under a 1/10 prior never clear 1 here, so the
         # conformity count stays zero and the modes coincide.
-        for i in range(20):
-            cascade, snowball = run_chain_pair(
-                peer_history="posterior", rng=substream(9, i)
-            )
-            for a, b in zip(cascade.reports, snowball.reports):
-                assert a.reported_odds == b.reported_odds
+        study = monte_carlo_chains(20, master_seed=9, peer_history="posterior")
+        reported = study.columns["reported_odds"]
+        assert reported[:, CASCADE].tolist() == reported[:, SNOWBALL].tolist()
 
     def test_fixed_missing_share_applied(self):
-        chain = run_chain(ChainMode.CASCADE, missing_share=0.2, rng=substream(10))
-        assert all(r.missing_share == 0.2 for r in chain.reports)
+        study = monte_carlo_chains(1, master_seed=10, missing_share=0.2)
+        assert (study.columns["missing_share"] == 0.2).all()
 
     def test_random_missing_share_below_half(self):
-        chain = run_chain(ChainMode.CASCADE, rng=substream(11))
-        assert all(0.0 <= r.missing_share < 0.5 for r in chain.reports)
+        shares = monte_carlo_chains(1, master_seed=11).columns["missing_share"]
+        assert ((0.0 <= shares) & (shares < 0.5)).all()
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            run_chain(ChainMode.CASCADE, k=0, rng=substream(12))
-        with pytest.raises(ValueError):
-            run_chain(ChainMode.CASCADE, trait_prob=1.5, rng=substream(12))
-        with pytest.raises(ValueError):
-            run_chain(ChainMode.CASCADE, missing_share=2.0, rng=substream(12))
-        with pytest.raises(ValueError):
-            run_chain(ChainMode.CASCADE, peer_history="gossip", rng=substream(12))
+        for bad in (
+            {"k": 0},
+            {"trait_prob": 1.5},
+            {"missing_share": 2.0},
+            {"peer_history": "gossip"},
+        ):
+            with pytest.raises(ValueError):
+                monte_carlo_chains(1, master_seed=12, **bad)
 
 
 class TestMonteCarlo:
     def test_single_run_matches_pair(self):
+        # A one-run study is the paired chain drawn from substream(99, 0),
+        # and the same chain is run 0 of a larger study.
         study = monte_carlo_chains(1, master_seed=99)
-        cascade, snowball = run_chain_pair(rng=substream(99, 0))
-        cas_records = study.records_for(ChainMode.CASCADE)
-        assert [r.bias_ratio for r in cas_records] == [r.bias_ratio for r in cascade.reports]
-        snow_records = study.records_for(ChainMode.SNOWBALL)
-        assert [r.bias_ratio for r in snow_records] == [r.bias_ratio for r in snowball.reports]
+        _, oracle = _oracle_chain(substream(99, 0))
+        ratio = study.columns["bias_ratio"][0]
+        assert ratio[CASCADE].tolist() == [r[3] for r in oracle[ChainMode.CASCADE]]
+        assert ratio[SNOWBALL].tolist() == [r[3] for r in oracle[ChainMode.SNOWBALL]]
+        assert _rows(study) == _rows(monte_carlo_chains(4, master_seed=99))[:10]
 
     def test_record_layout(self):
-        study = monte_carlo_chains(8, master_seed=1)
-        assert len(study.records) == 8 * 5 * 2
-        assert {r.mode for r in study.records} == {"cascade", "snowball"}
-        assert {r.run_id for r in study.records} == set(range(8))
+        rows = _rows(monte_carlo_chains(8, master_seed=1))
+        assert len(rows) == 8 * 5 * 2
+        assert {row[0] for row in rows} == {"cascade", "snowball"}
+        assert {row[1] for row in rows} == set(range(8))
 
     def test_columns_keyed_by_record_fields(self):
         study = monte_carlo_chains(3, master_seed=1, k=2)
-        assert list(study.columns) == [f.name for f in fields(ChainRecord)]
+        assert list(study.columns) == HEADER
         assert all(column.shape == (3, 2, 2) for column in study.columns.values())
-        rebuilt = tuple(
-            ChainRecord(*(column[run, mode, i].item() for column in study.columns.values()))
+        rebuilt = [
+            tuple(column[run, mode, i].item() for column in study.columns.values())
             for run in range(3)
             for mode in range(2)
             for i in range(2)
-        )
-        assert study.records == rebuilt
+        ]
+        assert _rows(study) == rebuilt
+        assert [row[0] for row in rebuilt[:4]] == ["cascade"] * 2 + ["snowball"] * 2
 
     def test_mean_curves_separate(self):
         study = monte_carlo_chains(300, master_seed=42)

@@ -7,13 +7,11 @@ import pytest
 
 from forensic_bias.contextual import BiasFactor, Provenance
 from forensic_bias.odds import LikelihoodRatio, SuspectPool, uniform_prior_odds
-from forensic_bias.propagation import ChainMode, run_chain
-from forensic_bias.seeding import substream
+from forensic_bias.propagation import monte_carlo_chains
 from forensic_bias.trier import (
     EvidenceBundle,
     StreamBias,
     biased_guilt_odds,
-    bundle_from_chain,
     case_report,
     neutral_guilt_odds,
     systemic_bias_ratio,
@@ -119,23 +117,35 @@ class TestSystemicRatio:
             assert tilted >= neutral - TOL
 
 
+def _snowball_handoff(seed):
+    """A one-run chain study and its snowball analysts as the trier's streams."""
+    study = monte_carlo_chains(1, master_seed=seed)
+    prior = uniform_prior_odds(SuspectPool(10)).log_value
+    row = {name: column[0, 1] for name, column in study.columns.items()}
+    bundle = EvidenceBundle(
+        pool=SuspectPool(10),
+        stream_lrs=tuple(LikelihoodRatio(v - prior) for v in np.log(row["neutral_odds"]).tolist()),
+    )
+    return study, row, bundle, _bias(row["bias_ratio"].tolist())
+
+
 class TestChainHandoff:
     def test_bundle_reproduces_chain_totals(self):
-        chain = run_chain(ChainMode.SNOWBALL, rng=substream(61))
-        bundle, bias = bundle_from_chain(chain)
+        _, row, bundle, bias = _snowball_handoff(61)
         assert bundle.n_streams == 5
-        expected = uniform_prior_odds(chain.pool).log_value + sum(
-            r.reported_lr.log_value for r in chain.reports
-        )
+        prior = uniform_prior_odds(bundle.pool).log_value
+        expected = prior + sum(v - prior for v in np.log(row["reported_odds"]).tolist())
         got = biased_guilt_odds(bundle, bias).log_value
         assert abs(got - expected) <= 1e-10
 
     def test_systemic_ratio_is_product_of_ledger_totals(self):
-        chain = run_chain(ChainMode.SNOWBALL, rng=substream(67))
-        bundle, bias = bundle_from_chain(chain)
+        # The guilt odds come out exactly prod(bias_ratio) too large, and
+        # that product is the sum of every analyst's live log terms.
+        study, row, bundle, bias = _snowball_handoff(67)
         ratio = systemic_bias_ratio(bundle, bias).log_value
-        expected = sum(r.ledger.total_log for r in chain.reports)
-        assert abs(ratio - expected) <= 1e-10
+        assert abs(ratio - math.log(math.prod(row["bias_ratio"].tolist()))) <= 1e-10
+        terms = sum(term[0, 1].sum() for term in study.log_terms.values())
+        assert abs(ratio - terms) <= 1e-10
 
 
 class TestCaseReport:
