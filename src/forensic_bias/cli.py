@@ -105,11 +105,9 @@ def _runtime_error_module(exc: BaseException) -> str:
 def _cmd_run(args: argparse.Namespace) -> int:
     overrides = _load_overrides(args.config, args.set_args)
     overrides.pop("preset", None)  # allowed in files for `validate`; run takes --preset
-    preset_name = args.preset
-    get_preset(preset_name)  # fail fast with the available names
     try:
         manifest = run_preset(
-            preset_name,
+            args.preset,
             args.seed,
             overrides,
             out_dir=args.out,

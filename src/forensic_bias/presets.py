@@ -1,20 +1,24 @@
 """Named experiments behind the command-line harness.
 
-Each preset pairs a typed parameter schema with a runner that writes its
-artifacts into an output directory and returns their filenames.  The
-orchestrator resolves parameters (defaults plus validated overrides),
-runs the preset, and writes a manifest recording the preset name, seed,
-fully resolved parameters, and a sha256 checksum per artifact.  Every
-preset runs in one thread; the thread count that run_preset accepts is
-only validated, kept for callers that pass it, and never reaches a
-runner or the manifest.
+Each preset pairs a typed parameter schema with a runner, a pure function
+(params, seed) -> {file name: content} that touches no file.  A ".csv"
+artifact's content is a {header: column} mapping, a ".json" one's a
+JSON-ready object, and any other's its text.  run_preset is the only
+writer: it resolves parameters (defaults plus validated overrides),
+creates the output directory, runs the preset, writes each artifact by
+its extension, and writes the manifest last, recording the preset name,
+seed, fully resolved parameters, and a sha256 checksum per artifact.
+A rerun removes the old manifest before its first write, so a run
+that fails midway leaves no manifest.  Every preset runs in one thread;
+the thread count that run_preset accepts is only validated, kept for
+callers that pass it, and never reaches a runner or the manifest.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from importlib import metadata
 from pathlib import Path
 from typing import Callable, Mapping
@@ -47,8 +51,8 @@ from .fingerprints import (
     sample_delta_impute,
 )
 from .odds import LOG_FLOAT_MAX, LikelihoodRatio, OddsRatio, SuspectPool, posterior_odds, uniform_prior_odds
-from .outputs import RunManifest, sha256_file, write_csv, write_json, write_manifest
-from .propagation import ChainMode, IndexSummary, monte_carlo_chains
+from .outputs import MANIFEST_NAME, RunManifest, sha256_file, write_csv, write_json, write_manifest
+from .propagation import ChainMode, monte_carlo_chains
 from .relevance import builtin_joint_names, classify_relevance, load_builtin_joint
 from .seeding import substream, validate_seed
 from .trier import EvidenceBundle, StreamBias, case_report
@@ -61,7 +65,7 @@ except metadata.PackageNotFoundError:  # running from a source tree
     TOOL_VERSION = "0+unknown"
 
 
-Runner = Callable[[dict, int, Path], list[str]]
+Runner = Callable[[dict, int], dict[str, object]]
 
 
 @dataclass(frozen=True)
@@ -138,23 +142,18 @@ _MAYFIELD_SCHEMA = PresetSchema(
 )
 
 
-def _run_mayfield(params: dict, seed: int, out: Path) -> list[str]:
+def _run_mayfield(params: dict, seed: int) -> dict[str, object]:
     factors = tuple(
         BiasFactor.from_linear(d, Provenance.CONTEXTUAL) for d in MAYFIELD_DELTAS
     )
-    write_csv(
-        out / "panel.csv",
-        {"examiner": range(1, len(MAYFIELD_DELTAS) + 1), "delta": MAYFIELD_DELTAS},
-    )
-    write_json(
-        out / "report.json",
-        {
+    return {
+        "panel.csv": {"examiner": range(1, len(MAYFIELD_DELTAS) + 1), "delta": MAYFIELD_DELTAS},
+        "report.json": {
             "panel_deltas": list(MAYFIELD_DELTAS),
             "average_delta": mayfield_average().linear,
             "geometric_average_delta": average_bias(factors, geometric=True).linear,
         },
-    )
-    return ["panel.csv", "report.json"]
+    }
 
 
 # -------------------------------------------------------------------- race
@@ -170,7 +169,7 @@ _RACE_SCHEMA = PresetSchema(
 )
 
 
-def _run_race(params: dict, seed: int, out: Path) -> list[str]:
+def _run_race(params: dict, seed: int) -> dict[str, object]:
     p = params["trait_prob"]
     pool = SuspectPool(params["pool_n"])
     lr_true = LikelihoodRatio.from_linear(params["lr_true"])
@@ -187,9 +186,8 @@ def _run_race(params: dict, seed: int, out: Path) -> list[str]:
             f"the biased posterior odds: e**{biased_log:.1f} exceeds float range at {named}; "
             "use a smaller lr_true or a larger pool_n"
         )
-    write_json(
-        out / "report.json",
-        {
+    return {
+        "report.json": {
             "trait_prob": p,
             "delta_present": delta_present.linear,
             "delta_absent": delta_absent.linear,
@@ -199,8 +197,7 @@ def _run_race(params: dict, seed: int, out: Path) -> list[str]:
             "biased_posterior_odds_present": biased_present.linear,
             "biased_posterior_odds_absent": biased_absent.linear,
         },
-    )
-    return ["report.json"]
+    }
 
 
 # --------------------------------------------------------------- relevance
@@ -214,7 +211,7 @@ _RELEVANCE_SCHEMA = PresetSchema(
 )
 
 
-def _run_relevance(params: dict, seed: int, out: Path) -> list[str]:
+def _run_relevance(params: dict, seed: int) -> dict[str, object]:
     detail = {}
     for name in builtin_joint_names():
         joint, roles = load_builtin_joint(name)
@@ -229,9 +226,10 @@ def _run_relevance(params: dict, seed: int, out: Path) -> list[str]:
             "verdict": verdict.verdict.value,
             "max_discrepancy": verdict.max_discrepancy,
         }
-    write_csv(out / "verdicts.csv", _detail_columns("fixture", detail))
-    write_json(out / "report.json", {"tolerance": params["tolerance"], "fixtures": detail})
-    return ["verdicts.csv", "report.json"]
+    return {
+        "verdicts.csv": _detail_columns("fixture", detail),
+        "report.json": {"tolerance": params["tolerance"], "fixtures": detail},
+    }
 
 
 # --------------------------------------------------------- imputation-table
@@ -246,7 +244,7 @@ _TABLE_Y = MinutiaVector.from_text(".m.mm.")
 _TABLE_LATENT = LatentVector.from_text("??.?m.")
 
 
-def _run_imputation_table(params: dict, seed: int, out: Path) -> list[str]:
+def _run_imputation_table(params: dict, seed: int) -> dict[str, object]:
     imputed = impute_from_reference(_TABLE_LATENT, _TABLE_X)
     assert isinstance(imputed, MinutiaVector)
     detail = {}
@@ -259,11 +257,10 @@ def _run_imputation_table(params: dict, seed: int, out: Path) -> list[str]:
             "n_missing": summary.n_missing,
             "decision": decide_source(summary).value,
         }
-    write_csv(out / "tables.csv", _detail_columns("print", detail))
+    tables = _detail_columns("print", detail)
     detail["exemplar"] = {"cells": "".join(c.value for c in _TABLE_X.cells)}
     detail["delta_impute"] = delta_impute_exact(_TABLE_LATENT, _TABLE_X).linear
-    write_json(out / "report.json", detail)
-    return ["tables.csv", "report.json"]
+    return {"tables.csv": tables, "report.json": detail}
 
 
 # ---------------------------------------------------------- imputation-grid
@@ -274,20 +271,14 @@ _GRID_SCHEMA = PresetSchema(
 )
 
 
-def _run_imputation_grid(params: dict, seed: int, out: Path) -> list[str]:
+def _run_imputation_grid(params: dict, seed: int) -> dict[str, object]:
     fixture = imputation_grid_fixture()
-    names = []
-    for name, grid in (
-        ("exemplar_x.txt", fixture.exemplar),
-        ("true_y.txt", fixture.true_mark),
-        ("observed_y.txt", fixture.observed),
-        ("imputed_y.txt", fixture.imputed),
-    ):
-        (out / name).write_text(grid.to_text() + "\n", encoding="utf-8")
-        names.append(name)
-    write_json(
-        out / "report.json",
-        {
+    return {
+        "exemplar_x.txt": fixture.exemplar.to_text() + "\n",
+        "true_y.txt": fixture.true_mark.to_text() + "\n",
+        "observed_y.txt": fixture.observed.to_text() + "\n",
+        "imputed_y.txt": fixture.imputed.to_text() + "\n",
+        "report.json": {
             "true_matches": fixture.true_summary.n_matches,
             "observed_matches": fixture.observed_summary.n_matches,
             "imputed_matches": fixture.imputed_summary.n_matches,
@@ -296,8 +287,7 @@ def _run_imputation_grid(params: dict, seed: int, out: Path) -> list[str]:
             "imputed_decision": fixture.imputed_decision.value,
             "decision_flipped": fixture.observed_decision is not fixture.imputed_decision,
         },
-    )
-    return names + ["report.json"]
+    }
 
 
 # ------------------------------------------------------------- delta-impute
@@ -319,15 +309,15 @@ _DELTA_SCHEMA = PresetSchema(
 )
 
 
-def _agreement_model(params: Mapping[str, object]) -> CellAgreementModel:
+def _agreement_model(p_same: float, p_diff: float) -> CellAgreementModel:
     try:
-        return CellAgreementModel(params["p_same"], params["p_diff"])
+        return CellAgreementModel(p_same, p_diff)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _run_delta_impute(params: dict, seed: int, out: Path) -> list[str]:
-    model = _agreement_model(params)
+def _run_delta_impute(params: dict, seed: int) -> dict[str, object]:
+    model = _agreement_model(params["p_same"], params["p_diff"])
     try:
         sim = ImputationSimParams(
             rows=params["rows"],
@@ -359,9 +349,8 @@ def _run_delta_impute(params: dict, seed: int, out: Path) -> list[str]:
     scaled = draws / top
     n_reps = params["n_reps"]
     se = top * float(scaled.std(ddof=1)) / math.sqrt(n_reps) if n_reps > 1 else None
-    write_json(
-        out / "estimate.json",
-        {
+    return {
+        "estimate.json": {
             "mean_delta": top * float(scaled.mean()),
             "exact_mean_delta": exact_mean,
             "mc_standard_error": se,
@@ -380,8 +369,7 @@ def _run_delta_impute(params: dict, seed: int, out: Path) -> list[str]:
             "p_same": model.p_same,
             "p_diff": model.p_diff,
         },
-    )
-    return ["estimate.json"]
+    }
 
 
 # ----------------------------------------------------------------- feedback
@@ -401,7 +389,7 @@ _FEEDBACK_SCHEMA = PresetSchema(
 )
 
 
-def _run_feedback(params: dict, seed: int, out: Path) -> list[str]:
+def _run_feedback(params: dict, seed: int) -> dict[str, object]:
     prior = BetaPrior(params["prior_a"], params["prior_b"])
     biased_regime = FeedbackRegime.biased(params["wrongful_rate"], params["trait_skew"])
     truthful_regime = FeedbackRegime.truthful()
@@ -412,15 +400,12 @@ def _run_feedback(params: dict, seed: int, out: Path) -> list[str]:
         simulate_feedback(regime, params["alpha_true"], n_obs, prior, rng=substream(seed, 0))
         for regime in (truthful_regime, biased_regime)
     )
-    write_csv(
-        out / "trajectory.csv",
-        {
-            "step": np.broadcast_to(np.arange(1, n_obs + 1), (2, n_obs)),
-            "posterior_mean": truthful.posterior_means + biased.posterior_means,
-            "regime": np.broadcast_to(np.array(["truthful", "biased"])[:, None], (2, n_obs)),
-            "seed": np.broadcast_to(0, 2 * n_obs),
-        },
-    )
+    trajectory = {
+        "step": np.broadcast_to(np.arange(1, n_obs + 1), (2, n_obs)),
+        "posterior_mean": truthful.posterior_means + biased.posterior_means,
+        "regime": np.broadcast_to(np.array(["truthful", "biased"])[:, None], (2, n_obs)),
+        "seed": np.broadcast_to(0, 2 * n_obs),
+    }
 
     with warnings.catch_warnings():
         # The illustrative biased trajectory has already warned if the
@@ -437,19 +422,16 @@ def _run_feedback(params: dict, seed: int, out: Path) -> list[str]:
         )
         exact_truthful = exact_final_mean_and_gap(truthful_regime, params["alpha_true"], n_obs, prior)
         exact_biased = exact_final_mean_and_gap(biased_regime, params["alpha_true"], n_obs, prior)
-    write_csv(
-        out / "gaps.csv",
-        {
+    return {
+        "trajectory.csv": trajectory,
+        "gaps.csv": {
             "seed": range(len(result.truthful_means)),
             "truthful_final_mean": result.truthful_means,
             "biased_final_mean": result.biased_means,
             "truthful_gap": result.truthful_gaps,
             "biased_gap": result.biased_gaps,
         },
-    )
-    write_json(
-        out / "aggregate.json",
-        {
+        "aggregate.json": {
             "alpha_true": result.alpha_true,
             "n_obs": result.n_obs,
             "n_seeds": params["n_seeds"],
@@ -463,8 +445,7 @@ def _run_feedback(params: dict, seed: int, out: Path) -> list[str]:
             "exact_mean_gap_truthful": exact_truthful[1],
             "exact_mean_gap_biased": exact_biased[1],
         },
-    )
-    return ["trajectory.csv", "gaps.csv", "aggregate.json"]
+    }
 
 
 # -------------------------------------------------------------- propagation
@@ -486,11 +467,8 @@ _PROPAGATION_SCHEMA = PresetSchema(
 )
 
 
-def _run_propagation(params: dict, seed: int, out: Path) -> list[str]:
-    try:
-        model = CellAgreementModel(params["p_match_same"], params["p_match_diff"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _run_propagation(params: dict, seed: int) -> dict[str, object]:
+    model = _agreement_model(params["p_match_same"], params["p_match_diff"])
     share = None if params["missing_share"] == "random" else float(params["missing_share"])
     study = monte_carlo_chains(
         params["n_runs"],
@@ -503,14 +481,10 @@ def _run_propagation(params: dict, seed: int, out: Path) -> list[str]:
         missing_share=share,
         peer_history=params["peer_history"],
     )
-    write_csv(out / "results.csv", study.columns)
-    write_csv(
-        out / "summary.csv",
-        {f.name: [getattr(s, f.name) for s in study.summaries] for f in fields(IndexSummary)},
-    )
-    write_json(
-        out / "report.json",
-        {
+    return {
+        "results.csv": study.columns,
+        "summary.csv": study.summary,
+        "report.json": {
             "n_runs": study.n_runs,
             "k": study.k,
             "mean_bias_ratio": {
@@ -518,8 +492,7 @@ def _run_propagation(params: dict, seed: int, out: Path) -> list[str]:
                 for mode in (ChainMode.CASCADE, ChainMode.SNOWBALL)
             },
         },
-    )
-    return ["results.csv", "summary.csv", "report.json"]
+    }
 
 
 # -------------------------------------------------------------------- trier
@@ -548,7 +521,7 @@ def _parse_positive_list(name: str, text: str) -> tuple[float, ...]:
     return values
 
 
-def _run_trier(params: dict, seed: int, out: Path) -> list[str]:
+def _run_trier(params: dict, seed: int) -> dict[str, object]:
     lrs = _parse_positive_list("stream_lrs", params["stream_lrs"])
     betas = _parse_positive_list("betas", params["betas"])
     if len(lrs) != len(betas):
@@ -568,8 +541,7 @@ def _run_trier(params: dict, seed: int, out: Path) -> list[str]:
     except OverflowError as exc:
         named = ", ".join(f"{k}={params[k]!r}" for k in ("pool_n", "stream_lrs", "betas", "context_lr"))
         raise ConfigError(f"{exc} at {named}; use smaller stream_lrs, betas or context_lr") from exc
-    write_json(out / "case_report.json", report)
-    return ["case_report.json"]
+    return {"case_report.json": report}
 
 
 # ------------------------------------------------------------- orchestrator
@@ -604,15 +576,32 @@ def run_preset(
     out_dir: Path,
     threads: int = 1,
 ) -> RunManifest:
-    """Resolve, run, checksum, and write the manifest.  Returns the manifest."""
+    """Resolve, run, write the artifacts, checksum them, and write the manifest last.
+
+    Returns the manifest.  An out_dir that cannot be created is a
+    ConfigError.  A runner that fails leaves out_dir as it was; a write
+    that fails leaves no manifest.
+    """
     preset = get_preset(name)
     validate_seed(seed)
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads!r}")
     params = preset.schema.resolve(dict(overrides or {}))
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    artifacts = preset.run(params, seed, out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out_dir}: cannot create the output directory: {exc}") from exc
+    artifacts = preset.run(params, seed)
+    (out_dir / MANIFEST_NAME).unlink(missing_ok=True)
+    for artifact, content in artifacts.items():
+        path = out_dir / artifact
+        if path.suffix == ".csv":
+            write_csv(path, content)
+        elif path.suffix == ".json":
+            write_json(path, content)
+        else:
+            path.write_text(content, encoding="utf-8")
     manifest = RunManifest(
         preset=name,
         seed=seed,

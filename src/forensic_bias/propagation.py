@@ -22,7 +22,7 @@ raw reported posterior odds instead; with a small prior (say 1/10) those
 rarely clear 1, which mutes the history term and makes snowball collapse
 onto cascade.
 
-One kernel evaluates every replicate at once, as arrays of log terms.
+One pass evaluates every replicate at once, as arrays of log terms.
 A chain is a run of a PropagationStudy: run i of
 monte_carlo_chains(n, master_seed=s) is the paired chain drawn from
 substream(s, i), whatever n is.
@@ -44,7 +44,6 @@ from .seeding import substream_uniforms
 __all__ = [
     "ChainMode",
     "BiasProfile",
-    "IndexSummary",
     "PropagationStudy",
     "monte_carlo_chains",
 ]
@@ -110,135 +109,29 @@ class BiasProfile:
         return 1.0 + self.conformity * supportive
 
 
-@dataclass(frozen=True, eq=False)
-class _ChainArrays:
-    """Paired chains in log space, indexed [run, (mode,) analyst - 1]."""
-
-    prior: float
-    trait: np.ndarray  # (n,) bool
-    missing_share: np.ndarray  # (n, k)
-    neutral_lr: np.ndarray  # (n, k)
-    terms: dict[str, np.ndarray]  # (n, 2, k) each, the live tilt terms
-    reported_lr: np.ndarray  # (n, 2, k)
-
-
-def _draw_count(k: int, trait_prob: float, missing_share: float | None, peer_history: str) -> int:
-    """Validate a chain's arguments; return the uniforms one replicate draws.
-
-    Draw order is part of the reproducibility contract: trait, then the
-    k missing shares (only when random), then the k match indicators, as
-    the first m uniforms of the replicate's stream.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k!r}")
-    if not 0.0 <= trait_prob <= 1.0:
-        raise ValueError(f"trait_prob must lie in [0, 1], got {trait_prob!r}")
-    if missing_share is not None and not 0.0 <= missing_share <= 1.0:
-        raise ValueError(f"missing_share must lie in [0, 1], got {missing_share!r}")
-    if peer_history not in ("contribution", "posterior"):
-        raise ValueError(
-            f"peer_history must be 'contribution' or 'posterior', got {peer_history!r}"
-        )
-    return 1 + k if missing_share is not None else 1 + 2 * k
-
-
-def _chain_kernel(
-    draws: np.ndarray,
-    k: int,
-    pool: SuspectPool,
-    trait_prob: float,
-    model: CellAgreementModel,
-    profile: BiasProfile | None,
-    same_source: bool,
-    missing_share: float | None,
-    peer_history: str,
-) -> _ChainArrays:
-    """Evaluate one paired chain per row of the (n, m) uniform block.
-
-    Row i holds replicate i's m = _draw_count(...) uniforms in draw
-    order; the caller validates the arguments through _draw_count.  Sums
-    keep the terms' order and logs of drawn values are scalar math.log
-    (np.log can differ in the last bit), so every replicate is
-    bit-identical to evaluating its chain one report at a time.
-    """
-    if profile is None:
-        profile = BiasProfile.standard(trait_prob)
-    p_agree = model.p_same if same_source else model.p_diff
-    n = len(draws)
-    trait = draws[:, 0] < trait_prob
-    if missing_share is None:
-        shares = draws[:, 1 : k + 1] * 0.5
-    else:
-        shares = np.full((n, k), float(missing_share))
-    match = draws[:, -k:] < p_agree
-
-    prior = uniform_prior_odds(pool).log_value
-    lr_match = LikelihoodRatio.from_linear(model.p_same / model.p_diff).log_value
-    lr_mismatch = LikelihoodRatio.from_linear((1.0 - model.p_same) / (1.0 - model.p_diff)).log_value
-    neutral_lr = np.where(match, lr_match, lr_mismatch)
-    linear_impute = profile.impute(shares, trait[:, None]).ravel().tolist()
-    log_impute = np.reshape([math.log(v) for v in linear_impute], (n, k))
-    log_context = np.where(trait, profile.context(True).log_value, profile.context(False).log_value)
-    cascade_lr = neutral_lr + log_impute + log_context[:, None]
-
-    # Snowball: the conformity term counts the supportive reports so far;
-    # cascade's stays zero.
-    by_count = np.array([math.log(profile.tilde_peer(c)) for c in range(k)])
-    tilde_peer = np.zeros((n, 2, k))
-    conformity = tilde_peer[:, 1]
-    supportive = np.zeros(n, dtype=np.intp)
-    for j in range(k):
-        conformity[:, j] = by_count[supportive]
-        history = cascade_lr[:, j] + conformity[:, j]
-        if peer_history == "posterior":
-            history = prior + history
-        supportive += history >= 0.0
-    shape = (n, 2, k)
-    return _ChainArrays(
-        prior=prior,
-        trait=trait,
-        missing_share=shares,
-        neutral_lr=neutral_lr,
-        terms={
-            "impute": np.broadcast_to(log_impute[:, None, :], shape),
-            "context": np.broadcast_to(log_context[:, None, None], shape),
-            "tilde_peer": tilde_peer,
-        },
-        reported_lr=np.stack((cascade_lr, cascade_lr + conformity), axis=1),
-    )
-
-
-@dataclass(frozen=True)
-class IndexSummary:
-    mode: str
-    analyst_index: int
-    mean_bias_ratio: float
-    q025: float
-    median: float
-    q975: float
-
-
 @dataclass(frozen=True)
 class PropagationStudy:
     """A replicated paired chain experiment; run i is one paired chain.
 
-    Every array is indexed by (run, mode, analyst - 1), with modes in
-    ChainMode order, and may be a broadcast view.  `columns` maps each
-    results.csv header, in order, to its column, so its C-order rows put
-    the run outermost.  `log_terms` maps each live tilt term ("impute",
-    "context", "tilde_peer") to its log values; a report's terms sum to
-    log(reported_odds) - log(neutral_odds).
+    Every array is indexed by (run, mode, analyst - 1), the summary's by
+    (mode, analyst - 1), with modes in ChainMode order; any may be a
+    broadcast view.  `columns` maps each results.csv header, in order, to
+    its column, so its C-order rows put the run outermost.  `log_terms`
+    maps each live tilt term ("impute", "context", "tilde_peer") to its
+    log values; a report's terms sum to log(reported_odds) -
+    log(neutral_odds).  `summary` maps each summary.csv header (mode,
+    analyst_index, mean_bias_ratio, q025, median, q975), in order, to its
+    column: statistics over the runs.
     """
 
     n_runs: int
     k: int
     columns: dict[str, np.ndarray]
     log_terms: dict[str, np.ndarray]
-    summaries: tuple[IndexSummary, ...]
+    summary: dict[str, np.ndarray]
 
     def mean_curve(self, mode: ChainMode) -> tuple[float, ...]:
-        by_index = {s.analyst_index: s.mean_bias_ratio for s in self.summaries if s.mode == mode.value}
-        return tuple(by_index[i] for i in range(1, self.k + 1))
+        return tuple(self.summary["mean_bias_ratio"][_MODES.index(mode)].tolist())
 
 
 def monte_carlo_chains(
@@ -256,23 +149,66 @@ def monte_carlo_chains(
 ) -> PropagationStudy:
     """Replicate paired chains; deterministic for a given master seed.
 
-    Replicate i reads the first uniforms of substream(master_seed, i), all
-    replicates drawn in one substream_uniforms call, so run i is the same
-    chain, bit for bit, in a study of any size.
+    Replicate i reads the first uniforms of substream(master_seed, i), in
+    an order that is part of the reproducibility contract: trait, then
+    the k missing shares (only when random), then the k match indicators.
+    All replicates are drawn in one substream_uniforms call and evaluated
+    at once, so run i is the same chain, bit for bit, in a study of any
+    size.  Sums keep the terms' order and logs of drawn values are scalar
+    math.log (np.log can differ in the last bit), so every replicate is
+    bit-identical to evaluating its chain one report at a time.
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs!r}")
-    m = _draw_count(k, trait_prob, missing_share, peer_history)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k!r}")
+    if not 0.0 <= trait_prob <= 1.0:
+        raise ValueError(f"trait_prob must lie in [0, 1], got {trait_prob!r}")
+    if missing_share is not None and not 0.0 <= missing_share <= 1.0:
+        raise ValueError(f"missing_share must lie in [0, 1], got {missing_share!r}")
+    if peer_history not in ("contribution", "posterior"):
+        raise ValueError(
+            f"peer_history must be 'contribution' or 'posterior', got {peer_history!r}"
+        )
+    if profile is None:
+        profile = BiasProfile.standard(trait_prob)
+    m = 1 + k if missing_share is not None else 1 + 2 * k
     draws = substream_uniforms(master_seed, range(n_runs), m)
-    arrays = _chain_kernel(
-        draws, k, pool, trait_prob, model, profile, same_source, missing_share, peer_history
-    )
-    neutral_log = arrays.prior + arrays.neutral_lr
-    reported_log = arrays.prior + arrays.reported_lr
+    trait = draws[:, 0] < trait_prob
+    if missing_share is None:
+        shares = draws[:, 1 : k + 1] * 0.5
+    else:
+        shares = np.full((n_runs, k), float(missing_share))
+    match = draws[:, -k:] < (model.p_same if same_source else model.p_diff)
+
+    prior = uniform_prior_odds(pool).log_value
+    lr_match = LikelihoodRatio.from_linear(model.p_same / model.p_diff).log_value
+    lr_mismatch = LikelihoodRatio.from_linear((1.0 - model.p_same) / (1.0 - model.p_diff)).log_value
+    neutral_lr = np.where(match, lr_match, lr_mismatch)
+    linear_impute = profile.impute(shares, trait[:, None]).ravel().tolist()
+    log_impute = np.reshape([math.log(v) for v in linear_impute], (n_runs, k))
+    log_context = np.where(trait, profile.context(True).log_value, profile.context(False).log_value)
+    cascade_lr = neutral_lr + log_impute + log_context[:, None]
+
+    # Snowball: the conformity term counts the supportive reports so far;
+    # cascade's stays zero.
+    by_count = np.array([math.log(profile.tilde_peer(c)) for c in range(k)])
+    shape = (n_runs, 2, k)
+    tilde_peer = np.zeros(shape)
+    conformity = tilde_peer[:, 1]
+    supportive = np.zeros(n_runs, dtype=np.intp)
+    for j in range(k):
+        conformity[:, j] = by_count[supportive]
+        history = cascade_lr[:, j] + conformity[:, j]
+        if peer_history == "posterior":
+            history = prior + history
+        supportive += history >= 0.0
+    neutral_log = prior + neutral_lr
+    reported_log = prior + np.stack((cascade_lr, cascade_lr + conformity), axis=1)
     ratio = np.exp(reported_log - neutral_log[:, None, :])
+
     # Broadcast views: the CSV writer formats each stored value once, so a
     # value repeated across modes or analysts is formatted once per run.
-    shape = (n_runs, 2, k)
     columns = {
         name: np.broadcast_to(values, shape)
         for name, values in (
@@ -282,19 +218,25 @@ def monte_carlo_chains(
             ("neutral_odds", np.exp(neutral_log)[:, None, :]),
             ("reported_odds", np.exp(reported_log)),
             ("bias_ratio", ratio),
-            ("trait", arrays.trait[:, None, None]),
-            ("missing_share", arrays.missing_share[:, None, :]),
+            ("trait", trait[:, None, None]),
+            ("missing_share", shares[:, None, :]),
         )
     }
-
+    log_terms = {
+        "impute": np.broadcast_to(log_impute[:, None, :], shape),
+        "context": np.broadcast_to(log_context[:, None, None], shape),
+        "tilde_peer": tilde_peer,
+    }
     # One contiguous row per (mode, analyst), so each mean sums in the
     # same order as a mean over that column's values alone.
-    per_index = np.ascontiguousarray(ratio.reshape(n_runs, 2 * k).T)
-    quantiles = np.percentile(per_index, [2.5, 50.0, 97.5], axis=1).T.tolist()
-    summaries = tuple(
-        IndexSummary(_MODES[c // k].value, c % k + 1, float(row.mean()), *quantiles[c])
-        for c, row in enumerate(per_index)
-    )
-    return PropagationStudy(
-        n_runs=n_runs, k=k, columns=columns, log_terms=arrays.terms, summaries=summaries
-    )
+    per_index = np.ascontiguousarray(np.moveaxis(ratio, 0, -1))
+    q025, median, q975 = np.percentile(per_index, [2.5, 50.0, 97.5], axis=-1)
+    summary = {
+        "mode": columns["mode"][0],
+        "analyst_index": columns["analyst_index"][0],
+        "mean_bias_ratio": per_index.mean(axis=-1),
+        "q025": q025,
+        "median": median,
+        "q975": q975,
+    }
+    return PropagationStudy(n_runs=n_runs, k=k, columns=columns, log_terms=log_terms, summary=summary)

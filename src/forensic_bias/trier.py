@@ -64,13 +64,6 @@ class StreamBias:
             raise ValueError("StreamBias needs at least one factor")
         object.__setattr__(self, "betas", betas)
 
-    @property
-    def total_log(self) -> float:
-        total = 0.0
-        for beta in self.betas:
-            total += beta.log_value
-        return total
-
 
 def neutral_guilt_odds(bundle: EvidenceBundle) -> OddsRatio:
     """Guilt odds from unbiased reports: prior * prod(LR_j) * context."""

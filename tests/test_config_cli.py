@@ -99,6 +99,24 @@ class TestRunPreset:
         assert "threads" not in on_disk
         assert on_disk["tool_version"]
 
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_runner_is_pure(self, name, tmp_path, monkeypatch):
+        def no_write(*args):
+            raise AssertionError("a runner called a writer")
+
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        params = get_preset(name).schema.resolve({})
+        with monkeypatch.context() as patch:
+            patch.setattr(presets, "write_csv", no_write)
+            patch.setattr(presets, "write_json", no_write)
+            artifacts = PRESETS[name].run(params, 7)
+        assert list(cwd.iterdir()) == []
+        out = tmp_path / "out"
+        run_preset(name, 7, out_dir=out)
+        assert set(artifacts) == {p.name for p in out.iterdir()} - {"manifest.json"}
+
     def test_mayfield_average_in_report(self, tmp_path):
         run_preset("mayfield", 5, out_dir=tmp_path)
         report = json.loads((tmp_path / "report.json").read_text())
@@ -366,6 +384,42 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert "error in forensic_bias." in err
+
+    @pytest.mark.parametrize("out", ["file", "file/run"], ids=["regular-file", "under-a-file"])
+    def test_out_not_a_directory_exit_2(self, tmp_path, capsys, out):
+        (tmp_path / "file").write_text("x\n")
+        code = main(["run", "--preset", "mayfield", "--seed", "1", "--out", str(tmp_path / out)])
+        assert code == 2
+        assert "--out" in capsys.readouterr().err
+        assert (tmp_path / "file").read_text() == "x\n"
+
+    def test_failed_rerun_leaves_the_previous_run(self, tmp_path, capsys):
+        out = tmp_path / "trier"
+        argv = ["run", "--preset", "trier", "--seed", "7", "--out", str(out)]
+        assert main(argv) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert main([*argv, "--set", "stream_lrs=1e308,1e308,1e308"]) == 2
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert main(["verify", str(out)]) == 0
+
+    def test_failed_write_leaves_no_manifest(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "propagation"
+        argv = ["run", "--preset", "propagation", "--seed", "7", "--set", "n_runs=20", "--out", str(out)]
+        assert main(argv) == 0
+        write_csv, written = presets.write_csv, []
+
+        def fail_second_write(path, columns):
+            written.append(path.name)
+            if len(written) == 2:
+                raise OSError(28, "No space left on device")
+            write_csv(path, columns)
+
+        monkeypatch.setattr(presets, "write_csv", fail_second_write)
+        with pytest.raises(OSError):
+            main(argv)
+        assert written == ["results.csv", "summary.csv"]
+        assert not (out / "manifest.json").exists()
+        assert main(["verify", str(out)]) == 2
 
     def test_bad_seed_exit_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -349,9 +349,22 @@ class TestMonteCarlo:
         assert all(b >= a - TOL for a, b in zip(snowball, snowball[1:]))
 
     def test_summary_quantiles_ordered(self):
-        study = monte_carlo_chains(200, master_seed=17)
-        for s in study.summaries:
-            assert s.q025 <= s.median <= s.q975
+        summary = monte_carlo_chains(200, master_seed=17).summary
+        assert list(summary) == ["mode", "analyst_index", "mean_bias_ratio", "q025", "median", "q975"]
+        assert all(column.shape == (2, 5) for column in summary.values())
+        assert np.all(summary["q025"] <= summary["median"])
+        assert np.all(summary["median"] <= summary["q975"])
+
+    @pytest.mark.parametrize("n_runs", [1, 7, 1000])
+    def test_summary_mean_is_mean_of_its_column(self, n_runs):
+        study = monte_carlo_chains(n_runs, master_seed=3)
+        summary, ratio = study.summary, study.columns["bias_ratio"]
+        for mode in (CASCADE, SNOWBALL):
+            for i in range(5):
+                assert summary["mode"][mode, i] == ("cascade", "snowball")[mode]
+                assert summary["analyst_index"][mode, i] == i + 1
+                assert summary["mean_bias_ratio"][mode, i] == ratio[:, mode, i].mean()
+        assert study.mean_curve(ChainMode.SNOWBALL) == tuple(summary["mean_bias_ratio"][SNOWBALL].tolist())
 
     def test_validation(self):
         with pytest.raises(ValueError):
