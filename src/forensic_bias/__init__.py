@@ -65,13 +65,10 @@ from .fingerprints import (
     count_matches,
     decide_source,
     delta_impute_exact,
-    estimate_delta_impute,
     exact_delta_quantiles,
     exact_mean_delta,
-    generate_print,
     imputation_grid_fixture,
     impute_from_reference,
-    mask_missing,
     sample_delta_impute,
     source_lr,
 )

@@ -3,7 +3,8 @@
 
 Exit codes: 0 success, 2 for usage and configuration errors (unknown
 preset or key, type or range violation, bad seed), 1 for a numeric
-failure at runtime, reported with the module it came from.  `verify`
+failure at runtime, reported with the module it came from, and 1 when an
+artifact cannot be written, reported in one line with its path.  `verify`
 exits 0 when every artifact matches the manifest, 1 when one does not
 or a file is missing or unlisted, and 2 when the manifest is absent or
 unreadable.
@@ -18,7 +19,7 @@ from pathlib import Path
 
 from .config import ConfigError, parse_config_text, parse_set_args
 from .outputs import MANIFEST_NAME, read_manifest, verify_artifacts
-from .presets import PRESETS, get_preset, run_preset
+from .presets import PRESETS, ArtifactWriteError, get_preset, run_preset
 from .seeding import MAX_SEED
 
 __all__ = ["build_parser", "main"]
@@ -117,6 +118,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise
     except (ValueError, ArithmeticError) as exc:
         print(f"error in {_runtime_error_module(exc)}: {exc}", file=sys.stderr)
+        return 1
+    except ArtifactWriteError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     for name in sorted(manifest.artifacts):
         print(f"wrote {args.out / name}")

@@ -6,11 +6,11 @@ An examiner who fills missing cells by copying the suspect's exemplar
 ("imputation") manufactures agreement, which inflates the reported
 likelihood ratio by a factor of r = p_same/p_diff per imputed cell, so
 by exactly r**M for M missing cells, whatever the prints show.  The
-Monte Carlo over that factor draws only M, so the minutiae rate and the
-mark's source do not affect it; the delta-impute preset reports its mean
-with a standard error (mc_standard_error) next to the exact mean
-(exact_mean_delta), and its quantiles next to the exact ones
-(exact_delta_quantiles).
+Monte Carlo over that factor (sample_delta_impute) draws only that
+sufficient statistic, M ~ Binomial(n, s), as one binomial per replicate;
+the delta-impute preset reports its mean with a standard error
+(mc_standard_error) next to the exact mean (exact_mean_delta), and its
+quantiles next to the exact ones (exact_delta_quantiles).
 
 Grid text format, one row per line:
 
@@ -46,8 +46,6 @@ __all__ = [
     "DEFAULT_THRESHOLDS",
     "CellAgreementModel",
     "ImputationSimParams",
-    "generate_print",
-    "mask_missing",
     "impute_from_reference",
     "count_matches",
     "decide_source",
@@ -58,7 +56,6 @@ __all__ = [
     "exact_mean_delta",
     "exact_delta_quantiles",
     "exact_relative_standard_error",
-    "estimate_delta_impute",
     "GridFixture",
     "imputation_grid_fixture",
 ]
@@ -276,61 +273,23 @@ def decide_source(
     return SourceDecision.EXCLUSION
 
 
-def generate_print(
-    rng: np.random.Generator, rows: int = 10, cols: int = 5, expected_minutiae: float = 15.0
-) -> PrintGrid:
-    """Draw a print with iid cells; presence rate = expected / cell count."""
-    n = rows * cols
-    if n < 1:
-        raise ValueError(f"grid shape must be positive, got {rows}x{cols}")
-    rate = expected_minutiae / n
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(
-            f"expected_minutiae={expected_minutiae!r} implies presence rate {rate!r} outside [0, 1]"
-        )
-    return PrintGrid(rows, cols, MinutiaVector.from_bits((rng.random(n) < rate).tolist()))
-
-
 def _round_half_up(x: float) -> int:
     # round() would take 12.5 to 12 (banker's rounding); the share contract
     # is half-up, so 0.25 of 50 cells masks 13 of them.
     return int(math.floor(x + 0.5))
 
 
-def _check_mask(missing_share: float, mode: str) -> None:
+def _fixed_count(n: int, missing_share: float, mode: str) -> int | None:
+    """The missing count M of an n-cell grid when it cannot vary:
+    round-half-up(s * n) for an exact mask or a share of 0 or 1.  None when
+    M ~ Binomial(n, s)."""
     if not 0.0 <= missing_share <= 1.0:
         raise ValueError(f"missing_share must lie in [0, 1], got {missing_share!r}")
     if mode not in ("exact", "per_cell"):
         raise ValueError(f"mode must be 'exact' or 'per_cell', got {mode!r}")
-
-
-def mask_missing(
-    print_like: Union[PrintGrid, MinutiaVector],
-    missing_share: float = 0.25,
-    *,
-    rng: np.random.Generator,
-    mode: str = "exact",
-) -> Union[PrintGrid, LatentVector]:
-    """Hide a share of cells as MISSING.
-
-    mode="exact" hides round-half-up(share * n) distinct cells chosen
-    uniformly; mode="per_cell" hides each cell independently with
-    probability `missing_share`.  The return type mirrors the input.
-    """
-    _check_mask(missing_share, mode)
-    vector = _as_vector(print_like)
-    if isinstance(vector, LatentVector):
-        raise ValueError("input already has missing cells")
-    n = len(vector)
-    if mode == "exact":
-        k = _round_half_up(missing_share * n)
-        hidden = set(rng.choice(n, size=k, replace=False).tolist()) if k else set()
-    else:
-        hidden = {i for i, u in enumerate(rng.random(n)) if u < missing_share}
-    latent = LatentVector(tuple(Cell.MISSING if i in hidden else c for i, c in enumerate(vector.cells)))
-    if isinstance(print_like, PrintGrid):
-        return PrintGrid(print_like.rows, print_like.cols, latent)
-    return latent
+    if mode == "exact" or missing_share in (0.0, 1.0):
+        return _round_half_up(missing_share * n)
+    return None
 
 
 def impute_from_reference(
@@ -425,24 +384,15 @@ def delta_impute_exact(
 
 @dataclass(frozen=True)
 class ImputationSimParams:
-    """Generation settings for the imputation-bias Monte Carlo."""
+    """Grid shape and agreement model of the imputation-bias Monte Carlo."""
 
     rows: int = 10
     cols: int = 5
-    expected_minutiae: float = 15.0
     model: CellAgreementModel = CellAgreementModel()
-    same_source: bool = True
 
     def __post_init__(self) -> None:
-        n = self.rows * self.cols
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"grid shape must be positive, got {self.rows}x{self.cols}")
-        if not 0.0 <= self.expected_minutiae <= n:
-            raise ValueError(f"expected_minutiae must lie in [0, {n}], got {self.expected_minutiae!r}")
-
-
-# Replicates per block of uniforms; 1,024 raised a default run's peak RSS by 6%.
-_BLOCK_REPS = 256
 
 
 def sample_delta_impute(
@@ -455,20 +405,16 @@ def sample_delta_impute(
 ) -> np.ndarray:
     """Monte Carlo draws of the imputation bias factor r**M, r = p_same/p_diff.
 
-    Only the missing count M is drawn; expected_minutiae and same_source do
-    not affect it.  "per_cell": M ~ Binomial(n, s), counted on the mask third
-    of each replicate's exemplar/agreement/mask layout of 3n uniforms.
-    "exact": M = round-half-up(s * n), no draws.  Raises OverflowError,
-    checked in log space, if a draw exceeds float range."""
+    Only the missing count M is drawn, so memory grows with n_reps and not
+    with the grid.  "per_cell": one rng.binomial(n, s, n_reps) call.
+    "exact", or a share of 0 or 1: M = round-half-up(s * n), no draws.
+    Raises OverflowError, checked in log space, if a draw exceeds float
+    range."""
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps!r}")
-    _check_mask(missing_share, mask_mode)
     n = params.rows * params.cols
-    if mask_mode == "exact":
-        counts = np.full(n_reps, _round_half_up(missing_share * n))
-    else:
-        blocks = (rng.random((min(_BLOCK_REPS, n_reps - i), 3, n)) for i in range(0, n_reps, _BLOCK_REPS))
-        counts = np.concatenate([np.count_nonzero(u[:, 2] < missing_share, axis=1) for u in blocks])
+    fixed = _fixed_count(n, missing_share, mask_mode)
+    counts = rng.binomial(n, missing_share, n_reps) if fixed is None else np.full(n_reps, fixed)
     log_draws = counts * math.log(params.model.p_same / params.model.p_diff)
     if log_draws.max() > LOG_FLOAT_MAX:
         raise OverflowError(f"the draw r**{counts.max()} = e**{log_draws.max():.1f} exceeds float range")
@@ -503,14 +449,14 @@ def exact_delta_quantiles(
     A draw is r**M with r > 1 and M ~ Binomial(n, s) per cell, so each
     quantile is r**j for the first count j whose cumulative probability
     reaches the level.  The pmf and the power are taken in log space.  An
-    exact mask gives r**round-half-up(s * n) for all three.  Raises
-    OverflowError past float range.
+    exact mask, or a share of 0 or 1, gives r**round-half-up(s * n) for all
+    three without building the pmf.  Raises OverflowError past float range.
     """
-    _check_mask(missing_share, mask_mode)
     n = params.rows * params.cols
+    fixed = _fixed_count(n, missing_share, mask_mode)
     log_r = math.log(params.model.p_same / params.model.p_diff)
-    if mask_mode == "exact":
-        counts = [_round_half_up(missing_share * n)] * 3
+    if fixed is not None:
+        counts = [fixed] * 3
     else:
         cdf = np.cumsum(np.exp(binomial_log_pmf(n, missing_share)))
         counts = np.searchsorted(cdf, [0.025 - _CDF_SLACK, 0.5 - _CDF_SLACK, 0.975 - _CDF_SLACK])
@@ -530,9 +476,9 @@ def exact_relative_standard_error(
     L = n * (log1p(s * (r**2 - 1)) - 2 * log1p(s * (r - 1))), the log of
     E[r**2M] / E[r**M]**2.  0.0 when M is fixed (an exact mask, share 0 or
     1); None past float range."""
-    if mask_mode == "exact" or missing_share in (0.0, 1.0):
-        return 0.0
     n = params.rows * params.cols
+    if _fixed_count(n, missing_share, mask_mode) is not None:
+        return 0.0
     r = params.model.p_same / params.model.p_diff
     s = missing_share
     log_ratio = n * (math.log1p(s * (r * r - 1.0)) - 2.0 * math.log1p(s * (r - 1.0)))
@@ -541,20 +487,6 @@ def exact_relative_standard_error(
     # log expm1(L) = L + log(1 - e**-L), finite for every L > 0.
     log_se = 0.5 * (log_ratio + math.log(-math.expm1(-log_ratio)) - math.log(n_reps))
     return math.exp(log_se) if log_se <= LOG_FLOAT_MAX else None
-
-
-def estimate_delta_impute(
-    params: ImputationSimParams = ImputationSimParams(),
-    missing_share: float = 0.25,
-    n_reps: int = 10_000,
-    *,
-    rng: np.random.Generator,
-    mask_mode: str = "per_cell",
-) -> BiasFactor:
-    """Mean imputation bias factor over Monte Carlo replicates."""
-    draws = sample_delta_impute(params, missing_share, n_reps, rng=rng, mask_mode=mask_mode)
-    top = draws.max()  # scale so the sum cannot overflow
-    return BiasFactor(math.log(top) + math.log((draws / top).mean()), Provenance.IMPUTE)
 
 
 @dataclass(frozen=True)

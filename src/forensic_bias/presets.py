@@ -57,7 +57,7 @@ from .relevance import builtin_joint_names, classify_relevance, load_builtin_joi
 from .seeding import substream, validate_seed
 from .trier import EvidenceBundle, StreamBias, case_report
 
-__all__ = ["Preset", "PRESETS", "get_preset", "run_preset", "TOOL_VERSION"]
+__all__ = ["Preset", "PRESETS", "get_preset", "run_preset", "ArtifactWriteError", "TOOL_VERSION"]
 
 try:
     TOOL_VERSION = metadata.version("forensic-bias")
@@ -66,6 +66,11 @@ except metadata.PackageNotFoundError:  # running from a source tree
 
 
 Runner = Callable[[dict, int], dict[str, object]]
+
+
+class ArtifactWriteError(Exception):
+    """An artifact or the manifest could not be written; the message names
+    its path and the OS error, and the output directory holds no manifest."""
 
 
 @dataclass(frozen=True)
@@ -298,13 +303,11 @@ _DELTA_SCHEMA = PresetSchema(
     params=(
         ParamSpec("rows", int, 10, "grid rows", _check_at_least(1)),
         ParamSpec("cols", int, 5, "grid columns", _check_at_least(1)),
-        ParamSpec("expected_minutiae", float, 15.0, "mean minutiae per print", _check_at_least(0.0)),
         ParamSpec("p_same", float, 0.5, "per-cell agreement rate, same source", _check_open(0.0, 1.0)),
         ParamSpec("p_diff", float, 0.25, "per-cell agreement rate, different source", _check_open(0.0, 1.0)),
         ParamSpec("missing_share", float, 0.25, "share of cells smudged", _check_closed(0.0, 1.0)),
         ParamSpec("n_reps", int, 10_000, "Monte Carlo replicates", _check_at_least(1)),
         ParamSpec("mask_mode", str, "per_cell", "masking: exact count or per-cell coin", _check_choice("exact", "per_cell")),
-        ParamSpec("same_source", bool, True, "generate marks from the same-source model"),
     ),
 )
 
@@ -318,16 +321,7 @@ def _agreement_model(p_same: float, p_diff: float) -> CellAgreementModel:
 
 def _run_delta_impute(params: dict, seed: int) -> dict[str, object]:
     model = _agreement_model(params["p_same"], params["p_diff"])
-    try:
-        sim = ImputationSimParams(
-            rows=params["rows"],
-            cols=params["cols"],
-            expected_minutiae=params["expected_minutiae"],
-            model=model,
-            same_source=params["same_source"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    sim = ImputationSimParams(rows=params["rows"], cols=params["cols"], model=model)
     try:
         exact_mean = exact_mean_delta(sim, params["missing_share"], params["mask_mode"])
         exact_q025, exact_median, exact_q975 = exact_delta_quantiles(
@@ -470,17 +464,21 @@ _PROPAGATION_SCHEMA = PresetSchema(
 def _run_propagation(params: dict, seed: int) -> dict[str, object]:
     model = _agreement_model(params["p_match_same"], params["p_match_diff"])
     share = None if params["missing_share"] == "random" else float(params["missing_share"])
-    study = monte_carlo_chains(
-        params["n_runs"],
-        master_seed=seed,
-        k=params["k"],
-        pool=SuspectPool(params["pool_n"]),
-        trait_prob=params["trait_prob"],
-        model=model,
-        same_source=params["same_source"],
-        missing_share=share,
-        peer_history=params["peer_history"],
-    )
+    try:
+        study = monte_carlo_chains(
+            params["n_runs"],
+            master_seed=seed,
+            k=params["k"],
+            pool=SuspectPool(params["pool_n"]),
+            trait_prob=params["trait_prob"],
+            model=model,
+            same_source=params["same_source"],
+            missing_share=share,
+            peer_history=params["peer_history"],
+        )
+    except OverflowError as exc:
+        named = ", ".join(f"{k}={params[k]!r}" for k in ("p_match_same", "p_match_diff", "k"))
+        raise ConfigError(f"{exc} at {named}; use a larger p_match_diff or a smaller k") from exc
     return {
         "results.csv": study.columns,
         "summary.csv": study.summary,
@@ -580,7 +578,7 @@ def run_preset(
 
     Returns the manifest.  An out_dir that cannot be created is a
     ConfigError.  A runner that fails leaves out_dir as it was; a write
-    that fails leaves no manifest.
+    that fails raises ArtifactWriteError and leaves no manifest.
     """
     preset = get_preset(name)
     validate_seed(seed)
@@ -594,20 +592,24 @@ def run_preset(
         raise ConfigError(f"--out {out_dir}: cannot create the output directory: {exc}") from exc
     artifacts = preset.run(params, seed)
     (out_dir / MANIFEST_NAME).unlink(missing_ok=True)
-    for artifact, content in artifacts.items():
-        path = out_dir / artifact
-        if path.suffix == ".csv":
-            write_csv(path, content)
-        elif path.suffix == ".json":
-            write_json(path, content)
-        else:
-            path.write_text(content, encoding="utf-8")
-    manifest = RunManifest(
-        preset=name,
-        seed=seed,
-        parameters=params,
-        artifacts={a: sha256_file(out_dir / a) for a in artifacts},
-        tool_version=TOOL_VERSION,
-    )
-    write_manifest(out_dir, manifest)
+    digests = {}
+    try:
+        for artifact, content in artifacts.items():
+            path = out_dir / artifact
+            if path.suffix == ".csv":
+                write_csv(path, content)
+            elif path.suffix == ".json":
+                write_json(path, content)
+            else:
+                path.write_text(content, encoding="utf-8")
+            digests[artifact] = sha256_file(path)
+        manifest = RunManifest(
+            preset=name, seed=seed, parameters=params, artifacts=digests, tool_version=TOOL_VERSION
+        )
+        path = out_dir / MANIFEST_NAME
+        write_manifest(out_dir, manifest)
+    except OSError as exc:
+        raise ArtifactWriteError(
+            f"cannot write {path}: {exc.strerror or exc}; {out_dir} now holds no manifest"
+        ) from exc
     return manifest

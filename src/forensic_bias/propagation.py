@@ -38,7 +38,7 @@ import numpy as np
 
 from .contextual import BiasFactor, Provenance, race_example_delta
 from .fingerprints import CellAgreementModel
-from .odds import LikelihoodRatio, SuspectPool, uniform_prior_odds
+from .odds import LOG_FLOAT_MAX, LikelihoodRatio, SuspectPool, uniform_prior_odds
 from .seeding import substream_uniforms
 
 __all__ = [
@@ -156,7 +156,9 @@ def monte_carlo_chains(
     at once, so run i is the same chain, bit for bit, in a study of any
     size.  Sums keep the terms' order and logs of drawn values are scalar
     math.log (np.log can differ in the last bit), so every replicate is
-    bit-identical to evaluating its chain one report at a time.
+    bit-identical to evaluating its chain one report at a time.  Raises
+    OverflowError, checked in log space, when p_same/p_diff or a reported
+    odds exceeds float range.
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs!r}")
@@ -181,8 +183,11 @@ def monte_carlo_chains(
         shares = np.full((n_runs, k), float(missing_share))
     match = draws[:, -k:] < (model.p_same if same_source else model.p_diff)
 
+    match_ratio = model.p_same / model.p_diff
+    if not math.isfinite(match_ratio):
+        raise OverflowError(f"the match likelihood ratio p_same/p_diff = {match_ratio} exceeds float range")
     prior = uniform_prior_odds(pool).log_value
-    lr_match = LikelihoodRatio.from_linear(model.p_same / model.p_diff).log_value
+    lr_match = LikelihoodRatio.from_linear(match_ratio).log_value
     lr_mismatch = LikelihoodRatio.from_linear((1.0 - model.p_same) / (1.0 - model.p_diff)).log_value
     neutral_lr = np.where(match, lr_match, lr_mismatch)
     linear_impute = profile.impute(shares, trait[:, None]).ravel().tolist()
@@ -205,6 +210,8 @@ def monte_carlo_chains(
         supportive += history >= 0.0
     neutral_log = prior + neutral_lr
     reported_log = prior + np.stack((cascade_lr, cascade_lr + conformity), axis=1)
+    if (top := reported_log.max()) > LOG_FLOAT_MAX:
+        raise OverflowError(f"the reported odds e**{top:.1f} exceed float range")
     ratio = np.exp(reported_log - neutral_log[:, None, :])
 
     # Broadcast views: the CSV writer formats each stored value once, so a

@@ -157,7 +157,7 @@ class TestAcceptance:
             for mask in itertools.product((False, True), repeat=6):
                 weight = math.prod(share if m else 1.0 - share for m in mask)
                 oracle += weight * ratio ** sum(mask)
-            params = ImputationSimParams(rows=2, cols=3, expected_minutiae=3.0, model=model)
+            params = ImputationSimParams(rows=2, cols=3, model=model)
             draws = sample_delta_impute(params, share, 10_000, rng=substream(0, 0))
             mean = float(draws.mean())
             assert abs(mean - oracle) <= 0.02 * oracle

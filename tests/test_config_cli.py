@@ -1,6 +1,7 @@
 """Parameter schemas, config parsing, and the command-line harness."""
 
 import json
+import time
 import warnings
 
 import pytest
@@ -415,11 +416,53 @@ class TestCli:
             write_csv(path, columns)
 
         monkeypatch.setattr(presets, "write_csv", fail_second_write)
-        with pytest.raises(OSError):
-            main(argv)
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out / 'summary.csv'}: No space left on device; {out} now holds no manifest\n"
         assert written == ["results.csv", "summary.csv"]
         assert not (out / "manifest.json").exists()
         assert main(["verify", str(out)]) == 2
+
+    @pytest.mark.parametrize("key", ["same_source=false", "expected_minutiae=15"])
+    def test_removed_delta_impute_keys_exit_2(self, key, tmp_path, capsys):
+        code = main(["run", "--preset", "delta-impute", "--seed", "7", "--set", key, "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert f"unknown parameter(s) [{key.split('=')[0]!r}]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("share", ["0", "1"])
+    def test_degenerate_share_on_a_huge_grid_is_quick(self, share, tmp_path, capsys):
+        # 10**10 cells: the binomial pmf alone would take 75 GiB.
+        args = ["--set", "rows=100000", "--set", "cols=100000", "--set", f"missing_share={share}"]
+        if share == "1":  # keeps r**(10**10) in float range
+            args += ["--set", "p_same=0.5", "--set", "p_diff=0.49999999999"]
+        started = time.perf_counter()
+        code = main(["run", "--preset", "delta-impute", "--seed", "7", *args, "--out", str(tmp_path / "x")])
+        assert code == 0
+        assert time.perf_counter() - started < 1.0
+        est = json.loads((tmp_path / "x" / "estimate.json").read_text())
+        # M is fixed, so every draw, quantile and mean is the one value r**M.
+        values = {est[k] for k in ("mean_delta", "q025", "median", "q975", "exact_q025", "exact_median", "exact_q975")}
+        assert len(values) == 1 and est["exact_relative_standard_error"] == 0.0
+        assert main(["verify", str(tmp_path / "x")]) == 0
+
+    @pytest.mark.parametrize(
+        "settings, what",
+        [
+            (("p_match_diff=5e-324",), "likelihood ratio"),
+            (("k=200", "p_match_diff=1e-307"), "reported odds"),
+        ],
+        ids=["ratio", "reported-odds"],
+    )
+    def test_propagation_overflow_is_config_error(self, settings, what, tmp_path, capsys):
+        args = [arg for setting in settings for arg in ("--set", setting)]
+        code = main(["run", "--preset", "propagation", "--seed", "7", *args, "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert what in err and "float range" in err
+        for name in ("p_match_same", "p_match_diff", "k"):
+            assert f"{name}=" in err
+        assert not (tmp_path / "x" / "results.csv").exists()
 
     def test_bad_seed_exit_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

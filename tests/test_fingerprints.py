@@ -1,6 +1,7 @@
-"""Grids, masking, imputation, match scoring, and the imputation bias factor."""
+"""Grids, imputation, match scoring, and the imputation bias factor."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -22,16 +23,15 @@ from forensic_bias.fingerprints import (
     count_matches,
     decide_source,
     delta_impute_exact,
-    estimate_delta_impute,
     exact_delta_quantiles,
     exact_mean_delta,
-    generate_print,
     imputation_grid_fixture,
     impute_from_reference,
-    mask_missing,
     sample_delta_impute,
     source_lr,
 )
+from forensic_bias.odds import binomial_log_pmf
+from forensic_bias.presets import run_preset
 from forensic_bias.seeding import substream
 
 TOL = 1e-12
@@ -40,6 +40,14 @@ TOL = 1e-12
 X6 = MinutiaVector.from_text("...mmm")
 Y6 = MinutiaVector.from_text(".m.mm.")
 LATENT6 = LatentVector.from_text("??.?m.")
+
+
+def _every_pair(n_cells=4):
+    """Every n-cell exemplar, built from its bits, with every n-cell latent print."""
+    for bits in itertools.product((0, 1), repeat=n_cells):
+        exemplar = MinutiaVector.from_bits(bits)
+        for cells in itertools.product(Cell, repeat=n_cells):
+            yield exemplar, LatentVector(cells)
 
 
 class TestVectors:
@@ -128,14 +136,10 @@ class TestImpute:
         assert out.rows == 2
 
     def test_imputed_cells_agree_with_reference(self):
-        rng = substream(101)
-        for _ in range(200):
-            ref = generate_print(rng, 4, 4, 6.0)
-            mark = generate_print(rng, 4, 4, 6.0)
-            latent = mask_missing(mark, 0.4, rng=rng)
+        for ref, latent in _every_pair():
             imputed = impute_from_reference(latent, ref)
-            for i in latent.vector.missing_indices:
-                assert imputed.vector.cells[i] is ref.vector.cells[i]
+            for i in latent.missing_indices:
+                assert imputed.cells[i] is ref.cells[i]
             # correspondences never drop when ambiguity resolves toward the
             # reference
             before = count_matches(ref, latent)
@@ -185,79 +189,6 @@ class TestDecide:
             last = rank
 
 
-class TestGenerate:
-    def test_extreme_rates(self):
-        rng = substream(1)
-        none = generate_print(rng, 4, 5, 0.0)
-        assert none.vector.n_minutiae == 0
-        full = generate_print(rng, 4, 5, 20.0)
-        assert full.vector.n_minutiae == 20
-
-    def test_rate_out_of_range_rejected(self):
-        rng = substream(2)
-        with pytest.raises(ValueError):
-            generate_print(rng, 2, 3, 7.0)
-        with pytest.raises(ValueError):
-            generate_print(rng, 2, 3, -1.0)
-
-    def test_seeded_reproducibility(self):
-        a = generate_print(substream(42, 0), 10, 5, 15.0)
-        b = generate_print(substream(42, 0), 10, 5, 15.0)
-        assert a == b
-
-    def test_mean_minutiae_calibrated(self):
-        # 10,000 independent prints: the average count sits near 15.
-        counts = [
-            generate_print(substream(7, i), 10, 5, 15.0).vector.n_minutiae
-            for i in range(10_000)
-        ]
-        assert 14.7 <= float(np.mean(counts)) <= 15.3
-
-
-class TestMask:
-    def test_share_zero_identity(self):
-        masked = mask_missing(Y6, 0.0, rng=substream(3))
-        assert masked.n_missing == 0
-        assert tuple(masked.cells) == Y6.cells
-
-    def test_share_one_hides_everything(self):
-        masked = mask_missing(Y6, 1.0, rng=substream(3))
-        assert masked.n_missing == 6
-
-    def test_exact_count_rounds_half_up(self):
-        grid = generate_print(substream(4), 10, 5, 15.0)
-        masked = mask_missing(grid, 0.25, rng=substream(5))
-        assert masked.vector.n_missing == 13  # not banker's 12
-
-    def test_exact_mode_distinct_cells(self):
-        for i in range(50):
-            masked = mask_missing(Y6, 0.5, rng=substream(6, i))
-            assert masked.n_missing == 3
-
-    def test_per_cell_mode_varies(self):
-        counts = {
-            mask_missing(Y6, 0.5, rng=substream(8, i), mode="per_cell").n_missing
-            for i in range(50)
-        }
-        assert len(counts) > 1
-
-    def test_visible_cells_unchanged(self):
-        rng = substream(9)
-        grid = generate_print(rng, 6, 6, 12.0)
-        masked = mask_missing(grid, 0.3, rng=rng)
-        for before, after in zip(grid.vector.cells, masked.vector.cells):
-            assert after is Cell.MISSING or after is before
-
-    def test_bad_inputs_rejected(self):
-        rng = substream(10)
-        with pytest.raises(ValueError):
-            mask_missing(Y6, 1.5, rng=rng)
-        with pytest.raises(ValueError):
-            mask_missing(Y6, 0.2, rng=rng, mode="often")
-        with pytest.raises(ValueError, match="already"):
-            mask_missing(LATENT6, 0.2, rng=rng)
-
-
 class TestAgreementModel:
     def test_defaults(self):
         model = CellAgreementModel()
@@ -296,20 +227,12 @@ class TestDeltaImpute:
         assert delta.linear == pytest.approx(2.0**6, rel=1e-12)
 
     def test_never_deflates(self):
-        rng = substream(11)
-        for _ in range(300):
-            ref = generate_print(rng, 3, 4, 5.0)
-            mark = generate_print(rng, 3, 4, 5.0)
-            latent = mask_missing(mark, 0.4, rng=rng, mode="per_cell")
+        for ref, latent in _every_pair():
             assert delta_impute_exact(latent, ref).log_value >= -TOL
 
     def test_imputed_lr_dominates_observed(self):
-        rng = substream(12)
         model = CellAgreementModel(0.7, 0.2)
-        for _ in range(300):
-            ref = generate_print(rng, 3, 4, 5.0)
-            mark = generate_print(rng, 3, 4, 5.0)
-            latent = mask_missing(mark, 0.5, rng=rng, mode="per_cell")
+        for ref, latent in _every_pair():
             imputed = impute_from_reference(latent, ref)
             assert (
                 source_lr(imputed, ref, model).log_value
@@ -319,7 +242,7 @@ class TestDeltaImpute:
     def test_monte_carlo_matches_binomial_mean(self):
         # Per-cell masking makes n_missing ~ Binomial(n, s), so
         # E[delta] = (1 - s + s * p_same/p_diff)^n.
-        sim = ImputationSimParams(rows=2, cols=3, expected_minutiae=3.0)
+        sim = ImputationSimParams(rows=2, cols=3)
         draws = sample_delta_impute(sim, 0.25, 4_000, rng=substream(13))
         expected = 1.25**6
         assert abs(draws.mean() - expected) / expected < 0.05
@@ -327,21 +250,13 @@ class TestDeltaImpute:
     def test_exact_mask_mode_is_degenerate(self):
         # n_missing is pinned at 3, so every draw is (p_same/p_diff)^3 up
         # to the rounding of the log-space round trip.
-        sim = ImputationSimParams(rows=2, cols=3, expected_minutiae=3.0)
+        sim = ImputationSimParams(rows=2, cols=3)
         draws = sample_delta_impute(sim, 0.5, 50, rng=substream(14), mask_mode="exact")
         assert np.all(np.abs(draws - 2.0**3) <= 1e-11)
-
-    def test_estimate_is_mean_factor(self):
-        sim = ImputationSimParams(rows=2, cols=3, expected_minutiae=3.0)
-        draws = sample_delta_impute(sim, 0.25, 500, rng=substream(15))
-        est = estimate_delta_impute(sim, 0.25, 500, rng=substream(15))
-        assert est.linear == pytest.approx(float(draws.mean()), rel=1e-12)
 
     def test_bad_params_rejected(self):
         with pytest.raises(ValueError):
             ImputationSimParams(rows=0)
-        with pytest.raises(ValueError):
-            ImputationSimParams(expected_minutiae=51.0)
         with pytest.raises(ValueError):
             sample_delta_impute(n_reps=0, rng=substream(16))
         with pytest.raises(ValueError, match="missing_share"):
@@ -350,64 +265,71 @@ class TestDeltaImpute:
             sample_delta_impute(mask_mode="often", rng=substream(16))
 
 
-def _reference_sample(params, missing_share, n_reps, rng, mask_mode):
-    """The per-replicate object path sample_delta_impute replaced.
-
-    Each replicate draws an exemplar, a mark whose cells agree with it per
-    the agreement model, and a mask, then evaluates LR(imputed)/LR(observed)
-    cell by cell.  Returns the missing counts and the draws.
-    """
-    flip = {Cell.PRESENT: Cell.ABSENT, Cell.ABSENT: Cell.PRESENT}
-    p_agree = params.model.p_same if params.same_source else params.model.p_diff
-    counts, draws = [], []
-    for _ in range(n_reps):
-        x = generate_print(rng, params.rows, params.cols, params.expected_minutiae).vector
-        agree = rng.random(len(x)) < p_agree
-        y = MinutiaVector(tuple(cx if a else flip[cx] for cx, a in zip(x.cells, agree)))
-        latent = mask_missing(y, missing_share, rng=rng, mode=mask_mode)
-        counts.append(latent.n_missing)
-        draws.append(delta_impute_exact(latent, x, params.model).linear)
-    return np.array(counts), np.array(draws)
-
-
-# (seed, rows, cols, model, same_source, missing_share, mask_mode, n_reps):
-# every seed, shape, share, mode and source setting, and replicate counts
-# on both sides of the 256-replicate block edge.
+# (seed, rows, cols, model, missing_share, mask_mode, n_reps): every seed,
+# shape, share and mode; one replicate, and enough for a histogram.
 ORACLE_CASES = [
-    (0, 10, 5, CellAgreementModel(), True, 0.25, "per_cell", 257),
-    (7, 2, 3, CellAgreementModel(0.7, 0.2), True, 0.4, "per_cell", 600),
-    (13, 7, 9, CellAgreementModel(), False, 0.4, "per_cell", 256),
-    (7, 10, 5, CellAgreementModel(0.7, 0.2), False, 0.0, "per_cell", 255),
-    (13, 2, 3, CellAgreementModel(), True, 1.0, "per_cell", 1),
-    (0, 7, 9, CellAgreementModel(0.7, 0.2), True, 1.0, "per_cell", 255),
-    (0, 7, 9, CellAgreementModel(), False, 0.4, "exact", 257),
-    (7, 2, 3, CellAgreementModel(0.7, 0.2), True, 0.4, "exact", 1),
-    (13, 10, 5, CellAgreementModel(), True, 0.25, "exact", 256),
-    (0, 2, 3, CellAgreementModel(), False, 0.0, "exact", 255),
-    (7, 10, 5, CellAgreementModel(0.7, 0.2), False, 1.0, "exact", 600),
+    (0, 10, 5, CellAgreementModel(), 0.25, "per_cell", 20_000),
+    (7, 2, 3, CellAgreementModel(0.7, 0.2), 0.4, "per_cell", 20_000),
+    (13, 7, 9, CellAgreementModel(), 0.4, "per_cell", 20_000),
+    (7, 10, 5, CellAgreementModel(0.7, 0.2), 0.0, "per_cell", 255),
+    (13, 2, 3, CellAgreementModel(), 1.0, "per_cell", 1),
+    (0, 7, 9, CellAgreementModel(0.7, 0.2), 1.0, "per_cell", 255),
+    (0, 7, 9, CellAgreementModel(), 0.4, "exact", 257),
+    (7, 2, 3, CellAgreementModel(0.7, 0.2), 0.4, "exact", 1),
+    (13, 10, 5, CellAgreementModel(), 0.25, "exact", 256),
+    (0, 2, 3, CellAgreementModel(), 0.0, "exact", 255),
+    (7, 10, 5, CellAgreementModel(0.7, 0.2), 1.0, "exact", 600),
 ]
+
+# Upper normal quantile at 1e-6: through Wilson-Hilferty, the chi-square
+# bound below fails a correct sampler at about one seed in a million per
+# case, a little less at these degrees of freedom, where it errs high.
+_Z_FALSE_ALARM = 4.753
+
+
+def _pooled_chi_square(counts, n, share):
+    """Pearson's chi-square of the missing counts against Binomial(n, share),
+    contiguous counts pooled until each bin expects at least 5, with its
+    Wilson-Hilferty critical value at the _Z_FALSE_ALARM level."""
+    expected = len(counts) * np.exp(binomial_log_pmf(n, share))
+    observed = np.bincount(counts, minlength=n + 1)
+    bins, e, o = [], 0.0, 0
+    for ej, oj in zip(expected.tolist(), observed.tolist()):
+        e, o = e + ej, o + oj
+        if e >= 5.0:
+            bins.append((e, o))
+            e, o = 0.0, 0
+    bins[-1] = (bins[-1][0] + e, bins[-1][1] + o)
+    chi_square = sum((o - e) ** 2 / e for e, o in bins)
+    df = len(bins) - 1
+    critical = df * (1.0 - 2.0 / (9 * df) + _Z_FALSE_ALARM * math.sqrt(2.0 / (9 * df))) ** 3
+    return chi_square, critical
 
 
 def _case_id(case):
-    seed, rows, cols, model, same_source, share, mode, n_reps = case
-    return f"{seed}-{rows}x{cols}-{model.p_same}-{same_source}-{share}-{mode}-{n_reps}"
+    seed, rows, cols, model, share, mode, n_reps = case
+    return f"{seed}-{rows}x{cols}-{model.p_same}-{share}-{mode}-{n_reps}"
 
 
-class TestSampleMatchesObjectOracle:
+class TestSampleMatchesBinomialOracle:
     @pytest.mark.parametrize("case", ORACLE_CASES, ids=_case_id)
-    def test_same_missing_count_and_draw(self, case):
-        seed, rows, cols, model, same_source, share, mode, n_reps = case
-        params = ImputationSimParams(rows, cols, min(15.0, rows * cols / 2), model, same_source)
-        ref_rng, rng = substream(seed, 0), substream(seed, 0)
-        ref_counts, ref_draws = _reference_sample(params, share, n_reps, ref_rng, mode)
-        draws = sample_delta_impute(params, share, n_reps, rng=rng, mask_mode=mode)
+    def test_counts(self, case):
+        seed, rows, cols, model, share, mode, n_reps = case
+        n, log_r = rows * cols, math.log(model.p_same / model.p_diff)
+        draws = sample_delta_impute(
+            ImputationSimParams(rows, cols, model), share, n_reps, rng=substream(seed, 0), mask_mode=mode
+        )
         assert draws.shape == (n_reps,)
-        counts = np.rint(np.log(draws) / math.log(model.p_same / model.p_diff))
-        np.testing.assert_array_equal(counts, ref_counts)
-        np.testing.assert_allclose(draws, ref_draws, rtol=1e-12, atol=0.0)
-        if mode == "per_cell":
-            # The stream is consumed exactly as the object path did.
-            assert rng.random() == ref_rng.random()
+        counts = np.rint(np.log(draws) / log_r).astype(np.int64)
+        # Each draw is r**M in the log-space arithmetic, bit for bit.
+        np.testing.assert_array_equal(draws, np.exp(counts * log_r))
+        if mode == "exact" or share in (0.0, 1.0):
+            fixed = math.floor(share * n + 0.5)  # round half up: 0.4 of 63 cells is 25
+            assert np.all(counts == fixed)
+            np.testing.assert_allclose(draws, (model.p_same / model.p_diff) ** fixed, rtol=1e-12, atol=0.0)
+        else:
+            chi_square, critical = _pooled_chi_square(counts, n, share)
+            assert chi_square <= critical
 
 
 class TestExactMean:
@@ -417,7 +339,7 @@ class TestExactMean:
 
     def test_per_cell_matches_enumeration(self):
         model = CellAgreementModel(0.7, 0.2)
-        sim = ImputationSimParams(rows=2, cols=3, expected_minutiae=3.0, model=model)
+        sim = ImputationSimParams(rows=2, cols=3, model=model)
         share, r = 0.4, 0.7 / 0.2
         oracle = sum(
             math.comb(6, m) * share**m * (1 - share) ** (6 - m) * r**m for m in range(7)
@@ -438,13 +360,16 @@ class TestExactMean:
         with pytest.raises(OverflowError, match="draw"):
             sample_delta_impute(ImputationSimParams(rows=80, cols=80), 0.25, 20, rng=substream(17))
 
-    def test_estimate_finite_where_the_sum_overflows(self):
-        # Every draw is r**1021 ~ 2.2e307, so the plain sum of ten overflows.
-        sim = ImputationSimParams(rows=1, cols=1021, expected_minutiae=3.0)
+    def test_estimate_finite_where_the_sum_overflows(self, tmp_path):
+        # Every draw is r**1021 ~ 2.2e307, so the plain sum of ten overflows;
+        # the preset's mean, scaled by the largest draw, does not.
+        sim = ImputationSimParams(rows=1, cols=1021)
         draws = sample_delta_impute(sim, 1.0, 10, rng=substream(18))
         assert np.all(np.isfinite(draws))
-        est = estimate_delta_impute(sim, 1.0, 10, rng=substream(18))
-        assert est.log_value == pytest.approx(1021 * math.log(2.0), rel=1e-12)
+        overrides = {"rows": "1", "cols": "1021", "missing_share": "1", "n_reps": "10"}
+        run_preset("delta-impute", 18, overrides, out_dir=tmp_path)
+        est = json.loads((tmp_path / "estimate.json").read_text())
+        assert math.log(est["mean_delta"]) == pytest.approx(1021 * math.log(2.0), rel=1e-12)
 
 
 def _enumerated_quantile_counts(n, share, r):
@@ -485,7 +410,7 @@ class TestExactQuantiles:
     )
     def test_per_cell_matches_enumeration(self, rows, cols, share, p_same, p_diff):
         model = CellAgreementModel(p_same, p_diff)
-        sim = ImputationSimParams(rows=rows, cols=cols, expected_minutiae=0.0, model=model)
+        sim = ImputationSimParams(rows=rows, cols=cols, model=model)
         r = Fraction(p_same) / Fraction(p_diff)
         want = [float(r**m) for m in _enumerated_quantile_counts(rows * cols, share, r)]
         got = exact_delta_quantiles(sim, share, "per_cell")

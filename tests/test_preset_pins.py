@@ -30,7 +30,6 @@ SMALL = {
 VARIANTS = {
     ("propagation", "default"): {},
     ("delta-impute", "exact"): {**SMALL["delta-impute"], "mask_mode": "exact"},
-    ("delta-impute", "other_source"): {**SMALL["delta-impute"], "same_source": "false"},
 }
 
 PINS = {
@@ -62,17 +61,12 @@ PINS = {
         "true_y.txt": "931971965f0f542cf6d76e50e8a3901633d9dae7195c3732137a88aa9016852e",
     },
     ("delta-impute", "small"): {
-        "estimate.json": "505a49d1f90804e771b8119c23ff947e7c92f5878d4f9a49c6708aba2c579433",
-        "manifest.json": "83779fa2df3573efb304ffec233e4323bbb20ab19fecf4f1ecd053d3d9d0227d",
+        "estimate.json": "ed59c1377e1366831433c07245ff067c9c79d2d507cf5c154086394b01f1c82f",
+        "manifest.json": "197da8cee47c39aa12958b7218ff3d6616431d8d030f046151c907fdcf7cf3cd",
     },
     ("delta-impute", "exact"): {
         "estimate.json": "1056485d23bd9e8ef90c731ffb8269b80de8c6ecdae9def4f2eded4c84e594b0",
-        "manifest.json": "4be457c2a3c7abe15d0cc1438b8cd63eb8c4f0b69beca2cbc84488380cea2729",
-    },
-    ("delta-impute", "other_source"): {
-        # same_source does not affect the draws: the small pin's estimate.
-        "estimate.json": "505a49d1f90804e771b8119c23ff947e7c92f5878d4f9a49c6708aba2c579433",
-        "manifest.json": "26efcab14a2621009586a4e6fadedcf222dc4aa1a8261b99d708230a72528902",
+        "manifest.json": "637f4776621698304390fba6472b21be21bd0a3a755f29797547589748db0572",
     },
     ("feedback", "small"): {
         "aggregate.json": "6ce91f9739547e8568d587546d35bc589e1f769f0bbdf5a10c7952b73f68a866",
