@@ -4,6 +4,8 @@ The package models how task-irrelevant information tilts an analyst's
 reported likelihood ratio, how that tilt propagates along chains of
 analysts (independently or compounding), and how a trier of fact ends up
 with guilt odds inflated by exactly the product of the per-stream tilts.
+A bias factor is a plain float log value, one more additive term in the
+log odds.
 
 A function that draws once takes a numpy Generator; a replicated
 experiment takes a master seed and draws replicate i from
@@ -23,16 +25,8 @@ from .odds import (
     uniform_prior_odds,
 )
 from .contextual import (
-    AnalystBelief,
-    BiasFactor,
-    BiasLedger,
-    LedgerEntry,
     MAYFIELD_DELTAS,
-    Provenance,
-    TraitPrevalence,
-    apply_bias,
     average_bias,
-    compose_bias,
     delta_contextual,
     mayfield_average,
     race_example_delta,
@@ -90,14 +84,7 @@ from .propagation import (
     PropagationStudy,
     monte_carlo_chains,
 )
-from .trier import (
-    EvidenceBundle,
-    StreamBias,
-    biased_guilt_odds,
-    case_report,
-    neutral_guilt_odds,
-    systemic_bias_ratio,
-)
+from .trier import case_report
 from .seeding import substream, substream_uniforms, validate_seed
 from .config import ConfigError, ParamSpec, PresetSchema
 from .outputs import RunManifest, read_manifest, sha256_file, write_manifest

@@ -1,12 +1,12 @@
-"""Multiplicative bias factors on likelihood ratios.
+"""Multiplicative bias factors on likelihood ratios, as plain log values.
 
 An analyst who is exposed to task-irrelevant information reports a
 likelihood ratio that differs from the neutral one by a multiplicative
-factor.  This module defines that factor as a typed value with a
-provenance tag, a ledger that tracks every factor applied to a report,
-and the closed-form factor induced by misjudging the prevalence of an
-irrelevant trait (e.g. the suspect's race) in the guilty and innocent
-populations.
+factor.  In the odds form of Bayes' rule that factor is one more
+additive term in the log odds, so every factor here is a plain float
+log value: a caller sums the logs and takes exp once, when it writes.
+The panel averages are the exception; they take and return linear
+factors.
 
 Prevalence model: a binary trait occurs with probability alpha among
 actual sources and beta among non-sources.  An analyst who instead
@@ -16,251 +16,87 @@ into the reported likelihood ratio, which tilts it by
     delta = (alpha*/beta*) * (beta/alpha)            if the trait is present
     delta = ((1-alpha*)/(1-beta*)) * ((1-beta)/(1-alpha))   otherwise
 
-relative to an analyst holding the true rates.  A factor above 1 inflates
-the evidence against the suspect; below 1 deflates it; exactly 1 is
-neutral.
+relative to an analyst holding the true rates.  A factor above 1 (a
+positive log) inflates the evidence against the suspect; below 1
+deflates it; exactly 1 is neutral.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 from statistics import fmean
-from typing import Iterable, Sequence
-
-from .odds import LikelihoodRatio, ProbabilityLike, as_probability
+from typing import Sequence
 
 __all__ = [
-    "Provenance",
-    "BiasFactor",
-    "LedgerEntry",
-    "BiasLedger",
-    "TraitPrevalence",
-    "AnalystBelief",
     "delta_contextual",
     "race_example_delta",
-    "apply_bias",
-    "compose_bias",
     "average_bias",
     "MAYFIELD_DELTAS",
     "mayfield_average",
 ]
 
 
-class Provenance(Enum):
-    """Which mechanism produced a bias factor."""
-
-    CONTEXTUAL = "contextual"
-    IMPUTE = "impute"
-    PEER = "peer"
-    CASCADE = "cascade"
-    COMPOSITE = "composite"
-
-
-@dataclass(frozen=True)
-class BiasFactor:
-    """A positive multiplicative tilt on a likelihood ratio, stored as a log."""
-
-    log_value: float
-    provenance: Provenance
-
-    def __post_init__(self) -> None:
-        log_value = float(self.log_value)
-        if not math.isfinite(log_value):
-            raise ValueError(f"BiasFactor.log_value must be finite, got {log_value!r}")
-        if not isinstance(self.provenance, Provenance):
-            raise ValueError(f"BiasFactor.provenance must be a Provenance, got {self.provenance!r}")
-        object.__setattr__(self, "log_value", log_value)
-
-    @classmethod
-    def from_linear(cls, value: float, provenance: Provenance) -> "BiasFactor":
-        value = float(value)
-        if not math.isfinite(value) or value <= 0.0:
-            raise ValueError(f"bias factor must be positive and finite, got {value!r}")
-        return cls(math.log(value), provenance)
-
-    @classmethod
-    def unit(cls, provenance: Provenance) -> "BiasFactor":
-        return cls(0.0, provenance)
-
-    @property
-    def linear(self) -> float:
-        return math.exp(self.log_value)
-
-    @property
-    def inflates(self) -> bool:
-        return self.log_value > 0.0
-
-
-@dataclass(frozen=True)
-class LedgerEntry:
-    label: str
-    factor: BiasFactor
-
-
-@dataclass(frozen=True)
-class BiasLedger:
-    """Ordered record of every bias factor applied to one reported LR.
-
-    The ledger is the audit trail: the product of its entries (a log-space
-    sum, taken in order) must reproduce reported/neutral exactly, and
-    removing one entry answers the counterfactual "what would the report
-    have been without that influence".
-    """
-
-    entries: tuple[LedgerEntry, ...] = ()
-
-    def __post_init__(self) -> None:
-        entries = tuple(self.entries)
-        labels = [entry.label for entry in entries]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate ledger labels: {labels!r}")
-        object.__setattr__(self, "entries", entries)
-
-    def add(self, label: str, factor: BiasFactor) -> "BiasLedger":
-        return BiasLedger(self.entries + (LedgerEntry(label, factor),))
-
-    def without(self, label: str) -> "BiasLedger":
-        if label not in self.labels:
-            raise KeyError(f"no ledger entry labelled {label!r}")
-        return BiasLedger(tuple(e for e in self.entries if e.label != label))
-
-    def __getitem__(self, label: str) -> BiasFactor:
-        for entry in self.entries:
-            if entry.label == label:
-                return entry.factor
-        raise KeyError(f"no ledger entry labelled {label!r}")
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(entry.label for entry in self.entries)
-
-    @property
-    def total_log(self) -> float:
-        total = 0.0
-        for entry in self.entries:
-            total += entry.factor.log_value
-        return total
-
-    @property
-    def total(self) -> BiasFactor:
-        return BiasFactor(self.total_log, Provenance.COMPOSITE)
-
-
-def _open_unit(name: str, value: ProbabilityLike) -> float:
-    v = as_probability(value).value
-    if v <= 0.0 or v >= 1.0:
+def _open_unit(name: str, value: float) -> float:
+    v = float(value)
+    if not 0.0 < v < 1.0:
         raise ValueError(f"{name} must lie strictly inside (0, 1), got {v!r}")
     return v
 
 
-@dataclass(frozen=True)
-class TraitPrevalence:
-    """True rates of a binary trait among sources (alpha) and non-sources (beta)."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", _open_unit("TraitPrevalence.alpha", self.alpha))
-        object.__setattr__(self, "beta", _open_unit("TraitPrevalence.beta", self.beta))
-
-
-@dataclass(frozen=True)
-class AnalystBelief:
-    """The rates an analyst acts on, possibly distorted by exposure."""
-
-    alpha_star: float
-    beta_star: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "alpha_star", _open_unit("AnalystBelief.alpha_star", self.alpha_star)
-        )
-        object.__setattr__(
-            self, "beta_star", _open_unit("AnalystBelief.beta_star", self.beta_star)
-        )
-
-
 def delta_contextual(
-    truth: TraitPrevalence, belief: AnalystBelief, trait_present: bool
-) -> BiasFactor:
-    """Bias factor from evaluating trait evidence under believed rates.
+    alpha: float, beta: float, alpha_star: float, beta_star: float, trait_present: bool
+) -> float:
+    """Log bias factor from evaluating trait evidence under believed rates.
 
-    Unit exactly when belief matches truth.  Computed in log space from the
-    four rates directly, so nearly-cancelling ratios stay accurate.
+    alpha and beta are the true trait rates among sources and non-sources,
+    alpha_star and beta_star the rates the analyst acts on; each must lie
+    strictly inside (0, 1).  Zero exactly when belief matches truth.
+    Computed from the four rates directly, so nearly-cancelling ratios
+    stay accurate.
     """
+    rates = {"alpha": alpha, "beta": beta, "alpha_star": alpha_star, "beta_star": beta_star}
+    alpha, beta, alpha_star, beta_star = (_open_unit(name, v) for name, v in rates.items())
     if trait_present:
-        log_value = (
-            math.log(belief.alpha_star)
-            - math.log(belief.beta_star)
-            + math.log(truth.beta)
-            - math.log(truth.alpha)
-        )
-    else:
-        log_value = (
-            math.log1p(-belief.alpha_star)
-            - math.log1p(-belief.beta_star)
-            + math.log1p(-truth.beta)
-            - math.log1p(-truth.alpha)
-        )
-    return BiasFactor(log_value, Provenance.CONTEXTUAL)
+        return math.log(alpha_star) - math.log(beta_star) + math.log(beta) - math.log(alpha)
+    return math.log1p(-alpha_star) - math.log1p(-beta_star) + math.log1p(-beta) - math.log1p(-alpha)
 
 
-def race_example_delta(trait_prob: ProbabilityLike, trait_present: bool) -> BiasFactor:
-    """Bias factor when an analyst doubles the perceived source-side rate.
+def race_example_delta(trait_prob: float, trait_present: bool) -> float:
+    """Log bias factor when an analyst doubles the perceived source-side rate.
 
     The trait occurs with the same base rate p on both sides (so the trait
     carries no evidence), but exposure leads the analyst to act as if
     sources carry it at 2p.  Requires p < 1/2 so the doubled rate is still
     a probability.  Present traits are overweighted by exactly 2; absent
-    traits are underweighted by 2 - 1/(1-p).
+    traits are underweighted by 2 - 1/(1-p), which must not round to 0.
     """
     p = _open_unit("trait_prob", trait_prob)
     if p >= 0.5:
         raise ValueError(f"trait_prob must be < 0.5 so the doubled rate stays valid, got {p!r}")
     if trait_present:
-        return BiasFactor(math.log(2.0), Provenance.CONTEXTUAL)
-    return BiasFactor.from_linear(2.0 - 1.0 / (1.0 - p), Provenance.CONTEXTUAL)
+        return math.log(2.0)
+    absent = 2.0 - 1.0 / (1.0 - p)
+    if absent <= 0.0:  # 1 - p rounds to 1/2 at p = 0.5 - 2**-54
+        raise ValueError(f"trait_prob={p!r} rounds the absent-trait factor 2 - 1/(1-p) to 0; use a smaller trait_prob")
+    return math.log(absent)
 
 
-def apply_bias(lr: LikelihoodRatio, bias: BiasFactor) -> LikelihoodRatio:
-    """Tilt a likelihood ratio by a bias factor (log-space sum)."""
-    total = lr.log_value + bias.log_value
-    if not math.isfinite(total):
-        raise OverflowError("biased log likelihood ratio overflowed")
-    return LikelihoodRatio(total)
+def average_bias(factors: Sequence[float], geometric: bool = False) -> float:
+    """Case-level average of per-examiner linear bias factors.
 
-
-def compose_bias(
-    factors: Iterable[BiasFactor], provenance: Provenance = Provenance.COMPOSITE
-) -> BiasFactor:
-    """Product of bias factors acting on the same report."""
-    factors = tuple(factors)
-    if not factors:
-        raise ValueError("compose_bias requires at least one factor")
-    total = 0.0
-    for factor in factors:
-        total += factor.log_value
-    return BiasFactor(total, provenance)
-
-
-def average_bias(factors: Sequence[BiasFactor], geometric: bool = False) -> BiasFactor:
-    """Case-level average of per-examiner bias factors.
-
-    The default is the arithmetic mean of the linear factors, matching how
-    a panel's individual tilts are summarised into one case figure.  The
-    geometric mean (mean of logs) is available for sensitivity checks.
+    The default is the arithmetic mean, matching how a panel's individual
+    tilts are summarised into one case figure.  The geometric mean (exp
+    of the mean log) is available for sensitivity checks.  Every factor
+    must be positive and finite.
     """
-    factors = tuple(factors)
+    factors = tuple(float(f) for f in factors)
     if not factors:
         raise ValueError("average_bias requires at least one factor")
+    if not all(0.0 < f < math.inf for f in factors):
+        raise ValueError(f"bias factors must be positive and finite, got {factors!r}")
     if geometric:
-        return BiasFactor(fmean(f.log_value for f in factors), Provenance.COMPOSITE)
-    return BiasFactor.from_linear(
-        fmean(f.linear for f in factors), Provenance.COMPOSITE
-    )
+        return math.exp(fmean(math.log(f) for f in factors))
+    return fmean(factors)
 
 
 # Mayfield panel: three examiners swayed by the circulated intelligence
@@ -268,8 +104,6 @@ def average_bias(factors: Sequence[BiasFactor], geometric: bool = False) -> Bias
 MAYFIELD_DELTAS: tuple[float, ...] = (2.0, 2.0, 2.0, 1.5, 1.0)
 
 
-def mayfield_average() -> BiasFactor:
+def mayfield_average() -> float:
     """Arithmetic mean bias of the five-examiner Mayfield panel: 1.7."""
-    return average_bias(
-        tuple(BiasFactor.from_linear(d, Provenance.CONTEXTUAL) for d in MAYFIELD_DELTAS)
-    )
+    return average_bias(MAYFIELD_DELTAS)

@@ -204,9 +204,10 @@ def exact_final_mean_and_gap(
     w = regime.wrongful_rate
     p = (1.0 - w) * alpha_true + w * _wrongful_trait_rate(regime, alpha_true)
     total = prior.a + prior.b + n_obs
-    gaps = np.abs((prior.a + np.arange(n_obs + 1)) / total - alpha_true)
+    counts = np.arange(n_obs + 1)
+    gaps = np.abs((prior.a + counts) / total - alpha_true)
     mean = (prior.a + n_obs * p) / total
-    return mean, float(np.exp(binomial_log_pmf(n_obs, p)) @ gaps)
+    return mean, float(np.exp(binomial_log_pmf(n_obs, p, counts)) @ gaps)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .contextual import BiasFactor, Provenance
 from .odds import LOG_FLOAT_MAX, LikelihoodRatio, binomial_log_pmf
 
 __all__ = [
@@ -367,24 +366,21 @@ def delta_impute_exact(
     latent: Union[PrintGrid, LatentVector, MinutiaVector],
     reference: Union[PrintGrid, MinutiaVector],
     model: CellAgreementModel = CellAgreementModel(),
-) -> BiasFactor:
-    """Bias factor from imputing, LR(imputed) / LR(observed).
+) -> float:
+    """Log bias factor from imputing, log(LR(imputed) / LR(observed)).
 
     The observed LR marginalises missing cells out; the imputed print adds
     one agreeing cell per missing cell, so the factor is exactly
-    (p_same/p_diff) ** n_missing.  Complete prints give a unit factor.
+    (p_same/p_diff) ** n_missing.  Complete prints give 0 (a unit factor).
     """
     imputed = impute_from_reference(latent, reference)
-    log_delta = (
-        source_lr(imputed, reference, model).log_value
-        - source_lr(latent, reference, model).log_value
-    )
-    return BiasFactor(log_delta, Provenance.IMPUTE)
+    return source_lr(imputed, reference, model).log_value - source_lr(latent, reference, model).log_value
 
 
 @dataclass(frozen=True)
 class ImputationSimParams:
-    """Grid shape and agreement model of the imputation-bias Monte Carlo."""
+    """Grid shape and agreement model of the imputation-bias Monte Carlo.
+    OverflowError when the per-cell factor r = p_same/p_diff is infinite."""
 
     rows: int = 10
     cols: int = 5
@@ -393,6 +389,8 @@ class ImputationSimParams:
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"grid shape must be positive, got {self.rows}x{self.cols}")
+        if math.isinf(ratio := self.model.p_same / self.model.p_diff):
+            raise OverflowError(f"the match ratio p_same/p_diff = {ratio} exceeds float range")
 
 
 def sample_delta_impute(
@@ -439,6 +437,12 @@ def exact_mean_delta(params: ImputationSimParams, missing_share: float, mask_mod
 # reaching it, so rounding in the log-space pmf cannot move a quantile
 # off an exact tie such as P(M <= 4) = 1/2 at n = 9, s = 1/2.
 _CDF_SLACK = 1e-9
+# Bernstein's inequality puts under 2 * e**-60 < 2e-26 of the mass of
+# Binomial(n, s) outside n*s ± (40*sigma + 40), far below _CDF_SLACK, so
+# the quantiles are found on that window alone.  A window of more than
+# _MAX_WINDOW counts (sigma above about 12,500) is refused: it would cost
+# two lgamma calls and several float arrays per count.
+_MAX_WINDOW = 10**6
 
 
 def exact_delta_quantiles(
@@ -450,7 +454,10 @@ def exact_delta_quantiles(
     quantile is r**j for the first count j whose cumulative probability
     reaches the level.  The pmf and the power are taken in log space.  An
     exact mask, or a share of 0 or 1, gives r**round-half-up(s * n) for all
-    three without building the pmf.  Raises OverflowError past float range.
+    three without building the pmf; otherwise it is built only on the
+    counts within n*s ± (40*sigma + 40).  Raises OverflowError past float
+    range and ValueError when that window holds more than _MAX_WINDOW
+    counts.
     """
     n = params.rows * params.cols
     fixed = _fixed_count(n, missing_share, mask_mode)
@@ -458,8 +465,13 @@ def exact_delta_quantiles(
     if fixed is not None:
         counts = [fixed] * 3
     else:
-        cdf = np.cumsum(np.exp(binomial_log_pmf(n, missing_share)))
-        counts = np.searchsorted(cdf, [0.025 - _CDF_SLACK, 0.5 - _CDF_SLACK, 0.975 - _CDF_SLACK])
+        mean = n * missing_share
+        half = 40.0 * math.sqrt(mean * (1.0 - missing_share)) + 40.0
+        lo, hi = max(0, math.ceil(mean - half)), min(n, math.floor(mean + half))
+        if hi - lo >= _MAX_WINDOW:
+            raise ValueError(f"the exact quantiles need the pmf at {hi - lo + 1} counts, more than {_MAX_WINDOW}")
+        cdf = np.cumsum(np.exp(binomial_log_pmf(n, missing_share, np.arange(lo, hi + 1))))
+        counts = lo + np.searchsorted(cdf, [0.025 - _CDF_SLACK, 0.5 - _CDF_SLACK, 0.975 - _CDF_SLACK])
     # The draws' own arithmetic, so a quantile the Monte Carlo hits is equal.
     log_quantiles = np.asarray(counts) * log_r
     if log_quantiles.max() > LOG_FLOAT_MAX:

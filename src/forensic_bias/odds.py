@@ -196,13 +196,16 @@ def compose_lr(parts: Iterable[LikelihoodRatio]) -> LikelihoodRatio:
     return LikelihoodRatio(total)
 
 
-def binomial_log_pmf(n: int, p: float) -> np.ndarray:
-    """log P(K = k) for k = 0..n, K ~ Binomial(n, p); -inf where P(K = k) is 0.
+def binomial_log_pmf(n: int, p: float, k: np.ndarray) -> np.ndarray:
+    """log P(K = k) at each count of the integer array k, K ~ Binomial(n, p);
+    -inf where P(K = k) is 0.
 
     Taken from log factorials, so it neither overflows nor underflows
-    for large n."""
-    k = np.arange(n + 1)
+    for large n, and costs O(len(k)) whatever n is."""
     if p in (0.0, 1.0):
         return np.where(k == round(p * n), 0.0, -np.inf)
-    log_fact = np.array([math.lgamma(j + 1.0) for j in range(n + 1)])  # log j!
-    return log_fact[-1] - log_fact - log_fact[::-1] + k * math.log(p) + (n - k) * math.log1p(-p)
+
+    def log_fact(j: np.ndarray) -> np.ndarray:  # log j!, elementwise
+        return np.array([math.lgamma(v + 1.0) for v in j.tolist()])
+
+    return math.lgamma(n + 1.0) - log_fact(k) - log_fact(n - k) + k * math.log(p) + (n - k) * math.log1p(-p)

@@ -9,9 +9,11 @@ creates the output directory, runs the preset, writes each artifact by
 its extension, and writes the manifest last, recording the preset name,
 seed, fully resolved parameters, and a sha256 checksum per artifact.
 A rerun removes the old manifest before its first write, so a run
-that fails midway leaves no manifest.  Every preset runs in one thread;
-the thread count that run_preset accepts is only validated, kept for
-callers that pass it, and never reaches a runner or the manifest.
+that fails midway leaves no manifest; an old manifest it cannot remove
+is a ConfigError, and the previous run stays as it was.  Every preset
+runs in one thread; the thread count that run_preset accepts is only
+validated, kept for callers that pass it, and never reaches a runner or
+the manifest.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import numpy as np
 
 from .config import ConfigError, ParamSpec, PresetSchema
 from .contextual import MAYFIELD_DELTAS, average_bias, mayfield_average, race_example_delta
-from .contextual import BiasFactor, Provenance
 from .feedback import (
     BetaPrior,
     FeedbackRegime,
@@ -50,12 +51,12 @@ from .fingerprints import (
     LatentVector,
     sample_delta_impute,
 )
-from .odds import LOG_FLOAT_MAX, LikelihoodRatio, OddsRatio, SuspectPool, posterior_odds, uniform_prior_odds
+from .odds import LOG_FLOAT_MAX, LikelihoodRatio, SuspectPool, posterior_odds, uniform_prior_odds
 from .outputs import MANIFEST_NAME, RunManifest, sha256_file, write_csv, write_json, write_manifest
 from .propagation import ChainMode, monte_carlo_chains
 from .relevance import builtin_joint_names, classify_relevance, load_builtin_joint
 from .seeding import substream, validate_seed
-from .trier import EvidenceBundle, StreamBias, case_report
+from .trier import case_report
 
 __all__ = ["Preset", "PRESETS", "get_preset", "run_preset", "ArtifactWriteError", "TOOL_VERSION"]
 
@@ -148,15 +149,12 @@ _MAYFIELD_SCHEMA = PresetSchema(
 
 
 def _run_mayfield(params: dict, seed: int) -> dict[str, object]:
-    factors = tuple(
-        BiasFactor.from_linear(d, Provenance.CONTEXTUAL) for d in MAYFIELD_DELTAS
-    )
     return {
         "panel.csv": {"examiner": range(1, len(MAYFIELD_DELTAS) + 1), "delta": MAYFIELD_DELTAS},
         "report.json": {
             "panel_deltas": list(MAYFIELD_DELTAS),
-            "average_delta": mayfield_average().linear,
-            "geometric_average_delta": average_bias(factors, geometric=True).linear,
+            "average_delta": mayfield_average(),
+            "geometric_average_delta": average_bias(MAYFIELD_DELTAS, geometric=True),
         },
     }
 
@@ -176,15 +174,16 @@ _RACE_SCHEMA = PresetSchema(
 
 def _run_race(params: dict, seed: int) -> dict[str, object]:
     p = params["trait_prob"]
-    pool = SuspectPool(params["pool_n"])
-    lr_true = LikelihoodRatio.from_linear(params["lr_true"])
-    prior = uniform_prior_odds(pool)
-    delta_present = race_example_delta(p, trait_present=True)
-    delta_absent = race_example_delta(p, trait_present=False)
-    neutral = posterior_odds(prior, lr_true)
-    biased_present = OddsRatio(neutral.log_value + delta_present.log_value)
-    biased_absent = OddsRatio(neutral.log_value + delta_absent.log_value)
-    biased_log = max(biased_present.log_value, biased_absent.log_value)
+    prior = uniform_prior_odds(SuspectPool(params["pool_n"]))
+    try:
+        delta_present = race_example_delta(p, trait_present=True)
+        delta_absent = race_example_delta(p, trait_present=False)
+    except ValueError as exc:  # trait_prob an ulp below 0.5
+        raise ConfigError(str(exc)) from exc
+    neutral = posterior_odds(prior, LikelihoodRatio.from_linear(params["lr_true"])).log_value
+    biased_present = neutral + delta_present
+    biased_absent = neutral + delta_absent
+    biased_log = max(biased_present, biased_absent)
     if biased_log > LOG_FLOAT_MAX:
         named = ", ".join(f"{k}={params[k]!r}" for k in ("trait_prob", "pool_n", "lr_true"))
         raise ConfigError(
@@ -194,13 +193,13 @@ def _run_race(params: dict, seed: int) -> dict[str, object]:
     return {
         "report.json": {
             "trait_prob": p,
-            "delta_present": delta_present.linear,
-            "delta_absent": delta_absent.linear,
-            "pool_n": pool.n,
+            "delta_present": math.exp(delta_present),
+            "delta_absent": math.exp(delta_absent),
+            "pool_n": params["pool_n"],
             "prior_odds": prior.linear,
-            "neutral_posterior_odds": neutral.linear,
-            "biased_posterior_odds_present": biased_present.linear,
-            "biased_posterior_odds_absent": biased_absent.linear,
+            "neutral_posterior_odds": math.exp(neutral),
+            "biased_posterior_odds_present": math.exp(biased_present),
+            "biased_posterior_odds_absent": math.exp(biased_absent),
         },
     }
 
@@ -264,7 +263,7 @@ def _run_imputation_table(params: dict, seed: int) -> dict[str, object]:
         }
     tables = _detail_columns("print", detail)
     detail["exemplar"] = {"cells": "".join(c.value for c in _TABLE_X.cells)}
-    detail["delta_impute"] = delta_impute_exact(_TABLE_LATENT, _TABLE_X).linear
+    detail["delta_impute"] = math.exp(delta_impute_exact(_TABLE_LATENT, _TABLE_X))
     return {"tables.csv": tables, "report.json": detail}
 
 
@@ -321,8 +320,8 @@ def _agreement_model(p_same: float, p_diff: float) -> CellAgreementModel:
 
 def _run_delta_impute(params: dict, seed: int) -> dict[str, object]:
     model = _agreement_model(params["p_same"], params["p_diff"])
-    sim = ImputationSimParams(rows=params["rows"], cols=params["cols"], model=model)
     try:
+        sim = ImputationSimParams(rows=params["rows"], cols=params["cols"], model=model)
         exact_mean = exact_mean_delta(sim, params["missing_share"], params["mask_mode"])
         exact_q025, exact_median, exact_q975 = exact_delta_quantiles(
             sim, params["missing_share"], params["mask_mode"]
@@ -334,7 +333,7 @@ def _run_delta_impute(params: dict, seed: int) -> dict[str, object]:
             rng=substream(seed, 0),
             mask_mode=params["mask_mode"],
         )
-    except OverflowError as exc:
+    except (OverflowError, ValueError) as exc:  # past float range, or too wide a pmf window
         named = ", ".join(f"{k}={params[k]!r}" for k in ("rows", "cols", "missing_share", "p_same", "p_diff"))
         raise ConfigError(f"{exc} at {named}; use a smaller grid, missing_share or p_same/p_diff") from exc
     q025, median, q975 = np.percentile(draws, [2.5, 50.0, 97.5])
@@ -479,6 +478,8 @@ def _run_propagation(params: dict, seed: int) -> dict[str, object]:
     except OverflowError as exc:
         named = ", ".join(f"{k}={params[k]!r}" for k in ("p_match_same", "p_match_diff", "k"))
         raise ConfigError(f"{exc} at {named}; use a larger p_match_diff or a smaller k") from exc
+    except ValueError as exc:  # trait_prob an ulp below 0.5
+        raise ConfigError(str(exc)) from exc
     return {
         "results.csv": study.columns,
         "summary.csv": study.summary,
@@ -526,16 +527,13 @@ def _run_trier(params: dict, seed: int) -> dict[str, object]:
         raise ConfigError(
             f"stream_lrs has {len(lrs)} values but betas has {len(betas)}; they must match"
         )
-    bundle = EvidenceBundle(
-        pool=SuspectPool(params["pool_n"]),
-        stream_lrs=tuple(LikelihoodRatio.from_linear(v) for v in lrs),
-        context_lr=LikelihoodRatio.from_linear(params["context_lr"]),
-    )
-    bias = StreamBias(
-        tuple(BiasFactor.from_linear(v, Provenance.COMPOSITE) for v in betas)
-    )
     try:
-        report = case_report(bundle, bias)
+        report = case_report(
+            params["pool_n"],
+            [math.log(v) for v in lrs],
+            [math.log(v) for v in betas],
+            math.log(params["context_lr"]),
+        )
     except OverflowError as exc:
         named = ", ".join(f"{k}={params[k]!r}" for k in ("pool_n", "stream_lrs", "betas", "context_lr"))
         raise ConfigError(f"{exc} at {named}; use smaller stream_lrs, betas or context_lr") from exc
@@ -576,9 +574,10 @@ def run_preset(
 ) -> RunManifest:
     """Resolve, run, write the artifacts, checksum them, and write the manifest last.
 
-    Returns the manifest.  An out_dir that cannot be created is a
-    ConfigError.  A runner that fails leaves out_dir as it was; a write
-    that fails raises ArtifactWriteError and leaves no manifest.
+    Returns the manifest.  An out_dir that cannot be created, or whose
+    old manifest cannot be removed, is a ConfigError.  A runner that
+    fails leaves out_dir as it was; a write that fails raises
+    ArtifactWriteError and leaves no manifest.
     """
     preset = get_preset(name)
     validate_seed(seed)
@@ -591,7 +590,13 @@ def run_preset(
     except OSError as exc:
         raise ConfigError(f"--out {out_dir}: cannot create the output directory: {exc}") from exc
     artifacts = preset.run(params, seed)
-    (out_dir / MANIFEST_NAME).unlink(missing_ok=True)
+    try:
+        (out_dir / MANIFEST_NAME).unlink(missing_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"--out {out_dir}: cannot remove the previous manifest: {exc.strerror or exc}; "
+            "the previous run is left as it was"
+        ) from exc
     digests = {}
     try:
         for artifact, content in artifacts.items():

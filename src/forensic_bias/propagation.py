@@ -36,7 +36,7 @@ from enum import Enum
 
 import numpy as np
 
-from .contextual import BiasFactor, Provenance, race_example_delta
+from .contextual import race_example_delta
 from .fingerprints import CellAgreementModel
 from .odds import LOG_FLOAT_MAX, LikelihoodRatio, SuspectPool, uniform_prior_odds
 from .seeding import substream_uniforms
@@ -62,7 +62,7 @@ class BiasProfile:
     """Coefficients of the per-analyst tilt terms.
 
     impute      1 + impute_share * missing_share + impute_trait * trait
-    context     race_example_delta(context_trait_prob, trait), unit when None
+    context     log tilt race_example_delta(context_trait_prob, trait), 0 when None
     tilde_peer  1 + conformity * (number of earlier supportive reports)
 
     peer, tilde_impute and tilde_context are unit in every profile.
@@ -99,9 +99,10 @@ class BiasProfile:
         """Linear imputation tilt; takes floats or broadcastable arrays."""
         return 1.0 + self.impute_share * missing_share + self.impute_trait * trait
 
-    def context(self, trait: bool) -> BiasFactor:
+    def context(self, trait: bool) -> float:
+        """Log context tilt for a case with or without the trait."""
         if self.context_trait_prob is None:
-            return BiasFactor.unit(Provenance.CONTEXTUAL)
+            return 0.0
         return race_example_delta(self.context_trait_prob, trait)
 
     def tilde_peer(self, supportive: int) -> float:
@@ -192,7 +193,7 @@ def monte_carlo_chains(
     neutral_lr = np.where(match, lr_match, lr_mismatch)
     linear_impute = profile.impute(shares, trait[:, None]).ravel().tolist()
     log_impute = np.reshape([math.log(v) for v in linear_impute], (n_runs, k))
-    log_context = np.where(trait, profile.context(True).log_value, profile.context(False).log_value)
+    log_context = np.where(trait, profile.context(True), profile.context(False))
     cascade_lr = neutral_lr + log_impute + log_context[:, None]
 
     # Snowball: the conformity term counts the supportive reports so far;

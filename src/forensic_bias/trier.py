@@ -5,132 +5,71 @@ likelihood ratio and by the contextual evidence heard directly.  The
 trier applies no discipline weights and cannot see bias, so if stream j
 arrives tilted by beta_j the guilt odds come out exactly
 prod(beta_j) too large: per-stream tilts compound multiplicatively, they
-never dilute.
+never dilute.  Every input is a plain log value, so a chain study's
+log(bias_ratio) row is a valid set of log betas as it stands.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import Sequence
 
-from .contextual import BiasFactor, Provenance
-from .odds import (
-    LOG_FLOAT_MAX,
-    LikelihoodRatio,
-    OddsRatio,
-    SuspectPool,
-    odds_to_probability,
-    uniform_prior_odds,
-)
+from .odds import LOG_FLOAT_MAX, OddsRatio, SuspectPool, odds_to_probability, uniform_prior_odds
 
-__all__ = [
-    "EvidenceBundle",
-    "StreamBias",
-    "neutral_guilt_odds",
-    "biased_guilt_odds",
-    "systemic_bias_ratio",
-    "case_report",
-]
+__all__ = ["case_report"]
 
 
-@dataclass(frozen=True)
-class EvidenceBundle:
-    """Everything the trier hears: prior pool, expert streams, direct context."""
-
-    pool: SuspectPool
-    stream_lrs: tuple[LikelihoodRatio, ...]
-    context_lr: LikelihoodRatio = LikelihoodRatio(0.0)
-
-    def __post_init__(self) -> None:
-        streams = tuple(self.stream_lrs)
-        if not streams:
-            raise ValueError("an evidence bundle needs at least one stream")
-        object.__setattr__(self, "stream_lrs", streams)
-
-    @property
-    def n_streams(self) -> int:
-        return len(self.stream_lrs)
-
-
-@dataclass(frozen=True)
-class StreamBias:
-    """The per-stream multiplicative tilt each expert report carries."""
-
-    betas: tuple[BiasFactor, ...]
-
-    def __post_init__(self) -> None:
-        betas = tuple(self.betas)
-        if not betas:
-            raise ValueError("StreamBias needs at least one factor")
-        object.__setattr__(self, "betas", betas)
-
-
-def neutral_guilt_odds(bundle: EvidenceBundle) -> OddsRatio:
-    """Guilt odds from unbiased reports: prior * prod(LR_j) * context."""
-    total = uniform_prior_odds(bundle.pool).log_value
-    for lr in bundle.stream_lrs:
-        total += lr.log_value
-    total += bundle.context_lr.log_value
-    if not math.isfinite(total):
-        raise OverflowError("guilt log-odds overflowed")
-    return OddsRatio(total)
-
-
-def biased_guilt_odds(bundle: EvidenceBundle, bias: StreamBias) -> OddsRatio:
-    """Guilt odds when stream j arrives tilted by beta_j."""
-    if len(bias.betas) != bundle.n_streams:
-        raise ValueError(
-            f"{len(bias.betas)} bias factors for {bundle.n_streams} streams"
-        )
-    total = uniform_prior_odds(bundle.pool).log_value
-    for lr, beta in zip(bundle.stream_lrs, bias.betas):
-        total += lr.log_value + beta.log_value
-    total += bundle.context_lr.log_value
-    if not math.isfinite(total):
-        raise OverflowError("guilt log-odds overflowed")
-    return OddsRatio(total)
-
-
-def systemic_bias_ratio(bundle: EvidenceBundle, bias: StreamBias) -> BiasFactor:
-    """biased / neutral guilt odds: the product of the betas."""
-    ratio = biased_guilt_odds(bundle, bias).log_value - neutral_guilt_odds(bundle).log_value
-    return BiasFactor(ratio, Provenance.COMPOSITE)
-
-
-def case_report(bundle: EvidenceBundle, bias: StreamBias) -> dict:
+def case_report(
+    pool_n: int, log_lrs: Sequence[float], log_betas: Sequence[float], log_context: float = 0.0
+) -> dict:
     """JSON-ready account of one case: inputs, both verdict odds, the gap.
 
-    Raises OverflowError when a reported LR, either guilt odds or the
-    systemic ratio exceeds float range.
+    Stream j's neutral log likelihood ratio is log_lrs[j] and its log
+    tilt log_betas[j]; log_context is the log likelihood ratio of the
+    context the trier hears directly, and the prior is uniform over a
+    pool of pool_n.  The logs are summed in stream order and each value
+    is exponentiated once, when the report is built.  Raises ValueError
+    for no streams or a length mismatch, and OverflowError when a
+    reported LR, either guilt odds or the systemic ratio exceeds float
+    range.
     """
-    neutral = neutral_guilt_odds(bundle)
-    biased = biased_guilt_odds(bundle, bias)
-    ratio = systemic_bias_ratio(bundle, bias)
-    reported = [lr.log_value + beta.log_value for lr, beta in zip(bundle.stream_lrs, bias.betas)]
+    if len(log_lrs) == 0:
+        raise ValueError("a case needs at least one evidence stream")
+    if len(log_betas) != len(log_lrs):
+        raise ValueError(f"{len(log_betas)} bias factors for {len(log_lrs)} streams")
+    prior = uniform_prior_odds(SuspectPool(pool_n)).log_value
+    reported = [lr + beta for lr, beta in zip(log_lrs, log_betas)]
+    neutral = biased = prior
+    for lr, log_lr in zip(log_lrs, reported):
+        neutral += lr
+        biased += log_lr
+    neutral += log_context
+    biased += log_context
+    ratio = biased - neutral
     for name, log_value in (
         ("a reported LR", max(reported)),
-        ("the neutral guilt odds", neutral.log_value),
-        ("the biased guilt odds", biased.log_value),
-        ("the systemic bias ratio", ratio.log_value),
+        ("the neutral guilt odds", neutral),
+        ("the biased guilt odds", biased),
+        ("the systemic bias ratio", ratio),
     ):
         if log_value > LOG_FLOAT_MAX:
             raise OverflowError(f"{name}: e**{log_value:.1f} exceeds float range")
     return {
-        "pool_size": bundle.pool.n,
-        "prior_odds": uniform_prior_odds(bundle.pool).linear,
-        "context_lr": bundle.context_lr.linear,
+        "pool_size": pool_n,
+        "prior_odds": math.exp(prior),
+        "context_lr": math.exp(log_context),
         "streams": [
             {
                 "stream": i + 1,
-                "neutral_lr": lr.linear,
-                "beta": beta.linear,
+                "neutral_lr": math.exp(lr),
+                "beta": math.exp(beta),
                 "reported_lr": math.exp(log_lr),
             }
-            for i, (lr, beta, log_lr) in enumerate(zip(bundle.stream_lrs, bias.betas, reported))
+            for i, (lr, beta, log_lr) in enumerate(zip(log_lrs, log_betas, reported))
         ],
-        "neutral_guilt_odds": neutral.linear,
-        "biased_guilt_odds": biased.linear,
-        "neutral_guilt_probability": odds_to_probability(neutral).value,
-        "biased_guilt_probability": odds_to_probability(biased).value,
-        "systemic_bias_ratio": ratio.linear,
+        "neutral_guilt_odds": math.exp(neutral),
+        "biased_guilt_odds": math.exp(biased),
+        "neutral_guilt_probability": odds_to_probability(OddsRatio(neutral)).value,
+        "biased_guilt_probability": odds_to_probability(OddsRatio(biased)).value,
+        "systemic_bias_ratio": math.exp(ratio),
     }

@@ -10,26 +10,23 @@ import math
 import time
 from contextlib import contextmanager
 
+import numpy as np
+
 from forensic_bias import (
-    BiasFactor,
-    BiasLedger,
     CellAgreementModel,
     ChainMode,
     DEFAULT_PRIOR,
-    EvidenceBundle,
     FeedbackRegime,
     ImputationSimParams,
     LatentVector,
     LikelihoodRatio,
     MinutiaVector,
     PRESETS,
-    Provenance,
     SourceDecision,
-    StreamBias,
     SuspectPool,
-    apply_bias,
     average_bias,
     builtin_joint_names,
+    case_report,
     classify_relevance,
     compose_lr,
     count_matches,
@@ -39,7 +36,6 @@ from forensic_bias import (
     load_builtin_joint,
     mayfield_average,
     monte_carlo_chains,
-    neutral_guilt_odds,
     odds_to_probability,
     posterior_odds,
     probability_to_odds,
@@ -48,7 +44,6 @@ from forensic_bias import (
     run_preset,
     sample_delta_impute,
     substream,
-    systemic_bias_ratio,
     uniform_prior_odds,
 )
 
@@ -78,22 +73,18 @@ def _joint_prob(y: str, x: str, p_agree: float) -> float:
 class TestAcceptance:
     def test_01_panel_average(self):
         with criterion(1, "five-examiner panel averages to 1.7"):
-            assert mayfield_average().linear == 1.7
-            factors = tuple(
-                BiasFactor.from_linear(d, Provenance.CONTEXTUAL)
-                for d in (2.0, 2.0, 2.0, 1.5, 1.0)
-            )
-            assert average_bias(factors).linear == 1.7
+            assert mayfield_average() == 1.7
+            assert average_bias((2.0, 2.0, 2.0, 1.5, 1.0)) == 1.7
 
     def test_02_race_example(self):
         with criterion(2, "doubled-belief trait example"):
             present = race_example_delta(0.15, trait_present=True)
-            assert present.linear == 2.0
+            assert math.exp(present) == 2.0
             absent = race_example_delta(0.15, trait_present=False)
-            assert abs(absent.linear - (2.0 - 1.0 / 0.85)) <= 1e-12
+            assert abs(math.exp(absent) - (2.0 - 1.0 / 0.85)) <= 1e-12
             # True LR of 1 plus the present-trait tilt doubles the prior.
             pool = SuspectPool(10)
-            reported = apply_bias(LikelihoodRatio.unit(), present)
+            reported = LikelihoodRatio(LikelihoodRatio.unit().log_value + present)
             posterior = posterior_odds(uniform_prior_odds(pool), reported)
             assert abs(posterior.linear - 2.0 / pool.n) <= 1e-12
 
@@ -145,9 +136,9 @@ class TestAcceptance:
                             assert star_same >= _joint_prob(y, x_text, model.p_same) - 1e-15
                             assert star_diff <= _joint_prob(y, x_text, model.p_diff) + 1e-15
                         delta = delta_impute_exact(latent, x, model)
-                        assert delta.log_value >= -1e-12
+                        assert delta >= -1e-12
                         closed = (model.p_same / model.p_diff) ** len(missing)
-                        assert abs(delta.linear - closed) <= 1e-9 * closed
+                        assert abs(math.exp(delta) - closed) <= 1e-9 * closed
 
             # Monte Carlo mean vs the exhaustively enumerated expectation
             # over per-cell masks at share 0.25 on a 6-cell grid.
@@ -194,29 +185,19 @@ class TestAcceptance:
 
     def test_08_trier_identities(self):
         with criterion(8, "trier compounds per-stream tilts multiplicatively"):
-            bundle = EvidenceBundle(
-                pool=SuspectPool(10),
-                stream_lrs=tuple(LikelihoodRatio.from_linear(v) for v in (2.0, 3.0, 5.0)),
-                context_lr=LikelihoodRatio.from_linear(1.0),
-            )
-            assert abs(neutral_guilt_odds(bundle).linear - 3.0) <= 1e-12
+            log_lrs = [math.log(v) for v in (2.0, 3.0, 5.0)]
+            report = case_report(10, log_lrs, [0.0] * 3, math.log(1.0))
+            assert abs(report["neutral_guilt_odds"] - 3.0) <= 1e-12
             rng = substream(2024, 8)
             for _ in range(1000):
                 n = int(rng.integers(1, 7))
-                lrs = tuple(LikelihoodRatio(float(v)) for v in rng.uniform(-2.5, 2.5, n))
-                betas = tuple(
-                    BiasFactor(float(v), Provenance.COMPOSITE)
-                    for v in rng.uniform(-1.5, 1.5, n)
-                )
-                random_bundle = EvidenceBundle(
-                    pool=SuspectPool(int(rng.integers(1, 50))),
-                    stream_lrs=lrs,
-                    context_lr=LikelihoodRatio(float(rng.uniform(-1.0, 1.0))),
-                )
-                ratio = systemic_bias_ratio(random_bundle, StreamBias(betas))
-                total = sum(b.log_value for b in betas)
-                assert abs(ratio.log_value - total) <= 1e-10
-                assert abs(ratio.linear - math.exp(total)) <= 1e-10 * math.exp(total)
+                lrs = rng.uniform(-2.5, 2.5, n).tolist()
+                betas = rng.uniform(-1.5, 1.5, n).tolist()
+                pool_n = int(rng.integers(1, 50))
+                ratio = case_report(pool_n, lrs, betas, float(rng.uniform(-1.0, 1.0)))["systemic_bias_ratio"]
+                total = sum(betas)
+                assert abs(math.log(ratio) - total) <= 1e-10
+                assert abs(ratio - math.exp(total)) <= 1e-10 * math.exp(total)
 
     def test_09_odds_property_suite(self):
         with criterion(9, "odds algebra properties, 10,000 cases each"):
@@ -239,16 +220,13 @@ class TestAcceptance:
                 back = odds_to_probability(probability_to_odds(float(p)))
                 assert abs(back.value - p) <= 1e-12
 
-            for row in rng.uniform(-1.5, 1.5, (10_000, 4)):
-                neutral = LikelihoodRatio(float(row[0]))
-                ledger = BiasLedger()
-                reported = neutral
-                for j, v in enumerate(row[1:]):
-                    factor = BiasFactor(float(v), Provenance.COMPOSITE)
-                    ledger = ledger.add(f"f{j}", factor)
-                    reported = apply_bias(reported, factor)
-                gap = reported.log_value - neutral.log_value
-                assert abs(gap - ledger.total_log) <= 1e-10
+            # Per-term attribution: over all 10,000 reports of a default
+            # study, the live log terms sum to log(reported / neutral).
+            study = monte_carlo_chains(1000, master_seed=2024)
+            assert study.columns["reported_odds"].size == 10_000
+            total = sum(study.log_terms.values())
+            gap = np.log(study.columns["reported_odds"]) - np.log(study.columns["neutral_odds"])
+            assert np.abs(total - gap).max() <= 1e-10
 
     def test_10_relevance_oracle(self):
         with criterion(10, "relevance verdicts match a full-enumeration oracle"):

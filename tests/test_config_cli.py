@@ -3,6 +3,7 @@
 import json
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -445,6 +446,59 @@ class TestCli:
         values = {est[k] for k in ("mean_delta", "q025", "median", "q975", "exact_q025", "exact_median", "exact_q975")}
         assert len(values) == 1 and est["exact_relative_standard_error"] == 0.0
         assert main(["verify", str(tmp_path / "x")]) == 0
+
+    def test_tiny_share_on_a_huge_grid_is_quick(self, tmp_path, capsys):
+        # 10**10 cells, M ~ Binomial(n, 1e-300): the pmf is built on the
+        # 41 counts near the mean, not on all 10**10 + 1.
+        args = ["--set", "rows=100000", "--set", "cols=100000", "--set", "missing_share=1e-300"]
+        started = time.perf_counter()
+        code = main(["run", "--preset", "delta-impute", "--seed", "7", *args, "--out", str(tmp_path / "x")])
+        assert code == 0
+        assert time.perf_counter() - started < 1.0
+        est = json.loads((tmp_path / "x" / "estimate.json").read_text())
+        assert est["exact_q025"] == est["exact_median"] == est["exact_q975"] == 1.0
+        assert main(["verify", str(tmp_path / "x")]) == 0
+
+    def test_too_wide_a_quantile_window_is_config_error(self, tmp_path, capsys):
+        args = ["rows=1000000", "cols=1000000", "missing_share=0.5", "p_diff=0.4999999999999"]
+        argv = [a for setting in args for a in ("--set", setting)]
+        code = main(["run", "--preset", "delta-impute", "--seed", "7", *argv, "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "exact quantiles need the pmf at" in err
+        for name in ("rows", "cols", "missing_share"):
+            assert f"{name}=" in err
+
+    @pytest.mark.parametrize("mode", ["per_cell", "exact"])
+    def test_infinite_match_ratio_is_config_error(self, mode, tmp_path, capsys):
+        # r = p_same/p_diff is inf, so r**0 would read 0 * inf = nan.
+        args = ["--set", "p_diff=5e-324", "--set", "missing_share=0", "--set", f"mask_mode={mode}"]
+        code = main(["run", "--preset", "delta-impute", "--seed", "7", *args, "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "p_same/p_diff" in err and "float range" in err
+        for name in ("p_same", "p_diff"):
+            assert f"{name}=" in err
+        assert not (tmp_path / "x" / "estimate.json").exists()
+
+    def test_unremovable_manifest_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # Root ignores directory permissions, so the failure is simulated.
+        out = tmp_path / "mayfield"
+        argv = ["run", "--preset", "mayfield", "--seed", "7", "--out", str(out)]
+        assert main(argv) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def refuse(self, missing_ok=False):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(Path, "unlink", refuse)
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"--out {out}: cannot remove the previous manifest: Permission denied" in err
+        monkeypatch.undo()
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert main(["verify", str(out)]) == 0
 
     @pytest.mark.parametrize(
         "settings, what",

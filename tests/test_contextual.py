@@ -1,4 +1,4 @@
-"""Bias factors, the ledger, and the trait-prevalence tilt."""
+"""Bias factors as plain log values and the trait-prevalence tilt."""
 
 import math
 
@@ -6,211 +6,102 @@ import numpy as np
 import pytest
 
 from forensic_bias.contextual import (
-    AnalystBelief,
-    BiasFactor,
-    BiasLedger,
     MAYFIELD_DELTAS,
-    Provenance,
-    TraitPrevalence,
-    apply_bias,
     average_bias,
-    compose_bias,
     delta_contextual,
     mayfield_average,
     race_example_delta,
 )
-from forensic_bias.odds import LikelihoodRatio
 
 TOL = 1e-12
-
-
-class TestBiasFactor:
-    def test_linear_round_trip(self):
-        assert BiasFactor.from_linear(2.0, Provenance.CONTEXTUAL).linear == 2.0
-        assert BiasFactor.unit(Provenance.PEER).log_value == 0.0
-
-    def test_inflates_flag(self):
-        assert BiasFactor.from_linear(1.5, Provenance.IMPUTE).inflates
-        assert not BiasFactor.from_linear(0.8, Provenance.IMPUTE).inflates
-        assert not BiasFactor.unit(Provenance.IMPUTE).inflates
-
-    @pytest.mark.parametrize("bad", [0.0, -2.0, float("inf"), float("nan")])
-    def test_nonpositive_rejected(self, bad):
-        with pytest.raises(ValueError):
-            BiasFactor.from_linear(bad, Provenance.CONTEXTUAL)
-
-    def test_provenance_required(self):
-        with pytest.raises(ValueError):
-            BiasFactor(0.0, "contextual")
 
 
 class TestDeltaContextual:
     def test_doubled_rate_example(self):
         # Believing sources carry a p=0.15 trait at twice its rate doubles
         # the evidence weight when the trait is present.
-        truth = TraitPrevalence(alpha=0.15, beta=0.15)
-        belief = AnalystBelief(alpha_star=0.30, beta_star=0.15)
-        assert abs(delta_contextual(truth, belief, True).linear - 2.0) < TOL
+        assert abs(math.exp(delta_contextual(0.15, 0.15, 0.30, 0.15, True)) - 2.0) < TOL
 
     def test_matching_belief_is_unit(self):
         rng = np.random.default_rng(3)
         for _ in range(500):
-            a, b = rng.uniform(0.05, 0.95, size=2)
-            truth = TraitPrevalence(float(a), float(b))
-            belief = AnalystBelief(float(a), float(b))
+            a, b = rng.uniform(0.05, 0.95, size=2).tolist()
             for present in (True, False):
-                assert abs(delta_contextual(truth, belief, present).log_value) < TOL
+                assert abs(delta_contextual(a, b, a, b, present)) < TOL
 
     def test_absent_branch_value(self):
-        truth = TraitPrevalence(alpha=0.4, beta=0.4)
-        belief = AnalystBelief(alpha_star=0.7, beta_star=0.4)
         expected = (0.3 / 0.6) * (0.6 / 0.6)
-        assert abs(delta_contextual(truth, belief, False).linear - expected) < TOL
+        assert abs(math.exp(delta_contextual(0.4, 0.4, 0.7, 0.4, False)) - expected) < TOL
 
     def test_monotone_in_believed_source_rate(self):
-        truth = TraitPrevalence(0.2, 0.2)
-        last = 0.0
+        last = -math.inf
         for a_star in (0.2, 0.3, 0.4, 0.6, 0.8):
-            value = delta_contextual(truth, AnalystBelief(a_star, 0.2), True).linear
+            value = delta_contextual(0.2, 0.2, a_star, 0.2, True)
             assert value > last
             last = value
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.3])
     def test_boundary_rates_rejected(self, bad):
-        with pytest.raises(ValueError):
-            TraitPrevalence(bad, 0.5)
-        with pytest.raises(ValueError):
-            AnalystBelief(0.5, bad)
+        names = ("alpha", "beta", "alpha_star", "beta_star")
+        for i, name in enumerate(names):
+            rates = [0.5] * 4
+            rates[i] = bad
+            with pytest.raises(ValueError, match=f"^{name} must lie"):
+                delta_contextual(*rates, True)
 
 
 class TestRaceExampleDelta:
     def test_present_is_exactly_two(self):
-        assert race_example_delta(0.15, True).linear == 2.0
-        assert race_example_delta(0.49, True).linear == 2.0
+        assert race_example_delta(0.15, True) == math.log(2.0)
+        assert math.exp(race_example_delta(0.49, True)) == 2.0
 
     def test_absent_value(self):
         expected = 2.0 - 1.0 / 0.85
-        assert abs(race_example_delta(0.15, False).linear - expected) < TOL
+        assert abs(math.exp(race_example_delta(0.15, False)) - expected) < TOL
+        assert race_example_delta(0.15, False) < 0.0  # an absent trait deflates
 
     def test_rate_at_or_above_half_rejected(self):
         for bad in (0.5, 0.7):
             with pytest.raises(ValueError):
                 race_example_delta(bad, True)
+        # An ulp below 0.5, 1 - p rounds to 1/2 and 2 - 1/(1-p) to 0.
+        with pytest.raises(ValueError, match="rounds the absent-trait factor"):
+            race_example_delta(math.nextafter(0.5, 0.0), False)
 
     def test_consistency_with_general_delta(self):
         # Doubling the believed source-side rate of an uninformative trait
         # is the special case the closed form collapses.
-        for p in np.linspace(0.05, 0.45, 9):
-            p = float(p)
-            truth = TraitPrevalence(p, p)
-            belief = AnalystBelief(2 * p, p)
+        for p in np.linspace(0.05, 0.45, 9).tolist():
             for present in (True, False):
-                general = delta_contextual(truth, belief, present).log_value
-                special = race_example_delta(p, present).log_value
-                assert abs(general - special) < TOL
-
-
-class TestApplyCompose:
-    def test_apply_examples(self):
-        lr = LikelihoodRatio.from_linear(1.0)
-        delta = BiasFactor.from_linear(2.0, Provenance.CONTEXTUAL)
-        assert abs(apply_bias(lr, delta).linear - 2.0) < TOL
-        assert apply_bias(lr, BiasFactor.unit(Provenance.PEER)) == lr
-
-    def test_compose_is_log_sum(self):
-        factors = [BiasFactor.from_linear(v, Provenance.IMPUTE) for v in (1.75, 2.0, 0.5)]
-        composed = compose_bias(factors)
-        assert composed.provenance is Provenance.COMPOSITE
-        assert abs(composed.linear - 1.75) < TOL
-
-    def test_compose_empty_rejected(self):
-        with pytest.raises(ValueError):
-            compose_bias([])
-
-    def test_apply_order_irrelevant_within_tolerance(self):
-        rng = np.random.default_rng(23)
-        for _ in range(2_000):
-            lr = LikelihoodRatio(float(rng.uniform(-2, 2)))
-            factors = [
-                BiasFactor(float(v), Provenance.CONTEXTUAL) for v in rng.uniform(-1, 1, size=4)
-            ]
-            forward = lr
-            for f in factors:
-                forward = apply_bias(forward, f)
-            backward = lr
-            for f in reversed(factors):
-                backward = apply_bias(backward, f)
-            assert abs(forward.log_value - backward.log_value) <= TOL
+                general = delta_contextual(p, p, 2 * p, p, present)
+                assert abs(general - race_example_delta(p, present)) < TOL
 
 
 class TestAverageBias:
     def test_panel_mean_exact(self):
-        assert mayfield_average().linear == 1.7
+        assert mayfield_average() == 1.7
         assert MAYFIELD_DELTAS == (2.0, 2.0, 2.0, 1.5, 1.0)
 
     def test_simple_means(self):
-        factors = [BiasFactor.from_linear(v, Provenance.CONTEXTUAL) for v in (3.0, 1.0)]
-        assert abs(average_bias(factors).linear - 2.0) < TOL
-        units = [BiasFactor.unit(Provenance.CONTEXTUAL)] * 4
-        assert abs(average_bias(units).linear - 1.0) < TOL
+        assert abs(average_bias((3.0, 1.0)) - 2.0) < TOL
+        assert abs(average_bias([1.0] * 4) - 1.0) < TOL
 
     def test_geometric_mean(self):
-        factors = [BiasFactor.from_linear(v, Provenance.CONTEXTUAL) for v in (2.0, 8.0)]
-        assert abs(average_bias(factors, geometric=True).linear - 4.0) < TOL
+        assert abs(average_bias((2.0, 8.0), geometric=True) - 4.0) < TOL
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             average_bias(())
 
+    @pytest.mark.parametrize("bad", [0.0, -2.0, float("inf"), float("nan")])
+    def test_nonpositive_rejected(self, bad):
+        for geometric in (False, True):
+            with pytest.raises(ValueError, match="positive and finite"):
+                average_bias((1.5, bad), geometric=geometric)
+
     def test_mean_between_extremes(self):
         rng = np.random.default_rng(29)
         for _ in range(500):
             values = rng.uniform(0.2, 5.0, size=6)
-            factors = [BiasFactor.from_linear(float(v), Provenance.CONTEXTUAL) for v in values]
-            mean = average_bias(factors).linear
+            mean = average_bias(values.tolist())
             assert values.min() - TOL <= mean <= values.max() + TOL
-
-
-class TestBiasLedger:
-    def _ledger(self):
-        return (
-            BiasLedger()
-            .add("impute", BiasFactor.from_linear(1.75, Provenance.IMPUTE))
-            .add("context", BiasFactor.from_linear(2.0, Provenance.CONTEXTUAL))
-            .add("peer", BiasFactor.unit(Provenance.PEER))
-        )
-
-    def test_total_is_product(self):
-        assert abs(self._ledger().total.linear - 3.5) < TOL
-        assert self._ledger().total.provenance is Provenance.COMPOSITE
-
-    def test_without_removes_one_influence(self):
-        ledger = self._ledger()
-        assert abs(ledger.without("context").total.linear - 1.75) < TOL
-        assert ledger.without("context").labels == ("impute", "peer")
-        with pytest.raises(KeyError):
-            ledger.without("nope")
-
-    def test_lookup_and_labels(self):
-        ledger = self._ledger()
-        assert ledger["impute"].linear == pytest.approx(1.75, abs=TOL)
-        assert ledger.labels == ("impute", "context", "peer")
-        with pytest.raises(KeyError):
-            ledger["nope"]
-
-    def test_duplicate_labels_rejected(self):
-        with pytest.raises(ValueError):
-            self._ledger().add("peer", BiasFactor.unit(Provenance.PEER))
-
-    def test_soundness_against_applied_factors(self):
-        rng = np.random.default_rng(31)
-        for _ in range(1_000):
-            lr = LikelihoodRatio(float(rng.uniform(-2, 2)))
-            ledger = BiasLedger()
-            biased = lr
-            for i, v in enumerate(rng.uniform(-1, 1, size=5)):
-                factor = BiasFactor(float(v), Provenance.CONTEXTUAL)
-                ledger = ledger.add(f"f{i}", factor)
-                biased = apply_bias(biased, factor)
-            gap = (biased.log_value - lr.log_value) - ledger.total_log
-            assert abs(gap) <= 1e-10

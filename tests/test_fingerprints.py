@@ -8,7 +8,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from forensic_bias.contextual import Provenance
 from forensic_bias.fingerprints import (
     Cell,
     CellAgreementModel,
@@ -215,20 +214,20 @@ class TestAgreementModel:
 class TestDeltaImpute:
     def test_closed_form(self):
         delta = delta_impute_exact(LATENT6, X6)
-        assert delta.provenance is Provenance.IMPUTE
-        assert delta.linear == pytest.approx((0.5 / 0.25) ** 3, rel=1e-12)
+        assert type(delta) is float  # a plain log value
+        assert math.exp(delta) == pytest.approx((0.5 / 0.25) ** 3, rel=1e-12)
 
     def test_no_missing_is_unit(self):
-        assert abs(delta_impute_exact(Y6, X6).log_value) < TOL
+        assert abs(delta_impute_exact(Y6, X6)) < TOL
 
     def test_full_mask_is_ratio_power_n(self):
         latent = LatentVector.from_text("??????")
         delta = delta_impute_exact(latent, X6)
-        assert delta.linear == pytest.approx(2.0**6, rel=1e-12)
+        assert math.exp(delta) == pytest.approx(2.0**6, rel=1e-12)
 
     def test_never_deflates(self):
         for ref, latent in _every_pair():
-            assert delta_impute_exact(latent, ref).log_value >= -TOL
+            assert delta_impute_exact(latent, ref) >= -TOL
 
     def test_imputed_lr_dominates_observed(self):
         model = CellAgreementModel(0.7, 0.2)
@@ -294,7 +293,7 @@ def _pooled_chi_square(counts, n, share):
     """Pearson's chi-square of the missing counts against Binomial(n, share),
     contiguous counts pooled until each bin expects at least 5, with its
     Wilson-Hilferty critical value at the _Z_FALSE_ALARM level."""
-    expected = len(counts) * np.exp(binomial_log_pmf(n, share))
+    expected = len(counts) * np.exp(binomial_log_pmf(n, share, np.arange(n + 1)))
     observed = np.bincount(counts, minlength=n + 1)
     bins, e, o = [], 0.0, 0
     for ej, oj in zip(expected.tolist(), observed.tolist()):
@@ -437,6 +436,28 @@ class TestExactQuantiles:
     def test_overflow_raises(self):
         with pytest.raises(OverflowError, match="exact quantile"):
             exact_delta_quantiles(ImputationSimParams(rows=80, cols=80), 0.25, "per_cell")
+
+    @pytest.mark.parametrize("share", [0.5, 1e-3, 1.0 - 1e-3])
+    def test_window_matches_the_full_pmf(self, share):
+        # 10**5 cells: the window keeps about an eighth of the counts at
+        # share 1/2 and a few hundred at the skewed shares.
+        model = CellAgreementModel(0.5, 0.4999)
+        sim = ImputationSimParams(rows=1000, cols=100, model=model)
+        n = sim.rows * sim.cols
+        cdf = np.cumsum(np.exp(binomial_log_pmf(n, share, np.arange(n + 1))))
+        counts = np.searchsorted(cdf, [0.025 - 1e-9, 0.5 - 1e-9, 0.975 - 1e-9])
+        want = np.exp(counts * math.log(model.p_same / model.p_diff)).tolist()
+        assert exact_delta_quantiles(sim, share, "per_cell") == tuple(want)
+
+    def test_too_wide_a_window_is_refused(self):
+        # sigma = 5e5 counts: a window of about 4e7, past the cap.
+        sim = ImputationSimParams(10**6, 10**6, CellAgreementModel(0.5, 0.4999999999999))
+        with pytest.raises(ValueError, match="exact quantiles need the pmf at"):
+            exact_delta_quantiles(sim, 0.5, "per_cell")
+
+    def test_infinite_match_ratio_is_refused(self):
+        with pytest.raises(OverflowError, match="p_same/p_diff"):
+            ImputationSimParams(model=CellAgreementModel(0.5, 5e-324))
 
     def test_validation(self):
         with pytest.raises(ValueError):

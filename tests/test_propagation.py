@@ -1,16 +1,11 @@
 """Cascade vs snowball chains and their replicated comparison."""
 
+import math
+
 import numpy as np
 import pytest
 
-from forensic_bias.contextual import (
-    BiasFactor,
-    BiasLedger,
-    Provenance,
-    apply_bias,
-    compose_bias,
-    race_example_delta,
-)
+from forensic_bias.contextual import race_example_delta
 from forensic_bias.fingerprints import CellAgreementModel
 from forensic_bias.odds import (
     LikelihoodRatio,
@@ -44,7 +39,7 @@ def _rows(study):
 
 
 def _total_log(study):
-    """Each report's ledger total: the sum of its live log terms, in order."""
+    """Each report's total log tilt: the sum of its live log terms, in order."""
     total = 0.0
     for name in LIVE_TERMS:
         total = total + study.log_terms[name]
@@ -63,10 +58,11 @@ def _oracle_chain(
     missing_share=None,
     peer_history="contribution",
 ):
-    """Reference: one paired chain, one report and one ledger entry at a time.
+    """Reference: one paired chain, one report and one log term at a time.
 
     Returns (trait, {mode: [(missing share, neutral odds, reported odds,
-    bias ratio, {ledger label: log-value})] per report}).
+    bias ratio, {term label: log value})] per report}), with all six
+    terms labelled, unit terms included.
     """
     if profile is None:
         profile = BiasProfile.standard(trait_prob)
@@ -89,24 +85,17 @@ def _oracle_chain(
         for match, share in zip(matches, shares):
             neutral_lr = lr_match if match else lr_mismatch
             supportive = sum(1 for h in history if h.log_value >= 0.0)
-            factors = (
-                ("impute", BiasFactor.from_linear(profile.impute(share, trait), Provenance.IMPUTE)),
-                ("context", profile.context(trait)),
-                ("peer", BiasFactor.unit(Provenance.PEER)),
-                ("tilde_impute", BiasFactor.unit(Provenance.IMPUTE)),
-                ("tilde_context", BiasFactor.unit(Provenance.CONTEXTUAL)),
-                (
-                    "tilde_peer",
-                    BiasFactor.from_linear(profile.tilde_peer(supportive), Provenance.PEER)
-                    if snowball
-                    else BiasFactor.unit(Provenance.PEER),
-                ),
-            )
-            ledger = BiasLedger()
+            terms = {
+                "impute": math.log(profile.impute(share, trait)),
+                "context": profile.context(trait),
+                "peer": 0.0,
+                "tilde_impute": 0.0,
+                "tilde_context": 0.0,
+                "tilde_peer": math.log(profile.tilde_peer(supportive)) if snowball else 0.0,
+            }
             reported_lr = neutral_lr
-            for label, factor in factors:
-                ledger = ledger.add(label, factor)
-                reported_lr = apply_bias(reported_lr, factor)
+            for value in terms.values():
+                reported_lr = LikelihoodRatio(reported_lr.log_value + value)
             neutral = posterior_odds(prior, neutral_lr)
             reported = posterior_odds(prior, reported_lr)
             reports.append(
@@ -115,7 +104,7 @@ def _oracle_chain(
                     float(np.exp(neutral.log_value)),
                     float(np.exp(reported.log_value)),
                     float(np.exp(reported.log_value - neutral.log_value)),
-                    {e.label: e.factor.log_value for e in ledger.entries},
+                    terms,
                 )
             )
             if peer_history == "contribution":
@@ -172,10 +161,10 @@ class TestKernelMatchesScalarOracle:
         for run_id in range(20):
             _, oracle = _oracle_chain(substream(seed, run_id), **kwargs)
             for m, mode in enumerate(ChainMode):
-                for j, (*_, ledger) in enumerate(oracle[mode]):
-                    assert all(ledger[name] == 0.0 for name in UNIT_TERMS)
+                for j, (*_, terms) in enumerate(oracle[mode]):
+                    assert all(terms[name] == 0.0 for name in UNIT_TERMS)
                     got = tuple(float(study.log_terms[name][run_id, m, j]) for name in LIVE_TERMS)
-                    assert got == tuple(ledger[name] for name in LIVE_TERMS)
+                    assert got == tuple(terms[name] for name in LIVE_TERMS)
 
 
 class TestProfile:
@@ -184,10 +173,9 @@ class TestProfile:
         assert profile.impute(0.25, True) == pytest.approx(1.75, abs=TOL)
         assert profile.impute(0.25, False) == pytest.approx(1.25, abs=TOL)
         assert profile.impute(0.0, False) == pytest.approx(1.0, abs=TOL)
-        assert profile.context(True).linear == 2.0
-        assert profile.context(False).linear == pytest.approx(
-            race_example_delta(0.15, False).linear, abs=TOL
-        )
+        assert math.exp(profile.context(True)) == 2.0
+        assert profile.context(False) == race_example_delta(0.15, False)
+        assert BiasProfile.unbiased().context(True) == 0.0
         # The direct terms are the same in both modes; peer is no live term.
         study = monte_carlo_chains(1, master_seed=13)
         assert not set(UNIT_TERMS) & set(study.log_terms)
@@ -213,15 +201,10 @@ class TestProfile:
             BiasProfile(1.0, 0.5, 0.15, float("nan"))
 
     def test_cascade_delta_product(self):
-        combined = compose_bias(
-            (
-                BiasFactor.from_linear(1.75, Provenance.IMPUTE),
-                BiasFactor.from_linear(2.0, Provenance.CONTEXTUAL),
-            ),
-            Provenance.CASCADE,
-        )
-        assert combined.provenance is Provenance.CASCADE
-        assert combined.linear == pytest.approx(3.5, abs=TOL)
+        # A cascade report's tilt is its direct terms' product, a sum of logs.
+        profile = BiasProfile.standard(0.15)
+        combined = math.log(profile.impute(0.25, True)) + profile.context(True)
+        assert math.exp(combined) == pytest.approx(3.5, abs=TOL)
 
 
 class TestRunChain:
@@ -259,7 +242,7 @@ class TestRunChain:
     def test_deflation_when_trait_absent_and_nothing_missing(self):
         # With no missing cells and no trait, the only active tilt is the
         # context term below one: every cascade report is deflated.
-        expected = race_example_delta(0.15, False).linear
+        expected = math.exp(race_example_delta(0.15, False))
         study = monte_carlo_chains(40, master_seed=5, missing_share=0.0)
         absent = ~study.columns["trait"][:, CASCADE, 0]
         assert absent.any(), "no trait-absent chain in 40 seeds"
