@@ -3,8 +3,9 @@
 A preset declares its parameters as ParamSpecs (name, type, default,
 range check).  User overrides arrive as KEY=VALUE strings, either from
 --set arguments or from a config file; resolution rejects unknown keys,
-type mismatches, non-finite floats and out-of-range values with messages that name the
-offending parameter, and echoes every default into the resolved map so
+type mismatches, non-finite floats, out-of-range values and values that
+are bad together (a schema's own check), with messages that name the
+offending parameters, and echoes every default into the resolved map so
 the manifest records the full effective configuration.
 """
 
@@ -85,9 +86,13 @@ class ParamSpec:
 
 @dataclass(frozen=True)
 class PresetSchema:
+    """A preset's parameters; `check`, like ParamSpec's, returns an error
+    message for a resolved map whose values are bad together, else None."""
+
     name: str
     summary: str
     params: tuple[ParamSpec, ...] = field(default=())
+    check: Callable[[Mapping[str, object]], str | None] | None = None
 
     def __post_init__(self) -> None:
         names = [p.name for p in self.params]
@@ -106,6 +111,9 @@ class PresetSchema:
         resolved: dict[str, object] = {}
         for p in self.params:
             resolved[p.name] = p.resolve(overrides[p.name]) if p.name in overrides else p.default
+        problem = self.check(resolved) if self.check is not None else None
+        if problem is not None:
+            raise ConfigError(problem)
         return resolved
 
 

@@ -296,6 +296,17 @@ def _run_imputation_grid(params: dict, seed: int) -> dict[str, object]:
 
 # ------------------------------------------------------------- delta-impute
 
+def _check_grid_cells(params: Mapping[str, object]) -> str | None:
+    # The missing count is drawn and its pmf computed in int64.
+    rows, cols = params["rows"], params["cols"]
+    if rows * cols > 2**63 - 1:
+        return (
+            f"parameters rows and cols: the grid's rows * cols = {rows * cols} cells "
+            f"exceeds the int64 limit 2**63 - 1 (got rows={rows!r}, cols={cols!r})"
+        )
+    return None
+
+
 _DELTA_SCHEMA = PresetSchema(
     name="delta-impute",
     summary="Monte Carlo distribution of the imputation bias factor.",
@@ -308,6 +319,7 @@ _DELTA_SCHEMA = PresetSchema(
         ParamSpec("n_reps", int, 10_000, "Monte Carlo replicates", _check_at_least(1)),
         ParamSpec("mask_mode", str, "per_cell", "masking: exact count or per-cell coin", _check_choice("exact", "per_cell")),
     ),
+    check=_check_grid_cells,
 )
 
 

@@ -10,8 +10,12 @@ Replicated experiments draw those streams in batch: substream_uniforms
 returns many replicates' first m uniforms as one array, and its row for
 index i equals substream(seed, i).random(m) bit for bit.  It seeds all
 replicates at once by redoing numpy's SeedSequence entropy mixing and
-the PCG64 seeding step (O'Neill 2014) on arrays, then lets numpy draw
-each row from the seeded state.
+the PCG64 seeding step (O'Neill 2014) on arrays.  A short row (m at
+most _SHORT_ROWS) is then computed on arrays too: each draw's 128-bit
+state comes from the seeded state by a jump-ahead, and the XSL-RR
+output and numpy's double conversion follow.  A long row is drawn by
+numpy's own generator, set to that row's seeded state.  Both paths
+equal substream(seed, i).random(m) bit for bit.
 """
 
 from __future__ import annotations
@@ -114,6 +118,101 @@ def _seed_states(entropy: np.ndarray) -> np.ndarray:
     return (words[0::2] | (words[1::2] << np.uint64(32))).T
 
 
+# Rows of at most _SHORT_ROWS uniforms are computed by jump-ahead on arrays
+# (_draw_by_jump), longer rows by numpy's generator one row at a time
+# (_draw_by_generator).  The array path's cost grows with m, while the
+# generator's is ≈4 µs of state setting per row plus numpy's own draws.
+# Median time of the array path over the generator's, for 256 and for
+# 1,000 rows (Linux, 2 shared cores, Python 3.11.7, numpy 2.4.6): 0.33 at
+# m = 32, 0.63-0.80 at m = 64, 0.83-0.96 at m = 96, 1.06-1.35 at m = 128,
+# and 1.4-1.6 at feedback's m = 200.
+_SHORT_ROWS = 64
+# Values per block of rows in _draw_by_jump: its ≈10 uint64 temporaries of
+# a block stay at 64 kB each, whatever the row count.  Blocks of 8,192
+# values beat fixed blocks of 256, 512 and 1,024 rows at (1,000, 11),
+# (1,000, 31) and (5,000, 11) rows and draws.
+_BLOCK_VALUES = 8192
+_MASK64 = 2**64 - 1
+_LIMB = np.uint64(_MASK32)
+_U1, _U11, _U32, _U58, _U63 = (np.uint64(b) for b in (1, 11, 32, 58, 63))
+
+
+def _jump_constants(m: int) -> np.ndarray:
+    """PCG64's jump-ahead coefficients for the first m draws after seeding.
+
+    Seeding leaves the state MULT * (initstate + inc) + inc, and every
+    draw steps the state before it reads it, so draw j (from 1) reads
+    A_j * initstate + B_j * inc, mod 2**128, with A_j = MULT**(j+1) and
+    B_j = MULT**0 + ... + MULT**(j+1).  Returns the (2, 4, m) uint64
+    array of A's and B's (hi, lo, lo's low 32 bits, lo's high 32 bits)
+    words.  Building it costs ≈35 µs at m = 11, so it is not cached.
+    """
+    powers, sums = [], []
+    power, total = _PCG64_MULT, 1 + _PCG64_MULT
+    for _ in range(m):
+        power = power * _PCG64_MULT & _MASK128
+        total = (total + power) & _MASK128
+        powers.append(power)
+        sums.append(total)
+    hi = np.array([[c >> 64 for c in row] for row in (powers, sums)], dtype=np.uint64)
+    lo = np.array([[c & _MASK64 for c in row] for row in (powers, sums)], dtype=np.uint64)
+    return np.stack((hi, lo, lo & _LIMB, lo >> _U32), axis=1)
+
+
+def _mulhi(c0: np.ndarray, c1: np.ndarray, x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
+    """High 64 bits of the 128-bit product c * x, from 32-bit limbs c1:c0 and x1:x0."""
+    low, cross_1, cross_2 = c0 * x0, c0 * x1, c1 * x0
+    mid = (low >> _U32) + (cross_1 & _LIMB) + (cross_2 & _LIMB)
+    return c1 * x1 + (cross_1 >> _U32) + (cross_2 >> _U32) + (mid >> _U32)
+
+
+def _draw_by_jump(out: np.ndarray, words: np.ndarray) -> None:
+    """Fill out's (n, m) rows with the PCG64 draws of the (n, 4) seeded words, on arrays.
+
+    The 128-bit states are (hi, lo) uint64 pairs, every draw's state of a
+    row comes from the seeded state by _jump_constants, and the uint64
+    arithmetic wraps mod 2**64 as PCG64's does.
+    """
+    (a_hi, a_lo, a0, a1), (b_hi, b_lo, b0, b1) = _jump_constants(out.shape[1])
+    block = max(1, _BLOCK_VALUES // out.shape[1])
+    for start in range(0, len(out), block):
+        # Each word as a (block, 1) column, broadcast against the (m,) constants.
+        s_hi, s_lo, q_hi, q_lo = words[start : start + block, :, None].transpose(1, 0, 2)
+        # PCG64's seeding step: initstate is words 0 (high) and 1, initseq
+        # words 2 and 3, and inc = 2 * initseq + 1, mod 2**128.
+        inc_hi, inc_lo = (q_hi << _U1) | (q_lo >> _U63), (q_lo << _U1) | _U1
+        lo_a = a_lo * s_lo
+        lo = lo_a + b_lo * inc_lo
+        hi = (
+            _mulhi(a0, a1, s_lo & _LIMB, s_lo >> _U32)
+            + _mulhi(b0, b1, inc_lo & _LIMB, inc_lo >> _U32)
+            + a_lo * s_hi
+            + a_hi * s_lo
+            + b_lo * inc_hi
+            + b_hi * inc_lo
+            + (lo < lo_a)  # the carry out of the low words' sum
+        )
+        # XSL-RR output, then numpy's random(): the top 53 bits times 2**-53.
+        xored, rot = hi ^ lo, hi >> _U58
+        draws = (xored >> rot) | (xored << ((-rot) & _U63))
+        np.multiply(draws >> _U11, 2.0**-53, out=out[start : start + block])
+
+
+def _draw_by_generator(out: np.ndarray, words: np.ndarray) -> None:
+    """Fill out's rows by setting one numpy PCG64 generator to each row's seeded state."""
+    gen = np.random.Generator(np.random.PCG64(0))
+    bit_generator = gen.bit_generator
+    seeded = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": seeded, "has_uint32": 0, "uinteger": 0}
+    for row, (s_hi, s_lo, q_hi, q_lo) in zip(out, words.tolist()):
+        # PCG64's seeding step: state = (inc + initstate) * MULT + inc.
+        inc = ((q_hi << 65) | (q_lo << 1) | 1) & _MASK128
+        seeded["inc"] = inc
+        seeded["state"] = ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        bit_generator.state = state
+        gen.random(out=row)
+
+
 def substream_uniforms(master_seed: int, indices: Iterable[int], m: int) -> np.ndarray:
     """substream(master_seed, i).random(m) for every i in indices, as rows.
 
@@ -121,38 +220,38 @@ def substream_uniforms(master_seed: int, indices: Iterable[int], m: int) -> np.n
     substream(master_seed, indices[r]).random(m) bit for bit.  Indices
     follow substream's rules for path parts and must also lie below
     2**64; a larger index raises ValueError rather than yield another
-    stream.
+    stream.  A range is checked by its first and last index.
     """
     validate_seed(master_seed)
-    indices = [_validate_part(i) for i in indices]
+    if isinstance(indices, range):
+        ends = [_validate_part(i) for i in (indices[0], indices[-1])] if indices else []
+    else:
+        indices = ends = [_validate_part(i) for i in indices]
     if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 0:
         raise ValueError(f"m must be a nonnegative int, got {m!r}")
-    if any(i > MAX_SEED for i in indices):
-        raise ValueError(f"substream_uniforms indices must lie below 2**64, got {max(indices)!r}")
+    if ends and max(ends) > MAX_SEED:
+        raise ValueError(f"substream_uniforms indices must lie below 2**64, got {max(ends)!r}")
     out = np.empty((len(indices), m))
-    if not indices:
+    if not out.size:
         return out
 
+    if isinstance(indices, range):
+        # start + r * step, mod 2**64: every index lies in [0, 2**64), so
+        # the wrapped product of a negative step lands on it exactly.
+        steps = np.arange(len(indices), dtype=np.uint64) * np.uint64(indices.step % 2**64)
+        index = np.uint64(indices[0]) + steps
+    else:
+        index = np.array(indices, dtype=np.uint64)
     # Entropy words as SeedSequence([seed, i]) assembles them: the seed's
     # one or two uint32 words, then the index's, zero-padded to the pool.
-    index = np.array(indices, dtype=np.uint64)
     seed_words = [master_seed & _MASK32] + ([master_seed >> 32] if master_seed >> 32 else [])
     entropy = np.zeros((_POOL, len(index)), dtype=np.uint32)
     entropy[: len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
     entropy[len(seed_words)] = index & np.uint64(_MASK32)
     entropy[len(seed_words) + 1] = index >> np.uint64(32)
-
-    # PCG64's seeding step: initstate is words 0 (high) and 1, initseq
-    # words 2 and 3; inc = 2 * initseq + 1 and state = (inc + initstate)
-    # * MULT + inc, mod 2**128.  numpy then draws each row from that state.
-    gen = np.random.Generator(np.random.PCG64(0))
-    bit_generator = gen.bit_generator
-    seeded = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": seeded, "has_uint32": 0, "uinteger": 0}
-    for row, (s_hi, s_lo, q_hi, q_lo) in zip(out, _seed_states(entropy).tolist()):
-        inc = ((q_hi << 65) | (q_lo << 1) | 1) & _MASK128
-        seeded["inc"] = inc
-        seeded["state"] = ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        bit_generator.state = state
-        gen.random(out=row)
+    words = _seed_states(entropy)
+    if m <= _SHORT_ROWS:
+        _draw_by_jump(out, words)
+    else:
+        _draw_by_generator(out, words)
     return out

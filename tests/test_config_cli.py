@@ -469,6 +469,23 @@ class TestCli:
         for name in ("rows", "cols", "missing_share"):
             assert f"{name}=" in err
 
+    @pytest.mark.parametrize(
+        "rows, cols, code",
+        [(2**62, 4, 2), (2**62, 2, 2), (2**63 - 1, 1, 0)],
+        ids=["2**64-cells", "2**63-cells", "int64-max-cells"],
+    )
+    def test_grid_past_int64_is_config_error(self, rows, cols, code, tmp_path, capsys):
+        # The missing count is drawn in int64, so rows * cols must fit in it.
+        args = ["--set", f"rows={rows}", "--set", f"cols={cols}", "--set", "missing_share=1e-300"]
+        assert main(["run", "--preset", "delta-impute", "--seed", "7", *args, "--out", str(tmp_path / "x")]) == code
+        if code == 2:
+            err = capsys.readouterr().err
+            assert "parameters rows and cols" in err and "int64 limit 2**63 - 1" in err
+            assert f"rows={rows}, cols={cols}" in err
+            assert not (tmp_path / "x").exists()
+        else:
+            assert main(["verify", str(tmp_path / "x")]) == 0
+
     @pytest.mark.parametrize("mode", ["per_cell", "exact"])
     def test_infinite_match_ratio_is_config_error(self, mode, tmp_path, capsys):
         # r = p_same/p_diff is inf, so r**0 would read 0 * inf = nan.

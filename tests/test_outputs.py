@@ -9,7 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from forensic_bias.outputs import format_value, write_csv
+from forensic_bias import outputs
+from forensic_bias.outputs import _DISTINCT_MIN, format_value, write_csv
 
 
 def _reference_write_csv(path, header, rows):
@@ -89,6 +90,42 @@ def test_array_columns_equal_reference(tmp_path, case):
     values = [c.ravel().tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
     _reference_write_csv(tmp_path / "want.csv", list(columns), zip(*values))
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+# Float columns of at least _DISTINCT_MIN stored values format each distinct
+# bit pattern once; -0.0 and 0.0, and NaNs of any sign or payload, must
+# still read as format_value reads them.
+_SPECIAL = [0.0, -0.0, 5e-324, 1e308, 1e16, 0.1 + 0.2, math.inf, -math.inf, math.nan]
+_NANS = np.array([0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001], dtype=np.uint64).view(np.float64)
+_MIXED = np.random.default_rng(3).permutation(np.concatenate([np.repeat(_SPECIAL, 12), _NANS, -_NANS]))
+
+DISTINCT_CASES = {
+    # (column, whether it takes the distinct-value path)
+    "special-array-with-repeats": (_MIXED, True),
+    "special-list-with-repeats": (_MIXED.tolist(), True),
+    "broadcast-view-with-repeats": (np.broadcast_to(np.tile([0.1, -0.0, 0.1, 1e16], 20)[:, None], (80, 3)), True),
+    "tuple": (tuple(_MIXED.tolist()), True),
+    "array-below-the-floor": (_MIXED[: _DISTINCT_MIN - 1], False),
+    "array-at-the-floor": (_MIXED[:_DISTINCT_MIN], True),
+    "list-below-the-floor": (_MIXED[: _DISTINCT_MIN - 1].tolist(), False),
+    "list-at-the-floor": (_MIXED[:_DISTINCT_MIN].tolist(), True),
+    "mixed-int-float-list": ([1, 0.5, -0.0, 2, math.nan] * _DISTINCT_MIN, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DISTINCT_CASES))
+def test_distinct_float_formatting_equals_per_value(tmp_path, monkeypatch, case):
+    column, distinct = DISTINCT_CASES[case]
+    calls = []
+    float_texts = outputs._float_texts
+    monkeypatch.setattr(outputs, "_float_texts", lambda values: calls.append(values.size) or float_texts(values))
+    write_csv(tmp_path / "got.csv", {"x": column})
+    assert bool(calls) is distinct
+    values = column.ravel().tolist() if isinstance(column, np.ndarray) else list(column)
+    _reference_write_csv(tmp_path / "want.csv", ["x"], ([v] for v in values))
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    assert got.decode().split("\r\n")[1:-1] == [format_value(v) for v in values]
 
 
 def test_broadcast_view_formats_each_stored_element_once(tmp_path):

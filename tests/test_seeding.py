@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from forensic_bias.seeding import substream, substream_uniforms, validate_seed
+from forensic_bias.propagation import monte_carlo_chains
+from forensic_bias.seeding import _BLOCK_VALUES, _SHORT_ROWS, substream, substream_uniforms, validate_seed
 
 SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 2**64 - 1]
 # One-word indices, the one-word edge, two-word indices (a second
@@ -23,10 +24,38 @@ def _assert_bits_equal(got, want):
 
 
 class TestSubstreamUniformsBitExact:
-    @pytest.mark.parametrize("m", [1, 11, 200])
+    # Rows of up to _SHORT_ROWS draws are computed by jump-ahead on arrays,
+    # longer ones by numpy's generator: both sides of the boundary.
+    @pytest.mark.parametrize("m", [0, 1, 11, _SHORT_ROWS, _SHORT_ROWS + 1, 200])
     @pytest.mark.parametrize("master_seed", SEEDS)
     def test_equals_substream(self, master_seed, m):
         _assert_bits_equal(substream_uniforms(master_seed, INDICES, m), _reference(master_seed, INDICES, m))
+
+    @pytest.mark.parametrize("m", [1, 11, _SHORT_ROWS])
+    def test_rows_past_a_block(self, m):
+        # The array path fills _BLOCK_VALUES // m rows at a time.
+        indices = range(2**64 - _BLOCK_VALUES // m - 7, 2**64)
+        _assert_bits_equal(substream_uniforms(2**64 - 1, indices, m), _reference(2**64 - 1, indices, m))
+
+    @pytest.mark.parametrize(
+        "indices",
+        [range(0), range(5, 6), range(3, 3000, 7), range(2**64 - 1, 2**64 - 50, -4), range(2**32 + 9, 2**32 - 9, -1)],
+    )
+    @pytest.mark.parametrize("m", [3, _SHORT_ROWS + 1])
+    def test_range_equals_its_list(self, indices, m):
+        got = substream_uniforms(7, indices, m)
+        _assert_bits_equal(got, substream_uniforms(7, list(indices), m))
+        _assert_bits_equal(got, _reference(7, indices, m))
+
+    @pytest.mark.parametrize("k", [(_SHORT_ROWS - 1) // 2, (_SHORT_ROWS - 1) // 2 + 1])
+    def test_propagation_on_both_paths(self, k):
+        # m = 1 + 2k draws per replicate: one chain length on each side of _SHORT_ROWS.
+        study = monte_carlo_chains(40, master_seed=11, k=k)
+        draws = _reference(11, range(40), 1 + 2 * k)
+        assert np.array_equal(study.columns["trait"][:, 0, 0], draws[:, 0] < 0.15)
+        _assert_bits_equal(study.columns["missing_share"][:, 0, :], draws[:, 1 : k + 1] * 0.5)
+        odds = study.columns["neutral_odds"][:, 0, :]
+        assert np.array_equal(odds == odds.max(), draws[:, k + 1 :] < 0.5)
 
     @pytest.mark.parametrize("master_seed", [0, 2**32 + 5])
     def test_mixed_word_counts_in_one_call(self, master_seed):
@@ -84,6 +113,13 @@ class TestValidation:
         assert isinstance(substream(7, index), np.random.Generator)
         with pytest.raises(ValueError):
             substream_uniforms(7, [1, index], 3)
+
+    @pytest.mark.parametrize(
+        "indices", [range(-1, 3), range(3, -2, -1), range(2**64 - 2, 2**64 + 1), range(2**64, 2**64 - 3, -1)]
+    )
+    def test_range_checked_by_its_ends(self, indices):
+        with pytest.raises(ValueError):
+            substream_uniforms(7, indices, 3)
 
     @pytest.mark.parametrize("m", [-1, 2.0, True, None])
     def test_draw_count_validated(self, m):
