@@ -30,16 +30,26 @@ Each factor row lists the parent assignment left of the bar and the
 probabilities over the child's domain (in declared order) right of it.
 Probabilities are parsed as exact fractions, so a fixture designed to be
 task-irrelevant yields a discrepancy of exactly zero.
+
+Arithmetic is exact and runs on Python ints.  Every mass and factor
+entry is read once as a rational (a float at its exact binary value);
+each factor's rows are scaled by the lcm of their denominators, so a
+joint is a set of integer weights over one common denominator.  The
+unit-sum checks, the DAG product, the marginals and the comparison of
+conditionals (by cross-multiplication) all stay on those weights; the
+only Fraction built afterwards is the largest discrepancy itself.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from importlib import resources
-from typing import Mapping, Sequence
+from typing import Sequence
 
 __all__ = [
     "JointSchemaError",
@@ -57,6 +67,7 @@ __all__ = [
 ]
 
 _SUM_TOLERANCE = 1e-9
+_TOLERANCE_RATIO = _SUM_TOLERANCE.as_integer_ratio()
 
 
 class JointSchemaError(ValueError):
@@ -76,14 +87,73 @@ def _check_domain(name: str, domain: Sequence[str]) -> tuple[str, ...]:
     return domain
 
 
+def _ratio(value: object, where: str) -> tuple[int, int]:
+    """value as an exact (numerator, denominator) pair; a float at its exact binary value."""
+    if not isinstance(value, Fraction):
+        try:
+            value = Fraction(value)
+        except (TypeError, ValueError, OverflowError):
+            raise JointSchemaError(f"{where}: {value!r} is not a finite number") from None
+    return value.numerator, value.denominator
+
+
+def _off_one(total: int, denominator: int) -> bool:
+    """Whether total/denominator differs from 1 by more than _SUM_TOLERANCE, exactly."""
+    num, den = _TOLERANCE_RATIO
+    return abs(total - denominator) * den > num * denominator
+
+
+class _Masses(Mapping):
+    """Exact masses held as integer weights over one common denominator.
+
+    Reading a mass builds Fraction(weight, denominator); the classifier
+    reads the weights themselves.
+    """
+
+    __slots__ = ("weights", "denominator")
+
+    def __init__(self, weights: dict[tuple[str, ...], int], denominator: int) -> None:
+        self.weights = weights
+        self.denominator = denominator
+
+    @classmethod
+    def read(cls, masses: Mapping) -> "_Masses":
+        """Weights of a {assignment: mass} mapping, each mass read exactly once."""
+        ratios = {}
+        for key, mass in masses.items():
+            key = tuple(key)
+            num, den = _ratio(mass, f"mass at {key!r}")
+            if num < 0:
+                raise JointSchemaError(f"negative mass {mass!r} at {key!r}")
+            ratios[key] = num, den
+        denominator = math.lcm(*(den for _, den in ratios.values()))
+        return cls({key: num * (denominator // den) for key, (num, den) in ratios.items()}, denominator)
+
+    def __getitem__(self, key: tuple[str, ...]) -> Fraction:
+        return Fraction(self.weights[key], self.denominator)
+
+    def __iter__(self):
+        return iter(self.weights)
+
+    def __len__(self) -> int:
+        return len(self.weights)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
 @dataclass(frozen=True)
 class FiniteJoint:
     """An exact joint distribution over finitely many named variables.
 
     `variables` fixes the order of assignment tuples; `pmf` maps full
     assignments to masses.  Assignments not listed carry zero mass.
-    Masses may be floats or Fractions; Fractions keep fixture arithmetic
-    exact all the way to the verdict.
+    Masses may be given as floats, ints or Fractions.  Each is read once
+    at its exact value (a float at its exact binary value) into integer
+    weights over one common denominator, and `pmf` is then a read-only
+    mapping of those exact masses, each one a Fraction, so arithmetic
+    stays exact all the way to the verdict.  The masses must sum to 1
+    within 1e-9, compared exactly.
     """
 
     variables: tuple[tuple[str, tuple[str, ...]], ...]
@@ -96,9 +166,8 @@ class FiniteJoint:
         names = [name for name, _ in variables]
         if len(set(names)) != len(names):
             raise JointSchemaError(f"duplicate variable names: {names!r}")
-        pmf = {tuple(key): mass for key, mass in self.pmf.items()}
-        total = 0
-        for key, mass in pmf.items():
+        pmf = self.pmf if isinstance(self.pmf, _Masses) else _Masses.read(self.pmf)
+        for key in pmf.weights:
             if len(key) != len(variables):
                 raise JointSchemaError(
                     f"assignment {key!r} has {len(key)} values for {len(variables)} variables"
@@ -108,11 +177,8 @@ class FiniteJoint:
                     raise JointSchemaError(
                         f"assignment {key!r}: {value!r} is not in the domain of {name!r}"
                     )
-            if mass < 0:
-                raise JointSchemaError(f"negative mass {mass!r} at {key!r}")
-            total += mass
-        if abs(total - 1) > _SUM_TOLERANCE:
-            raise JointSchemaError(f"joint mass sums to {total!r}, not 1")
+        if _off_one(sum(pmf.weights.values()), pmf.denominator):
+            raise JointSchemaError(f"joint mass sums to {sum(self.pmf.values())!r}, not 1")
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "pmf", pmf)
 
@@ -183,37 +249,43 @@ def classify_relevance(
     i_idx = joint.index(info)
     e_idx = joint.index(hypothesis)
 
-    # One sweep over the support accumulates every marginal we need.
-    mass_e: dict[str, object] = {}
-    mass_ie: dict[tuple[str, str], object] = {}
-    mass_ze: dict[tuple[tuple[str, ...], str], object] = {}
-    mass_zie: dict[tuple[tuple[str, ...], str, str], object] = {}
-    for key, mass in joint.pmf.items():
+    # One sweep over the support accumulates every marginal we need, as
+    # integer weights: the common denominator cancels in each conditional.
+    mass_e: dict[str, int] = {}
+    mass_ie: dict[tuple[str, str], int] = {}
+    mass_ze: dict[tuple[tuple[str, ...], str], int] = {}
+    mass_zie: dict[tuple[tuple[str, ...], str, str], int] = {}
+    for key, weight in joint.pmf.weights.items():
         z = tuple(key[i] for i in ev_idx)
         i_val, e_val = key[i_idx], key[e_idx]
-        mass_e[e_val] = mass_e.get(e_val, 0) + mass
-        mass_ie[i_val, e_val] = mass_ie.get((i_val, e_val), 0) + mass
-        mass_ze[z, e_val] = mass_ze.get((z, e_val), 0) + mass
-        mass_zie[z, i_val, e_val] = mass_zie.get((z, i_val, e_val), 0) + mass
+        mass_e[e_val] = mass_e.get(e_val, 0) + weight
+        mass_ie[i_val, e_val] = mass_ie.get((i_val, e_val), 0) + weight
+        mass_ze[z, e_val] = mass_ze.get((z, e_val), 0) + weight
+        mass_zie[z, i_val, e_val] = mass_zie.get((z, i_val, e_val), 0) + weight
 
+    # |w_ze/w_e - w_zie/w_ie| = |w_ze*w_ie - w_zie*w_e| / (w_e*w_ie); the
+    # largest gap is kept as (numerator, denominator) and compared across
+    # conditioning events by cross-multiplication.
     cells = tuple(itertools.product(*(joint.domain(name) for name in evidence)))
-    worst = 0
+    worst_num, worst_den = 0, 1
     for e_val in joint.domain(hypothesis):
-        p_e = mass_e.get(e_val, 0)
-        if p_e == 0:
+        w_e = mass_e.get(e_val, 0)
+        if w_e == 0:
             raise ZeroMassEventError(f"conditioning event {hypothesis}={e_val} has zero mass")
         for i_val in joint.domain(info):
-            p_ie = mass_ie.get((i_val, e_val), 0)
-            if p_ie == 0:
+            w_ie = mass_ie.get((i_val, e_val), 0)
+            if w_ie == 0:
                 raise ZeroMassEventError(
                     f"conditioning event {info}={i_val}, {hypothesis}={e_val} has zero mass"
                 )
-            for z in cells:
-                lhs = mass_ze.get((z, e_val), 0) / p_e
-                rhs = mass_zie.get((z, i_val, e_val), 0) / p_ie
-                gap = abs(lhs - rhs)
-                if gap > worst:
-                    worst = gap
+            num = max(
+                abs(mass_ze.get((z, e_val), 0) * w_ie - mass_zie.get((z, i_val, e_val), 0) * w_e)
+                for z in cells
+            )
+            den = w_e * w_ie
+            if num * worst_den > worst_num * den:
+                worst_num, worst_den = num, den
+    worst = Fraction(worst_num, worst_den)
     verdict = Verdict.TASK_IRRELEVANT if worst <= tolerance else Verdict.TASK_RELEVANT
     return RelevanceVerdict(verdict, float(worst))
 
@@ -248,6 +320,9 @@ def joint_from_dag_factors(factors: Sequence[Factor]) -> FiniteJoint:
     if not factors:
         raise JointSchemaError("joint_from_dag_factors requires at least one factor")
     declared: dict[str, tuple[str, ...]] = {}
+    position: dict[str, int] = {}
+    tables = []  # per factor: (parent positions, {parent key: integer row})
+    denominator = 1
     for f in factors:
         if f.variable in declared:
             raise JointSchemaError(f"variable {f.variable!r} declared twice")
@@ -263,6 +338,7 @@ def joint_from_dag_factors(factors: Sequence[Factor]) -> FiniteJoint:
             raise JointSchemaError(
                 f"factor for {f.variable!r} has {len(f.table)} rows, expected {expected_rows}"
             )
+        ratios = {}
         for key, row in f.table.items():
             if len(key) != len(f.parents):
                 raise JointSchemaError(
@@ -278,28 +354,36 @@ def joint_from_dag_factors(factors: Sequence[Factor]) -> FiniteJoint:
                     f"factor for {f.variable!r}: row {key!r} has {len(row)} entries "
                     f"for a domain of size {len(f.domain)}"
                 )
-            if any(p < 0 for p in row):
+            ratios[key] = [_ratio(p, f"factor for {f.variable!r}: row {key!r}") for p in row]
+            if any(num < 0 for num, _ in ratios[key]):
                 raise JointSchemaError(f"factor for {f.variable!r}: negative entry in row {key!r}")
-            total = sum(row)
-            if abs(total - 1) > _SUM_TOLERANCE:
+        # Scale the factor's rows to integers over the lcm of their denominators.
+        scale = math.lcm(*(den for row in ratios.values() for _, den in row))
+        rows = {}
+        for key, row in ratios.items():
+            rows[key] = tuple(num * (scale // den) for num, den in row)
+            if _off_one(sum(rows[key]), scale):
                 raise JointSchemaError(
-                    f"factor for {f.variable!r}: row {key!r} sums to {total!r}, not 1"
+                    f"factor for {f.variable!r}: row {key!r} sums to {sum(f.table[key])!r}, not 1"
                 )
+        tables.append((tuple(position[p] for p in f.parents), rows))
+        denominator *= scale
         declared[f.variable] = f.domain
+        position[f.variable] = len(position)
 
+    # Extend each prefix assignment of positive weight by one variable per
+    # factor, in topological order: the support comes out in
+    # itertools.product order with its zero-weight assignments left out.
+    weights: dict[tuple[str, ...], int] = {(): 1}
+    for f, (parents, rows) in zip(factors, tables):
+        weights = {
+            prefix + (value,): weight * entry
+            for prefix, weight in weights.items()
+            for value, entry in zip(f.domain, rows[tuple(prefix[i] for i in parents)])
+            if entry
+        }
     variables = tuple((f.variable, f.domain) for f in factors)
-    order = {f.variable: i for i, f in enumerate(factors)}
-    pmf: dict[tuple[str, ...], object] = {}
-    for assignment in itertools.product(*(f.domain for f in factors)):
-        mass = 1
-        for f in factors:
-            parent_key = tuple(assignment[order[p]] for p in f.parents)
-            mass = mass * f.table[parent_key][f.domain.index(assignment[order[f.variable]])]
-            if mass == 0:
-                break
-        if mass != 0:
-            pmf[assignment] = mass
-    return FiniteJoint(variables, pmf)
+    return FiniteJoint(variables, _Masses(weights, denominator))
 
 
 def _parse_number(token: str) -> Fraction:

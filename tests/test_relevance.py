@@ -1,6 +1,7 @@
 """Task-relevance classification on exact finite joints."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -354,3 +355,185 @@ class TestFixtureParsing:
         )
         joint, _ = parse_joint_fixture(text)
         assert joint.mass(("s", "a", "0")) == Fraction(1, 3) * Fraction(1, 2) * Fraction(1, 4)
+
+
+# ------------------------------------------------------------------ oracle
+# The Fraction arithmetic the integer-weight code replaced, kept as the
+# reference: every factor entry read as an exact Fraction, the DAG product
+# and the classifier's marginals and conditionals computed on Fractions.
+
+
+def reference_joint(factors):
+    """{assignment: Fraction mass} of the DAG product, zero masses left out."""
+    order = {f.variable: i for i, f in enumerate(factors)}
+    pmf = {}
+    for assignment in itertools.product(*(f.domain for f in factors)):
+        mass = Fraction(1)
+        for f in factors:
+            parent_key = tuple(assignment[order[p]] for p in f.parents)
+            mass = mass * Fraction(f.table[parent_key][f.domain.index(assignment[order[f.variable]])])
+            if mass == 0:
+                break
+        if mass != 0:
+            pmf[assignment] = mass
+    return pmf
+
+
+def reference_discrepancy(variables, pmf, evidence, info, hypothesis):
+    """The largest |P(z|e) - P(z|i,e)| as a Fraction; ZeroMassEventError as the classifier raises it."""
+    names = [name for name, _ in variables]
+    domains = dict(variables)
+    ev_idx = tuple(names.index(name) for name in evidence)
+    i_idx, e_idx = names.index(info), names.index(hypothesis)
+    mass_e, mass_ie, mass_ze, mass_zie = {}, {}, {}, {}
+    for key, mass in pmf.items():
+        z = tuple(key[i] for i in ev_idx)
+        i_val, e_val = key[i_idx], key[e_idx]
+        mass_e[e_val] = mass_e.get(e_val, 0) + mass
+        mass_ie[i_val, e_val] = mass_ie.get((i_val, e_val), 0) + mass
+        mass_ze[z, e_val] = mass_ze.get((z, e_val), 0) + mass
+        mass_zie[z, i_val, e_val] = mass_zie.get((z, i_val, e_val), 0) + mass
+    worst = Fraction(0)
+    for e_val in domains[hypothesis]:
+        p_e = mass_e.get(e_val, 0)
+        if p_e == 0:
+            raise ZeroMassEventError(f"conditioning event {hypothesis}={e_val} has zero mass")
+        for i_val in domains[info]:
+            p_ie = mass_ie.get((i_val, e_val), 0)
+            if p_ie == 0:
+                raise ZeroMassEventError(
+                    f"conditioning event {info}={i_val}, {hypothesis}={e_val} has zero mass"
+                )
+            for z in itertools.product(*(domains[name] for name in evidence)):
+                gap = abs(mass_ze.get((z, e_val), 0) / p_e - mass_zie.get((z, i_val, e_val), 0) / p_ie)
+                worst = max(worst, gap)
+    return worst
+
+
+def _rational_row(rng, size):
+    """A row of Fractions over one denominator up to 60 that sums to exactly 1, zeros included."""
+    den = int(rng.integers(1, 61))
+    cuts = np.sort(rng.integers(0, den + 1, size - 1))
+    parts = np.diff(np.concatenate(([0], cuts, [den])))
+    return tuple(Fraction(int(p), den) for p in parts)
+
+
+def _float_row(rng, size):
+    """A row of floats summing to 1 within rounding, sometimes with zeros."""
+    row = rng.dirichlet(np.ones(size))
+    row[rng.random(size) < 0.2] = 0.0
+    if row.sum() == 0.0:
+        row[0] = 1.0
+    return tuple((row / row.sum()).tolist())
+
+
+def _random_dag(rng, make_row):
+    """Factors over E, I and 1-3 evidence variables in a random topological order."""
+    n_evidence = int(rng.integers(1, 4))
+    names = ["E", "I", *(f"Z{j}" for j in range(n_evidence))]
+    rng.shuffle(names)
+    factors, domains = [], {}
+    for pos, name in enumerate(names):
+        domain = tuple(f"{name.lower()}{v}" for v in range(int(rng.integers(1, 4))))
+        earlier = names[:pos]
+        n_parents = int(rng.integers(0, min(2, len(earlier)) + 1))
+        parents = tuple(rng.choice(earlier, n_parents, replace=False).tolist()) if n_parents else ()
+        keys = itertools.product(*(domains[p] for p in parents))
+        table = {key: make_row(rng, len(domain)) for key in keys}
+        factors.append(Factor(name, domain, parents, table))
+        domains[name] = domain
+    return factors, tuple(sorted(n for n in names if n.startswith("Z")))
+
+
+def _assert_matches_reference(factors, evidence):
+    joint = joint_from_dag_factors(factors)
+    expected_pmf = reference_joint(factors)
+    assert list(joint.pmf) == list(expected_pmf)
+    assert dict(joint.pmf) == expected_pmf
+    try:
+        expected = reference_discrepancy(joint.variables, expected_pmf, evidence, "I", "E")
+    except ZeroMassEventError as exc:
+        with pytest.raises(ZeroMassEventError) as got:
+            classify_relevance(joint, evidence=evidence)
+        assert str(got.value) == str(exc)
+        return None
+    nearest = float(expected)
+    # The verdict at the float nearest the exact discrepancy and at its two
+    # neighbours places the exact value on the float grid.
+    for tolerance in (0.0, math.nextafter(nearest, 0.0), nearest, math.nextafter(nearest, 1.0), 1e-9):
+        verdict = classify_relevance(joint, tolerance, evidence=evidence)
+        assert verdict.max_discrepancy == nearest
+        want = Verdict.TASK_IRRELEVANT if expected <= tolerance else Verdict.TASK_RELEVANT
+        assert verdict.verdict is want, (tolerance, expected)
+    return expected
+
+
+class TestReferenceOracle:
+    """Integer weights against the Fraction reference on random DAGs."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_rational_dags(self, seed):
+        rng = np.random.default_rng([2024, seed])
+        outcomes = {"zero": 0, "positive": 0, "zero-mass": 0}
+        for _ in range(40):
+            factors, evidence = _random_dag(rng, _rational_row)
+            expected = _assert_matches_reference(factors, evidence)
+            outcomes["zero-mass" if expected is None else "zero" if expected == 0 else "positive"] += 1
+        # Each seed's DAGs reach every branch of the classifier.
+        assert outcomes["positive"] > 0 and outcomes["zero-mass"] > 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_float_dags(self, seed):
+        rng = np.random.default_rng([2025, seed])
+        for _ in range(30):
+            factors, evidence = _random_dag(rng, _float_row)
+            _assert_matches_reference(factors, evidence)
+
+    def test_irrelevant_by_construction_is_exactly_zero(self):
+        rng = np.random.default_rng(99)
+        for _ in range(30):
+            p_i = _rational_row(rng, 3)
+            factors = [
+                Factor("E", ("s", "d"), (), {(): (Fraction(2, 7), Fraction(5, 7))}),
+                Factor("I", ("a", "b", "c"), ("E",), {("s",): p_i, ("d",): _rational_row(rng, 3)}),
+                Factor("X", ("0", "1"), ("E",), {("s",): _rational_row(rng, 2), ("d",): _rational_row(rng, 2)}),
+            ]
+            try:
+                verdict = classify_relevance(joint_from_dag_factors(factors), 0.0, evidence=("X",))
+            except ZeroMassEventError:
+                continue
+            assert verdict.max_discrepancy == 0.0
+            assert verdict.verdict is Verdict.TASK_IRRELEVANT
+
+    def test_sum_tolerance_is_exact(self):
+        # A row may miss 1 by exactly the binary value of 1e-9, and not by more.
+        edge = Fraction(1e-9)
+        ok = Factor("A", ("0", "1"), (), {(): (Fraction(1, 2), Fraction(1, 2) + edge)})
+        assert joint_from_dag_factors([ok]).mass(("1",)) == Fraction(1, 2) + edge
+        over = Factor("A", ("0", "1"), (), {(): (Fraction(1, 2), Fraction(1, 2) + edge + Fraction(1, 10**30))})
+        with pytest.raises(JointSchemaError, match=r"row \(\) sums to Fraction\("):
+            joint_from_dag_factors([over])
+        under = Factor("A", ("0", "1"), (), {(): (Fraction(1, 2), Fraction(1, 2) - edge - Fraction(1, 10**30))})
+        with pytest.raises(JointSchemaError, match="sums to"):
+            joint_from_dag_factors([under])
+        FiniteJoint((("A", ("0", "1")),), {("0",): Fraction(1, 2), ("1",): Fraction(1, 2) - edge})
+        with pytest.raises(JointSchemaError, match="joint mass sums to"):
+            FiniteJoint((("A", ("0", "1")),), {("0",): Fraction(1, 2), ("1",): Fraction(1, 2) - 2 * edge})
+
+    def test_float_row_sum_message_keeps_the_float_sum(self):
+        with pytest.raises(JointSchemaError, match=r"sums to 1\.1, not 1"):
+            joint_from_dag_factors([Factor("A", ("0", "1"), (), {(): (0.5, 0.6)})])
+        with pytest.raises(JointSchemaError, match=r"joint mass sums to 0\.8999999999999999, not 1"):
+            FiniteJoint((("A", ("0", "1")),), {("0",): 0.7, ("1",): 0.2})
+
+    def test_float_masses_read_at_their_exact_values(self):
+        joint = FiniteJoint((("A", ("0", "1")),), {("0",): 0.1, ("1",): 0.9})
+        assert joint.mass(("0",)) == Fraction(0.1)
+        assert joint.mass(("1",)) == Fraction(0.9)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, None])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(JointSchemaError, match="not a finite number"):
+            FiniteJoint((("A", ("0", "1")),), {("0",): 1.0, ("1",): bad})
+        with pytest.raises(JointSchemaError, match="not a finite number"):
+            joint_from_dag_factors([Factor("A", ("0", "1"), (), {(): (1.0, bad)})])
