@@ -13,6 +13,10 @@ substream(master_seed, i), so results are reproducible bit for bit and
 any replicate can be re-created alone.
 """
 
+# Set before the submodule imports: presets reads it as the manifest's
+# tool version while this package is still initialising.
+__version__ = "0.1.0"
+
 from .odds import (
     LikelihoodRatio,
     OddsRatio,
@@ -89,5 +93,3 @@ from .seeding import substream, substream_uniforms, validate_seed
 from .config import ConfigError, ParamSpec, PresetSchema
 from .outputs import RunManifest, read_manifest, sha256_file, write_manifest
 from .presets import PRESETS, Preset, TOOL_VERSION, get_preset, run_preset
-
-__version__ = "0.1.0"

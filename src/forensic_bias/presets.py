@@ -21,12 +21,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from importlib import metadata
 from pathlib import Path
 from typing import Callable, Mapping
 
 import numpy as np
 
+from . import __version__ as TOOL_VERSION
 from .config import ConfigError, ParamSpec, PresetSchema
 from .contextual import MAYFIELD_DELTAS, average_bias, mayfield_average, race_example_delta
 from .feedback import (
@@ -59,11 +59,6 @@ from .seeding import substream, validate_seed
 from .trier import case_report
 
 __all__ = ["Preset", "PRESETS", "get_preset", "run_preset", "ArtifactWriteError", "TOOL_VERSION"]
-
-try:
-    TOOL_VERSION = metadata.version("forensic-bias")
-except metadata.PackageNotFoundError:  # running from a source tree
-    TOOL_VERSION = "0+unknown"
 
 
 Runner = Callable[[dict, int], dict[str, object]]

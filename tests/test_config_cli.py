@@ -1,12 +1,17 @@
 """Parameter schemas, config parsing, and the command-line harness."""
 
 import json
+import os
+import re
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
 
 import pytest
 
+import forensic_bias
 from forensic_bias import presets
 from forensic_bias.cli import main
 from forensic_bias.config import ConfigError, parse_config_text, parse_set_args
@@ -99,7 +104,25 @@ class TestRunPreset:
         assert on_disk["seed"] == 5
         assert on_disk["parameters"] == {}
         assert "threads" not in on_disk
-        assert on_disk["tool_version"]
+        assert on_disk["tool_version"] == forensic_bias.__version__
+
+    def test_package_version_matches_pyproject(self):
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+        project = text.split("[project]", 1)[1].split("\n[", 1)[0]
+        assert re.search(r'^version = "([^"]+)"$', project, re.MULTILINE).group(1) == forensic_bias.__version__
+
+    def test_cli_import_leaves_out_importlib_metadata(self):
+        # The tool version is the package's own constant, so no process
+        # pays for importlib.metadata (and the email and socket modules it pulls in).
+        probe = "import sys, forensic_bias.cli; print('importlib.metadata' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(Path(forensic_bias.__file__).parents[1])},
+        )
+        assert done.stdout.strip() == "False"
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_runner_is_pure(self, name, tmp_path, monkeypatch):

@@ -2,9 +2,10 @@
 
 A refactor must leave these hashes alone.  An intended change of bytes
 updates the pin here and names the changed artifact and its reason in
-CHANGES.md.  The manifest records the tool version, which depends on
-whether the package is installed, so the version is fixed to the
-source-tree value for the pin.
+CHANGES.md.  The manifest records the tool version, the package's
+__version__.  The pins were taken when a source tree recorded
+"0+unknown", so the test fixes the version to that value, and a version
+bump moves no pin.
 """
 
 import hashlib
