@@ -3,8 +3,11 @@
 Given identical inputs these produce identical bytes on every platform:
 write_csv emits the csv module's excel dialect itself (CRLF line endings,
 a field quoted only when it must be) with floats rendered by repr, and
-JSON is written with sorted keys.  Manifests carry no timestamps or host
-details, so a rerun with the same seed is byte-for-byte comparable.
+JSON is written with sorted keys.  Every writer encodes its text as
+UTF-8 and writes the bytes in binary mode, so no newline is translated,
+and returns the sha256 of exactly the bytes it wrote.  Manifests carry
+no timestamps or host details, so a rerun with the same seed is
+byte-for-byte comparable.
 
 format_value is the canonical text of one CSV field.  write_csv takes a
 table as columns, a {header: column} mapping of equal-length columns,
@@ -23,6 +26,7 @@ columns are a ValueError.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -36,6 +40,7 @@ __all__ = [
     "format_value",
     "write_csv",
     "write_json",
+    "write_text",
     "sha256_file",
     "RunManifest",
     "MANIFEST_NAME",
@@ -117,8 +122,8 @@ def _format_column(column: Sequence[object] | np.ndarray, lone: bool) -> list[st
     return text if kind in (float, int, bool) else _quote_minimal(text, lone)
 
 
-def write_csv(path: Path, columns: Mapping[str, Sequence[object] | np.ndarray]) -> None:
-    """Write columns, a {header: column} mapping, as a CSV table."""
+def write_csv(path: Path, columns: Mapping[str, Sequence[object] | np.ndarray]) -> str:
+    """Write columns, a {header: column} mapping, as a CSV table; returns its sha256."""
     sizes = [c.size if isinstance(c, np.ndarray) else len(c) for c in columns.values()]
     n_rows = sizes[0] if sizes else 0
     for name, size in zip(columns, sizes):
@@ -127,11 +132,18 @@ def write_csv(path: Path, columns: Mapping[str, Sequence[object] | np.ndarray]) 
             raise ValueError(f"{path}: column {name!r} has {size} values, column {first!r} has {n_rows}")
     lone = len(columns) == 1
     texts = [_format_column(c, lone) for c in columns.values()]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(_quote_minimal(list(columns), lone)) + "\r\n")
-        for start in range(0, n_rows, _BLOCK_ROWS):
-            rows = zip(*(t[start : start + _BLOCK_ROWS] for t in texts))
-            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
+    header = ",".join(_quote_minimal(list(columns), lone)) + "\r\n"
+    blocks = (
+        "\r\n".join(map(",".join, zip(*(t[start : start + _BLOCK_ROWS] for t in texts)))) + "\r\n"
+        for start in range(0, n_rows, _BLOCK_ROWS)
+    )
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for block in itertools.chain([header], blocks):
+            data = block.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+    return digest.hexdigest()
 
 
 def _jsonable(value: object) -> object:
@@ -144,9 +156,18 @@ def _jsonable(value: object) -> object:
     return value
 
 
-def write_json(path: Path, obj: object) -> None:
+def write_text(path: Path, text: str) -> str:
+    """Write text as UTF-8, newlines untranslated; returns the sha256 of the bytes."""
+    data = text.encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
+
+
+def write_json(path: Path, obj: object) -> str:
+    """Write obj as JSON with sorted keys; returns the sha256 of the bytes."""
     text = json.dumps(_jsonable(obj), indent=2, sort_keys=True, allow_nan=False)
-    path.write_text(text + "\n", encoding="utf-8")
+    return write_text(path, text + "\n")
 
 
 def sha256_file(path: Path) -> str:

@@ -52,7 +52,7 @@ from .fingerprints import (
     sample_delta_impute,
 )
 from .odds import LOG_FLOAT_MAX, LikelihoodRatio, SuspectPool, posterior_odds, uniform_prior_odds
-from .outputs import MANIFEST_NAME, RunManifest, sha256_file, write_csv, write_json, write_manifest
+from .outputs import MANIFEST_NAME, RunManifest, write_csv, write_json, write_manifest, write_text
 from .propagation import ChainMode, monte_carlo_chains
 from .relevance import builtin_joint_names, classify_relevance, load_builtin_joint
 from .seeding import substream, validate_seed
@@ -609,12 +609,11 @@ def run_preset(
         for artifact, content in artifacts.items():
             path = out_dir / artifact
             if path.suffix == ".csv":
-                write_csv(path, content)
+                digests[artifact] = write_csv(path, content)
             elif path.suffix == ".json":
-                write_json(path, content)
+                digests[artifact] = write_json(path, content)
             else:
-                path.write_text(content, encoding="utf-8")
-            digests[artifact] = sha256_file(path)
+                digests[artifact] = write_text(path, content)
         manifest = RunManifest(
             preset=name, seed=seed, parameters=params, artifacts=digests, tool_version=TOOL_VERSION
         )

@@ -1,6 +1,7 @@
 """The column-wise CSV writer against the per-value reference writer."""
 
 import csv
+import hashlib
 import math
 import random
 from enum import Enum
@@ -185,3 +186,18 @@ def test_unequal_columns_rejected(tmp_path, columns, name, length, first_length)
     ):
         write_csv(tmp_path / "r.csv", columns)
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_writers_return_the_sha256_of_the_bytes_written(tmp_path):
+    big = {"x": np.arange(3 * outputs._BLOCK_ROWS + 5) / 7, "label": ["é,\"q\""] * (3 * outputs._BLOCK_ROWS + 5)}
+    written = {
+        "small.csv": write_csv(tmp_path / "small.csv", CASES["mixed-int-float"]),
+        "big.csv": write_csv(tmp_path / "big.csv", big),
+        "report.json": outputs.write_json(tmp_path / "report.json", {"b": [1, 2.5], "a": "é\nline"}),
+        "grid.txt": outputs.write_text(tmp_path / "grid.txt", "m.?\n.m.\n"),
+    }
+    for name, digest in written.items():
+        assert digest == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest(), name
+    # "\n" is written as is, never as the platform's line separator.
+    assert (tmp_path / "report.json").read_bytes().count(b"\r") == 0
+    assert (tmp_path / "grid.txt").read_bytes() == b"m.?\n.m.\n"
