@@ -68,17 +68,16 @@ def race_example_delta(trait_prob: float, trait_present: bool) -> float:
     carries no evidence), but exposure leads the analyst to act as if
     sources carry it at 2p.  Requires p < 1/2 so the doubled rate is still
     a probability.  Present traits are overweighted by exactly 2; absent
-    traits are underweighted by 2 - 1/(1-p), which must not round to 0.
+    traits are underweighted by (1-2p)/(1-p) = 2 - 1/(1-p), whose log is
+    taken as log1p(-2p) - log1p(-p): 2p is exact, so nothing cancels as p
+    nears 1/2, and one ulp below 1/2 the factor is e**-36.04, not 0.
     """
     p = _open_unit("trait_prob", trait_prob)
     if p >= 0.5:
         raise ValueError(f"trait_prob must be < 0.5 so the doubled rate stays valid, got {p!r}")
     if trait_present:
         return math.log(2.0)
-    absent = 2.0 - 1.0 / (1.0 - p)
-    if absent <= 0.0:  # 1 - p rounds to 1/2 at p = 0.5 - 2**-54
-        raise ValueError(f"trait_prob={p!r} rounds the absent-trait factor 2 - 1/(1-p) to 0; use a smaller trait_prob")
-    return math.log(absent)
+    return math.log1p(-2.0 * p) - math.log1p(-p)
 
 
 def average_bias(factors: Sequence[float], geometric: bool = False) -> float:

@@ -170,11 +170,8 @@ _RACE_SCHEMA = PresetSchema(
 def _run_race(params: dict, seed: int) -> dict[str, object]:
     p = params["trait_prob"]
     prior = uniform_prior_odds(SuspectPool(params["pool_n"]))
-    try:
-        delta_present = race_example_delta(p, trait_present=True)
-        delta_absent = race_example_delta(p, trait_present=False)
-    except ValueError as exc:  # trait_prob an ulp below 0.5
-        raise ConfigError(str(exc)) from exc
+    delta_present = race_example_delta(p, trait_present=True)
+    delta_absent = race_example_delta(p, trait_present=False)
     neutral = posterior_odds(prior, LikelihoodRatio.from_linear(params["lr_true"])).log_value
     biased_present = neutral + delta_present
     biased_absent = neutral + delta_absent
@@ -485,8 +482,6 @@ def _run_propagation(params: dict, seed: int) -> dict[str, object]:
     except OverflowError as exc:
         named = ", ".join(f"{k}={params[k]!r}" for k in ("p_match_same", "p_match_diff", "k"))
         raise ConfigError(f"{exc} at {named}; use a larger p_match_diff or a smaller k") from exc
-    except ValueError as exc:  # trait_prob an ulp below 0.5
-        raise ConfigError(str(exc)) from exc
     return {
         "results.csv": study.columns,
         "summary.csv": study.summary,

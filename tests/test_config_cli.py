@@ -1,12 +1,14 @@
 """Parameter schemas, config parsing, and the command-line harness."""
 
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import time
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -398,6 +400,21 @@ class TestCli:
         assert "float range" in err
         for name in ("trait_prob", "pool_n", "lr_true"):
             assert f"{name}=" in err
+
+    @pytest.mark.parametrize("preset", ["race", "propagation"])
+    def test_trait_prob_an_ulp_below_half_runs(self, preset, tmp_path):
+        # The absent-trait factor (1-2p)/(1-p) is 2**-52 / (1 + 2**-53) there, not 0.
+        p = math.nextafter(0.5, 0.0)
+        out = tmp_path / preset
+        argv = ["run", "--preset", preset, "--seed", "7", "--set", f"trait_prob={p!r}", "--out", str(out)]
+        if preset == "propagation":
+            argv += ["--set", "n_runs=20"]
+        assert main(argv) == 0
+        assert main(["verify", str(out)]) == 0
+        if preset == "race":
+            report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+            exact = (1 - 2 * Fraction(p)) / (1 - Fraction(p))
+            assert report["delta_absent"] == pytest.approx(float(exact), rel=1e-14)
 
     def test_numeric_runtime_failure_exit_1_names_module(self, tmp_path, capsys, monkeypatch):
         # A stand-in failure: this checks how the CLI reports one, not where it arises.

@@ -1,6 +1,7 @@
 """Bias factors as plain log values and the trait-prevalence tilt."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,15 @@ from forensic_bias.contextual import (
 )
 
 TOL = 1e-12
+
+
+def exact_log_absent_factor(p):
+    """log((1-2p)/(1-p)), p read at its binary value, from the exact Fraction ratio r.
+
+    log r below r = 1/2 and log1p(r - 1) above, each well conditioned there.
+    """
+    r = (1 - 2 * Fraction(p)) / (1 - Fraction(p))
+    return math.log(float(r)) if r < Fraction(1, 2) else math.log1p(float(r - 1))
 
 
 class TestDeltaContextual:
@@ -64,9 +74,18 @@ class TestRaceExampleDelta:
         for bad in (0.5, 0.7):
             with pytest.raises(ValueError):
                 race_example_delta(bad, True)
-        # An ulp below 0.5, 1 - p rounds to 1/2 and 2 - 1/(1-p) to 0.
-        with pytest.raises(ValueError, match="rounds the absent-trait factor"):
-            race_example_delta(math.nextafter(0.5, 0.0), False)
+        # An ulp below 0.5, where 2 - 1/(1-p) rounds to 0, the factor is exact.
+        p = math.nextafter(0.5, 0.0)
+        assert race_example_delta(p, False) == exact_log_absent_factor(p)
+        assert race_example_delta(p, False) == pytest.approx(-36.04365338911715, rel=1e-15)
+
+    @pytest.mark.parametrize("p", [1e-300, 0.01, 0.15, 0.3, 0.4999999, 0.49999999999, math.nextafter(0.5, 0.0)])
+    def test_absent_factor_against_fractions(self, p):
+        # The log of the exact factor (1-2p)/(1-p), p read at its binary value,
+        # within two ulps: near p = 1/2 the form 2 - 1/(1-p) was off by 7e-10.
+        want = exact_log_absent_factor(p)
+        got = race_example_delta(p, False)
+        assert abs(got - want) <= 2 * math.ulp(want)
 
     def test_consistency_with_general_delta(self):
         # Doubling the believed source-side rate of an uninformative trait

@@ -40,8 +40,8 @@ PINS = {
         "report.json": "67e6dc4effc4cb7859cfa1f822d8bccb0b68db4373aa4ae252ac1f5e47193d02",
     },
     ("race", "small"): {
-        "manifest.json": "c7ede6a11fe0195a1df8ba21a0d580c5603cbd312ae20de02e625f4462648d5c",
-        "report.json": "205f79459f90c155ac5cf35011dc0b2843e936147ba62ed147529b8a5c74d614",
+        "manifest.json": "7214e6491ba197675dd2599f7511649015aa6f105ea990e32de1c9a5293db010",
+        "report.json": "80e0389627036bc5085cdbbe058f75529d1a92cd06aefd46127a1df9f466c5e9",
     },
     ("relevance", "small"): {
         "manifest.json": "7cb2bf77eac8e4724192e0a42a05b8bb7ac7b8aea1388b04b7adcdc090b562a1",
@@ -76,20 +76,20 @@ PINS = {
         "trajectory.csv": "d7551664818ba7bba9226837f3bd4ce37a7ab73d26bb960cb3bcd42aa88b603e",
     },
     ("propagation", "small"): {
-        "manifest.json": "939034034629028466225747352af8dd365ceec0e3057c1f75d48f197309c577",
+        "manifest.json": "7bfaff5be3f31603e3085752973efaaed80a8523fec0eb698afbe5835401856b",
         "report.json": "75fdc1c7ad8e82ca41474801404f8410dffc1582a4f258a1283dae21182b3918",
-        "results.csv": "ee01d0ee43f4266e5c275080127867db129f5a30d10c97d57d091ab80c478d96",
-        "summary.csv": "2e96a8cf24f7dd815f003f35513cb209dd2bf52d2563e68f896631c3f9bbce7b",
+        "results.csv": "0c12c15c0cbd6b49f3f809e24b1148438f08b1856201a12ddbd1c2378cab0943",
+        "summary.csv": "d29dfd69ce5e039a8efd5e3f7ba19bd4e62d0f0cae4658e9608be7fb25b80e0c",
     },
     ("trier", "small"): {
         "case_report.json": "69598a4f90094e473af6d68ea4add2e479d6dcdbf4a2891e757d1002c33a7166",
         "manifest.json": "d87dcbf0c0b88bf643311ebb5398927a6524d992d5c5f4173eaf04402b59c9f9",
     },
     ("propagation", "default"): {
-        "manifest.json": "a873acbe0db8ec39ea7b519fa51a9d4ecb06bed5712a7847740293cc4f1282a4",
-        "report.json": "b6674184fd1ee8ff774bf09c33b3acdf81b49c052c4ab7e57c87602f8661e80c",
-        "results.csv": "6a9ce898d68a88ce032a5c9b025c6a77543f5dc2a6a97ee39278906d2b17c554",
-        "summary.csv": "92646e44ab9b3890bf9eb029eac31e08b296be09aea038407c880d4e1d0c6627",
+        "manifest.json": "f148df3b8795a07198a15b322e644deb6b0dd6c337c579904281b258b05a2f78",
+        "report.json": "f832197f6c0099611a1eae8e635b22d9ddb3ef8df04840de7e05e684ae2bd281",
+        "results.csv": "34ad70aaab73b52e70fa7e6e471881d6f50144edb8e4234fbcbf4a3f676880eb",
+        "summary.csv": "fd08b3b67f5551c6fee698ade5649f8b7f4449044993033dd949d2bcaef4510f",
     },
 }
 
