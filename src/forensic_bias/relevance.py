@@ -295,8 +295,9 @@ class Factor:
     """Conditional table P(variable | parents) for one node of a DAG.
 
     `table` maps each full parent assignment (a tuple, empty for roots)
-    to the probabilities over `domain` in order.  Every row must sum to 1
-    within 1e-9.
+    to the probabilities over `domain` in order: floats, ints or
+    Fractions, each read at its exact value.  Every row must sum to 1
+    within 1e-9, compared exactly.
     """
 
     variable: str
@@ -315,6 +316,9 @@ def joint_from_dag_factors(factors: Sequence[Factor]) -> FiniteJoint:
 
     Each factor's parents must already have been declared by an earlier
     factor; rows are validated for arity, domain membership, and unit sum.
+    Each factor's rows are scaled to integers by the lcm of their
+    denominators, so the joint's weights are integer products over the
+    product of those lcms.
     """
     factors = tuple(factors)
     if not factors:
