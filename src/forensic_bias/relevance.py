@@ -358,7 +358,8 @@ def joint_from_dag_factors(factors: Sequence[Factor]) -> FiniteJoint:
                     f"factor for {f.variable!r}: row {key!r} has {len(row)} entries "
                     f"for a domain of size {len(f.domain)}"
                 )
-            ratios[key] = [_ratio(p, f"factor for {f.variable!r}: row {key!r}") for p in row]
+            where = f"factor for {f.variable!r}: row {key!r}"
+            ratios[key] = [_ratio(p, where) for p in row]
             if any(num < 0 for num, _ in ratios[key]):
                 raise JointSchemaError(f"factor for {f.variable!r}: negative entry in row {key!r}")
         # Scale the factor's rows to integers over the lcm of their denominators.
