@@ -4,8 +4,9 @@ The package models how task-irrelevant information tilts an analyst's
 reported likelihood ratio, how that tilt propagates along chains of
 analysts (independently or compounding), and how a trier of fact ends up
 with guilt odds inflated by exactly the product of the per-stream tilts.
-A bias factor is a plain float log value, one more additive term in the
-log odds.
+Odds, likelihood ratios and bias factors are plain float log values, so
+Bayes' rule in odds form is a sum: the posterior log odds are the prior
+log odds plus the log likelihood ratios and the log bias factors.
 
 A function that draws once takes a numpy Generator; a replicated
 experiment takes a master seed and draws replicate i from
@@ -17,17 +18,7 @@ any replicate can be re-created alone.
 # tool version while this package is still initialising.
 __version__ = "0.1.0"
 
-from .odds import (
-    LikelihoodRatio,
-    OddsRatio,
-    Probability,
-    SuspectPool,
-    compose_lr,
-    odds_to_probability,
-    posterior_odds,
-    probability_to_odds,
-    uniform_prior_odds,
-)
+from .odds import log_odds, log_prior_odds, probability
 from .contextual import (
     MAYFIELD_DELTAS,
     average_bias,
@@ -73,7 +64,6 @@ from .fingerprints import (
 from .feedback import (
     BetaPrior,
     DEFAULT_PRIOR,
-    FeedbackKind,
     FeedbackRegime,
     PairedFeedbackResult,
     Trajectory,

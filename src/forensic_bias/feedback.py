@@ -8,10 +8,11 @@ convictions are wrongful and trait-skewed: those cases feed distorted
 observations back into the belief, which then converges to the wrong
 place, and more slowly toward truth than a clean record would.
 
-Both regimes consume the random stream identically (two uniforms per
-case), so running them on generators with the same seed compares them
-under common random numbers; a biased regime with a zero wrongful rate
-reproduces the truthful run bit for bit.
+A regime is only its (wrongful_rate, trait_skew) pair; the truthful one
+is (0, 1).  Every regime consumes the random stream identically (two
+uniforms per case), so running two on generators with the same seed
+compares them under common random numbers, and a regime with a zero
+wrongful rate reproduces the truthful run bit for bit.
 
 A final posterior mean depends only on the trait count K, which is
 Binomial(n_obs, p) in either regime.  The paired experiment
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .odds import binomial_log_pmf
 from .seeding import substream_uniforms
 
 __all__ = [
-    "FeedbackKind",
     "FeedbackRegime",
     "BetaPrior",
     "DEFAULT_PRIOR",
@@ -47,44 +46,35 @@ __all__ = [
 ]
 
 
-class FeedbackKind(Enum):
-    TRUTHFUL = "truthful"
-    BIASED = "biased"
-
-
 @dataclass(frozen=True)
 class FeedbackRegime:
     """How adjudicated cases are generated.
 
     wrongful_rate is the share of convictions that are wrongful; in those
     cases the trait appears at min(1, trait_skew * true rate) instead of
-    the true rate.  A truthful regime has no wrongful convictions.
+    the true rate.  The truthful regime, the default, has no wrongful
+    convictions.
     """
 
-    kind: FeedbackKind
     wrongful_rate: float = 0.0
     trait_skew: float = 1.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.kind, FeedbackKind):
-            raise ValueError(f"kind must be a FeedbackKind, got {self.kind!r}")
         rate, skew = float(self.wrongful_rate), float(self.trait_skew)
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"wrongful_rate must lie in [0, 1], got {rate!r}")
         if not skew > 0.0 or not np.isfinite(skew):
             raise ValueError(f"trait_skew must be positive and finite, got {skew!r}")
-        if self.kind is FeedbackKind.TRUTHFUL and (rate != 0.0 or skew != 1.0):
-            raise ValueError("a truthful regime cannot have wrongful convictions or skew")
         object.__setattr__(self, "wrongful_rate", rate)
         object.__setattr__(self, "trait_skew", skew)
 
     @classmethod
     def truthful(cls) -> "FeedbackRegime":
-        return cls(FeedbackKind.TRUTHFUL)
+        return cls()
 
     @classmethod
     def biased(cls, wrongful_rate: float = 0.06, trait_skew: float = 2.0) -> "FeedbackRegime":
-        return cls(FeedbackKind.BIASED, wrongful_rate, trait_skew)
+        return cls(wrongful_rate, trait_skew)
 
 
 @dataclass(frozen=True)
@@ -144,7 +134,7 @@ def _wrongful_trait_rate(regime: FeedbackRegime, alpha_true: float) -> float:
     """The trait rate in wrongful cases, clamped to 1 with a warning that
     names the caller's caller."""
     skewed = regime.trait_skew * alpha_true
-    if regime.kind is FeedbackKind.BIASED and skewed > 1.0:
+    if skewed > 1.0:
         warnings.warn(
             f"trait_skew * alpha_true = {skewed!r} exceeds 1; clamping the "
             "wrongful-case trait rate to 1",

@@ -33,7 +33,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .odds import LOG_FLOAT_MAX, LikelihoodRatio, binomial_log_pmf
+from .odds import LOG_FLOAT_MAX, binomial_log_pmf
 
 __all__ = [
     "Cell",
@@ -354,12 +354,10 @@ def source_lr(
     print_: Union[PrintGrid, PrintVector],
     reference: Union[PrintGrid, MinutiaVector],
     model: CellAgreementModel = CellAgreementModel(),
-) -> LikelihoodRatio:
-    """Likelihood ratio P(print | same source) / P(print | different source)."""
-    return LikelihoodRatio(
-        agreement_log_likelihood(print_, reference, model.p_same)
-        - agreement_log_likelihood(print_, reference, model.p_diff)
-    )
+) -> float:
+    """Log likelihood ratio log(P(print | same source) / P(print | different source))."""
+    same = agreement_log_likelihood(print_, reference, model.p_same)
+    return same - agreement_log_likelihood(print_, reference, model.p_diff)
 
 
 def delta_impute_exact(
@@ -374,7 +372,7 @@ def delta_impute_exact(
     (p_same/p_diff) ** n_missing.  Complete prints give 0 (a unit factor).
     """
     imputed = impute_from_reference(latent, reference)
-    return source_lr(imputed, reference, model).log_value - source_lr(latent, reference, model).log_value
+    return source_lr(imputed, reference, model) - source_lr(latent, reference, model)
 
 
 @dataclass(frozen=True)

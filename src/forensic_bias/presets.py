@@ -30,6 +30,7 @@ from . import __version__ as TOOL_VERSION
 from .config import ConfigError, ParamSpec, PresetSchema
 from .contextual import MAYFIELD_DELTAS, average_bias, mayfield_average, race_example_delta
 from .feedback import (
+    _BATCH as FEEDBACK_BATCH,
     BetaPrior,
     FeedbackRegime,
     exact_final_mean_and_gap,
@@ -51,7 +52,7 @@ from .fingerprints import (
     LatentVector,
     sample_delta_impute,
 )
-from .odds import LOG_FLOAT_MAX, LikelihoodRatio, SuspectPool, posterior_odds, uniform_prior_odds
+from .odds import LOG_FLOAT_MAX, log_prior_odds
 from .outputs import MANIFEST_NAME, RunManifest, write_csv, write_json, write_manifest, write_text
 from .propagation import ChainMode, monte_carlo_chains
 from .relevance import builtin_joint_names, classify_relevance, load_builtin_joint
@@ -129,6 +130,26 @@ def _check_share_or_random(value: object) -> str | None:
     return None
 
 
+def _check_array_sizes(*arrays: tuple) -> Callable[[Mapping[str, object]], str | None]:
+    """A schema check refusing parameters that make a runner's float64 or
+    int64 array exceed the 2**63 - 1 bytes numpy allows in one array;
+    unchecked, numpy refuses the shape only at run time.  Each array is
+    (label, the parameters that size it, their values -> its shape)."""
+
+    def check(params: Mapping[str, object]) -> str | None:
+        for label, names, shape in arrays:
+            size = 8 * math.prod(shape(*(params[name] for name in names)))
+            if size > 2**63 - 1:
+                got = ", ".join(f"{name}={params[name]!r}" for name in names)
+                return (
+                    f"parameter{'s' * (len(names) > 1)} {' and '.join(names)}: the {label} array takes "
+                    f"{size} bytes, more than the 2**63 - 1 bytes numpy allows in one array (got {got})"
+                )
+        return None
+
+    return check
+
+
 def _detail_columns(key: str, detail: Mapping[str, Mapping[str, object]]) -> dict[str, list]:
     """CSV columns of a {name: {field: value}} report: `key` names, then each field."""
     first = next(iter(detail.values()))
@@ -169,10 +190,10 @@ _RACE_SCHEMA = PresetSchema(
 
 def _run_race(params: dict, seed: int) -> dict[str, object]:
     p = params["trait_prob"]
-    prior = uniform_prior_odds(SuspectPool(params["pool_n"]))
+    prior = log_prior_odds(params["pool_n"])
     delta_present = race_example_delta(p, trait_present=True)
     delta_absent = race_example_delta(p, trait_present=False)
-    neutral = posterior_odds(prior, LikelihoodRatio.from_linear(params["lr_true"])).log_value
+    neutral = prior + math.log(params["lr_true"])
     biased_present = neutral + delta_present
     biased_absent = neutral + delta_absent
     biased_log = max(biased_present, biased_absent)
@@ -188,7 +209,7 @@ def _run_race(params: dict, seed: int) -> dict[str, object]:
             "delta_present": math.exp(delta_present),
             "delta_absent": math.exp(delta_absent),
             "pool_n": params["pool_n"],
-            "prior_odds": prior.linear,
+            "prior_odds": math.exp(prior),
             "neutral_posterior_odds": math.exp(neutral),
             "biased_posterior_odds_present": math.exp(biased_present),
             "biased_posterior_odds_absent": math.exp(biased_absent),
@@ -288,7 +309,10 @@ def _run_imputation_grid(params: dict, seed: int) -> dict[str, object]:
 
 # ------------------------------------------------------------- delta-impute
 
-def _check_grid_cells(params: Mapping[str, object]) -> str | None:
+_check_draws_size = _check_array_sizes(("(n_reps,) draws", ("n_reps",), lambda n: (n,)))
+
+
+def _check_delta_sizes(params: Mapping[str, object]) -> str | None:
     # The missing count is drawn and its pmf computed in int64.
     rows, cols = params["rows"], params["cols"]
     if rows * cols > 2**63 - 1:
@@ -296,7 +320,7 @@ def _check_grid_cells(params: Mapping[str, object]) -> str | None:
             f"parameters rows and cols: the grid's rows * cols = {rows * cols} cells "
             f"exceeds the int64 limit 2**63 - 1 (got rows={rows!r}, cols={cols!r})"
         )
-    return None
+    return _check_draws_size(params)
 
 
 _DELTA_SCHEMA = PresetSchema(
@@ -311,7 +335,7 @@ _DELTA_SCHEMA = PresetSchema(
         ParamSpec("n_reps", int, 10_000, "Monte Carlo replicates", _check_at_least(1)),
         ParamSpec("mask_mode", str, "per_cell", "masking: exact count or per-cell coin", _check_choice("exact", "per_cell")),
     ),
-    check=_check_grid_cells,
+    check=_check_delta_sizes,
 )
 
 
@@ -382,6 +406,10 @@ _FEEDBACK_SCHEMA = PresetSchema(
         ParamSpec("trait_skew", float, 2.0, "trait rate multiplier on wrongful cases", _check_positive),
         ParamSpec("prior_a", float, 12.0, "Beta prior a", _check_positive),
         ParamSpec("prior_b", float, 8.0, "Beta prior b", _check_positive),
+    ),
+    check=_check_array_sizes(
+        ("(n_seeds,) counts", ("n_seeds",), lambda n: (n,)),
+        ("(batch, 2, n_obs) uniforms", ("n_seeds", "n_obs"), lambda n, m: (min(n, FEEDBACK_BATCH), 2, m)),
     ),
 )
 
@@ -461,6 +489,7 @@ _PROPAGATION_SCHEMA = PresetSchema(
         ParamSpec("same_source", bool, True, "ground truth of the case"),
         ParamSpec("peer_history", str, "contribution", "history handed to tilde terms", _check_choice("contribution", "posterior")),
     ),
+    check=_check_array_sizes(("(n_runs, 1 + 2k) uniforms", ("n_runs", "k"), lambda n, k: (n, 1 + 2 * k))),
 )
 
 
@@ -472,7 +501,7 @@ def _run_propagation(params: dict, seed: int) -> dict[str, object]:
             params["n_runs"],
             master_seed=seed,
             k=params["k"],
-            pool=SuspectPool(params["pool_n"]),
+            pool_n=params["pool_n"],
             trait_prob=params["trait_prob"],
             model=model,
             same_source=params["same_source"],

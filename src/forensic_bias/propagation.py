@@ -38,7 +38,7 @@ import numpy as np
 
 from .contextual import race_example_delta
 from .fingerprints import CellAgreementModel
-from .odds import LOG_FLOAT_MAX, LikelihoodRatio, SuspectPool, uniform_prior_odds
+from .odds import LOG_FLOAT_MAX, log_prior_odds
 from .seeding import substream_uniforms
 
 __all__ = [
@@ -140,7 +140,7 @@ def monte_carlo_chains(
     *,
     master_seed: int,
     k: int = 5,
-    pool: SuspectPool = SuspectPool(10),
+    pool_n: int = 10,
     trait_prob: float = 0.15,
     model: CellAgreementModel = CellAgreementModel(),
     profile: BiasProfile | None = None,
@@ -165,6 +165,7 @@ def monte_carlo_chains(
         raise ValueError(f"n_runs must be >= 1, got {n_runs!r}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k!r}")
+    prior = log_prior_odds(pool_n)
     if not 0.0 <= trait_prob <= 1.0:
         raise ValueError(f"trait_prob must lie in [0, 1], got {trait_prob!r}")
     if missing_share is not None and not 0.0 <= missing_share <= 1.0:
@@ -187,9 +188,8 @@ def monte_carlo_chains(
     match_ratio = model.p_same / model.p_diff
     if not math.isfinite(match_ratio):
         raise OverflowError(f"the match likelihood ratio p_same/p_diff = {match_ratio} exceeds float range")
-    prior = uniform_prior_odds(pool).log_value
-    lr_match = LikelihoodRatio.from_linear(match_ratio).log_value
-    lr_mismatch = LikelihoodRatio.from_linear((1.0 - model.p_same) / (1.0 - model.p_diff)).log_value
+    lr_match = math.log(match_ratio)
+    lr_mismatch = math.log((1.0 - model.p_same) / (1.0 - model.p_diff))
     neutral_lr = np.where(match, lr_match, lr_mismatch)
     linear_impute = profile.impute(shares, trait[:, None]).ravel().tolist()
     log_impute = np.reshape([math.log(v) for v in linear_impute], (n_runs, k))

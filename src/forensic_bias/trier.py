@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .odds import LOG_FLOAT_MAX, OddsRatio, SuspectPool, odds_to_probability, uniform_prior_odds
+from .odds import LOG_FLOAT_MAX, log_prior_odds, probability
 
 __all__ = ["case_report"]
 
@@ -37,7 +37,7 @@ def case_report(
         raise ValueError("a case needs at least one evidence stream")
     if len(log_betas) != len(log_lrs):
         raise ValueError(f"{len(log_betas)} bias factors for {len(log_lrs)} streams")
-    prior = uniform_prior_odds(SuspectPool(pool_n)).log_value
+    prior = log_prior_odds(pool_n)
     reported = [lr + beta for lr, beta in zip(log_lrs, log_betas)]
     neutral = biased = prior
     for lr, log_lr in zip(log_lrs, reported):
@@ -69,7 +69,7 @@ def case_report(
         ],
         "neutral_guilt_odds": math.exp(neutral),
         "biased_guilt_odds": math.exp(biased),
-        "neutral_guilt_probability": odds_to_probability(OddsRatio(neutral)).value,
-        "biased_guilt_probability": odds_to_probability(OddsRatio(biased)).value,
+        "neutral_guilt_probability": probability(neutral),
+        "biased_guilt_probability": probability(biased),
         "systemic_bias_ratio": math.exp(ratio),
     }

@@ -4,7 +4,8 @@ The sweep is driven by the preset schemas: one ParamSpec at a time is
 set to each boundary value, with every other parameter at its default,
 at seeds 0 and 2**64 - 1.  A run must exit 0 (success) or 2 (config
 error).  After an exit 0, no artifact may hold an inf or a nan, and
-`bias verify` must pass on the run directory.
+`bias verify` must pass on the run directory.  Sizes too large for numpy
+to hold their largest array must exit 2 naming the size parameter.
 """
 
 import math
@@ -40,20 +41,32 @@ NON_FINITE = re.compile(r"(?<![a-z_])(inf|infinity|nan)(?![a-z_])", re.IGNORECAS
 def _cases():
     for name, preset in sorted(PRESETS.items()):
         if not preset.schema.params:
-            yield pytest.param(name, [{}], id=name)
+            yield pytest.param(name, [{}], None, id=name)
         for spec in preset.schema.params:
             values = BOUNDARY
             if spec.name in SMALL:
                 values = tuple(v for v in BOUNDARY if float(v) <= SIZE_CAP)
-            yield pytest.param(name, [{spec.name: v} for v in values], id=f"{name}-{spec.name}")
+            yield pytest.param(name, [{spec.name: v} for v in values], None, id=f"{name}-{spec.name}")
     # p_same/p_diff = inf at a zero share: r**0 taken as 0 * log r is nan.
     for mode in ("per_cell", "exact"):
         pair = {"p_diff": "5e-324", "missing_share": "0", "mask_mode": mode}
-        yield pytest.param("delta-impute", [pair], id=f"delta-impute-infinite-ratio-{mode}")
+        yield pytest.param("delta-impute", [pair], None, id=f"delta-impute-infinite-ratio-{mode}")
+    # Each of these sizes makes an array of more than 2**63 - 1 bytes, which
+    # numpy refuses before allocating; the schema refuses it first.
+    for name, key, power in (
+        ("propagation", "n_runs", 62),
+        ("propagation", "n_runs", 63),
+        ("propagation", "k", 61),
+        ("propagation", "k", 62),
+        ("feedback", "n_seeds", 62),
+        ("feedback", "n_obs", 62),
+        ("delta-impute", "n_reps", 62),
+    ):
+        yield pytest.param(name, [{key: str(2**power)}], key, id=f"{name}-{key}-2**{power}")
 
 
-@pytest.mark.parametrize("preset, settings", _cases())
-def test_every_boundary_value_exits_0_or_2(preset, settings, tmp_path, capsys):
+@pytest.mark.parametrize("preset, settings, too_big", _cases())
+def test_every_boundary_value_exits_0_or_2(preset, settings, too_big, tmp_path, capsys):
     names = {p.name for p in PRESETS[preset].schema.params}
     small = {k: v for k, v in SMALL.items() if k in names}
     for seed in SEEDS:
@@ -66,8 +79,12 @@ def test_every_boundary_value_exits_0_or_2(preset, settings, tmp_path, capsys):
                 # feedback warns, by design, when it clamps the wrongful-case trait rate.
                 warnings.filterwarnings("ignore", message=r"trait_skew \* alpha_true", category=RuntimeWarning)
                 code = main(argv)
+            err = capsys.readouterr().err
             where = f"{preset} {setting} seed={seed}"
-            assert code in (0, 2), f"{where}: exit {code}: {capsys.readouterr().err}"
+            assert code in (0, 2), f"{where}: exit {code}: {err}"
+            if too_big is not None:
+                named = f"{too_big}={setting[too_big]}"
+                assert code == 2 and "error: parameter" in err and named in err, f"{where}: exit {code}: {err}"
             if code == 0:
                 for path in sorted(out.iterdir()):
                     found = NON_FINITE.search(path.read_text(encoding="utf-8"))

@@ -11,7 +11,6 @@ import pytest
 from forensic_bias.feedback import (
     BetaPrior,
     DEFAULT_PRIOR,
-    FeedbackKind,
     FeedbackRegime,
     Trajectory,
     conjugate_update,
@@ -47,15 +46,9 @@ class TestBetaPrior:
 class TestRegime:
     def test_constructors(self):
         t = FeedbackRegime.truthful()
-        assert t.kind is FeedbackKind.TRUTHFUL and t.wrongful_rate == 0.0
+        assert t == FeedbackRegime(0.0, 1.0)
         b = FeedbackRegime.biased()
         assert b.wrongful_rate == 0.06 and b.trait_skew == 2.0
-
-    def test_truthful_cannot_be_skewed(self):
-        with pytest.raises(ValueError):
-            FeedbackRegime(FeedbackKind.TRUTHFUL, wrongful_rate=0.1)
-        with pytest.raises(ValueError):
-            FeedbackRegime(FeedbackKind.TRUTHFUL, trait_skew=2.0)
 
     @pytest.mark.parametrize("rate", [-0.1, 1.5])
     def test_rate_bounds(self, rate):
@@ -84,9 +77,8 @@ class TestSimulate:
 
     def test_zero_rate_biased_equals_truthful_bitwise(self):
         t = simulate_feedback(FeedbackRegime.truthful(), 0.37, 200, rng=substream(3))
-        b = simulate_feedback(
-            FeedbackRegime(FeedbackKind.BIASED, 0.0, 1.0), 0.37, 200, rng=substream(3)
-        )
+        # Skewed but never wrongful: the skew is never applied.
+        b = simulate_feedback(FeedbackRegime(0.0, 2.0), 0.37, 200, rng=substream(3))
         assert t.posterior_means == b.posterior_means
         assert t.traits == b.traits
 

@@ -1,163 +1,82 @@
-"""Odds, likelihood-ratio, and probability algebra."""
+"""Log-space odds on plain floats: the uniform prior, log odds and probability."""
 
 import math
 
 import numpy as np
 import pytest
 
-from forensic_bias.odds import (
-    LikelihoodRatio,
-    OddsRatio,
-    Probability,
-    SuspectPool,
-    compose_lr,
-    odds_to_probability,
-    posterior_odds,
-    probability_to_odds,
-    uniform_prior_odds,
-)
+from forensic_bias.odds import log_odds, log_prior_odds, probability
 
 N_CASES = 10_000
 TOL = 1e-12
 
 
-class TestProbability:
-    def test_bounds_accepted(self):
-        assert Probability(0.0).value == 0.0
-        assert Probability(1.0).value == 1.0
-        assert Probability(0.3).complement.value == 0.7
-
-    @pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan"), float("inf")])
-    def test_out_of_range_rejected(self, bad):
-        with pytest.raises(ValueError):
-            Probability(bad)
-
-
-class TestOddsConstruction:
-    def test_from_linear(self):
-        assert OddsRatio.from_linear(1.0).log_value == 0.0
-        assert OddsRatio.from_linear(2.0).linear == 2.0
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan")])
-    def test_nonpositive_rejected(self, bad):
-        with pytest.raises(ValueError):
-            OddsRatio.from_linear(bad)
-        with pytest.raises(ValueError):
-            LikelihoodRatio.from_linear(bad)
-
-    def test_nonfinite_log_rejected(self):
-        with pytest.raises(ValueError):
-            OddsRatio(float("inf"))
-        with pytest.raises(ValueError):
-            LikelihoodRatio(float("nan"))
-
-
-class TestSuspectPool:
+class TestLogPriorOdds:
     def test_sizes(self):
-        assert SuspectPool(1).n == 1
-        assert SuspectPool(10).n == 10
+        assert log_prior_odds(1) == 0.0
+        assert log_prior_odds(10) == -math.log(10)
 
     @pytest.mark.parametrize("bad", [0, -3, 2.0, True])
     def test_bad_sizes_rejected(self, bad):
         with pytest.raises(ValueError):
-            SuspectPool(bad)
+            log_prior_odds(bad)
 
     def test_uniform_prior_values(self):
-        assert uniform_prior_odds(SuspectPool(1)).linear == 1.0
-        assert abs(uniform_prior_odds(SuspectPool(10)).linear - 0.1) < TOL
-        assert abs(uniform_prior_odds(SuspectPool(3)).linear - 1 / 3) < TOL
+        assert math.exp(log_prior_odds(1)) == 1.0
+        assert abs(math.exp(log_prior_odds(10)) - 0.1) < TOL
+        assert abs(math.exp(log_prior_odds(3)) - 1 / 3) < TOL
 
     def test_prior_times_n_is_even_odds(self):
         rng = np.random.default_rng(11)
         for n in rng.integers(1, 10_000, size=200):
-            pool = SuspectPool(int(n))
-            recovered = uniform_prior_odds(pool).log_value + math.log(int(n))
+            recovered = log_prior_odds(int(n)) + math.log(int(n))
             assert abs(recovered) < TOL
 
 
 class TestPosteriorOdds:
+    """Bayes' rule in odds form: posterior log odds = prior log odds + log LR."""
+
     def test_worked_example(self):
-        post = posterior_odds(OddsRatio.from_linear(0.1), LikelihoodRatio.from_linear(20.0))
-        assert abs(post.linear - 2.0) < TOL
+        # A prior probability of 1/11 is odds 0.1; a likelihood ratio of 20
+        # takes it to odds 2.
+        post = log_odds(1 / 11) + math.log(20.0)
+        assert abs(math.exp(post) - 2.0) < TOL
 
     def test_unit_lr_is_identity(self):
-        prior = OddsRatio.from_linear(0.37)
-        assert posterior_odds(prior, LikelihoodRatio.unit()) == prior
+        prior = log_odds(0.37)
+        assert prior + math.log(1.0) == prior
 
     def test_pool_example(self):
-        post = posterior_odds(uniform_prior_odds(SuspectPool(10)), LikelihoodRatio.from_linear(2.0))
-        assert abs(post.linear - 0.2) < TOL
-
-    def test_overflow_raises(self):
-        huge = OddsRatio(9.3e307)  # doubling exceeds the float64 maximum
-        with pytest.raises(OverflowError):
-            posterior_odds(huge, LikelihoodRatio(9.3e307))
+        post = log_prior_odds(10) + math.log(2.0)
+        assert abs(math.exp(post) - 0.2) < TOL
 
 
 class TestConversions:
     def test_known_values(self):
-        assert odds_to_probability(OddsRatio.from_linear(1.0)).value == 0.5
-        assert abs(odds_to_probability(OddsRatio.from_linear(3.0)).value - 0.75) < TOL
-        assert abs(probability_to_odds(0.5).linear - 1.0) < TOL
+        assert probability(0.0) == 0.5
+        assert abs(probability(math.log(3.0)) - 0.75) < TOL
+        assert log_odds(0.5) == 0.0
+        assert abs(math.exp(log_odds(0.75)) - 3.0) < TOL
 
     def test_hardline_probabilities_rejected(self):
         with pytest.raises(ValueError):
-            probability_to_odds(0.0)
+            log_odds(0.0)
         with pytest.raises(ValueError):
-            probability_to_odds(1.0)
+            log_odds(1.0)
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan"), float("inf")])
+    def test_out_of_range_rejected(self, bad):
         with pytest.raises(ValueError):
-            probability_to_odds(Probability(1.0))
+            log_odds(bad)
 
     def test_round_trip(self):
         rng = np.random.default_rng(7)
         ps = rng.uniform(1e-12, 1 - 1e-12, size=N_CASES)
         for p in ps:
-            back = odds_to_probability(probability_to_odds(float(p))).value
+            back = probability(log_odds(float(p)))
             assert abs(back - p) <= TOL
 
     def test_extreme_tails_stable(self):
-        for log_odds in (-700.0, -100.0, 100.0, 700.0):
-            p = odds_to_probability(OddsRatio(log_odds)).value
+        for value in (-700.0, -100.0, 100.0, 700.0):
+            p = probability(value)
             assert 0.0 <= p <= 1.0
-
-
-class TestComposeLr:
-    def test_worked_examples(self):
-        parts = [LikelihoodRatio.from_linear(v) for v in (2.0, 3.0)]
-        assert abs(compose_lr(parts).linear - 6.0) < TOL
-        parts = [LikelihoodRatio.from_linear(v) for v in (0.5, 4.0, 0.25)]
-        assert abs(compose_lr(parts).linear - 0.5) < TOL
-        units = [LikelihoodRatio.unit()] * 3
-        assert compose_lr(units).log_value == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            compose_lr([])
-
-    def test_associativity_in_log_space(self):
-        rng = np.random.default_rng(13)
-        for _ in range(N_CASES):
-            logs = rng.uniform(-5.0, 5.0, size=3)
-            parts = [LikelihoodRatio(float(v)) for v in logs]
-            left = compose_lr([compose_lr(parts[:2]), parts[2]])
-            right = compose_lr([parts[0], compose_lr(parts[1:])])
-            assert abs(left.log_value - right.log_value) <= TOL
-
-    def test_permutation_invariance(self):
-        rng = np.random.default_rng(17)
-        for _ in range(2_000):
-            logs = rng.uniform(-5.0, 5.0, size=5)
-            parts = [LikelihoodRatio(float(v)) for v in logs]
-            shuffled = [parts[i] for i in rng.permutation(5)]
-            assert abs(compose_lr(parts).log_value - compose_lr(shuffled).log_value) <= TOL
-
-    def test_sequential_updates_match_composition(self):
-        rng = np.random.default_rng(19)
-        for _ in range(2_000):
-            prior = OddsRatio(float(rng.uniform(-3, 3)))
-            parts = [LikelihoodRatio(float(v)) for v in rng.uniform(-4, 4, size=4)]
-            stepped = prior
-            for lr in parts:
-                stepped = posterior_odds(stepped, lr)
-            direct = posterior_odds(prior, compose_lr(parts))
-            assert abs(stepped.log_value - direct.log_value) <= TOL

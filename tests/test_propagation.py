@@ -7,13 +7,6 @@ import pytest
 
 from forensic_bias.contextual import race_example_delta
 from forensic_bias.fingerprints import CellAgreementModel
-from forensic_bias.odds import (
-    LikelihoodRatio,
-    OddsRatio,
-    SuspectPool,
-    posterior_odds,
-    uniform_prior_odds,
-)
 from forensic_bias.propagation import BiasProfile, ChainMode, monte_carlo_chains
 from forensic_bias.seeding import substream
 
@@ -50,7 +43,7 @@ def _oracle_chain(
     rng,
     *,
     k=5,
-    pool=SuspectPool(10),
+    pool_n=10,
     trait_prob=0.15,
     model=CellAgreementModel(),
     profile=None,
@@ -74,9 +67,9 @@ def _oracle_chain(
     p_agree = model.p_same if same_source else model.p_diff
     matches = tuple(bool(m) for m in (rng.random(k) < p_agree))
 
-    prior = uniform_prior_odds(pool)
-    lr_match = LikelihoodRatio.from_linear(model.p_same / model.p_diff)
-    lr_mismatch = LikelihoodRatio.from_linear((1.0 - model.p_same) / (1.0 - model.p_diff))
+    prior = -math.log(pool_n)
+    lr_match = math.log(model.p_same / model.p_diff)
+    lr_mismatch = math.log((1.0 - model.p_same) / (1.0 - model.p_diff))
     out = {}
     for mode in ChainMode:
         snowball = mode is ChainMode.SNOWBALL
@@ -84,7 +77,7 @@ def _oracle_chain(
         reports = []
         for match, share in zip(matches, shares):
             neutral_lr = lr_match if match else lr_mismatch
-            supportive = sum(1 for h in history if h.log_value >= 0.0)
+            supportive = sum(1 for h in history if h >= 0.0)
             terms = {
                 "impute": math.log(profile.impute(share, trait)),
                 "context": profile.context(trait),
@@ -95,22 +88,19 @@ def _oracle_chain(
             }
             reported_lr = neutral_lr
             for value in terms.values():
-                reported_lr = LikelihoodRatio(reported_lr.log_value + value)
-            neutral = posterior_odds(prior, neutral_lr)
-            reported = posterior_odds(prior, reported_lr)
+                reported_lr = reported_lr + value
+            neutral = prior + neutral_lr
+            reported = prior + reported_lr
             reports.append(
                 (
                     share,
-                    float(np.exp(neutral.log_value)),
-                    float(np.exp(reported.log_value)),
-                    float(np.exp(reported.log_value - neutral.log_value)),
+                    float(np.exp(neutral)),
+                    float(np.exp(reported)),
+                    float(np.exp(reported - neutral)),
                     terms,
                 )
             )
-            if peer_history == "contribution":
-                history = history + (OddsRatio(reported_lr.log_value),)
-            else:
-                history = history + (reported,)
+            history = history + (reported_lr if peer_history == "contribution" else reported,)
         out[mode] = reports
     return trait, out
 
@@ -121,7 +111,7 @@ ORACLE_CASES = {
     "fixed-share": {"missing_share": 0.2},
     "different-source": {"same_source": False},
     "k1": {"k": 1},
-    "k12-pool1": {"k": 12, "pool": SuspectPool(1)},
+    "k12-pool1": {"k": 12, "pool_n": 1},
     "unbiased": {"profile": BiasProfile.unbiased()},
     # log(0.5) + log(2.0) == 0.0 exactly: every mismatching report sits on
     # the supportive threshold, so `>=` against `>` shows.
@@ -185,7 +175,7 @@ class TestProfile:
 
     def test_standard_history_terms(self):
         profile = BiasProfile.standard(0.15)
-        supportive = sum(1 for v in (2.0, 3.0) if OddsRatio.from_linear(v).log_value >= 0.0)
+        supportive = sum(1 for v in (2.0, 3.0) if math.log(v) >= 0.0)
         assert profile.tilde_peer(supportive) == pytest.approx(3.0, abs=TOL)
         # Only the conformity count is a live history term, and only in snowball.
         study = monte_carlo_chains(1, master_seed=14)
@@ -287,9 +277,15 @@ class TestRunChain:
             {"trait_prob": 1.5},
             {"missing_share": 2.0},
             {"peer_history": "gossip"},
+            {"pool_n": 0},
+            {"pool_n": True},
         ):
             with pytest.raises(ValueError):
                 monte_carlo_chains(1, master_seed=12, **bad)
+        # pool_n is checked before any draw: numpy would refuse this many
+        # runs' uniforms, before allocating, with a message of its own.
+        with pytest.raises(ValueError, match="pool_n"):
+            monte_carlo_chains(2**62, master_seed=12, pool_n=0)
 
 
 class TestMonteCarlo:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from forensic_bias.odds import SuspectPool, uniform_prior_odds
+from forensic_bias.odds import log_prior_odds
 from forensic_bias.propagation import monte_carlo_chains
 from forensic_bias.trier import case_report
 
@@ -94,7 +94,7 @@ def _snowball_handoff(seed):
     """A one-run chain study and its snowball analysts' log LRs and log
     bias ratios, the trier's streams as they come out of the study."""
     study = monte_carlo_chains(1, master_seed=seed)
-    prior = uniform_prior_odds(SuspectPool(10)).log_value
+    prior = log_prior_odds(10)
     row = {name: column[0, 1] for name, column in study.columns.items()}
     log_lrs = [v - prior for v in np.log(row["neutral_odds"]).tolist()]
     return study, row, log_lrs, np.log(row["bias_ratio"]).tolist()
@@ -104,7 +104,7 @@ class TestChainHandoff:
     def test_bundle_reproduces_chain_totals(self):
         _, row, log_lrs, log_betas = _snowball_handoff(61)
         assert len(log_lrs) == 5
-        prior = uniform_prior_odds(SuspectPool(10)).log_value
+        prior = log_prior_odds(10)
         expected = prior + sum(v - prior for v in np.log(row["reported_odds"]).tolist())
         got = _log(case_report(10, log_lrs, log_betas), "biased_guilt_odds")
         assert abs(got - expected) <= 1e-10
