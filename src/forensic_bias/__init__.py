@@ -9,9 +9,8 @@ Bayes' rule in odds form is a sum: the posterior log odds are the prior
 log odds plus the log likelihood ratios and the log bias factors.
 
 A function that draws once takes a numpy Generator; a replicated
-experiment takes a master seed and draws replicate i from
-substream(master_seed, i), so results are reproducible bit for bit and
-any replicate can be re-created alone.
+experiment takes a master seed and draws from its substreams
+substream(master_seed, i), so results are reproducible bit for bit.
 """
 
 # Set before the submodule imports: presets reads it as the manifest's
@@ -66,9 +65,6 @@ from .feedback import (
     DEFAULT_PRIOR,
     FeedbackRegime,
     PairedFeedbackResult,
-    Trajectory,
-    conjugate_update,
-    convergence_gap,
     run_paired_feedback,
     simulate_feedback,
 )

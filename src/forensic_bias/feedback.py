@@ -15,9 +15,12 @@ compares them under common random numbers, and a regime with a zero
 wrongful rate reproduces the truthful run bit for bit.
 
 A final posterior mean depends only on the trait count K, which is
-Binomial(n_obs, p) in either regime.  The paired experiment
-(run_paired_feedback) therefore draws the replicates' (2, n_obs) blocks
-in batches and keeps only the two regimes' counts, and
+Binomial(n_obs, p) in either regime.  Under common random numbers each
+case puts the (truthful, biased) pair in one of four cells: both show
+the trait, only the truthful one, only the biased one, or neither.  So
+a replicate's two counts are sums of one Multinomial(n_obs, cells)
+draw, and the paired experiment (run_paired_feedback) draws every
+replicate's cell counts in one call; no trajectory is built.
 exact_final_mean_and_gap gives the exact means it estimates: the final
 posterior mean and its gap to the true rate.
 """
@@ -30,16 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .odds import binomial_log_pmf
-from .seeding import substream_uniforms
+from .seeding import substream
 
 __all__ = [
     "FeedbackRegime",
     "BetaPrior",
     "DEFAULT_PRIOR",
-    "conjugate_update",
-    "Trajectory",
     "simulate_feedback",
-    "convergence_gap",
     "exact_final_mean_and_gap",
     "PairedFeedbackResult",
     "run_paired_feedback",
@@ -99,30 +99,6 @@ class BetaPrior:
 DEFAULT_PRIOR = BetaPrior(12.0, 8.0)
 
 
-def conjugate_update(prior: BetaPrior, trait_observed: bool) -> BetaPrior:
-    """One Bernoulli observation: increment a on a trait, b otherwise."""
-    if trait_observed:
-        return BetaPrior(prior.a + 1.0, prior.b)
-    return BetaPrior(prior.a, prior.b + 1.0)
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    prior: BetaPrior
-    alpha_true: float
-    traits: tuple[bool, ...]
-    posterior_means: tuple[float, ...]  # after observation 1, 2, ..., n
-
-    @property
-    def n_obs(self) -> int:
-        return len(self.traits)
-
-    @property
-    def final(self) -> BetaPrior:
-        k = sum(self.traits)
-        return BetaPrior(self.prior.a + k, self.prior.b + (self.n_obs - k))
-
-
 def _validate_alpha(alpha_true: float) -> float:
     alpha_true = float(alpha_true)
     if not 0.0 < alpha_true < 1.0:
@@ -145,11 +121,6 @@ def _wrongful_trait_rate(regime: FeedbackRegime, alpha_true: float) -> float:
     return skewed
 
 
-def _traits(u: np.ndarray, regime: FeedbackRegime, alpha_true: float, skewed: float) -> np.ndarray:
-    """Traits from (..., 2, n_obs) uniform blocks: row 0 wrongful, row 1 trait."""
-    return u[..., 1, :] < np.where(u[..., 0, :] < regime.wrongful_rate, skewed, alpha_true)
-
-
 def simulate_feedback(
     regime: FeedbackRegime,
     alpha_true: float,
@@ -157,27 +128,19 @@ def simulate_feedback(
     prior: BetaPrior = DEFAULT_PRIOR,
     *,
     rng: np.random.Generator,
-) -> Trajectory:
-    """Run one belief trajectory through n_obs adjudicated cases."""
+) -> np.ndarray:
+    """The posterior means after cases 1, 2, ..., n_obs of one belief
+    trajectory, as an (n_obs,) array.  Case j reads column j of
+    rng.random((2, n_obs)): row 0 decides whether it is wrongful, row 1
+    whether it shows the trait."""
     alpha_true = _validate_alpha(alpha_true)
     if n_obs < 1:
         raise ValueError(f"n_obs must be >= 1, got {n_obs!r}")
     skewed = _wrongful_trait_rate(regime, alpha_true)
-    traits = _traits(rng.random((2, n_obs)), regime, alpha_true, skewed)
+    wrongful, trait = rng.random((2, n_obs))
+    traits = trait < np.where(wrongful < regime.wrongful_rate, skewed, alpha_true)
     steps = np.arange(1, n_obs + 1, dtype=float)
-    means = (prior.a + np.cumsum(traits)) / (prior.a + prior.b + steps)
-    return Trajectory(
-        prior=prior,
-        alpha_true=alpha_true,
-        traits=tuple(bool(t) for t in traits),
-        posterior_means=tuple(float(m) for m in means),
-    )
-
-
-def convergence_gap(trajectory: Trajectory, alpha_true: float | None = None) -> float:
-    """Absolute distance between the final posterior mean and the true rate."""
-    target = trajectory.alpha_true if alpha_true is None else _validate_alpha(alpha_true)
-    return abs(trajectory.posterior_means[-1] - target)
+    return (prior.a + np.cumsum(traits)) / (prior.a + prior.b + steps)
 
 
 def exact_final_mean_and_gap(
@@ -200,22 +163,17 @@ def exact_final_mean_and_gap(
     return mean, float(np.exp(binomial_log_pmf(n_obs, p, counts)) @ gaps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairedFeedbackResult:
-    """Final posterior means from truthful/biased pairs sharing each seed."""
+    """Final posterior means from truthful/biased pairs under common random
+    numbers, and their gaps to alpha_true, as (n_seeds,) float64 arrays."""
 
     alpha_true: float
     n_obs: int
-    truthful_means: tuple[float, ...]
-    biased_means: tuple[float, ...]
-
-    @property
-    def truthful_gaps(self) -> tuple[float, ...]:
-        return tuple(abs(m - self.alpha_true) for m in self.truthful_means)
-
-    @property
-    def biased_gaps(self) -> tuple[float, ...]:
-        return tuple(abs(m - self.alpha_true) for m in self.biased_means)
+    truthful_means: np.ndarray
+    biased_means: np.ndarray
+    truthful_gaps: np.ndarray
+    biased_gaps: np.ndarray
 
     @property
     def mean_truthful_gap(self) -> float:
@@ -226,10 +184,20 @@ class PairedFeedbackResult:
         return float(np.mean(self.biased_gaps))
 
 
-# Replicates per substream_uniforms call in run_paired_feedback: 256 keeps
-# the uniforms held at once to 256 * 2 * n_obs doubles (400 kB at the
-# default n_obs); drawing all replicates at once costs more peak memory.
-_BATCH = 256
+def _paired_cells(biased: FeedbackRegime, alpha_true: float, skewed: float) -> list[float]:
+    """One case's probabilities of the four (truthful, biased) cells under
+    common random numbers: both show the trait, only the truthful run,
+    only the biased run, neither.  Both runs read the trait uniform
+    against alpha_true, except the biased run in a wrongful case, which
+    reads it against skewed; so the runs part only in wrongful cases whose
+    uniform falls between the two rates.  The last cell is the remainder:
+    numpy's multinomial ignores it but requires it to lie in [0, 1], and
+    the first three sum to at most max(alpha_true, skewed) <= 1 up to
+    rounding, within the 1e-12 numpy allows."""
+    w = biased.wrongful_rate
+    lo = min(alpha_true, skewed)
+    cells = [(1.0 - w) * alpha_true + w * lo, w * (alpha_true - lo), w * (skewed - lo)]
+    return cells + [max(0.0, 1.0 - sum(cells))]
 
 
 def run_paired_feedback(
@@ -243,14 +211,13 @@ def run_paired_feedback(
 ) -> PairedFeedbackResult:
     """Replicate truthful and biased runs under common random numbers.
 
-    Replicate i reads both regimes' traits from one (2, n_obs) block of
-    substream(master_seed, i), the draws simulate_feedback makes, so every
-    difference in a pair is the regime's doing; each final mean is
-    (a + K) / (a + b + n_obs) for its trait count K, and no trajectory is
-    built.  The blocks come from substream_uniforms in batches of
-    _BATCH replicates, which bounds the uniforms held at once.
-    exact_final_mean_and_gap gives the exact means of the results.  A
-    clamped wrongful-case trait rate warns once per call.
+    Each replicate's cell counts c are one row of a single
+    Multinomial(n_obs, cells) draw of shape (n_seeds, 4) from
+    substream(master_seed, 1) (see _paired_cells).  Its trait counts are
+    K_truthful = c0 + c1 and K_biased = c0 + c2, and each final mean is
+    (a + K) / (a + b + n_obs).  exact_final_mean_and_gap gives the exact
+    means of the results.  A clamped wrongful-case trait rate warns once
+    per call.
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds!r}")
@@ -258,21 +225,18 @@ def run_paired_feedback(
         raise ValueError(f"n_obs must be >= 1, got {n_obs!r}")
     if biased is None:
         biased = FeedbackRegime.biased()
-    truthful = FeedbackRegime.truthful()
     alpha_true = _validate_alpha(alpha_true)
     skewed = _wrongful_trait_rate(biased, alpha_true)
-    k_truthful = np.empty(n_seeds, dtype=np.intp)
-    k_biased = np.empty(n_seeds, dtype=np.intp)
-    for start in range(0, n_seeds, _BATCH):
-        stop = min(start + _BATCH, n_seeds)
-        u = substream_uniforms(master_seed, range(start, stop), 2 * n_obs).reshape(-1, 2, n_obs)
-        k_truthful[start:stop] = np.count_nonzero(_traits(u, truthful, alpha_true, alpha_true), axis=1)
-        k_biased[start:stop] = np.count_nonzero(_traits(u, biased, alpha_true, skewed), axis=1)
-        del u  # free this batch before the next is drawn
+    cells = _paired_cells(biased, alpha_true, skewed)
+    counts = substream(master_seed, 1).multinomial(n_obs, cells, size=n_seeds)
     total = prior.a + prior.b + n_obs
+    truthful_means = (prior.a + (counts[:, 0] + counts[:, 1])) / total
+    biased_means = (prior.a + (counts[:, 0] + counts[:, 2])) / total
     return PairedFeedbackResult(
         alpha_true=alpha_true,
         n_obs=n_obs,
-        truthful_means=tuple(((prior.a + k_truthful) / total).tolist()),
-        biased_means=tuple(((prior.a + k_biased) / total).tolist()),
+        truthful_means=truthful_means,
+        biased_means=biased_means,
+        truthful_gaps=np.abs(truthful_means - alpha_true),
+        biased_gaps=np.abs(biased_means - alpha_true),
     )

@@ -30,7 +30,6 @@ from . import __version__ as TOOL_VERSION
 from .config import ConfigError, ParamSpec, PresetSchema
 from .contextual import MAYFIELD_DELTAS, average_bias, mayfield_average, race_example_delta
 from .feedback import (
-    _BATCH as FEEDBACK_BATCH,
     BetaPrior,
     FeedbackRegime,
     exact_final_mean_and_gap,
@@ -408,8 +407,8 @@ _FEEDBACK_SCHEMA = PresetSchema(
         ParamSpec("prior_b", float, 8.0, "Beta prior b", _check_positive),
     ),
     check=_check_array_sizes(
-        ("(n_seeds,) counts", ("n_seeds",), lambda n: (n,)),
-        ("(batch, 2, n_obs) uniforms", ("n_seeds", "n_obs"), lambda n, m: (min(n, FEEDBACK_BATCH), 2, m)),
+        ("(2, n_obs) trajectory uniforms", ("n_obs",), lambda m: (2, m)),
+        ("(n_seeds, 4) counts", ("n_seeds",), lambda n: (n, 4)),
     ),
 )
 
@@ -419,7 +418,7 @@ def _run_feedback(params: dict, seed: int) -> dict[str, object]:
     biased_regime = FeedbackRegime.biased(params["wrongful_rate"], params["trait_skew"])
     truthful_regime = FeedbackRegime.truthful()
 
-    # Illustrative pair: replicate 0 under common random numbers.
+    # Illustrative pair under common random numbers, on its own substream.
     n_obs = params["n_obs"]
     truthful, biased = (
         simulate_feedback(regime, params["alpha_true"], n_obs, prior, rng=substream(seed, 0))
@@ -427,7 +426,7 @@ def _run_feedback(params: dict, seed: int) -> dict[str, object]:
     )
     trajectory = {
         "step": np.broadcast_to(np.arange(1, n_obs + 1), (2, n_obs)),
-        "posterior_mean": truthful.posterior_means + biased.posterior_means,
+        "posterior_mean": np.concatenate((truthful, biased)),
         "regime": np.broadcast_to(np.array(["truthful", "biased"])[:, None], (2, n_obs)),
         "seed": np.broadcast_to(0, 2 * n_obs),
     }

@@ -1,7 +1,7 @@
 """Deterministic random-number streams for replicated experiments.
 
-Every randomized routine in this package takes a numpy Generator.  For
-replicated runs, each replicate gets its own stream derived from the
+Every randomized routine in this package takes a numpy Generator.  A
+replicated run can give each replicate its own stream derived from the
 master seed and the replicate index, so results are independent of
 execution order, and any single replicate can be re-created in
 isolation with substream(seed, i).
@@ -119,13 +119,13 @@ def _seed_states(entropy: np.ndarray) -> np.ndarray:
 
 
 # Rows of at most _SHORT_ROWS uniforms are computed by jump-ahead on arrays
-# (_draw_by_jump), longer rows by numpy's generator one row at a time
-# (_draw_by_generator).  The array path's cost grows with m, while the
-# generator's is ≈4 µs of state setting per row plus numpy's own draws.
-# Median time of the array path over the generator's, for 256 and for
-# 1,000 rows (Linux, 2 shared cores, Python 3.11.7, numpy 2.4.6): 0.33 at
-# m = 32, 0.63-0.80 at m = 64, 0.83-0.96 at m = 96, 1.06-1.35 at m = 128,
-# and 1.4-1.6 at feedback's m = 200.
+# (_draw_by_jump), longer rows, such as propagation's 1 + 2k draws for k
+# above 31, by numpy's generator one row at a time (_draw_by_generator).
+# The array path's cost grows with m, while the generator's is ≈4 µs of
+# state setting per row plus numpy's own draws.  Median time of the array
+# path over the generator's, for 256 and for 1,000 rows (Linux, 2 shared
+# cores, Python 3.11.7, numpy 2.4.6): 0.33 at m = 32, 0.63-0.80 at m = 64,
+# 0.83-0.96 at m = 96, 1.06-1.35 at m = 128, and 1.4-1.6 at m = 200.
 _SHORT_ROWS = 64
 # Values per block of rows in _draw_by_jump: its ≈10 uint64 temporaries of
 # a block stay at 64 kB each, whatever the row count.  Blocks of 8,192

@@ -33,6 +33,8 @@ from forensic_bias.odds import binomial_log_pmf
 from forensic_bias.presets import run_preset
 from forensic_bias.seeding import substream
 
+from chi_square import pooled_chi_square
+
 TOL = 1e-12
 
 # The six-cell worked example.
@@ -283,31 +285,6 @@ ORACLE_CASES = [
     (7, 10, 5, CellAgreementModel(0.7, 0.2), False, 1.0, "exact", 600),
 ]
 
-# Upper normal quantile at 1e-6: through Wilson-Hilferty, the chi-square
-# bound below fails a correct sampler at about one seed in a million per
-# case, a little less at these degrees of freedom, where it errs high.
-_Z_FALSE_ALARM = 4.753
-
-
-def _pooled_chi_square(counts, n, share):
-    """Pearson's chi-square of the missing counts against Binomial(n, share),
-    contiguous counts pooled until each bin expects at least 5, with its
-    Wilson-Hilferty critical value at the _Z_FALSE_ALARM level."""
-    expected = len(counts) * np.exp(binomial_log_pmf(n, share, np.arange(n + 1)))
-    observed = np.bincount(counts, minlength=n + 1)
-    bins, e, o = [], 0.0, 0
-    for ej, oj in zip(expected.tolist(), observed.tolist()):
-        e, o = e + ej, o + oj
-        if e >= 5.0:
-            bins.append((e, o))
-            e, o = 0.0, 0
-    bins[-1] = (bins[-1][0] + e, bins[-1][1] + o)
-    chi_square = sum((o - e) ** 2 / e for e, o in bins)
-    df = len(bins) - 1
-    critical = df * (1.0 - 2.0 / (9 * df) + _Z_FALSE_ALARM * math.sqrt(2.0 / (9 * df))) ** 3
-    return chi_square, critical
-
-
 def _case_id(case):
     seed, rows, cols, model, same_source, share, mode, n_reps = case
     return f"{seed}-{rows}x{cols}-{model.p_same}-{same_source}-{share}-{mode}-{n_reps}"
@@ -332,7 +309,8 @@ class TestSampleMatchesObjectOracle:
             assert np.all(counts == fixed)
             np.testing.assert_allclose(draws, (model.p_same / model.p_diff) ** fixed, rtol=1e-12, atol=0.0)
         else:
-            chi_square, critical = _pooled_chi_square(counts, n, share)
+            expected = n_reps * np.exp(binomial_log_pmf(n, share, np.arange(n + 1)))
+            chi_square, critical = pooled_chi_square(np.bincount(counts, minlength=n + 1), expected)
             assert chi_square <= critical
 
 

@@ -70,9 +70,9 @@ PINS = {
         "manifest.json": "637f4776621698304390fba6472b21be21bd0a3a755f29797547589748db0572",
     },
     ("feedback", "small"): {
-        "aggregate.json": "6ce91f9739547e8568d587546d35bc589e1f769f0bbdf5a10c7952b73f68a866",
-        "gaps.csv": "ea9c13d2bb196152d581c31e798a667bbed7b611fba9f42d56177e3e1d2669ea",
-        "manifest.json": "d476f9296fdc20abeeb6e881f33ae699b3ce8e77a8eb0767add4699830ffe5ad",
+        "aggregate.json": "f72bd454ecd727ef5a7090c5112b4f218e6006a01d99f34bb4d661e1dc2068f5",
+        "gaps.csv": "f00242aebc7cbe16bede7dbc13aa26d9cc598f9f11155d195a13b0255a61bd51",
+        "manifest.json": "a9b20de0b6fd7255f40d2c3b29f6581ebefa3070d2b54ef77256929414862ffb",
         "trajectory.csv": "d7551664818ba7bba9226837f3bd4ce37a7ab73d26bb960cb3bcd42aa88b603e",
     },
     ("propagation", "small"): {
