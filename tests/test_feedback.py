@@ -33,6 +33,35 @@ class TestBetaPrior:
         with pytest.raises(ValueError):
             BetaPrior(a, b)
 
+    def test_conjugate_update(self):
+        # A case showing the trait increments a, any other increments b;
+        # the uniforms fix each case (row 0: never wrongful, row 1: trait
+        # when below the true rate 0.5).
+        def means(trait_uniforms, prior=DEFAULT_PRIOR):
+            uniforms = np.array([[0.9] * len(trait_uniforms), trait_uniforms])
+            return simulate_feedback(
+                FeedbackRegime.truthful(), 0.5, len(trait_uniforms), prior, rng=_FixedUniforms(uniforms)
+            )
+
+        up = means([0.1])
+        assert up[0] == BetaPrior(13.0, 8.0).mean
+        assert up[0] == pytest.approx(13 / 21, abs=TOL)
+        down = means([0.7])
+        assert down[0] == BetaPrior(12.0, 9.0).mean
+        np.testing.assert_allclose(means([0.1, 0.7]), [13 / 21, 13 / 22], rtol=0, atol=TOL)
+        assert means([0.7], BetaPrior(0.3, 7.0))[0] == pytest.approx(BetaPrior(0.3, 8.0).mean, abs=TOL)
+
+
+class _FixedUniforms:
+    """A stand-in generator whose random() returns the given array."""
+
+    def __init__(self, uniforms):
+        self.uniforms = uniforms
+
+    def random(self, shape):
+        assert shape == self.uniforms.shape
+        return self.uniforms
+
 
 class TestRegime:
     def test_constructors(self):
