@@ -3,8 +3,10 @@
 
 Exit codes: 0 success, 2 for usage and configuration errors (unknown
 preset or key, type or range violation, bad seed), 1 for a numeric
-failure at runtime, reported with the module it came from, and 1 when an
-artifact cannot be written, reported in one line with its path.  `verify`
+failure at runtime, reported with the module it came from, 1 when an
+artifact cannot be written, reported in one line with its path, and 1
+when memory runs out, reported in one line with the preset's size
+parameters and what --out holds.  `verify`
 exits 0 when every artifact matches the manifest, 1 when one does not
 or a file is missing or unlisted, and 2 when the manifest is absent or
 unreadable.
@@ -103,6 +105,18 @@ def _runtime_error_module(exc: BaseException) -> str:
     return module
 
 
+# Parameters that set how much memory a run takes, named when it runs out.
+_SIZE_PARAMETERS = ("n_runs", "k", "n_seeds", "n_obs", "rows", "cols", "n_reps")
+
+
+def _out_of_memory_message(args: argparse.Namespace, overrides: dict[str, str]) -> str:
+    params = get_preset(args.preset).schema.resolve(overrides)
+    sizes = ", ".join(f"{name}={params[name]!r}" for name in _SIZE_PARAMETERS if name in params)
+    # A runner fails before the old manifest is removed, a writer after.
+    state = "is left as it was" if (args.out / MANIFEST_NAME).exists() else "holds no manifest"
+    return f"error: out of memory running preset {args.preset!r}{' at ' + sizes if sizes else ''}; {args.out} {state}"
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     overrides = _load_overrides(args.config, args.set_args)
     overrides.pop("preset", None)  # allowed in files for `validate`; run takes --preset
@@ -121,6 +135,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 1
     except ArtifactWriteError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print(_out_of_memory_message(args, overrides), file=sys.stderr)
         return 1
     for name in sorted(manifest.artifacts):
         print(f"wrote {args.out / name}")

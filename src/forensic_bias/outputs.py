@@ -21,6 +21,13 @@ tuple of exact floats, of at least _DISTINCT_MIN stored values formats
 each distinct float bit pattern once and indexes the texts back, so a
 column of few distinct values costs what those values cost.  Unequal
 columns are a ValueError.
+
+A column of at least _SHORTEST_MIN distinct floats gets repr's text
+without calling repr: float_text computes the shortest decimal that
+round-trips on the uint64 bit patterns by Schubfach (Giulietti 2020),
+and lays it out by repr's rules.  The text equals repr's, at ≈0.45 µs a
+value against repr's ≈0.7, but each call costs ≈0.3 ms, so smaller
+columns keep repr.
 """
 
 from __future__ import annotations
@@ -83,6 +90,15 @@ _BLOCK_ROWS = 1024
 # the peak RSS by ≈0.4 MB (numpy 2.4.6), which would show in runs that
 # write only small tables.
 _DISTINCT_MIN = 64
+# Float columns of at least this many distinct values have repr's text
+# computed on arrays (float_text.shortest_texts); fewer go through
+# float.__repr__ one by one.  A kernel call costs ≈0.3 ms whatever its
+# size, then ≈0.45 µs a value against repr's ≈0.7 µs, and it broke even at
+# 500-800 values (Linux, 2 shared cores, Python 3.11.7, numpy 2.4.6).
+# feedback's columns (at most 149 distinct values) and the small tables
+# stay on repr; propagation's results.csv columns (5,000 and 8,197) take
+# the kernel.
+_SHORTEST_MIN = 1024
 
 
 def _quote_minimal(fields: list[str], lone: bool) -> list[str]:
@@ -99,7 +115,13 @@ def _float_texts(values: np.ndarray) -> list[str]:
     and every NaN keeps its own text.
     """
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    texts = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
+    if bits.size >= _SHORTEST_MIN:
+        # Imported here, so that runs without a large float column never load it.
+        from .float_text import shortest_texts
+
+        texts = shortest_texts(bits.view(np.uint64))
+    else:
+        texts = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
     return texts[inverse].tolist()
 
 

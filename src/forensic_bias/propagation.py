@@ -90,11 +90,6 @@ class BiasProfile:
         """
         return cls(impute_share=1.0, impute_trait=0.5, context_trait_prob=trait_prob, conformity=1.0)
 
-    @classmethod
-    def unbiased(cls) -> "BiasProfile":
-        """Every term unit: reports reproduce neutral odds exactly."""
-        return cls(impute_share=0.0, impute_trait=0.0, context_trait_prob=None, conformity=0.0)
-
     def impute(self, missing_share, trait):
         """Linear imputation tilt; takes floats or broadcastable arrays."""
         return 1.0 + self.impute_share * missing_share + self.impute_trait * trait

@@ -465,6 +465,28 @@ class TestCli:
         assert not (out / "manifest.json").exists()
         assert main(["verify", str(out)]) == 2
 
+    @pytest.mark.parametrize("stage", ["runner", "writer"])
+    def test_out_of_memory_is_one_line_naming_the_sizes(self, tmp_path, capsys, monkeypatch, stage):
+        out = tmp_path / "propagation"
+        argv = ["run", "--preset", "propagation", "--seed", "7", "--set", "n_runs=20", "--out", str(out)]
+        assert main(argv) == 0
+
+        def out_of_memory(*args):
+            raise MemoryError
+
+        if stage == "runner":
+            preset = PRESETS["propagation"]
+            monkeypatch.setitem(PRESETS, "propagation", presets.Preset(preset.schema, out_of_memory))
+            state, verify_code = "is left as it was", 0
+        else:
+            monkeypatch.setattr(presets, "write_csv", out_of_memory)
+            state, verify_code = "holds no manifest", 2
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: out of memory running preset 'propagation' at n_runs=20, k=5; {out} {state}\n"
+        assert main(["verify", str(out)]) == verify_code
+
     @pytest.mark.parametrize("key", ["same_source=false", "expected_minutiae=15"])
     def test_removed_delta_impute_keys_exit_2(self, key, tmp_path, capsys):
         code = main(["run", "--preset", "delta-impute", "--seed", "7", "--set", key, "--out", str(tmp_path / "x")])

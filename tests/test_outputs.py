@@ -10,8 +10,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from forensic_bias import outputs
-from forensic_bias.outputs import _DISTINCT_MIN, format_value, write_csv
+from forensic_bias import float_text, outputs
+from forensic_bias.outputs import _DISTINCT_MIN, _SHORTEST_MIN, format_value, write_csv
 
 
 def _reference_write_csv(path, header, rows):
@@ -100,28 +100,43 @@ _SPECIAL = [0.0, -0.0, 5e-324, 1e308, 1e16, 0.1 + 0.2, math.inf, -math.inf, math
 _NANS = np.array([0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001], dtype=np.uint64).view(np.float64)
 _MIXED = np.random.default_rng(3).permutation(np.concatenate([np.repeat(_SPECIAL, 12), _NANS, -_NANS]))
 
+# Columns of at least _SHORTEST_MIN distinct values take the array kernel,
+# specials and all; the gate counts distinct values, not stored ones.
+_MANY = np.random.default_rng(4).lognormal(0.0, 3.0, _SHORTEST_MIN)
+_MANY[::7] *= -1.0
+
 DISTINCT_CASES = {
-    # (column, whether it takes the distinct-value path)
-    "special-array-with-repeats": (_MIXED, True),
-    "special-list-with-repeats": (_MIXED.tolist(), True),
-    "broadcast-view-with-repeats": (np.broadcast_to(np.tile([0.1, -0.0, 0.1, 1e16], 20)[:, None], (80, 3)), True),
-    "tuple": (tuple(_MIXED.tolist()), True),
-    "array-below-the-floor": (_MIXED[: _DISTINCT_MIN - 1], False),
-    "array-at-the-floor": (_MIXED[:_DISTINCT_MIN], True),
-    "list-below-the-floor": (_MIXED[: _DISTINCT_MIN - 1].tolist(), False),
-    "list-at-the-floor": (_MIXED[:_DISTINCT_MIN].tolist(), True),
-    "mixed-int-float-list": ([1, 0.5, -0.0, 2, math.nan] * _DISTINCT_MIN, False),
+    # (column, whether it takes the distinct-value path, whether the kernel)
+    "special-array-with-repeats": (_MIXED, True, False),
+    "special-list-with-repeats": (_MIXED.tolist(), True, False),
+    "broadcast-view-with-repeats": (np.broadcast_to(np.tile([0.1, -0.0, 0.1, 1e16], 20)[:, None], (80, 3)), True, False),
+    "tuple": (tuple(_MIXED.tolist()), True, False),
+    "array-below-the-floor": (_MIXED[: _DISTINCT_MIN - 1], False, False),
+    "array-at-the-floor": (_MIXED[:_DISTINCT_MIN], True, False),
+    "list-below-the-floor": (_MIXED[: _DISTINCT_MIN - 1].tolist(), False, False),
+    "list-at-the-floor": (_MIXED[:_DISTINCT_MIN].tolist(), True, False),
+    "mixed-int-float-list": ([1, 0.5, -0.0, 2, math.nan] * _DISTINCT_MIN, False, False),
+    "below-the-gate": (_MANY[1:], True, False),
+    "at-the-gate": (_MANY, True, True),
+    "at-the-gate-list": (_MANY.tolist(), True, True),
+    "at-the-gate-with-specials": (np.concatenate([_MANY, _MIXED]), True, True),
+    "repeats-below-the-gate": (np.tile(_MANY[1:], 3), True, False),
+    "broadcast-at-the-gate": (np.broadcast_to(_MANY[:, None], (_SHORTEST_MIN, 3)), True, True),
 }
 
 
 @pytest.mark.parametrize("case", sorted(DISTINCT_CASES))
 def test_distinct_float_formatting_equals_per_value(tmp_path, monkeypatch, case):
-    column, distinct = DISTINCT_CASES[case]
-    calls = []
-    float_texts = outputs._float_texts
+    column, distinct, kernel = DISTINCT_CASES[case]
+    calls, kernel_calls = [], []
+    float_texts, shortest_texts = outputs._float_texts, float_text.shortest_texts
     monkeypatch.setattr(outputs, "_float_texts", lambda values: calls.append(values.size) or float_texts(values))
+    monkeypatch.setattr(
+        float_text, "shortest_texts", lambda bits: kernel_calls.append(bits.size) or shortest_texts(bits)
+    )
     write_csv(tmp_path / "got.csv", {"x": column})
     assert bool(calls) is distinct
+    assert bool(kernel_calls) is kernel
     values = column.ravel().tolist() if isinstance(column, np.ndarray) else list(column)
     _reference_write_csv(tmp_path / "want.csv", ["x"], ([v] for v in values))
     got = (tmp_path / "got.csv").read_bytes()
@@ -201,3 +216,80 @@ def test_writers_return_the_sha256_of_the_bytes_written(tmp_path):
     # "\n" is written as is, never as the platform's line separator.
     assert (tmp_path / "report.json").read_bytes().count(b"\r") == 0
     assert (tmp_path / "grid.txt").read_bytes() == b"m.?\n.m.\n"
+
+
+# The array kernel against repr, on its own.  Random bit patterns carry
+# either sign; the structured cases are positive, with negatives where the
+# sign meets a boundary.
+def _half_ulp_boundaries():
+    """Floats whose rounding interval ends on a shorter decimal than any inside it.
+
+    In [2**54, 2**55) floats are 4 apart, so a float ending in 8 or 2 has
+    a multiple of 10 exactly 2 away: repr names that decimal only when the
+    float's significand is even, as round-half-even reads it back.
+    """
+    base = 2**54 + 4 * np.arange(0, 40_000, dtype=np.int64)
+    return base[(base % 10 == 8) | (base % 10 == 2)].astype(np.float64)
+
+
+_TENS = np.array([float(f"1e{k}") for k in range(-323, 309)])
+_EDGES = [5e-324, 1e-323, 1.5e-323, 2.2250738585072014e-308, 2.225073858507201e-308, 1.7976931348623157e308, 1e308]
+
+ORACLE_CASES = {
+    "subnormals": lambda: np.concatenate(
+        [
+            np.arange(1, 200_000, dtype=np.uint64).view(np.float64),
+            np.random.default_rng(11).integers(1, 2**52, 50_000, dtype=np.uint64).view(np.float64),
+            np.array([2**52 - 1], dtype=np.uint64).view(np.float64),
+        ]
+    ),
+    "extremes": lambda: np.array(_EDGES + [-v for v in _EDGES]),
+    "integers": lambda: np.concatenate(
+        [
+            np.arange(2**20 + 1, dtype=np.float64),
+            np.random.default_rng(12).integers(0, 2**53, 100_000, dtype=np.int64).astype(np.float64),
+            np.array([2**53 - 1, 2**53, 2**53 + 2, 2**63, 2**64, -(2**53)], dtype=np.float64),
+        ]
+    ),
+    "powers-of-ten-and-neighbours": lambda: np.concatenate(
+        [_TENS, np.nextafter(_TENS, 0.0), np.nextafter(_TENS, np.inf)]
+    ),
+    "notation-switches": lambda: np.concatenate(
+        [
+            10.0 ** np.random.default_rng(13).uniform(-6.0, -3.0, 50_000),
+            10.0 ** np.random.default_rng(14).uniform(14.0, 17.0, 50_000),
+            np.array([1e-4, 9.999999999999999e-05, 1.0000000000000002e-04, 1e-5, 9.999999999999999e-06, -1e-5]),
+            np.array([1e15, 999999999999999.9, 1e16, 9999999999999998.0, 1e16 + 2, 1e17, -1e16]),
+        ]
+    ),
+    "round-half": lambda: np.concatenate(
+        [
+            _half_ulp_boundaries(),
+            -_half_ulp_boundaries()[:100],
+            np.arange(0.5, 50_000.5, 1.0),
+            2.0 ** -np.arange(1, 1075, dtype=np.float64),
+            np.array([0.1 + 0.2, 1e23, 9.999999999999999e22, 0.0, -0.0, math.inf, -math.inf, math.nan]),
+        ]
+    ),
+    "log-normal": lambda: np.random.default_rng(15).lognormal(0.0, 30.0, 100_000),
+}
+
+
+def _kernel_mismatches(values: np.ndarray) -> list[tuple[str, str]]:
+    got = float_text.shortest_texts(values.view(np.uint64)).tolist()
+    want = list(map(float.__repr__, values.tolist()))
+    return [(g, w) for g, w in zip(got, want) if g != w]
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_shortest_texts_equal_repr(case):
+    values = np.asarray(ORACLE_CASES[case](), dtype=np.float64)
+    assert values.size
+    assert _kernel_mismatches(values)[:5] == []
+
+
+def test_shortest_texts_equal_repr_on_random_bit_patterns():
+    rng = np.random.default_rng(10)
+    for _ in range(10):  # 10**6 patterns, 10**5 at a time
+        bits = rng.integers(0, 2**64, 100_000, dtype=np.uint64)
+        assert _kernel_mismatches(bits.view(np.float64))[:5] == []

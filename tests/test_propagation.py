@@ -112,7 +112,7 @@ ORACLE_CASES = {
     "different-source": {"same_source": False},
     "k1": {"k": 1},
     "k12-pool1": {"k": 12, "pool_n": 1},
-    "unbiased": {"profile": BiasProfile.unbiased()},
+    "unbiased": {"profile": BiasProfile(0.0, 0.0, None, 0.0)},
     # log(0.5) + log(2.0) == 0.0 exactly: every mismatching report sits on
     # the supportive threshold, so `>=` against `>` shows.
     "tie": {
@@ -165,7 +165,7 @@ class TestProfile:
         assert profile.impute(0.0, False) == pytest.approx(1.0, abs=TOL)
         assert math.exp(profile.context(True)) == 2.0
         assert profile.context(False) == race_example_delta(0.15, False)
-        assert BiasProfile.unbiased().context(True) == 0.0
+        assert BiasProfile(0.0, 0.0, None, 0.0).context(True) == 0.0
         # The direct terms are the same in both modes; peer is no live term.
         study = monte_carlo_chains(1, master_seed=13)
         assert not set(UNIT_TERMS) & set(study.log_terms)
@@ -208,7 +208,7 @@ class TestRunChain:
         assert all(term.shape == (1, 2, 5) for term in study.log_terms.values())
 
     def test_unbiased_profile_reports_neutral(self):
-        study = monte_carlo_chains(1, master_seed=2, profile=BiasProfile.unbiased())
+        study = monte_carlo_chains(1, master_seed=2, profile=BiasProfile(0.0, 0.0, None, 0.0))
         columns = study.columns
         assert np.array_equal(columns["reported_odds"], columns["neutral_odds"])
         assert np.allclose(columns["bias_ratio"], 1.0, rtol=0.0, atol=TOL)
