@@ -54,6 +54,7 @@ __all__ = [
     "sample_delta_impute",
     "exact_mean_delta",
     "exact_delta_quantiles",
+    "percentiles",
     "exact_relative_standard_error",
     "GridFixture",
     "imputation_grid_fixture",
@@ -476,6 +477,37 @@ def exact_delta_quantiles(
         raise OverflowError(f"the exact quantile e**{log_quantiles.max():.1f} exceeds float range")
     q025, median, q975 = np.exp(log_quantiles).tolist()
     return q025, median, q975
+
+
+def percentiles(values: np.ndarray, levels: Sequence[float]) -> np.ndarray:
+    """np.percentile(values, levels, axis=-1), bit for bit, shaped
+    (len(levels), *values.shape[:-1]), for levels in [0, 100].
+
+    numpy's default "linear" quantile, type 7 of Hyndman & Fan (1996): a
+    level p reads the sorted values at the virtual index (n - 1) * p / 100,
+    interpolated between its two neighbours.  Each step repeats numpy's
+    own (_get_indexes, the partition at the same indices, _lerp), but
+    without np.percentile and np.unique, whose first call imports all of
+    numpy.ma.  NaN is out of scope: np.percentile returns NaN for a slice
+    that holds one, and this function does not.
+    """
+    n = values.shape[-1]
+    virtual = (n - 1) * (np.asarray(levels, dtype=np.float64) / 100)
+    below = np.floor(virtual)
+    above = below + 1
+    # Like numpy, read the last value at both ends, so gamma = virtual + 1.
+    at_top = virtual >= n - 1
+    below[at_top] = above[at_top] = -1
+    gamma = virtual - below
+    below, above = below.astype(np.intp), above.astype(np.intp)
+    kth = sorted({0, -1, *below.tolist(), *above.tolist()})
+    ordered = np.moveaxis(np.partition(values, kth, axis=-1), -1, 0)
+    a, b = ordered[below], ordered[above]
+    t = gamma.reshape(gamma.shape + (1,) * (values.ndim - 1))
+    diff = b - a
+    out = np.add(a, diff * t)
+    np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
+    return out
 
 
 def exact_relative_standard_error(

@@ -49,6 +49,7 @@ from .fingerprints import (
     imputation_grid_fixture,
     impute_from_reference,
     LatentVector,
+    percentiles,
     sample_delta_impute,
 )
 from .odds import LOG_FLOAT_MAX, log_prior_odds
@@ -363,7 +364,8 @@ def _run_delta_impute(params: dict, seed: int) -> dict[str, object]:
     except (OverflowError, ValueError) as exc:  # past float range, or too wide a pmf window
         named = ", ".join(f"{k}={params[k]!r}" for k in ("rows", "cols", "missing_share", "p_same", "p_diff"))
         raise ConfigError(f"{exc} at {named}; use a smaller grid, missing_share or p_same/p_diff") from exc
-    q025, median, q975 = np.percentile(draws, [2.5, 50.0, 97.5])
+    # numpy's default linear quantiles (Hyndman & Fan type 7) over the draws.
+    q025, median, q975 = percentiles(draws, [2.5, 50.0, 97.5])
     # Scaled by the largest draw so neither the sum nor the squares overflow.
     top = float(draws.max())
     scaled = draws / top

@@ -37,7 +37,7 @@ from enum import Enum
 import numpy as np
 
 from .contextual import race_example_delta
-from .fingerprints import CellAgreementModel
+from .fingerprints import CellAgreementModel, percentiles
 from .odds import LOG_FLOAT_MAX, log_prior_odds
 from .seeding import substream_uniforms
 
@@ -117,7 +117,8 @@ class PropagationStudy:
     log values; a report's terms sum to log(reported_odds) -
     log(neutral_odds).  `summary` maps each summary.csv header (mode,
     analyst_index, mean_bias_ratio, q025, median, q975), in order, to its
-    column: statistics over the runs.
+    column: statistics over the runs.  The quantiles are numpy's default
+    linear ones (Hyndman & Fan type 7) over the n_runs replicates.
     """
 
     n_runs: int
@@ -233,7 +234,7 @@ def monte_carlo_chains(
     # One contiguous row per (mode, analyst), so each mean sums in the
     # same order as a mean over that column's values alone.
     per_index = np.ascontiguousarray(np.moveaxis(ratio, 0, -1))
-    q025, median, q975 = np.percentile(per_index, [2.5, 50.0, 97.5], axis=-1)
+    q025, median, q975 = percentiles(per_index, [2.5, 50.0, 97.5])
     summary = {
         "mode": columns["mode"][0],
         "analyst_index": columns["analyst_index"][0],

@@ -126,6 +126,32 @@ class TestRunPreset:
         )
         assert done.stdout.strip() == "False"
 
+    def test_preset_runs_leave_out_numpy_ma(self, tmp_path):
+        # np.percentile, np.median and np.unique (without return_inverse)
+        # import all of numpy.ma on first use, ≈17 ms with numpy 2.4 on a
+        # 2-core host.  A fresh process, because other tests call
+        # np.percentile in this one.
+        probe = (
+            "import sys, numpy\n"
+            "bare = 'numpy.ma' in sys.modules\n"
+            "from forensic_bias.cli import main\n"
+            "from forensic_bias.presets import PRESETS\n"
+            "for name in sorted(PRESETS):\n"
+            "    assert main(['run', '--preset', name, '--seed', '7', '--out', f'{sys.argv[1]}/{name}']) == 0\n"
+            "print(bare, 'numpy.ma' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe, str(tmp_path)],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(Path(forensic_bias.__file__).parents[1])},
+        )
+        bare, after = done.stdout.splitlines()[-1].split()
+        if bare == "True":
+            pytest.skip("a bare import numpy already loads numpy.ma (numpy 1.x)")
+        assert after == "False"
+
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_runner_is_pure(self, name, tmp_path, monkeypatch):
         def no_write(*args):

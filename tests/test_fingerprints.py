@@ -26,6 +26,7 @@ from forensic_bias.fingerprints import (
     exact_mean_delta,
     imputation_grid_fixture,
     impute_from_reference,
+    percentiles,
     sample_delta_impute,
     source_lr,
 )
@@ -442,6 +443,43 @@ class TestExactQuantiles:
             exact_delta_quantiles(ImputationSimParams(), 1.5, "per_cell")
         with pytest.raises(ValueError):
             exact_delta_quantiles(ImputationSimParams(), 0.25, "often")
+
+
+# Both ends, numpy's own levels, and levels just inside the ends.
+LEVELS = [0.0, 5e-324, 1e-12, 2.5, 50.0, 97.5, 100.0 - 1e-12, math.nextafter(100.0, 0.0), 100.0]
+SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1.0, 1.0])
+
+
+class TestPercentiles:
+    @staticmethod
+    def _assert_numpy_bytes(values):
+        with np.errstate(invalid="ignore"):  # inf - inf between equal infinite neighbours
+            got = percentiles(values, LEVELS)
+            want = np.percentile(values, LEVELS, axis=-1)
+        assert got.shape == want.shape == (len(LEVELS), *values.shape[:-1])
+        assert got.tobytes() == want.tobytes()
+
+    def test_single_negative_zero(self):
+        # numpy reads the last value at both ends (gamma = 1 at level 100),
+        # so -0.0 stays -0.0; clamping to gamma = 0 would return 0.0.
+        self._assert_numpy_bytes(np.array([-0.0]))
+        assert np.signbit(percentiles(np.array([-0.0]), [2.5, 50.0, 97.5, 100.0])).all()
+
+    @pytest.mark.parametrize("batch", [(), (2, 3)], ids=["1-d", "2-k-n"])
+    @pytest.mark.parametrize("kind", ["normal", "ties", "specials"])
+    def test_matches_numpy_bit_for_bit(self, batch, kind):
+        rng = np.random.default_rng(5)
+        sizes = [1, 2, 3, *rng.integers(4, 3000, size=12).tolist()]
+        for n in sizes:
+            shape = (*batch, n)
+            for _ in range(4):
+                if kind == "normal":
+                    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300)
+                elif kind == "ties":
+                    values = rng.integers(-2, 3, size=shape).astype(np.float64)
+                else:
+                    values = rng.choice(SPECIALS, size=shape)
+                self._assert_numpy_bytes(values)
 
 
 class TestGridFixture:
