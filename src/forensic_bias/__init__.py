@@ -40,25 +40,17 @@ from .relevance import (
     parse_joint_fixture,
 )
 from .fingerprints import (
-    Cell,
     CellAgreementModel,
     DEFAULT_THRESHOLDS,
-    GridFixture,
     ImputationSimParams,
-    LatentVector,
-    MatchSummary,
-    MinutiaVector,
-    PrintGrid,
     SourceDecision,
     count_matches,
     decide_source,
-    delta_impute_exact,
     exact_delta_quantiles,
     exact_mean_delta,
-    imputation_grid_fixture,
     impute_from_reference,
+    parse_grid,
     sample_delta_impute,
-    source_lr,
 )
 from .feedback import (
     BetaPrior,

@@ -1,20 +1,20 @@
 """A toy minutiae-comparison model for imputation bias.
 
-Prints are binary grids: each cell either shows a minutia or does not.
-A latent print additionally has missing cells (smudged or not lifted).
-An examiner who fills missing cells by copying the suspect's exemplar
-("imputation") manufactures agreement, which inflates the reported
-likelihood ratio by a factor of r = p_same/p_diff per imputed cell, so
-by exactly r**M for M missing cells, whatever the prints show.  The
-Monte Carlo over that factor (sample_delta_impute) draws only that
+A print is a string with one character per cell: 'm' a minutia, '.' no
+minutia, and, in a latent print only, '?' a missing cell (smudged or not
+lifted).  An examiner who fills missing cells by copying the suspect's
+exemplar ("imputation") manufactures agreement, which inflates the
+reported likelihood ratio by a factor of r = p_same/p_diff per imputed
+cell, so by exactly r**M for M missing cells, whatever the prints show.
+The Monte Carlo over that factor (sample_delta_impute) draws only that
 sufficient statistic, M ~ Binomial(n, s), as one binomial per replicate;
 the delta-impute preset reports its mean with a standard error
 (mc_standard_error) next to the exact mean (exact_mean_delta), and its
 quantiles next to the exact ones (exact_delta_quantiles).
 
-Grid text format, one row per line:
-
-    'm' minutia present, '.' absent, '?' missing
+Grid text holds one row of cells per line; parse_grid reads it as the
+string of its cells plus its row width, and grid_text lays such a string
+out in rows again.
 
 Match scoring counts cell agreements over comparable (non-missing)
 cells; the source decision is taken on the number of agreeing minutiae
@@ -28,19 +28,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from .odds import LOG_FLOAT_MAX, binomial_log_pmf
 
 __all__ = [
-    "Cell",
-    "MinutiaVector",
-    "LatentVector",
-    "PrintGrid",
-    "MatchSummary",
+    "parse_grid",
+    "grid_text",
     "SourceDecision",
     "DEFAULT_THRESHOLDS",
     "CellAgreementModel",
@@ -48,181 +44,44 @@ __all__ = [
     "impute_from_reference",
     "count_matches",
     "decide_source",
-    "agreement_log_likelihood",
-    "source_lr",
-    "delta_impute_exact",
     "sample_delta_impute",
     "exact_mean_delta",
     "exact_delta_quantiles",
     "percentiles",
     "exact_relative_standard_error",
-    "GridFixture",
-    "imputation_grid_fixture",
 ]
 
 
-class Cell(Enum):
-    ABSENT = "."
-    PRESENT = "m"
-    MISSING = "?"
+def parse_grid(text: str) -> tuple[str, int]:
+    """The cells of grid text, row after row, as one string, and the row width.
+
+    Rows are the non-blank lines, stripped at both ends.  Raises ValueError
+    for text with no row, rows of unequal width, or a character other than
+    'm', '.' and '?' (a space inside a row included)."""
+    rows = [line.strip() for line in text.splitlines() if line.strip()]
+    if not rows:
+        raise ValueError("empty grid text")
+    widths = {len(row) for row in rows}
+    if len(widths) != 1:
+        raise ValueError(f"ragged grid rows: widths {sorted(widths)!r}")
+    cells = "".join(rows)
+    # Stripping the known characters from both ends leaves text only if
+    # some other character is present, and that text starts with the first.
+    if unknown := cells.strip("m.?"):
+        raise ValueError(f"unknown grid character {unknown[0]!r}; expected one of 'm', '.', '?'")
+    return cells, widths.pop()
 
 
-_CHAR_TO_CELL = {c.value: c for c in Cell}
+def grid_text(cells: str, width: int) -> str:
+    """cells laid out in rows of width cells, each ending in a newline."""
+    return "".join(cells[i : i + width] + "\n" for i in range(0, len(cells), width))
 
 
-def _cells_from_text(text: str) -> tuple[Cell, ...]:
-    cells = []
-    for ch in text:
-        if ch in (" ", "\n", "\r"):
-            continue
-        try:
-            cells.append(_CHAR_TO_CELL[ch])
-        except KeyError:
-            raise ValueError(f"unknown grid character {ch!r}; expected one of 'm', '.', '?'")
-    return tuple(cells)
-
-
-@dataclass(frozen=True)
-class MinutiaVector:
-    """A fully observed print: every cell is PRESENT or ABSENT."""
-
-    cells: tuple[Cell, ...]
-
-    def __post_init__(self) -> None:
-        cells = tuple(self.cells)
-        if not cells:
-            raise ValueError("MinutiaVector needs at least one cell")
-        for i, cell in enumerate(cells):
-            if not isinstance(cell, Cell):
-                raise ValueError(f"cell {i} is {cell!r}, not a Cell")
-            if cell is Cell.MISSING:
-                raise ValueError(f"MinutiaVector cannot contain MISSING (cell {i})")
-        object.__setattr__(self, "cells", cells)
-
-    @classmethod
-    def from_bits(cls, bits: Sequence[int]) -> "MinutiaVector":
-        return cls(tuple(Cell.PRESENT if b else Cell.ABSENT for b in bits))
-
-    @classmethod
-    def from_text(cls, text: str) -> "MinutiaVector":
-        return cls(_cells_from_text(text))
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        return tuple(1 if c is Cell.PRESENT else 0 for c in self.cells)
-
-    @property
-    def n_minutiae(self) -> int:
-        return sum(self.bits)
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-
-@dataclass(frozen=True)
-class LatentVector:
-    """A partially observed print: cells may also be MISSING."""
-
-    cells: tuple[Cell, ...]
-
-    def __post_init__(self) -> None:
-        cells = tuple(self.cells)
-        if not cells:
-            raise ValueError("LatentVector needs at least one cell")
-        for i, cell in enumerate(cells):
-            if not isinstance(cell, Cell):
-                raise ValueError(f"cell {i} is {cell!r}, not a Cell")
-        object.__setattr__(self, "cells", cells)
-
-    @classmethod
-    def from_text(cls, text: str) -> "LatentVector":
-        return cls(_cells_from_text(text))
-
-    @property
-    def n_missing(self) -> int:
-        return sum(1 for c in self.cells if c is Cell.MISSING)
-
-    @property
-    def missing_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.cells) if c is Cell.MISSING)
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-
-PrintVector = Union[MinutiaVector, LatentVector]
-
-
-@dataclass(frozen=True)
-class PrintGrid:
-    """A print vector laid out as rows x cols for display and fixtures."""
-
-    rows: int
-    cols: int
-    vector: PrintVector
-
-    def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"grid shape must be positive, got {self.rows}x{self.cols}")
-        if (n := self.rows * self.cols) != len(self.vector):
-            raise ValueError(f"{self.rows}x{self.cols} grid needs {n} cells, got {len(self.vector)}")
-
-    @classmethod
-    def from_text(cls, text: str) -> "PrintGrid":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("empty grid text")
-        widths = {len(ln) for ln in lines}
-        if len(widths) != 1:
-            raise ValueError(f"ragged grid rows: widths {sorted(widths)!r}")
-        cells = _cells_from_text("".join(lines))
-        vector = (LatentVector if Cell.MISSING in cells else MinutiaVector)(cells)
-        return cls(len(lines), widths.pop(), vector)
-
-    def to_text(self) -> str:
-        chars = "".join(c.value for c in self.vector.cells)
-        return "\n".join(chars[r * self.cols : (r + 1) * self.cols] for r in range(self.rows))
-
-    def __len__(self) -> int:
-        return len(self.vector)
-
-
-def _as_vector(print_like: Union[PrintGrid, PrintVector]) -> PrintVector:
-    return print_like.vector if isinstance(print_like, PrintGrid) else print_like
-
-
-def _as_pair(
-    reference: Union[PrintGrid, PrintVector], print_: Union[PrintGrid, PrintVector], role: str
-) -> tuple[MinutiaVector, PrintVector]:
-    x = _as_vector(reference)
-    y = _as_vector(print_)
-    if isinstance(x, LatentVector):
+def _check_pair(reference: str, print_: str, role: str) -> None:
+    if "?" in reference:
         raise ValueError(f"the {role} must be fully observed")
-    if len(x) != len(y):
-        raise ValueError(f"length mismatch: {role} has {len(x)} cells, print has {len(y)}")
-    return x, y
-
-
-@dataclass(frozen=True)
-class MatchSummary:
-    """Cell-level comparison counts between an exemplar and a print."""
-
-    n_cells: int
-    n_correspondences: int  # comparable cells that agree (both absent counts)
-    n_matches: int  # agreeing cells where both show a minutia
-    n_missing: int
-
-    def __post_init__(self) -> None:
-        ok = (
-            0 <= self.n_matches <= self.n_correspondences
-            and self.n_correspondences + self.n_missing <= self.n_cells
-            and self.n_missing >= 0
-        )
-        if not ok:
-            raise ValueError(
-                f"inconsistent counts: cells={self.n_cells} correspondences="
-                f"{self.n_correspondences} matches={self.n_matches} missing={self.n_missing}"
-            )
+    if len(reference) != len(print_):
+        raise ValueError(f"length mismatch: {role} has {len(reference)} cells, print has {len(print_)}")
 
 
 class SourceDecision(Enum):
@@ -235,42 +94,38 @@ class SourceDecision(Enum):
 DEFAULT_THRESHOLDS: tuple[int, int, int] = (12, 7, 3)
 
 
-def count_matches(
-    exemplar: Union[PrintGrid, MinutiaVector], print_: Union[PrintGrid, PrintVector]
-) -> MatchSummary:
-    """Count agreements between a complete exemplar and a (possibly latent) print.
-
-    Missing cells are not comparable and contribute only to n_missing.
-    """
-    x, y = _as_pair(exemplar, print_, "exemplar")
-    correspondences = 0
-    matches = 0
-    missing = 0
-    for cx, cy in zip(x.cells, y.cells):
-        if cy is Cell.MISSING:
-            missing += 1
-        elif cx is cy:
-            correspondences += 1
-            if cx is Cell.PRESENT:
-                matches += 1
-    return MatchSummary(len(x), correspondences, matches, missing)
+def count_matches(exemplar: str, print_: str) -> tuple[int, int, int]:
+    """(correspondences, matches, missing) of a (possibly latent) print
+    against a complete exemplar: the comparable cells that agree (both
+    absent counts), those of them that show a minutia, and the missing
+    cells, which are not comparable."""
+    _check_pair(exemplar, print_, "exemplar")
+    agreeing = [cx for cx, cy in zip(exemplar, print_) if cx == cy]
+    return len(agreeing), agreeing.count("m"), print_.count("?")
 
 
-def decide_source(
-    summary: MatchSummary, thresholds: tuple[int, int, int] = DEFAULT_THRESHOLDS
-) -> SourceDecision:
+def decide_source(n_matches: int, thresholds: tuple[int, int, int] = DEFAULT_THRESHOLDS) -> SourceDecision:
     """Threshold the agreeing-minutiae count into a categorical decision."""
     t_id, t_support, t_inconclusive = thresholds
     if not t_id > t_support > t_inconclusive >= 0:
         raise ValueError(f"thresholds must be strictly decreasing and nonnegative, got {thresholds!r}")
-    m = summary.n_matches
-    if m >= t_id:
+    if n_matches >= t_id:
         return SourceDecision.IDENTIFICATION
-    if m >= t_support:
+    if n_matches >= t_support:
         return SourceDecision.SUPPORT_SAME_SOURCE
-    if m >= t_inconclusive:
+    if n_matches >= t_inconclusive:
         return SourceDecision.INCONCLUSIVE
     return SourceDecision.EXCLUSION
+
+
+def impute_from_reference(latent: str, reference: str) -> str:
+    """Fill every missing cell with the reference's cell value.
+
+    This is the biasing move: the examiner resolves ambiguity toward the
+    exemplar, so each imputed cell agrees with it by construction.
+    """
+    _check_pair(reference, latent, "reference")
+    return "".join(cx if cy == "?" else cy for cx, cy in zip(reference, latent))
 
 
 def _round_half_up(x: float) -> int:
@@ -292,23 +147,6 @@ def _fixed_count(n: int, missing_share: float, mode: str) -> int | None:
     return None
 
 
-def impute_from_reference(
-    latent: Union[PrintGrid, LatentVector, MinutiaVector],
-    reference: Union[PrintGrid, MinutiaVector],
-) -> Union[PrintGrid, MinutiaVector]:
-    """Fill every missing cell with the reference's cell value.
-
-    This is the biasing move: the examiner resolves ambiguity toward the
-    exemplar, so each imputed cell agrees with it by construction.
-    """
-    x, y = _as_pair(reference, latent, "reference")
-    cells = tuple(cx if cy is Cell.MISSING else cy for cx, cy in zip(x.cells, y.cells))
-    completed = MinutiaVector(cells)
-    if isinstance(latent, PrintGrid):
-        return PrintGrid(latent.rows, latent.cols, completed)
-    return completed
-
-
 @dataclass(frozen=True)
 class CellAgreementModel:
     """Per-cell agreement rates: p_same under same source, p_diff otherwise.
@@ -327,53 +165,6 @@ class CellAgreementModel:
             raise ValueError(f"need 0 < p_diff < p_same < 1, got p_same={p_same!r} p_diff={p_diff!r}")
         object.__setattr__(self, "p_same", p_same)
         object.__setattr__(self, "p_diff", p_diff)
-
-
-def agreement_log_likelihood(
-    print_: Union[PrintGrid, PrintVector],
-    reference: Union[PrintGrid, MinutiaVector],
-    p_agree: float,
-) -> float:
-    """log P(print | reference) when each comparable cell agrees iid w.p. p_agree.
-
-    Missing cells are marginalised out: they contribute a factor of one.
-    """
-    if not 0.0 < p_agree < 1.0:
-        raise ValueError(f"p_agree must lie strictly inside (0, 1), got {p_agree!r}")
-    x, y = _as_pair(reference, print_, "reference")
-    log_agree = math.log(p_agree)
-    log_disagree = math.log1p(-p_agree)
-    total = 0.0
-    for cx, cy in zip(x.cells, y.cells):
-        if cy is Cell.MISSING:
-            continue
-        total += log_agree if cx is cy else log_disagree
-    return total
-
-
-def source_lr(
-    print_: Union[PrintGrid, PrintVector],
-    reference: Union[PrintGrid, MinutiaVector],
-    model: CellAgreementModel = CellAgreementModel(),
-) -> float:
-    """Log likelihood ratio log(P(print | same source) / P(print | different source))."""
-    same = agreement_log_likelihood(print_, reference, model.p_same)
-    return same - agreement_log_likelihood(print_, reference, model.p_diff)
-
-
-def delta_impute_exact(
-    latent: Union[PrintGrid, LatentVector, MinutiaVector],
-    reference: Union[PrintGrid, MinutiaVector],
-    model: CellAgreementModel = CellAgreementModel(),
-) -> float:
-    """Log bias factor from imputing, log(LR(imputed) / LR(observed)).
-
-    The observed LR marginalises missing cells out; the imputed print adds
-    one agreeing cell per missing cell, so the factor is exactly
-    (p_same/p_diff) ** n_missing.  Complete prints give 0 (a unit factor).
-    """
-    imputed = impute_from_reference(latent, reference)
-    return source_lr(imputed, reference, model) - source_lr(latent, reference, model)
 
 
 @dataclass(frozen=True)
@@ -529,45 +320,3 @@ def exact_relative_standard_error(
     # log expm1(L) = L + log(1 - e**-L), finite for every L > 0.
     log_se = 0.5 * (log_ratio + math.log(-math.expm1(-log_ratio)) - math.log(n_reps))
     return math.exp(log_se) if log_se <= LOG_FLOAT_MAX else None
-
-
-@dataclass(frozen=True)
-class GridFixture:
-    """The committed worked example: one exemplar, the true mark, the
-    observed (smudged) mark, and everything imputation changes."""
-
-    exemplar: PrintGrid
-    true_mark: PrintGrid
-    observed: PrintGrid
-    imputed: PrintGrid
-    true_summary: MatchSummary
-    observed_summary: MatchSummary
-    imputed_summary: MatchSummary
-    observed_decision: SourceDecision
-    imputed_decision: SourceDecision
-
-
-def imputation_grid_fixture() -> GridFixture:
-    """Load the committed 10x5 example where imputation flips the decision.
-
-    The true mark shares 5 minutiae with the exemplar; smudging drops the
-    observed count to 3 (Inconclusive) and imputation raises it to 8
-    (SupportSameSource).
-    """
-    d = resources.files("forensic_bias").joinpath("fixtures/grids")
-    exemplar = PrintGrid.from_text(d.joinpath("exemplar_x.txt").read_text(encoding="utf-8"))
-    true_mark = PrintGrid.from_text(d.joinpath("true_y.txt").read_text(encoding="utf-8"))
-    observed = PrintGrid.from_text(d.joinpath("observed_y.txt").read_text(encoding="utf-8"))
-    imputed = impute_from_reference(observed, exemplar)
-    assert isinstance(imputed, PrintGrid)
-    return GridFixture(
-        exemplar=exemplar,
-        true_mark=true_mark,
-        observed=observed,
-        imputed=imputed,
-        true_summary=count_matches(exemplar, true_mark),
-        observed_summary=count_matches(exemplar, observed),
-        imputed_summary=count_matches(exemplar, imputed),
-        observed_decision=decide_source(count_matches(exemplar, observed)),
-        imputed_decision=decide_source(count_matches(exemplar, imputed)),
-    )

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from importlib import resources
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -39,16 +40,14 @@ from .feedback import (
 from .fingerprints import (
     CellAgreementModel,
     ImputationSimParams,
-    MinutiaVector,
     count_matches,
     decide_source,
-    delta_impute_exact,
     exact_delta_quantiles,
     exact_mean_delta,
     exact_relative_standard_error,
-    imputation_grid_fixture,
+    grid_text,
     impute_from_reference,
-    LatentVector,
+    parse_grid,
     percentiles,
     sample_delta_impute,
 )
@@ -256,27 +255,28 @@ _TABLE_SCHEMA = PresetSchema(
     summary="Six-cell worked example: counts before and after imputing missing cells.",
 )
 
-_TABLE_X = MinutiaVector.from_text("...mmm")
-_TABLE_Y = MinutiaVector.from_text(".m.mm.")
-_TABLE_LATENT = LatentVector.from_text("??.?m.")
+_TABLE_X = "...mmm"
+_TABLE_Y = ".m.mm."
+_TABLE_LATENT = "??.?m."
 
 
 def _run_imputation_table(params: dict, seed: int) -> dict[str, object]:
     imputed = impute_from_reference(_TABLE_LATENT, _TABLE_X)
-    assert isinstance(imputed, MinutiaVector)
     detail = {}
     for label, print_ in (("true_mark", _TABLE_Y), ("observed", _TABLE_LATENT), ("imputed", imputed)):
-        summary = count_matches(_TABLE_X, print_)
+        correspondences, matches, missing = count_matches(_TABLE_X, print_)
         detail[label] = {
-            "cells": "".join(c.value for c in print_.cells),
-            "n_correspondences": summary.n_correspondences,
-            "n_matches": summary.n_matches,
-            "n_missing": summary.n_missing,
-            "decision": decide_source(summary).value,
+            "cells": print_,
+            "n_correspondences": correspondences,
+            "n_matches": matches,
+            "n_missing": missing,
+            "decision": decide_source(matches).value,
         }
     tables = _detail_columns("print", detail)
-    detail["exemplar"] = {"cells": "".join(c.value for c in _TABLE_X.cells)}
-    detail["delta_impute"] = math.exp(delta_impute_exact(_TABLE_LATENT, _TABLE_X))
+    detail["exemplar"] = {"cells": _TABLE_X}
+    # Each imputed cell multiplies the likelihood ratio by r = p_same/p_diff.
+    model = CellAgreementModel()
+    detail["delta_impute"] = (model.p_same / model.p_diff) ** _TABLE_LATENT.count("?")
     return {"tables.csv": tables, "report.json": detail}
 
 
@@ -289,20 +289,32 @@ _GRID_SCHEMA = PresetSchema(
 
 
 def _run_imputation_grid(params: dict, seed: int) -> dict[str, object]:
-    fixture = imputation_grid_fixture()
+    # The committed example: the true mark shares 5 minutiae with the
+    # exemplar; smudging drops the observed count to 3 (Inconclusive) and
+    # imputation raises it to 8 (SupportSameSource).
+    fixtures = resources.files("forensic_bias").joinpath("fixtures/grids")
+    grids = {
+        name: parse_grid(fixtures.joinpath(name).read_text(encoding="utf-8"))
+        for name in ("exemplar_x.txt", "true_y.txt", "observed_y.txt")
+    }
+    exemplar = grids["exemplar_x.txt"][0]
+    observed, width = grids["observed_y.txt"]
+    grids["imputed_y.txt"] = (impute_from_reference(observed, exemplar), width)
+    true_matches, observed_matches, imputed_matches = (
+        count_matches(exemplar, grids[name][0])[1] for name in ("true_y.txt", "observed_y.txt", "imputed_y.txt")
+    )
+    observed_decision = decide_source(observed_matches)
+    imputed_decision = decide_source(imputed_matches)
     return {
-        "exemplar_x.txt": fixture.exemplar.to_text() + "\n",
-        "true_y.txt": fixture.true_mark.to_text() + "\n",
-        "observed_y.txt": fixture.observed.to_text() + "\n",
-        "imputed_y.txt": fixture.imputed.to_text() + "\n",
+        **{name: grid_text(cells, width) for name, (cells, width) in grids.items()},
         "report.json": {
-            "true_matches": fixture.true_summary.n_matches,
-            "observed_matches": fixture.observed_summary.n_matches,
-            "imputed_matches": fixture.imputed_summary.n_matches,
-            "n_missing": fixture.observed_summary.n_missing,
-            "observed_decision": fixture.observed_decision.value,
-            "imputed_decision": fixture.imputed_decision.value,
-            "decision_flipped": fixture.observed_decision is not fixture.imputed_decision,
+            "true_matches": true_matches,
+            "observed_matches": observed_matches,
+            "imputed_matches": imputed_matches,
+            "n_missing": observed.count("?"),
+            "observed_decision": observed_decision.value,
+            "imputed_decision": imputed_decision.value,
+            "decision_flipped": observed_decision is not imputed_decision,
         },
     }
 

@@ -3,32 +3,27 @@
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from forensic_bias.fingerprints import (
-    Cell,
     CellAgreementModel,
     DEFAULT_THRESHOLDS,
     ImputationSimParams,
-    LatentVector,
-    MatchSummary,
-    MinutiaVector,
-    PrintGrid,
     SourceDecision,
-    agreement_log_likelihood,
     count_matches,
     decide_source,
-    delta_impute_exact,
     exact_delta_quantiles,
     exact_mean_delta,
-    imputation_grid_fixture,
+    grid_text,
     impute_from_reference,
+    parse_grid,
     percentiles,
     sample_delta_impute,
-    source_lr,
 )
 from forensic_bias.odds import binomial_log_pmf
 from forensic_bias.presets import run_preset
@@ -36,90 +31,87 @@ from forensic_bias.seeding import substream
 
 from chi_square import pooled_chi_square
 
-TOL = 1e-12
-
 # The six-cell worked example.
-X6 = MinutiaVector.from_text("...mmm")
-Y6 = MinutiaVector.from_text(".m.mm.")
-LATENT6 = LatentVector.from_text("??.?m.")
+X6 = "...mmm"
+Y6 = ".m.mm."
+LATENT6 = "??.?m."
 
 
 def _every_pair(n_cells=4):
-    """Every n-cell exemplar, built from its bits, with every n-cell latent print."""
-    for bits in itertools.product((0, 1), repeat=n_cells):
-        exemplar = MinutiaVector.from_bits(bits)
-        for cells in itertools.product(Cell, repeat=n_cells):
-            yield exemplar, LatentVector(cells)
+    """Every n-cell exemplar with every n-cell latent print."""
+    for exemplar in map("".join, itertools.product(".m", repeat=n_cells)):
+        for latent in map("".join, itertools.product(".m?", repeat=n_cells)):
+            yield exemplar, latent
+
+
+def _grid_fixture():
+    """The committed grid files, parsed: {file name: (cells, width)}."""
+    fixtures = resources.files("forensic_bias").joinpath("fixtures/grids")
+    return {
+        name: parse_grid(fixtures.joinpath(name).read_text(encoding="utf-8"))
+        for name in ("exemplar_x.txt", "true_y.txt", "observed_y.txt")
+    }
 
 
 class TestVectors:
     def test_text_round_trip(self):
-        assert "".join(c.value for c in X6.cells) == "...mmm"
-        assert X6.bits == (0, 0, 0, 1, 1, 1)
-        assert MinutiaVector.from_bits((0, 1, 0)).cells[1] is Cell.PRESENT
+        assert parse_grid(grid_text(LATENT6, 2)) == (LATENT6, 2)
+        assert parse_grid("  ..m \r\n\n mm. \n") == ("..mmm.", 3)
 
     def test_latent_counts(self):
-        assert LATENT6.n_missing == 3
-        assert LATENT6.missing_indices == (0, 1, 3)
+        assert count_matches(X6, LATENT6)[2] == 3
+        assert [i for i, c in enumerate(LATENT6) if c == "?"] == [0, 1, 3]
 
     def test_minutia_vector_rejects_missing(self):
-        with pytest.raises(ValueError):
-            MinutiaVector.from_text("m?.")
+        # The reference of an imputation, like an exemplar, has no missing cell.
+        with pytest.raises(ValueError, match="reference must be fully observed"):
+            impute_from_reference(Y6, LATENT6)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            MinutiaVector(())
-        with pytest.raises(ValueError):
-            LatentVector(())
+        for text in ("", "\n", " \n\t\n"):
+            with pytest.raises(ValueError, match="empty"):
+                parse_grid(text)
 
     def test_unknown_character_rejected(self):
-        with pytest.raises(ValueError, match="x"):
-            MinutiaVector.from_text("m.x")
+        # A space inside a row is refused too; only the row's ends are stripped.
+        for text, char in (("m.x", "x"), ("m .", " "), ("m..\n.\tm", "\t")):
+            with pytest.raises(ValueError, match=re.escape(f"unknown grid character {char!r}")):
+                parse_grid(text)
 
     def test_grid_shape_checked(self):
-        with pytest.raises(ValueError):
-            PrintGrid(2, 4, X6)
-        grid = PrintGrid(2, 3, X6)
-        assert grid.to_text() == "...\nmmm"
-        assert PrintGrid.from_text("...\nmmm").vector == X6
+        assert grid_text(X6, 3) == "...\nmmm\n"
+        assert grid_text(X6, 2) == "..\n.m\nmm\n"
+        assert parse_grid("...\nmmm") == (X6, 3)
 
     def test_ragged_grid_rejected(self):
         with pytest.raises(ValueError, match="ragged"):
-            PrintGrid.from_text("..\nmmm")
+            parse_grid("..\nmmm")
 
 
 class TestCountMatches:
     def test_complete_pair(self):
-        summary = count_matches(X6, Y6)
-        assert summary == MatchSummary(6, 4, 2, 0)
+        assert count_matches(X6, Y6) == (4, 2, 0)
 
     def test_latent_pair(self):
-        summary = count_matches(X6, LATENT6)
-        assert summary == MatchSummary(6, 2, 1, 3)
+        assert count_matches(X6, LATENT6) == (2, 1, 3)
 
     def test_imputed_pair(self):
         imputed = impute_from_reference(LATENT6, X6)
-        assert "".join(c.value for c in imputed.cells) == "...mm."
-        assert count_matches(X6, imputed) == MatchSummary(6, 5, 2, 0)
+        assert imputed == "...mm."
+        assert count_matches(X6, imputed) == (5, 2, 0)
 
     def test_self_match(self):
-        summary = count_matches(X6, X6)
-        assert summary.n_correspondences == 6
-        assert summary.n_matches == X6.n_minutiae
+        assert count_matches(X6, X6) == (6, X6.count("m"), 0)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
-            count_matches(X6, MinutiaVector.from_text("..m"))
+            count_matches(X6, "..m")
+        with pytest.raises(ValueError, match="mismatch"):
+            impute_from_reference("??m", X6)
 
     def test_latent_exemplar_rejected(self):
         with pytest.raises(ValueError, match="fully observed"):
             count_matches(LATENT6, Y6)
-
-    def test_inconsistent_summary_rejected(self):
-        with pytest.raises(ValueError):
-            MatchSummary(6, 4, 5, 0)
-        with pytest.raises(ValueError):
-            MatchSummary(6, 5, 2, 2)
 
 
 class TestImpute:
@@ -127,27 +119,24 @@ class TestImpute:
         assert impute_from_reference(Y6, X6) == Y6
 
     def test_all_missing_copies_reference(self):
-        latent = LatentVector.from_text("??????")
-        assert impute_from_reference(latent, X6) == X6
+        assert impute_from_reference("??????", X6) == X6
 
     def test_grid_in_grid_out(self):
-        grid = PrintGrid(2, 3, LATENT6)
-        ref = PrintGrid(2, 3, X6)
-        out = impute_from_reference(grid, ref)
-        assert isinstance(out, PrintGrid)
-        assert out.rows == 2
+        latent, width = parse_grid("??.\n?m.")
+        reference, _ = parse_grid("...\nmmm")
+        assert grid_text(impute_from_reference(latent, reference), width) == "...\nmm.\n"
 
     def test_imputed_cells_agree_with_reference(self):
         for ref, latent in _every_pair():
             imputed = impute_from_reference(latent, ref)
-            for i in latent.missing_indices:
-                assert imputed.cells[i] is ref.cells[i]
+            for i, cell in enumerate(latent):
+                assert imputed[i] == (ref[i] if cell == "?" else cell)
             # correspondences never drop when ambiguity resolves toward the
             # reference
             before = count_matches(ref, latent)
             after = count_matches(ref, imputed)
-            assert after.n_correspondences == before.n_correspondences + before.n_missing
-            assert after.n_matches >= before.n_matches
+            assert after[0] == before[0] + before[2]
+            assert after[1] >= before[1]
 
 
 class TestDecide:
@@ -165,17 +154,15 @@ class TestDecide:
         ],
     )
     def test_threshold_bands(self, matches, expected):
-        summary = MatchSummary(50, matches, matches, 0)
-        assert decide_source(summary) is expected
+        assert decide_source(matches) is expected
 
     def test_default_thresholds(self):
         assert DEFAULT_THRESHOLDS == (12, 7, 3)
 
     def test_bad_thresholds_rejected(self):
-        summary = MatchSummary(50, 5, 5, 0)
         for bad in ((7, 7, 3), (3, 7, 12), (12, 7, -1)):
             with pytest.raises(ValueError):
-                decide_source(summary, bad)
+                decide_source(5, bad)
 
     def test_monotone_in_matches(self):
         order = [
@@ -186,7 +173,7 @@ class TestDecide:
         ]
         last = 0
         for m in range(0, 20):
-            rank = order.index(decide_source(MatchSummary(50, m, m, 0)))
+            rank = order.index(decide_source(m))
             assert rank >= last
             last = rank
 
@@ -201,45 +188,29 @@ class TestAgreementModel:
         with pytest.raises(ValueError):
             CellAgreementModel(ps, pd)
 
-    def test_log_likelihood_skips_missing(self):
-        full = agreement_log_likelihood(Y6, X6, 0.5)
-        assert full == pytest.approx(6 * math.log(0.5), abs=TOL)
-        partial = agreement_log_likelihood(LATENT6, X6, 0.5)
-        assert partial == pytest.approx(3 * math.log(0.5), abs=TOL)
-
-    def test_source_lr_counts_agreements(self):
-        # 4 agreements, 2 disagreements against (0.5, 0.25).
-        lr = source_lr(Y6, X6)
-        expected = (0.5 / 0.25) ** 4 * (0.5 / 0.75) ** 2
-        assert math.exp(lr) == pytest.approx(expected, rel=1e-12)
-
 
 class TestDeltaImpute:
-    def test_closed_form(self):
-        delta = delta_impute_exact(LATENT6, X6)
-        assert type(delta) is float  # a plain log value
-        assert math.exp(delta) == pytest.approx((0.5 / 0.25) ** 3, rel=1e-12)
+    def test_closed_form(self, tmp_path):
+        # The six-cell example has three missing cells: exactly (0.5/0.25)**3.
+        run_preset("imputation-table", 7, {}, out_dir=tmp_path)
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["delta_impute"] == 2.0**3
 
     def test_no_missing_is_unit(self):
-        assert abs(delta_impute_exact(Y6, X6)) < TOL
+        draws = sample_delta_impute(ImputationSimParams(rows=2, cols=3), 0.0, 5, rng=substream(15))
+        assert np.all(draws == 1.0)
 
     def test_full_mask_is_ratio_power_n(self):
-        latent = LatentVector.from_text("??????")
-        delta = delta_impute_exact(latent, X6)
-        assert math.exp(delta) == pytest.approx(2.0**6, rel=1e-12)
+        draws = sample_delta_impute(ImputationSimParams(rows=2, cols=3), 1.0, 5, rng=substream(15))
+        np.testing.assert_allclose(draws, 2.0**6, rtol=1e-12, atol=0.0)
 
     def test_never_deflates(self):
-        for ref, latent in _every_pair():
-            assert delta_impute_exact(latent, ref) >= -TOL
-
-    def test_imputed_lr_dominates_observed(self):
-        model = CellAgreementModel(0.7, 0.2)
-        for ref, latent in _every_pair():
-            imputed = impute_from_reference(latent, ref)
-            assert (
-                source_lr(imputed, ref, model)
-                >= source_lr(latent, ref, model) - TOL
-            )
+        # r = p_same/p_diff > 1, so a factor r**M is never below 1.
+        sim = ImputationSimParams(rows=2, cols=3, model=CellAgreementModel(0.7, 0.2))
+        for share in (0.0, 0.25, 1.0):
+            for mode in ("per_cell", "exact"):
+                draws = sample_delta_impute(sim, share, 200, rng=substream(15), mask_mode=mode)
+                assert np.all(draws >= 1.0)
 
     def test_monte_carlo_matches_binomial_mean(self):
         # Per-cell masking makes n_missing ~ Binomial(n, s), so
@@ -484,22 +455,25 @@ class TestPercentiles:
 
 class TestGridFixture:
     def test_counts_and_decisions(self):
-        fx = imputation_grid_fixture()
-        assert fx.exemplar.vector.n_minutiae == 15
-        assert fx.true_mark.vector.n_minutiae == 15
-        assert fx.observed.vector.n_missing == 13
-        assert fx.true_summary.n_matches == 5
-        assert fx.observed_summary.n_matches == 3
-        assert fx.imputed_summary.n_matches == 8
-        assert fx.observed_decision is SourceDecision.INCONCLUSIVE
-        assert fx.imputed_decision is SourceDecision.SUPPORT_SAME_SOURCE
+        grids = _grid_fixture()
+        exemplar, _ = grids["exemplar_x.txt"]
+        true_mark, _ = grids["true_y.txt"]
+        observed, _ = grids["observed_y.txt"]
+        imputed = impute_from_reference(observed, exemplar)
+        assert exemplar.count("m") == 15
+        assert true_mark.count("m") == 15
+        assert observed.count("?") == 13
+        assert count_matches(exemplar, true_mark)[1] == 5
+        assert count_matches(exemplar, observed)[1] == 3
+        assert count_matches(exemplar, imputed)[1] == 8
+        assert decide_source(3) is SourceDecision.INCONCLUSIVE
+        assert decide_source(8) is SourceDecision.SUPPORT_SAME_SOURCE
 
     def test_shapes(self):
-        fx = imputation_grid_fixture()
-        for grid in (fx.exemplar, fx.true_mark, fx.observed, fx.imputed):
-            assert (grid.rows, grid.cols) == (10, 5)
+        for cells, width in _grid_fixture().values():
+            assert (len(cells), width) == (50, 5)
 
     def test_observed_is_true_mark_smudged(self):
-        fx = imputation_grid_fixture()
-        for t, o in zip(fx.true_mark.vector.cells, fx.observed.vector.cells):
-            assert o is Cell.MISSING or o is t
+        grids = _grid_fixture()
+        for t, o in zip(grids["true_y.txt"][0], grids["observed_y.txt"][0]):
+            assert o == "?" or o == t

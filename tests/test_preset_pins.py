@@ -49,8 +49,8 @@ PINS = {
         "verdicts.csv": "3ac1425655fb215fd9dc480e7f3414b2490646a7abf32617b5560eb7817fe18a",
     },
     ("imputation-table", "small"): {
-        "manifest.json": "485412861d7a81b0c43dcd94871f313c764f93e300267c0ac04eec14a016c5d7",
-        "report.json": "4d77bf2000fa36f6113ae7c8e1965c53cf9ca97ebb2e1bf36d9eb30128507363",
+        "manifest.json": "cd6e6458c7993e698869aa8a5882b274e7d9414589d2852968bfa49f7c9fb7e3",
+        "report.json": "b33d8c831f0e45eb6517f17d8a04e0c2178566ac972f40585a8b708b0b41bf65",
         "tables.csv": "c4e9fa8816c2c363c46fcf67358f2f464890a5fbaeccb1769e5735a75e044c3e",
     },
     ("imputation-grid", "small"): {
