@@ -24,7 +24,6 @@ deflates it; exactly 1 is neutral.
 from __future__ import annotations
 
 import math
-from statistics import fmean
 from typing import Sequence
 
 __all__ = [
@@ -94,8 +93,8 @@ def average_bias(factors: Sequence[float], geometric: bool = False) -> float:
     if not all(0.0 < f < math.inf for f in factors):
         raise ValueError(f"bias factors must be positive and finite, got {factors!r}")
     if geometric:
-        return math.exp(fmean(math.log(f) for f in factors))
-    return fmean(factors)
+        return math.exp(math.fsum(map(math.log, factors)) / len(factors))
+    return math.fsum(factors) / len(factors)
 
 
 # Mayfield panel: three examiners swayed by the circulated intelligence

@@ -259,12 +259,14 @@ def shortest_texts(bits: np.ndarray) -> np.ndarray:
     Zeros, infinities and NaNs go through repr; the others through
     _shortest_decimal and _layout, in blocks of at most _BLOCK.
     """
-    texts = np.empty(bits.size, dtype=object)
     special = (bits & _MASK63) - _U1 >= _FINITE_MAX
-    texts[special] = list(map(float.__repr__, bits[special].view(np.float64).tolist()))
     regular = bits[~special]
-    if regular.size:
-        tables = _tables()
-        blocks = np.array_split(regular, -(-regular.size // _BLOCK))
-        texts[~special] = list(itertools.chain.from_iterable(_block_texts(b, tables) for b in blocks))
-    return texts
+    blocks = np.array_split(regular, -(-regular.size // _BLOCK)) if regular.size else ()
+    texts = itertools.chain.from_iterable(_block_texts(b, _tables()) for b in blocks)
+    texts = np.fromiter(texts, dtype=object, count=regular.size)
+    if regular.size == bits.size:
+        return texts
+    out = np.empty(bits.size, dtype=object)
+    out[special] = list(map(float.__repr__, bits[special].view(np.float64).tolist()))
+    out[~special] = texts
+    return out

@@ -28,16 +28,17 @@ Joint fixture file format (one directive per line, '#' starts a comment):
 
 Each factor row lists the parent assignment left of the bar and the
 probabilities over the child's domain (in declared order) right of it.
-Probabilities are parsed as exact fractions, so a fixture designed to be
-task-irrelevant yields a discrepancy of exactly zero.
+Decimals (0.25, .5, 5.) are read straight to exact integer ratios, any
+other token by Fraction's grammar (21/188, 1e-1), so a fixture designed
+to be task-irrelevant yields a discrepancy of exactly zero.
 
 Arithmetic is exact and runs on Python ints.  Every mass and factor
-entry is read once as a rational (a float at its exact binary value);
-each factor's rows are scaled by the lcm of their denominators, so a
-joint is a set of integer weights over one common denominator.  The
-unit-sum checks, the DAG product, the marginals and the comparison of
-conditionals (by cross-multiplication) all stay on those weights; the
-only Fraction built afterwards is the largest discrepancy itself.
+entry is read once as an integer ratio (a float at its exact binary
+value).  Fixture rows and Factor tables share one core: each factor's
+rows are scaled by the lcm of their denominators, and their DAG product
+is a set of integer weights over one common denominator.  Conditionals
+and the tolerance are compared on those weights by cross-multiplying;
+the largest gap becomes a float by one correctly rounded int division.
 """
 
 from __future__ import annotations
@@ -169,14 +170,10 @@ class FiniteJoint:
         pmf = self.pmf if isinstance(self.pmf, _Masses) else _Masses.read(self.pmf)
         for key in pmf.weights:
             if len(key) != len(variables):
-                raise JointSchemaError(
-                    f"assignment {key!r} has {len(key)} values for {len(variables)} variables"
-                )
+                raise JointSchemaError(f"assignment {key!r} has {len(key)} values for {len(variables)} variables")
             for value, (name, dom) in zip(key, variables):
                 if value not in dom:
-                    raise JointSchemaError(
-                        f"assignment {key!r}: {value!r} is not in the domain of {name!r}"
-                    )
+                    raise JointSchemaError(f"assignment {key!r}: {value!r} is not in the domain of {name!r}")
         if _off_one(sum(pmf.weights.values()), pmf.denominator):
             raise JointSchemaError(f"joint mass sums to {sum(self.pmf.values())!r}, not 1")
         object.__setattr__(self, "variables", variables)
@@ -237,7 +234,7 @@ def classify_relevance(
     `tolerance`.  Raises ZeroMassEventError if any conditioning event
     (a hypothesis outcome, or a hypothesis-info pair) has zero mass.
     """
-    if tolerance < 0:
+    if not tolerance >= 0:
         raise ValueError(f"tolerance must be nonnegative, got {tolerance!r}")
     evidence = tuple(evidence)
     if not evidence:
@@ -285,9 +282,18 @@ def classify_relevance(
             den = w_e * w_ie
             if num * worst_den > worst_num * den:
                 worst_num, worst_den = num, den
-    worst = Fraction(worst_num, worst_den)
-    verdict = Verdict.TASK_IRRELEVANT if worst <= tolerance else Verdict.TASK_RELEVANT
-    return RelevanceVerdict(verdict, float(worst))
+    # An infinite tolerance reads as 1/0, above every gap.  Fraction reads
+    # a rational without as_integer_ratio, such as a numpy integer.
+    if tolerance == math.inf:
+        tol_num, tol_den = 1, 0
+    elif hasattr(tolerance, "as_integer_ratio"):
+        tol_num, tol_den = tolerance.as_integer_ratio()
+    else:
+        tol_num, tol_den = Fraction(tolerance).as_integer_ratio()
+    within = worst_num * tol_den <= tol_num * worst_den
+    verdict = Verdict.TASK_IRRELEVANT if within else Verdict.TASK_RELEVANT
+    # int / int is correctly rounded: the float nearest the exact gap.
+    return RelevanceVerdict(verdict, worst_num / worst_den)
 
 
 @dataclass(frozen=True)
@@ -323,79 +329,88 @@ def joint_from_dag_factors(factors: Sequence[Factor]) -> FiniteJoint:
     factors = tuple(factors)
     if not factors:
         raise JointSchemaError("joint_from_dag_factors requires at least one factor")
-    declared: dict[str, tuple[str, ...]] = {}
-    position: dict[str, int] = {}
-    tables = []  # per factor: (parent positions, {parent key: integer row})
-    denominator = 1
+    read = []
     for f in factors:
-        if f.variable in declared:
-            raise JointSchemaError(f"variable {f.variable!r} declared twice")
-        for parent in f.parents:
-            if parent not in declared:
-                raise JointSchemaError(
-                    f"factor for {f.variable!r} references undeclared parent {parent!r}"
-                )
+        where = f"factor for {f.variable!r}"
+        rows = {key: [_ratio(p, f"{where}: row {key!r}") for p in row] for key, row in f.table.items()}
+        read.append((f.variable, f.domain, f.parents, rows, f.table))
+    return _joint_from_rows(read)
+
+
+def _joint_from_rows(factors) -> FiniteJoint:
+    """The joint of factors whose entries are already exact ratios.
+
+    Each factor is (variable, domain, parents, rows, table): rows maps a
+    parent key to its entries as (numerator, denominator) pairs, and
+    table, if not None, holds the entries as given, for the row-sum
+    message (else that message shows the exact sum).
+    """
+    declared: dict[str, tuple[int, tuple[str, ...]]] = {}  # variable: (position, domain)
+    tables = []  # per factor: (domain, parent positions, {parent key: integer row})
+    denominator = 1
+    for variable, domain, parents, ratios, table in factors:
+        if variable in declared:
+            raise JointSchemaError(f"variable {variable!r} declared twice")
         expected_rows = 1
-        for parent in f.parents:
-            expected_rows *= len(declared[parent])
-        if len(f.table) != expected_rows:
-            raise JointSchemaError(
-                f"factor for {f.variable!r} has {len(f.table)} rows, expected {expected_rows}"
-            )
-        ratios = {}
-        for key, row in f.table.items():
-            if len(key) != len(f.parents):
-                raise JointSchemaError(
-                    f"factor for {f.variable!r}: row key {key!r} does not match parents {f.parents!r}"
-                )
-            for value, parent in zip(key, f.parents):
-                if value not in declared[parent]:
-                    raise JointSchemaError(
-                        f"factor for {f.variable!r}: {value!r} not in domain of parent {parent!r}"
-                    )
-            if len(row) != len(f.domain):
-                raise JointSchemaError(
-                    f"factor for {f.variable!r}: row {key!r} has {len(row)} entries "
-                    f"for a domain of size {len(f.domain)}"
-                )
-            where = f"factor for {f.variable!r}: row {key!r}"
-            ratios[key] = [_ratio(p, where) for p in row]
-            if any(num < 0 for num, _ in ratios[key]):
-                raise JointSchemaError(f"factor for {f.variable!r}: negative entry in row {key!r}")
+        for parent in parents:
+            if parent not in declared:
+                raise JointSchemaError(f"factor for {variable!r} references undeclared parent {parent!r}")
+            expected_rows *= len(declared[parent][1])
+        if len(ratios) != expected_rows:
+            raise JointSchemaError(f"factor for {variable!r} has {len(ratios)} rows, expected {expected_rows}")
         # Scale the factor's rows to integers over the lcm of their denominators.
-        scale = math.lcm(*(den for row in ratios.values() for _, den in row))
+        scale = math.lcm(*{den for row in ratios.values() for _, den in row})
         rows = {}
         for key, row in ratios.items():
-            rows[key] = tuple(num * (scale // den) for num, den in row)
-            if _off_one(sum(rows[key]), scale):
+            if len(key) != len(parents):
+                raise JointSchemaError(f"factor for {variable!r}: row key {key!r} does not match parents {parents!r}")
+            for value, parent in zip(key, parents):
+                if value not in declared[parent][1]:
+                    raise JointSchemaError(f"factor for {variable!r}: {value!r} not in domain of parent {parent!r}")
+            if len(row) != len(domain):
                 raise JointSchemaError(
-                    f"factor for {f.variable!r}: row {key!r} sums to {sum(f.table[key])!r}, not 1"
+                    f"factor for {variable!r}: row {key!r} has {len(row)} entries for a domain of size {len(domain)}"
                 )
-        tables.append((tuple(position[p] for p in f.parents), rows))
+            rows[key] = scaled = [num * (scale // den) for num, den in row]
+            if min(scaled) < 0:
+                raise JointSchemaError(f"factor for {variable!r}: negative entry in row {key!r}")
+            if _off_one(sum(scaled), scale):
+                total = Fraction(sum(scaled), scale) if table is None else sum(table[key])
+                raise JointSchemaError(f"factor for {variable!r}: row {key!r} sums to {total!r}, not 1")
+        tables.append((domain, tuple(declared[p][0] for p in parents), rows))
         denominator *= scale
-        declared[f.variable] = f.domain
-        position[f.variable] = len(position)
+        declared[variable] = len(declared), domain
 
     # Extend each prefix assignment of positive weight by one variable per
     # factor, in topological order: the support comes out in
     # itertools.product order with its zero-weight assignments left out.
     weights: dict[tuple[str, ...], int] = {(): 1}
-    for f, (parents, rows) in zip(factors, tables):
+    for domain, parents, rows in tables:
         weights = {
             prefix + (value,): weight * entry
             for prefix, weight in weights.items()
-            for value, entry in zip(f.domain, rows[tuple(prefix[i] for i in parents)])
+            for value, entry in zip(domain, rows[tuple(map(prefix.__getitem__, parents))])
             if entry
         }
-    variables = tuple((f.variable, f.domain) for f in factors)
+    variables = tuple((variable, domain) for variable, (_, domain) in declared.items())
     return FiniteJoint(variables, _Masses(weights, denominator))
 
 
-def _parse_number(token: str) -> Fraction:
+def _parse_number(token: str) -> tuple[int, int]:
+    """token as an exact (numerator, denominator) pair.
+
+    Unsigned decimals d.ddd (also .5 and 5.) are read straight to ints;
+    any other token goes through Fraction's grammar.
+    """
     try:
-        return Fraction(token)
+        whole, _, fraction = token.partition(".")
+        digits = whole + fraction
+        if digits.isdecimal():
+            return int(digits), 10 ** len(fraction)
+        value = Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise JointSchemaError(f"cannot parse probability {token!r}") from exc
+    return value.numerator, value.denominator
 
 
 def parse_joint_fixture(text: str) -> tuple[FiniteJoint, dict[str, tuple[str, ...]]]:
@@ -406,28 +421,14 @@ def parse_joint_fixture(text: str) -> tuple[FiniteJoint, dict[str, tuple[str, ..
     """
     roles: dict[str, tuple[str, ...]] = {}
     domains: dict[str, tuple[str, ...]] = {}
-    var_order: list[str] = []
-    factors: list[Factor] = []
-    current: dict | None = None  # {"variable": str, "parents": tuple, "rows": dict}
-
-    def flush() -> None:
-        nonlocal current
-        if current is not None:
-            factors.append(
-                Factor(
-                    variable=current["variable"],
-                    domain=domains[current["variable"]],
-                    parents=current["parents"],
-                    table=current["rows"],
-                )
-            )
-            current = None
+    factors = []  # as _joint_from_rows reads them
+    rows: dict | None = None  # the current factor block's {parent key: ratio row}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+        line = raw.partition("#")[0]
         tokens = line.split()
+        if not tokens:
+            continue
         head = tokens[0]
         if head == "roles":
             for spec in tokens[1:]:
@@ -443,32 +444,29 @@ def parse_joint_fixture(text: str) -> tuple[FiniteJoint, dict[str, tuple[str, ..
             name = tokens[1]
             if name in domains:
                 raise JointSchemaError(f"line {lineno}: variable {name!r} declared twice")
-            domains[name] = tuple(tokens[2:])
-            var_order.append(name)
+            domains[name] = _check_domain(name, tokens[2:])
         elif head == "factor":
-            flush()
             rest = [t for t in tokens[1:] if t != "|"]
             if not rest:
                 raise JointSchemaError(f"line {lineno}: factor needs a variable name")
             child, parents = rest[0], tuple(rest[1:])
             if child not in domains:
                 raise JointSchemaError(f"line {lineno}: factor for undeclared variable {child!r}")
-            current = {"variable": child, "parents": parents, "rows": {}}
+            rows = {}
+            factors.append((child, domains[child], parents, rows, None))
         elif "|" in line:
-            if current is None:
+            if rows is None:
                 raise JointSchemaError(f"line {lineno}: probability row outside a factor block")
             left, _, right = line.partition("|")
             key = tuple(left.split())
-            row = tuple(_parse_number(t) for t in right.split())
-            if key in current["rows"]:
+            if key in rows:
                 raise JointSchemaError(f"line {lineno}: duplicate row for parents {key!r}")
-            current["rows"][key] = row
+            rows[key] = [_parse_number(t) for t in right.split()]
         else:
             raise JointSchemaError(f"line {lineno}: cannot parse {raw!r}")
-    flush()
 
-    if {f.variable for f in factors} != set(var_order):
-        missing = sorted(set(var_order) - {f.variable for f in factors})
+    if {f[0] for f in factors} != domains.keys():
+        missing = sorted(domains.keys() - {f[0] for f in factors})
         raise JointSchemaError(f"variables without a factor: {missing!r}")
     for role in ("hypothesis", "info", "evidence"):
         if role not in roles:
@@ -478,7 +476,7 @@ def parse_joint_fixture(text: str) -> tuple[FiniteJoint, dict[str, tuple[str, ..
                 raise JointSchemaError(f"role {role} names undeclared variable {name!r}")
     if len(roles["hypothesis"]) != 1 or len(roles["info"]) != 1:
         raise JointSchemaError("hypothesis and info roles must each name exactly one variable")
-    return joint_from_dag_factors(factors), roles
+    return _joint_from_rows(factors), roles
 
 
 def classify_fixture(text: str, tolerance: float = 1e-9) -> RelevanceVerdict:
@@ -510,7 +508,7 @@ def builtin_joint_names() -> tuple[str, ...]:
 def load_builtin_joint(name: str) -> tuple[FiniteJoint, dict[str, tuple[str, ...]]]:
     path = _joint_dir().joinpath(f"{name}.txt")
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_bytes().decode("utf-8")  # splitlines needs no newline translation
     except FileNotFoundError:
         raise KeyError(f"no built-in joint fixture named {name!r}; have {builtin_joint_names()!r}")
     return parse_joint_fixture(text)

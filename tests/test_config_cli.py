@@ -129,8 +129,9 @@ class TestRunPreset:
     def test_preset_runs_leave_out_numpy_ma(self, tmp_path):
         # np.percentile, np.median and np.unique (without return_inverse)
         # import all of numpy.ma on first use, ≈17 ms with numpy 2.4 on a
-        # 2-core host.  A fresh process, because other tests call
-        # np.percentile in this one.
+        # 2-core host.  No run imports statistics either: the averages are
+        # math.fsum over the count.  A fresh process, because other tests
+        # call np.percentile in this one.
         probe = (
             "import sys, numpy\n"
             "bare = 'numpy.ma' in sys.modules\n"
@@ -138,6 +139,7 @@ class TestRunPreset:
             "from forensic_bias.presets import PRESETS\n"
             "for name in sorted(PRESETS):\n"
             "    assert main(['run', '--preset', name, '--seed', '7', '--out', f'{sys.argv[1]}/{name}']) == 0\n"
+            "print('statistics' in sys.modules)\n"
             "print(bare, 'numpy.ma' in sys.modules)\n"
         )
         done = subprocess.run(
@@ -147,7 +149,9 @@ class TestRunPreset:
             check=True,
             env={**os.environ, "PYTHONPATH": str(Path(forensic_bias.__file__).parents[1])},
         )
-        bare, after = done.stdout.splitlines()[-1].split()
+        statistics_loaded, numpy_ma = done.stdout.splitlines()[-2:]
+        assert statistics_loaded == "False"
+        bare, after = numpy_ma.split()
         if bare == "True":
             pytest.skip("a bare import numpy already loads numpy.ma (numpy 1.x)")
         assert after == "False"

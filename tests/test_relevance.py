@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +15,7 @@ from forensic_bias.relevance import (
     JointSchemaError,
     Verdict,
     ZeroMassEventError,
+    _parse_number,
     builtin_joint_names,
     classify_fixture,
     classify_relevance,
@@ -157,6 +160,46 @@ class TestClassifier:
         joint = self._independent_joint()
         with pytest.raises(ValueError):
             classify_relevance(joint, -1e-9)
+        with pytest.raises(ValueError):
+            classify_relevance(joint, math.nan)
+
+    def test_gap_exactly_at_tolerance_is_irrelevant(self):
+        # I splits X = 0 as 1/2 and 0 against 1/4 overall: the gap is exactly 1/4.
+        joint = FiniteJoint(
+            (("E", ("s",)), ("I", ("a", "b")), ("X", ("0", "1"))),
+            {("s", "a", "0"): 0.25, ("s", "a", "1"): 0.25, ("s", "b", "1"): 0.5},
+        )
+        at = classify_relevance(joint, 0.25, evidence=("X",))
+        assert at.verdict is Verdict.TASK_IRRELEVANT and at.max_discrepancy == 0.25
+        above = classify_relevance(joint, math.nextafter(0.25, 0.0), evidence=("X",))
+        assert above.verdict is Verdict.TASK_RELEVANT
+        assert classify_relevance(joint, math.inf, evidence=("X",)).verdict is Verdict.TASK_IRRELEVANT
+        # A gap that is not a float: the tolerance is compared at its exact value.
+        joint, roles = load_builtin_joint("tool_shape_relevant")
+        gap = Fraction(21, 188)
+        assert classify_relevance(joint, gap, evidence=roles["evidence"]).verdict is Verdict.TASK_IRRELEVANT
+        below = gap - Fraction(1, 10**40)
+        assert classify_relevance(joint, below, evidence=roles["evidence"]).verdict is Verdict.TASK_RELEVANT
+
+    @pytest.mark.parametrize(
+        "zero, quarter, one",
+        [
+            (0, Fraction(1, 4), 1),
+            (np.int64(0), np.float32(0.25), np.int64(1)),
+            (np.int32(0), np.float64(0.25), np.uint8(1)),
+            (Decimal(0), Decimal("0.25"), Decimal(1)),
+        ],
+    )
+    def test_tolerance_of_any_real_type(self, zero, quarter, one):
+        # The gap is exactly 1/4, as in test_gap_exactly_at_tolerance_is_irrelevant.
+        joint = FiniteJoint(
+            (("E", ("s",)), ("I", ("a", "b")), ("X", ("0", "1"))),
+            {("s", "a", "0"): 0.25, ("s", "a", "1"): 0.25, ("s", "b", "1"): 0.5},
+        )
+        verdicts = [classify_relevance(joint, t, evidence=("X",)).verdict for t in (zero, quarter, one)]
+        assert verdicts == [Verdict.TASK_RELEVANT, Verdict.TASK_IRRELEVANT, Verdict.TASK_IRRELEVANT]
+        independent = classify_relevance(self._independent_joint(), zero, evidence=("X", "Y"), info="I", hypothesis="E")
+        assert independent.verdict is Verdict.TASK_IRRELEVANT
 
     def test_zero_mass_hypothesis_event_named(self):
         joint = FiniteJoint(
@@ -275,6 +318,14 @@ class TestJointConstruction:
         with pytest.raises(JointSchemaError):
             FiniteJoint((("A", ("0", "1")),), {("0", "1"): 1.0})
 
+    def test_masses_of_another_joint_are_checked_again(self):
+        joint = FiniteJoint((("A", ("0", "1")),), {("0",): 0.5, ("1",): 0.5})
+        assert dict(FiniteJoint(joint.variables, joint.pmf).pmf) == dict(joint.pmf)
+        with pytest.raises(JointSchemaError, match=r"'1' is not in the domain of 'B'"):
+            FiniteJoint((("B", ("0", "2")),), joint.pmf)
+        with pytest.raises(JointSchemaError, match="has 1 values for 2 variables"):
+            FiniteJoint((("A", ("0", "1")), ("B", ("0",))), joint.pmf)
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(JointSchemaError):
             FiniteJoint((("A", ("0",)), ("A", ("1",))), {("0", "1"): 1.0})
@@ -355,6 +406,89 @@ class TestFixtureParsing:
         )
         joint, _ = parse_joint_fixture(text)
         assert joint.mass(("s", "a", "0")) == Fraction(1, 3) * Fraction(1, 2) * Fraction(1, 4)
+
+
+class TestNumberReader:
+    """_parse_number against Fraction(token), the grammar it stands in for."""
+
+    @staticmethod
+    def _assert_reads_like_fraction(token):
+        try:
+            want = Fraction(token)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(JointSchemaError, match="cannot parse probability"):
+                _parse_number(token)
+            return
+        num, den = _parse_number(token)
+        assert type(num) is int and type(den) is int and den > 0
+        assert Fraction(num, den) == want, token
+
+    def test_random_decimals(self):
+        rng = np.random.default_rng(20)
+        for n_fraction in range(31):
+            for _ in range(20):
+                whole = "".join(map(str, rng.integers(0, 10, int(rng.integers(0, 4)))))
+                fraction = "".join(map(str, rng.integers(0, 10, n_fraction)))
+                for token in (f"{whole}.{fraction}", whole + fraction):
+                    if token not in ("", "."):
+                        self._assert_reads_like_fraction(token)
+
+    def test_random_ratios_and_integers(self):
+        rng = np.random.default_rng(21)
+        for num, den in rng.integers(0, 10**6, (200, 2)).tolist():
+            self._assert_reads_like_fraction(f"{num}/{den}")
+            self._assert_reads_like_fraction(str(num))
+
+    @pytest.mark.parametrize(
+        "token",
+        [".5", "5.", "0.25", "007.50", "21/188", "4/8", "0/7", "1e-3", "2.5E2", "1e400", "+0.5", "-0.25",
+         "+1/2", "-3/4", "+7", "-0", "١٢.٥", "1_0"],
+    )
+    def test_other_grammar(self, token):
+        self._assert_reads_like_fraction(token)
+
+    @pytest.mark.parametrize(
+        "token",
+        ["", ".", "1/0", "0/0", "1.2.3", "1//2", "1/", "/2", "1.5/2", "a", "1e", "nan", "inf", "\u00b2", "0x1"],
+    )
+    def test_malformed_tokens_rejected(self, token):
+        with pytest.raises(JointSchemaError, match=f"cannot parse probability {re.escape(repr(token))}"):
+            _parse_number(token)
+
+    def test_malformed_token_in_a_fixture(self):
+        text = "roles hypothesis=A info=A evidence=A\nvariable A 0 1\nfactor A\n| 1/0 1\n"
+        with pytest.raises(JointSchemaError, match=r"cannot parse probability '1/0'"):
+            parse_joint_fixture(text)
+
+    @pytest.mark.parametrize("name", ["criminal_history_irrelevant", "tool_shape_no_guilt_link", "tool_shape_relevant"])
+    def test_builtin_fixtures_match_fraction_reference(self, name):
+        from importlib import resources
+
+        text = resources.files("forensic_bias").joinpath(f"fixtures/joints/{name}.txt").read_text(encoding="utf-8")
+        joint, roles = parse_joint_fixture(text)
+        factors = _fraction_factors(text)
+        expected = reference_joint(factors)
+        assert list(joint.pmf) == list(expected)
+        assert dict(joint.pmf) == expected
+        gap = reference_discrepancy(joint.variables, expected, roles["evidence"], "I", "E")
+        assert classify_fixture(text).max_discrepancy == float(gap)
+
+
+def _fraction_factors(text):
+    """A fixture's factors with every entry read by Fraction(token)."""
+    domains, blocks = {}, []
+    for raw in text.splitlines():
+        line = raw.partition("#")[0]
+        head, *rest = line.split() or [""]
+        if head == "variable":
+            domains[rest[0]] = tuple(rest[1:])
+        elif head == "factor":
+            names = [t for t in rest if t != "|"]
+            blocks.append((names[0], tuple(names[1:]), {}))
+        elif "|" in line and head != "roles":
+            left, _, right = line.partition("|")
+            blocks[-1][2][tuple(left.split())] = tuple(Fraction(t) for t in right.split())
+    return [Factor(variable, domains[variable], parents, table) for variable, parents, table in blocks]
 
 
 # ------------------------------------------------------------------ oracle
