@@ -7,10 +7,13 @@ exemplar ("imputation") manufactures agreement, which inflates the
 reported likelihood ratio by a factor of r = p_same/p_diff per imputed
 cell, so by exactly r**M for M missing cells, whatever the prints show.
 The Monte Carlo over that factor (sample_delta_impute) draws only that
-sufficient statistic, M ~ Binomial(n, s), as one binomial per replicate;
-the delta-impute preset reports its mean with a standard error
-(mc_standard_error) next to the exact mean (exact_mean_delta), and its
-quantiles next to the exact ones (exact_delta_quantiles).
+sufficient statistic, M ~ Binomial(n, s), one per replicate, by inverse
+CDF: each of the generator's uniforms is looked up in the exact binomial
+CDF that the exact quantiles (exact_delta_quantiles) are read from, so
+the draws rest on the uniforms alone and on no numpy distribution
+algorithm.  The delta-impute preset reports their mean with a standard
+error (mc_standard_error) next to the exact mean (exact_mean_delta), and
+their quantiles next to the exact ones.
 
 Grid text holds one row of cells per line; parse_grid reads it as the
 string of its cells plus its row width, and grid_text lays such a string
@@ -32,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .odds import LOG_FLOAT_MAX, binomial_log_pmf
+from .odds import LOG_FLOAT_MAX
 
 __all__ = [
     "parse_grid",
@@ -194,15 +197,26 @@ def sample_delta_impute(
     """Monte Carlo draws of the imputation bias factor r**M, r = p_same/p_diff.
 
     Only the missing count M is drawn, so memory grows with n_reps and not
-    with the grid.  "per_cell": one rng.binomial(n, s, n_reps) call.
-    "exact", or a share of 0 or 1: M = round-half-up(s * n), no draws.
-    Raises OverflowError, checked in log space, if a draw exceeds float
-    range."""
+    with the grid.  "per_cell": one row of rng.random(n_reps) uniforms,
+    each read through the binomial CDF on the counts lo..hi within
+    n*s ± (40*sigma + 40), the table exact_delta_quantiles reads:
+    M = lo + searchsorted(cdf, u, side="right"), clipped to hi.  The mass
+    outside that window is below 2e-26, far under a uniform's 2**-53
+    grain.  "exact", or a share of 0 or 1: M = round-half-up(s * n), no
+    draws.  Raises ValueError when the window holds more than _MAX_WINDOW
+    counts, and OverflowError, checked in log space, if a draw exceeds
+    float range."""
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps!r}")
     n = params.rows * params.cols
     fixed = _fixed_count(n, missing_share, mask_mode)
-    counts = rng.binomial(n, missing_share, n_reps) if fixed is None else np.full(n_reps, fixed)
+    if fixed is None:
+        lo, cdf = _count_cdf(n, missing_share)
+        # Searching all but the last entry, which is 1, maps every value at
+        # or above cdf[-2] to hi, so no count lands past the window.
+        counts = lo + np.searchsorted(cdf[:-1], rng.random(n_reps), side="right")
+    else:
+        counts = np.full(n_reps, fixed)
     log_draws = counts * math.log(params.model.p_same / params.model.p_diff)
     if log_draws.max() > LOG_FLOAT_MAX:
         raise OverflowError(f"the draw r**{counts.max()} = e**{log_draws.max():.1f} exceeds float range")
@@ -228,11 +242,37 @@ def exact_mean_delta(params: ImputationSimParams, missing_share: float, mask_mod
 # off an exact tie such as P(M <= 4) = 1/2 at n = 9, s = 1/2.
 _CDF_SLACK = 1e-9
 # Bernstein's inequality puts under 2 * e**-60 < 2e-26 of the mass of
-# Binomial(n, s) outside n*s ± (40*sigma + 40), far below _CDF_SLACK, so
-# the quantiles are found on that window alone.  A window of more than
-# _MAX_WINDOW counts (sigma above about 12,500) is refused: it would cost
-# two lgamma calls and several float arrays per count.
+# Binomial(n, s) outside n*s ± (40*sigma + 40), far below _CDF_SLACK and a
+# uniform's 2**-53 grain, so the quantiles are found, and the counts drawn,
+# on that window alone.  A window of more than _MAX_WINDOW counts (sigma
+# above about 12,500) is refused: it would cost several float arrays per
+# count.
 _MAX_WINDOW = 10**6
+
+
+def _count_cdf(n: int, missing_share: float) -> tuple[int, np.ndarray]:
+    """(lo, cdf): the cumulative probabilities P(M <= j) of M ~ Binomial(n, s)
+    at the counts j = lo..hi within n*s ± (40*sigma + 40), hi = lo + len(cdf) - 1;
+    the one table that sample_delta_impute draws from and
+    exact_delta_quantiles reads.  ValueError past _MAX_WINDOW counts.
+
+    The pmf is summed in log space from the ratios
+    P(M = j + 1) / P(M = j) = (n - j) s / ((j + 1)(1 - s)) and scaled so the
+    window's mass is 1.  From log factorials it would not be: lgamma(n + 1)
+    alone is off by an ulp of n log n, a whole unit of log probability on a
+    10**15-cell grid."""
+    mean = n * missing_share
+    half = 40.0 * math.sqrt(mean * (1.0 - missing_share)) + 40.0
+    lo, hi = max(0, math.ceil(mean - half)), min(n, math.floor(mean + half))
+    if hi - lo >= _MAX_WINDOW:
+        raise ValueError(
+            f"the sampler and the exact quantiles need the pmf at {hi - lo + 1} counts, more than {_MAX_WINDOW}"
+        )
+    j = np.arange(lo, hi)
+    log_odds = math.log(missing_share) - math.log1p(-missing_share)
+    log_pmf = np.concatenate(([0.0], np.cumsum(np.log((n - j) / (j + 1.0)) + log_odds)))
+    cdf = np.cumsum(np.exp(log_pmf - log_pmf.max()))
+    return lo, cdf / cdf[-1]
 
 
 def exact_delta_quantiles(
@@ -255,12 +295,7 @@ def exact_delta_quantiles(
     if fixed is not None:
         counts = [fixed] * 3
     else:
-        mean = n * missing_share
-        half = 40.0 * math.sqrt(mean * (1.0 - missing_share)) + 40.0
-        lo, hi = max(0, math.ceil(mean - half)), min(n, math.floor(mean + half))
-        if hi - lo >= _MAX_WINDOW:
-            raise ValueError(f"the exact quantiles need the pmf at {hi - lo + 1} counts, more than {_MAX_WINDOW}")
-        cdf = np.cumsum(np.exp(binomial_log_pmf(n, missing_share, np.arange(lo, hi + 1))))
+        lo, cdf = _count_cdf(n, missing_share)
         counts = lo + np.searchsorted(cdf, [0.025 - _CDF_SLACK, 0.5 - _CDF_SLACK, 0.975 - _CDF_SLACK])
     # The draws' own arithmetic, so a quantile the Monte Carlo hits is equal.
     log_quantiles = np.asarray(counts) * log_r

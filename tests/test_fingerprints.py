@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from forensic_bias.fingerprints import (
+    _MAX_WINDOW,
     CellAgreementModel,
     DEFAULT_THRESHOLDS,
     ImputationSimParams,
@@ -24,6 +25,7 @@ from forensic_bias.fingerprints import (
     parse_grid,
     percentiles,
     sample_delta_impute,
+    _count_cdf,
 )
 from forensic_bias.odds import binomial_log_pmf
 from forensic_bias.presets import run_preset
@@ -284,6 +286,94 @@ class TestSampleMatchesObjectOracle:
             expected = n_reps * np.exp(binomial_log_pmf(n, share, np.arange(n + 1)))
             chi_square, critical = pooled_chi_square(np.bincount(counts, minlength=n + 1), expected)
             assert chi_square <= critical
+
+
+class _FixedUniforms:
+    """A stand-in generator whose only method, random, returns chosen values."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+
+    def random(self, size):
+        assert size == len(self.values)
+        return self.values
+
+
+class TestInverseCdfDraw:
+    """Per cell, M is one uniform read through the exact CDF on the window."""
+
+    @pytest.mark.parametrize(
+        "seed, rows, cols, share, model",
+        [
+            (7, 10, 5, 0.25, CellAgreementModel()),
+            (11, 2, 3, 0.9, CellAgreementModel(0.7, 0.2)),
+            (3, 10, 10, 0.999, CellAgreementModel()),
+            (0, 1000, 100, 0.5, CellAgreementModel(0.5, 0.4999)),
+        ],
+    )
+    def test_draws_depend_only_on_uniforms(self, seed, rows, cols, share, model):
+        lo, cdf = _count_cdf(rows * cols, share)
+        uniforms = substream(seed, 0).random(5_000)
+        counts = np.minimum(lo + np.searchsorted(cdf, uniforms, side="right"), lo + len(cdf) - 1)
+        want = np.exp(counts * math.log(model.p_same / model.p_diff))
+        got = sample_delta_impute(ImputationSimParams(rows, cols, model), share, 5_000, rng=substream(seed, 0))
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n, share", [(50, 0.25), (63, 0.4), (100, 0.999)])
+    def test_cdf_matches_exact_fractions(self, n, share):
+        lo, cdf = _count_cdf(n, share)
+        s = Fraction(share)
+        pmf = [math.comb(n, m) * s**m * (1 - s) ** (n - m) for m in range(n + 1)]
+        # The window's own law: the mass outside it is below 2e-26.
+        window = pmf[lo : lo + len(cdf)]
+        want = [float(sum(window[: i + 1]) / sum(window)) for i in range(len(window))]
+        np.testing.assert_allclose(cdf, want, rtol=1e-13, atol=1e-300)
+
+    @pytest.mark.parametrize("n, share", [(10**8, 0.5), (10**15, 1e-9), (2**62, 1e-12)])
+    def test_cdf_keeps_the_binomial_moments_on_huge_grids(self, n, share):
+        # log factorials of n ~ 1e15 are off by whole units; the ratios are not.
+        lo, cdf = _count_cdf(n, share)
+        assert cdf[-1] == 1.0
+        counts, pmf = np.arange(lo, lo + len(cdf)), np.diff(cdf, prepend=0.0)
+        mean = counts @ pmf
+        assert mean == pytest.approx(n * share, rel=1e-12)
+        assert ((counts - mean) ** 2) @ pmf == pytest.approx(n * share * (1 - share), rel=1e-9)
+
+    def test_uniforms_past_either_end_map_to_the_window_ends(self):
+        # 100 cells at share 0.999: the window is M = 48..100, with
+        # P(M <= 48) ~ 1e-127 still a normal float.
+        lo, cdf = _count_cdf(100, 0.999)
+        hi = lo + len(cdf) - 1
+        assert (lo, hi) == (48, 100) and cdf[0] > 0.0
+        below = [0.0, 5e-324, np.nextafter(cdf[0], 0.0)]
+        above = [cdf[-1], np.nextafter(cdf[-1], 2.0), 1.0, np.nextafter(1.0, 0.0)]
+        draws = sample_delta_impute(
+            ImputationSimParams(10, 10), 0.999, len(below) + len(above), rng=_FixedUniforms(below + above)
+        )
+        counts = np.rint(np.log2(draws)).astype(np.int64)
+        np.testing.assert_array_equal(counts, [lo] * len(below) + [hi] * len(above))
+
+    @pytest.mark.parametrize("seed", [0, 7, 13])
+    def test_windowed_counts_follow_the_binomial(self, seed):
+        # 10**5 cells at share 1/2: the window starts at M = 43,636, not 0.
+        model = CellAgreementModel(0.5, 0.4999)
+        n, n_reps, log_r = 100_000, 20_000, math.log(0.5 / 0.4999)
+        lo, cdf = _count_cdf(n, 0.5)
+        assert lo > 0
+        draws = sample_delta_impute(ImputationSimParams(1000, 100, model), 0.5, n_reps, rng=substream(seed, 0))
+        counts = np.rint(np.log(draws) / log_r).astype(np.int64)
+        np.testing.assert_array_equal(draws, np.exp(counts * log_r))
+        expected = n_reps * np.exp(binomial_log_pmf(n, 0.5, np.arange(lo, lo + len(cdf))))
+        observed = np.bincount(counts - lo, minlength=len(cdf))
+        assert len(observed) == len(cdf)
+        chi_square, critical = pooled_chi_square(observed, expected)
+        assert chi_square <= critical
+
+    def test_too_wide_a_window_is_refused(self):
+        # sigma = 5e5 counts: a window of about 4e7, past the cap.
+        sim = ImputationSimParams(10**6, 10**6, CellAgreementModel(0.5, 0.4999999999999))
+        with pytest.raises(ValueError, match=f"need the pmf at .* counts, more than {_MAX_WINDOW}"):
+            sample_delta_impute(sim, 0.5, 10, rng=substream(19, 0))
 
 
 class TestExactMean:

@@ -31,6 +31,16 @@ SMALL = {
 VARIANTS = {
     ("propagation", "default"): {},
     ("delta-impute", "exact"): {**SMALL["delta-impute"], "mask_mode": "exact"},
+    # A CDF window of M = 43,636..56,364.  numpy's binomial draws by
+    # inversion from 0 up only where s <= 1/2 and n * s < 30, and there it
+    # takes the same counts from the same uniforms; here it would not.
+    ("delta-impute", "windowed"): {
+        **SMALL["delta-impute"],
+        "rows": "1000",
+        "cols": "100",
+        "missing_share": "0.5",
+        "p_diff": "0.4999",
+    },
 }
 
 PINS = {
@@ -68,6 +78,10 @@ PINS = {
     ("delta-impute", "exact"): {
         "estimate.json": "1056485d23bd9e8ef90c731ffb8269b80de8c6ecdae9def4f2eded4c84e594b0",
         "manifest.json": "637f4776621698304390fba6472b21be21bd0a3a755f29797547589748db0572",
+    },
+    ("delta-impute", "windowed"): {
+        "estimate.json": "2b36dcf34c5d9a9bf1717ababc5f2fe32cffc87c7d973f4f7850530eceb7f856",
+        "manifest.json": "9d046b47830b22478ccc1466c65b7a9f7c41e5bf105c1c4a4b7142607c8f2ee6",
     },
     ("feedback", "small"): {
         "aggregate.json": "f72bd454ecd727ef5a7090c5112b4f218e6006a01d99f34bb4d661e1dc2068f5",
