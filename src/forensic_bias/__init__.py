@@ -44,6 +44,8 @@ from .fingerprints import (
     DEFAULT_THRESHOLDS,
     ImputationSimParams,
     SourceDecision,
+    bias_factor_percentiles,
+    bias_factors,
     count_matches,
     decide_source,
     exact_delta_quantiles,

@@ -8,12 +8,14 @@ reported likelihood ratio by a factor of r = p_same/p_diff per imputed
 cell, so by exactly r**M for M missing cells, whatever the prints show.
 The Monte Carlo over that factor (sample_delta_impute) draws only that
 sufficient statistic, M ~ Binomial(n, s), one per replicate, by inverse
-CDF: each of the generator's uniforms is looked up in the exact binomial
-CDF that the exact quantiles (exact_delta_quantiles) are read from, so
-the draws rest on the uniforms alone and on no numpy distribution
-algorithm.  The delta-impute preset reports their mean with a standard
-error (mc_standard_error) next to the exact mean (exact_mean_delta), and
-their quantiles next to the exact ones.
+CDF: each of the generator's uniforms is looked up, through a guide
+table, in the exact binomial CDF that the exact quantiles
+(exact_delta_quantiles) are read from, so the draws rest on the uniforms
+alone and on no numpy distribution algorithm.  bias_factors turns the
+counts into factors r**M.  The delta-impute preset reports their mean
+with a standard error (mc_standard_error) next to the exact mean
+(exact_mean_delta), and their quantiles (bias_factor_percentiles, read
+off the histogram of the counts) next to the exact ones.
 
 Grid text holds one row of cells per line; parse_grid reads it as the
 string of its cells plus its row width, and grid_text lays such a string
@@ -28,6 +30,7 @@ inconclusive, below that exclusion.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -48,9 +51,11 @@ __all__ = [
     "count_matches",
     "decide_source",
     "sample_delta_impute",
+    "bias_factors",
     "exact_mean_delta",
     "exact_delta_quantiles",
     "percentiles",
+    "bias_factor_percentiles",
     "exact_relative_standard_error",
 ]
 
@@ -194,33 +199,57 @@ def sample_delta_impute(
     rng: np.random.Generator,
     mask_mode: str = "per_cell",
 ) -> np.ndarray:
-    """Monte Carlo draws of the imputation bias factor r**M, r = p_same/p_diff.
+    """Monte Carlo draws of the missing count M, an int64 array of n_reps;
+    bias_factors turns them into the imputation bias factors r**M.
 
-    Only the missing count M is drawn, so memory grows with n_reps and not
-    with the grid.  "per_cell": one row of rng.random(n_reps) uniforms,
-    each read through the binomial CDF on the counts lo..hi within
-    n*s ± (40*sigma + 40), the table exact_delta_quantiles reads:
-    M = lo + searchsorted(cdf, u, side="right"), clipped to hi.  The mass
-    outside that window is below 2e-26, far under a uniform's 2**-53
-    grain.  "exact", or a share of 0 or 1: M = round-half-up(s * n), no
-    draws.  Raises ValueError when the window holds more than _MAX_WINDOW
-    counts, and OverflowError, checked in log space, if a draw exceeds
-    float range."""
+    Only M is drawn, so memory grows with n_reps and not with the grid.
+    "per_cell": one row of rng.random(n_reps) uniforms, each read through
+    the binomial CDF on the counts lo..hi within n*s ± (40*sigma + 40), the
+    table exact_delta_quantiles reads: M = lo + the number of the entries
+    cdf[:-1] at or below u, so hi at most.  The mass outside that window is
+    below 2e-26, far under a uniform's 2**-53 grain.  The entries are
+    counted through a guide table (Chen & Asau 1974): [0, 1) is cut into
+    1,024 buckets, u starts from the entries at or below its bucket's left
+    edge and, where the bucket holds one entry, compares u with it; only a
+    u whose bucket holds two or more entries (the tails, and many buckets
+    of a wide window) is searched among them.  u * 1024 is exact, so each
+    count equals searchsorted's.  "exact", or a share of 0 or 1:
+    M = round-half-up(s * n), no draws.  Raises ValueError when the window
+    holds more than _MAX_WINDOW counts."""
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps!r}")
     n = params.rows * params.cols
     fixed = _fixed_count(n, missing_share, mask_mode)
-    if fixed is None:
-        lo, cdf = _count_cdf(n, missing_share)
-        # Searching all but the last entry, which is 1, maps every value at
-        # or above cdf[-2] to hi, so no count lands past the window.
-        counts = lo + np.searchsorted(cdf[:-1], rng.random(n_reps), side="right")
-    else:
-        counts = np.full(n_reps, fixed)
+    if fixed is not None:
+        return np.full(n_reps, fixed, dtype=np.int64)
+    lo, cdf = _count_cdf(n, missing_share)
+    entries, u = cdf[:-1], rng.random(n_reps)
+    # first[b]: the entries at or below b / 1024, the left edge of bucket b.
+    first = np.searchsorted(entries, _GUIDE_EDGES, side="right")
+    held = np.diff(first)
+    # A bucket's one entry, which u passes or not; past an empty bucket, none.
+    threshold = np.where(held == 1, cdf.take(first[:-1]), np.inf)
+    # A u of 1 or more, which no Generator gives, reads the last bucket.
+    bucket = (u * _GUIDE_BUCKETS).astype(np.intp)
+    crowded = np.flatnonzero((held > 1).take(bucket, mode="clip"))
+    passed = threshold.take(bucket, mode="clip") <= u
+    # take reads each index before it writes that slot, so bucket's memory
+    # can hold the counts.
+    counts = first.take(bucket, mode="clip", out=bucket)
+    counts += passed
+    counts[crowded] = np.searchsorted(entries, u[crowded], side="right")
+    counts += lo
+    return counts
+
+
+def bias_factors(params: ImputationSimParams, counts: np.ndarray) -> np.ndarray:
+    """The imputation bias factors r**M, r = p_same/p_diff, of the missing
+    counts M, as exp(M * log r).  Raises OverflowError, checked in log
+    space, if one exceeds float range."""
     log_draws = counts * math.log(params.model.p_same / params.model.p_diff)
     if log_draws.max() > LOG_FLOAT_MAX:
         raise OverflowError(f"the draw r**{counts.max()} = e**{log_draws.max():.1f} exceeds float range")
-    return np.exp(log_draws)
+    return np.exp(log_draws, out=log_draws)
 
 
 def exact_mean_delta(params: ImputationSimParams, missing_share: float, mask_mode: str) -> float:
@@ -248,13 +277,20 @@ _CDF_SLACK = 1e-9
 # above about 12,500) is refused: it would cost several float arrays per
 # count.
 _MAX_WINDOW = 10**6
+# sample_delta_impute's guide table: bucket b of [0, 1) starts at b / 1024.
+_GUIDE_BUCKETS = 1024
+_GUIDE_EDGES = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
 
 
+@functools.lru_cache(maxsize=1)
 def _count_cdf(n: int, missing_share: float) -> tuple[int, np.ndarray]:
     """(lo, cdf): the cumulative probabilities P(M <= j) of M ~ Binomial(n, s)
-    at the counts j = lo..hi within n*s ± (40*sigma + 40), hi = lo + len(cdf) - 1;
-    the one table that sample_delta_impute draws from and
-    exact_delta_quantiles reads.  ValueError past _MAX_WINDOW counts.
+    at the counts j = lo..hi within n*s ± (40*sigma + 40), hi = lo + len(cdf) - 1,
+    and cdf[-1] exactly 1; ValueError past _MAX_WINDOW counts.  It is the
+    one table that exact_delta_quantiles searches and that
+    sample_delta_impute reads through its guide table.  The last table is
+    kept for the next call with the same n and s, so a delta-impute run,
+    which asks for it twice, builds it once; it is read-only.
 
     The pmf is summed in log space from the ratios
     P(M = j + 1) / P(M = j) = (n - j) s / ((j + 1)(1 - s)) and scaled so the
@@ -272,7 +308,9 @@ def _count_cdf(n: int, missing_share: float) -> tuple[int, np.ndarray]:
     log_odds = math.log(missing_share) - math.log1p(-missing_share)
     log_pmf = np.concatenate(([0.0], np.cumsum(np.log((n - j) / (j + 1.0)) + log_odds)))
     cdf = np.cumsum(np.exp(log_pmf - log_pmf.max()))
-    return lo, cdf / cdf[-1]
+    cdf /= cdf[-1]
+    cdf.flags.writeable = False
+    return lo, cdf
 
 
 def exact_delta_quantiles(
@@ -305,35 +343,58 @@ def exact_delta_quantiles(
     return q025, median, q975
 
 
-def percentiles(values: np.ndarray, levels: Sequence[float]) -> np.ndarray:
-    """np.percentile(values, levels, axis=-1), bit for bit, shaped
-    (len(levels), *values.shape[:-1]), for levels in [0, 100].
-
-    numpy's default "linear" quantile, type 7 of Hyndman & Fan (1996): a
-    level p reads the sorted values at the virtual index (n - 1) * p / 100,
-    interpolated between its two neighbours.  Each step repeats numpy's
-    own (_get_indexes, the partition at the same indices, _lerp), but
-    without np.percentile and np.unique, whose first call imports all of
-    numpy.ma.  NaN is out of scope: np.percentile returns NaN for a slice
-    that holds one, and this function does not.
-    """
-    n = values.shape[-1]
+def _virtual_indices(n: int, levels: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(below, above, gamma) of numpy's default "linear" quantile, type 7 of
+    Hyndman & Fan (1996), over n sorted values: a level p reads the virtual
+    index (n - 1) * p / 100, between positions below and above, at weight
+    gamma.  Like numpy, the top reads the last value at both positions (-1),
+    so gamma = virtual + 1 there."""
     virtual = (n - 1) * (np.asarray(levels, dtype=np.float64) / 100)
     below = np.floor(virtual)
     above = below + 1
-    # Like numpy, read the last value at both ends, so gamma = virtual + 1.
     at_top = virtual >= n - 1
     below[at_top] = above[at_top] = -1
     gamma = virtual - below
-    below, above = below.astype(np.intp), above.astype(np.intp)
-    kth = sorted({0, -1, *below.tolist(), *above.tolist()})
-    ordered = np.moveaxis(np.partition(values, kth, axis=-1), -1, 0)
-    a, b = ordered[below], ordered[above]
-    t = gamma.reshape(gamma.shape + (1,) * (values.ndim - 1))
+    return below.astype(np.intp), above.astype(np.intp), gamma
+
+
+def _lerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """numpy's _lerp: a + (b - a) * t, or b - (b - a) * (1 - t) from t = 1/2 on."""
     diff = b - a
     out = np.add(a, diff * t)
     np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
     return out
+
+
+def percentiles(values: np.ndarray, levels: Sequence[float]) -> np.ndarray:
+    """np.percentile(values, levels, axis=-1), bit for bit, shaped
+    (len(levels), *values.shape[:-1]), for levels in [0, 100].
+
+    Each step repeats numpy's own (_get_indexes, the partition at the same
+    indices, _lerp), but without np.percentile and np.unique, whose first
+    call imports all of numpy.ma.  NaN is out of scope: np.percentile
+    returns NaN for a slice that holds one, and this function does not.
+    """
+    below, above, gamma = _virtual_indices(values.shape[-1], levels)
+    kth = sorted({0, -1, *below.tolist(), *above.tolist()})
+    ordered = np.moveaxis(np.partition(values, kth, axis=-1), -1, 0)
+    return _lerp(ordered[below], ordered[above], gamma.reshape(gamma.shape + (1,) * (values.ndim - 1)))
+
+
+def bias_factor_percentiles(params: ImputationSimParams, counts: np.ndarray, levels: Sequence[float]) -> np.ndarray:
+    """percentiles(bias_factors(params, counts), levels), bit for bit, for a
+    1-d array of missing counts, read off their histogram with no sort.
+
+    r**M rises with M (r > 1), so the k-th smallest factor is the factor
+    of the k-th smallest count: the first count whose cumulative frequency
+    exceeds k."""
+    n = len(counts)
+    below, above, gamma = _virtual_indices(n, levels)
+    base = counts.min()
+    cumulative = np.bincount(counts - base).cumsum()
+    ranks = np.concatenate((below, above)) % n
+    order_stats = bias_factors(params, base + np.searchsorted(cumulative, ranks, side="right"))
+    return _lerp(order_stats[: len(gamma)], order_stats[len(gamma) :], gamma)
 
 
 def exact_relative_standard_error(

@@ -36,10 +36,10 @@ import hashlib
 import itertools
 import json
 import re
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Sequence
 
 import numpy as np
 

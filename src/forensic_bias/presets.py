@@ -40,6 +40,8 @@ from .feedback import (
 from .fingerprints import (
     CellAgreementModel,
     ImputationSimParams,
+    bias_factor_percentiles,
+    bias_factors,
     count_matches,
     decide_source,
     exact_delta_quantiles,
@@ -48,7 +50,6 @@ from .fingerprints import (
     grid_text,
     impute_from_reference,
     parse_grid,
-    percentiles,
     sample_delta_impute,
 )
 from .odds import LOG_FLOAT_MAX, log_prior_odds
@@ -366,21 +367,24 @@ def _run_delta_impute(params: dict, seed: int) -> dict[str, object]:
         exact_q025, exact_median, exact_q975 = exact_delta_quantiles(
             sim, params["missing_share"], params["mask_mode"]
         )
-        draws = sample_delta_impute(
+        counts = sample_delta_impute(
             sim,
             params["missing_share"],
             params["n_reps"],
             rng=substream(seed, 0),
             mask_mode=params["mask_mode"],
         )
+        draws = bias_factors(sim, counts)
     except (OverflowError, ValueError) as exc:  # past float range, or too wide a pmf window
         named = ", ".join(f"{k}={params[k]!r}" for k in ("rows", "cols", "missing_share", "p_same", "p_diff"))
         raise ConfigError(f"{exc} at {named}; use a smaller grid, missing_share or p_same/p_diff") from exc
-    # numpy's default linear quantiles (Hyndman & Fan type 7) over the draws.
-    q025, median, q975 = percentiles(draws, [2.5, 50.0, 97.5])
-    # Scaled by the largest draw so neither the sum nor the squares overflow.
+    # numpy's default linear quantiles (Hyndman & Fan type 7) over the draws,
+    # read off the histogram of the counts.
+    q025, median, q975 = bias_factor_percentiles(sim, counts, [2.5, 50.0, 97.5])
+    # Scaled by the largest draw so neither the sum nor the squares overflow;
+    # in place, since the counts are still held.
     top = float(draws.max())
-    scaled = draws / top
+    scaled = np.divide(draws, top, out=draws)
     n_reps = params["n_reps"]
     se = top * float(scaled.std(ddof=1)) / math.sqrt(n_reps) if n_reps > 1 else None
     return {

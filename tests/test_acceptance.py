@@ -22,6 +22,7 @@ from forensic_bias import (
     PRESETS,
     SourceDecision,
     average_bias,
+    bias_factors,
     builtin_joint_names,
     case_report,
     classify_relevance,
@@ -146,7 +147,7 @@ class TestAcceptance:
                 weight = math.prod(share if m else 1.0 - share for m in mask)
                 oracle += weight * ratio ** sum(mask)
             params = ImputationSimParams(rows=2, cols=3, model=model)
-            draws = sample_delta_impute(params, share, 10_000, rng=substream(0, 0))
+            draws = bias_factors(params, sample_delta_impute(params, share, 10_000, rng=substream(0, 0)))
             mean = float(draws.mean())
             assert abs(mean - oracle) <= 0.02 * oracle
 

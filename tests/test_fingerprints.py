@@ -16,6 +16,8 @@ from forensic_bias.fingerprints import (
     DEFAULT_THRESHOLDS,
     ImputationSimParams,
     SourceDecision,
+    bias_factor_percentiles,
+    bias_factors,
     count_matches,
     decide_source,
     exact_delta_quantiles,
@@ -199,26 +201,29 @@ class TestDeltaImpute:
         assert report["delta_impute"] == 2.0**3
 
     def test_no_missing_is_unit(self):
-        draws = sample_delta_impute(ImputationSimParams(rows=2, cols=3), 0.0, 5, rng=substream(15))
-        assert np.all(draws == 1.0)
+        counts = sample_delta_impute(ImputationSimParams(rows=2, cols=3), 0.0, 5, rng=substream(15))
+        assert counts.dtype == np.int64 and np.all(counts == 0)
+        assert np.all(bias_factors(ImputationSimParams(rows=2, cols=3), counts) == 1.0)
 
     def test_full_mask_is_ratio_power_n(self):
-        draws = sample_delta_impute(ImputationSimParams(rows=2, cols=3), 1.0, 5, rng=substream(15))
-        np.testing.assert_allclose(draws, 2.0**6, rtol=1e-12, atol=0.0)
+        sim = ImputationSimParams(rows=2, cols=3)
+        counts = sample_delta_impute(sim, 1.0, 5, rng=substream(15))
+        assert counts.dtype == np.int64 and np.all(counts == 6)
+        np.testing.assert_allclose(bias_factors(sim, counts), 2.0**6, rtol=1e-12, atol=0.0)
 
     def test_never_deflates(self):
         # r = p_same/p_diff > 1, so a factor r**M is never below 1.
         sim = ImputationSimParams(rows=2, cols=3, model=CellAgreementModel(0.7, 0.2))
         for share in (0.0, 0.25, 1.0):
             for mode in ("per_cell", "exact"):
-                draws = sample_delta_impute(sim, share, 200, rng=substream(15), mask_mode=mode)
-                assert np.all(draws >= 1.0)
+                counts = sample_delta_impute(sim, share, 200, rng=substream(15), mask_mode=mode)
+                assert np.all(bias_factors(sim, counts) >= 1.0)
 
     def test_monte_carlo_matches_binomial_mean(self):
         # Per-cell masking makes n_missing ~ Binomial(n, s), so
         # E[delta] = (1 - s + s * p_same/p_diff)^n.
         sim = ImputationSimParams(rows=2, cols=3)
-        draws = sample_delta_impute(sim, 0.25, 4_000, rng=substream(13))
+        draws = bias_factors(sim, sample_delta_impute(sim, 0.25, 4_000, rng=substream(13)))
         expected = 1.25**6
         assert abs(draws.mean() - expected) / expected < 0.05
 
@@ -226,8 +231,9 @@ class TestDeltaImpute:
         # n_missing is pinned at 3, so every draw is (p_same/p_diff)^3 up
         # to the rounding of the log-space round trip.
         sim = ImputationSimParams(rows=2, cols=3)
-        draws = sample_delta_impute(sim, 0.5, 50, rng=substream(14), mask_mode="exact")
-        assert np.all(np.abs(draws - 2.0**3) <= 1e-11)
+        counts = sample_delta_impute(sim, 0.5, 50, rng=substream(14), mask_mode="exact")
+        assert np.all(counts == 3)
+        assert np.all(np.abs(bias_factors(sim, counts) - 2.0**3) <= 1e-11)
 
     def test_bad_params_rejected(self):
         with pytest.raises(ValueError):
@@ -271,11 +277,10 @@ class TestSampleMatchesObjectOracle:
     def test_same_missing_count_and_draw(self, case):
         seed, rows, cols, model, _same_source, share, mode, n_reps = case
         n, log_r = rows * cols, math.log(model.p_same / model.p_diff)
-        draws = sample_delta_impute(
-            ImputationSimParams(rows, cols, model), share, n_reps, rng=substream(seed, 0), mask_mode=mode
-        )
-        assert draws.shape == (n_reps,)
-        counts = np.rint(np.log(draws) / log_r).astype(np.int64)
+        sim = ImputationSimParams(rows, cols, model)
+        counts = sample_delta_impute(sim, share, n_reps, rng=substream(seed, 0), mask_mode=mode)
+        assert counts.shape == (n_reps,) and counts.dtype == np.int64
+        draws = bias_factors(sim, counts)
         # Each draw is r**M in the log-space arithmetic, bit for bit.
         np.testing.assert_array_equal(draws, np.exp(counts * log_r))
         if mode == "exact" or share in (0.0, 1.0):
@@ -314,8 +319,7 @@ class TestInverseCdfDraw:
     def test_draws_depend_only_on_uniforms(self, seed, rows, cols, share, model):
         lo, cdf = _count_cdf(rows * cols, share)
         uniforms = substream(seed, 0).random(5_000)
-        counts = np.minimum(lo + np.searchsorted(cdf, uniforms, side="right"), lo + len(cdf) - 1)
-        want = np.exp(counts * math.log(model.p_same / model.p_diff))
+        want = np.minimum(lo + np.searchsorted(cdf, uniforms, side="right"), lo + len(cdf) - 1)
         got = sample_delta_impute(ImputationSimParams(rows, cols, model), share, 5_000, rng=substream(seed, 0))
         np.testing.assert_array_equal(got, want)
 
@@ -347,22 +351,19 @@ class TestInverseCdfDraw:
         assert (lo, hi) == (48, 100) and cdf[0] > 0.0
         below = [0.0, 5e-324, np.nextafter(cdf[0], 0.0)]
         above = [cdf[-1], np.nextafter(cdf[-1], 2.0), 1.0, np.nextafter(1.0, 0.0)]
-        draws = sample_delta_impute(
+        counts = sample_delta_impute(
             ImputationSimParams(10, 10), 0.999, len(below) + len(above), rng=_FixedUniforms(below + above)
         )
-        counts = np.rint(np.log2(draws)).astype(np.int64)
         np.testing.assert_array_equal(counts, [lo] * len(below) + [hi] * len(above))
 
     @pytest.mark.parametrize("seed", [0, 7, 13])
     def test_windowed_counts_follow_the_binomial(self, seed):
         # 10**5 cells at share 1/2: the window starts at M = 43,636, not 0.
         model = CellAgreementModel(0.5, 0.4999)
-        n, n_reps, log_r = 100_000, 20_000, math.log(0.5 / 0.4999)
+        n, n_reps = 100_000, 20_000
         lo, cdf = _count_cdf(n, 0.5)
         assert lo > 0
-        draws = sample_delta_impute(ImputationSimParams(1000, 100, model), 0.5, n_reps, rng=substream(seed, 0))
-        counts = np.rint(np.log(draws) / log_r).astype(np.int64)
-        np.testing.assert_array_equal(draws, np.exp(counts * log_r))
+        counts = sample_delta_impute(ImputationSimParams(1000, 100, model), 0.5, n_reps, rng=substream(seed, 0))
         expected = n_reps * np.exp(binomial_log_pmf(n, 0.5, np.arange(lo, lo + len(cdf))))
         observed = np.bincount(counts - lo, minlength=len(cdf))
         assert len(observed) == len(cdf)
@@ -374,6 +375,89 @@ class TestInverseCdfDraw:
         sim = ImputationSimParams(10**6, 10**6, CellAgreementModel(0.5, 0.4999999999999))
         with pytest.raises(ValueError, match=f"need the pmf at .* counts, more than {_MAX_WINDOW}"):
             sample_delta_impute(sim, 0.5, 10, rng=substream(19, 0))
+
+
+# (rows, cols, share): the default window, skewed shares, the two counts of
+# one cell, and 36,741 counts, where over half the guide buckets hold two or
+# more CDF entries.  One cell at 0.063 or 0.719 puts the entry next to a
+# decimal edge k / 1000, which 1,000 buckets (u * 1000 is inexact) misread.
+GUIDE_WINDOWS = [
+    (10, 5, 0.25),
+    (10, 5, 0.02),
+    (10, 5, 0.9),
+    (1, 1, 0.3),
+    (1, 1, 0.063),
+    (1, 1, 0.719),
+    (1000, 1000, 0.3),
+]
+
+
+class TestGuideTable:
+    """The guided count lookup is searchsorted(cdf[:-1], u, "right") exactly."""
+
+    @staticmethod
+    def _assert_searchsorted_counts(rows, cols, share, uniforms):
+        lo, cdf = _count_cdf(rows * cols, share)
+        got = sample_delta_impute(ImputationSimParams(rows, cols), share, len(uniforms), rng=_FixedUniforms(uniforms))
+        np.testing.assert_array_equal(got, lo + np.searchsorted(cdf[:-1], uniforms, side="right"))
+
+    @pytest.mark.parametrize("rows, cols, share", GUIDE_WINDOWS)
+    def test_every_entry_and_its_neighbours(self, rows, cols, share):
+        _, cdf = _count_cdf(rows * cols, share)
+        uniforms = np.concatenate((cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0), [0.0, 1.0 - 2.0**-53]))
+        # A generator's uniforms lie in [0, 1).
+        self._assert_searchsorted_counts(rows, cols, share, uniforms[uniforms < 1.0])
+
+    @pytest.mark.parametrize("rows, cols, share", GUIDE_WINDOWS)
+    def test_bucket_edges_and_random_uniforms(self, rows, cols, share):
+        edges = np.arange(1024) / 1024
+        uniforms = np.concatenate((edges, np.nextafter(edges[1:], 0.0), substream(23, 0).random(20_000)))
+        self._assert_searchsorted_counts(rows, cols, share, uniforms)
+
+    def test_the_crowded_window_takes_the_fallback(self):
+        _, cdf = _count_cdf(10**6, 0.3)
+        held = np.diff(np.searchsorted(cdf[:-1], np.arange(1025) / 1024, side="right"))
+        assert len(cdf) == 36_741 and held.min() >= 1 and (held > 1).sum() == 540
+
+    def test_a_run_builds_the_table_once(self, tmp_path):
+        _count_cdf.cache_clear()
+        run_preset("delta-impute", 7, {"rows": "9", "cols": "7"}, out_dir=tmp_path)
+        assert (_count_cdf.cache_info().misses, _count_cdf.cache_info().hits) == (1, 1)
+        with pytest.raises(ValueError, match="read-only"):
+            _count_cdf(63, 0.25)[1][0] = 0.5
+
+
+class TestHistogramQuantiles:
+    """bias_factor_percentiles reads the same order statistics as percentiles."""
+
+    @staticmethod
+    def _assert_percentile_bytes(sim, counts):
+        draws = bias_factors(sim, counts)
+        got = bias_factor_percentiles(sim, counts, LEVELS)
+        assert got.tobytes() == percentiles(draws, LEVELS).tobytes()
+        assert got.tobytes() == np.percentile(draws, LEVELS).tobytes()
+
+    @pytest.mark.parametrize("n_reps", [1, 2, 3, 7, 40, 10_000])
+    @pytest.mark.parametrize(
+        "rows, cols, share, model",
+        [
+            (10, 5, 0.25, CellAgreementModel()),
+            (7, 9, 0.4, CellAgreementModel(0.7, 0.2)),
+            (1000, 1000, 0.3, CellAgreementModel(0.5000001, 0.5)),
+            # r = 1 + 2**-52: neighbouring counts give factors a few ulps apart.
+            (10, 5, 0.5, CellAgreementModel(math.nextafter(0.5, 1.0), 0.5)),
+        ],
+    )
+    def test_matches_percentiles_of_the_draws(self, n_reps, rows, cols, share, model):
+        sim = ImputationSimParams(rows, cols, model)
+        for seed in range(3):
+            self._assert_percentile_bytes(sim, sample_delta_impute(sim, share, n_reps, rng=substream(seed, 0)))
+
+    @pytest.mark.parametrize("share, mode", [(0.25, "exact"), (0.0, "per_cell"), (1.0, "per_cell")])
+    @pytest.mark.parametrize("n_reps", [1, 2, 40])
+    def test_fixed_masks(self, share, mode, n_reps):
+        sim = ImputationSimParams(model=CellAgreementModel(0.7, 0.2))
+        self._assert_percentile_bytes(sim, sample_delta_impute(sim, share, n_reps, rng=substream(5), mask_mode=mode))
 
 
 class TestExactMean:
@@ -399,16 +483,18 @@ class TestExactMean:
         with pytest.raises(OverflowError, match="exact mean"):
             exact_mean_delta(sim, 0.25, "per_cell")
         # The draws themselves still fit at 60x60 ...
-        assert np.all(np.isfinite(sample_delta_impute(sim, 0.25, 20, rng=substream(17))))
-        # ... but not at 80x80.
+        assert np.all(np.isfinite(bias_factors(sim, sample_delta_impute(sim, 0.25, 20, rng=substream(17)))))
+        # ... but not at 80x80, where the counts are still drawn.
+        big = ImputationSimParams(rows=80, cols=80)
+        counts = sample_delta_impute(big, 0.25, 20, rng=substream(17))
         with pytest.raises(OverflowError, match="draw"):
-            sample_delta_impute(ImputationSimParams(rows=80, cols=80), 0.25, 20, rng=substream(17))
+            bias_factors(big, counts)
 
     def test_estimate_finite_where_the_sum_overflows(self, tmp_path):
         # Every draw is r**1021 ~ 2.2e307, so the plain sum of ten overflows;
         # the preset's mean, scaled by the largest draw, does not.
         sim = ImputationSimParams(rows=1, cols=1021)
-        draws = sample_delta_impute(sim, 1.0, 10, rng=substream(18))
+        draws = bias_factors(sim, sample_delta_impute(sim, 1.0, 10, rng=substream(18)))
         assert np.all(np.isfinite(draws))
         overrides = {"rows": "1", "cols": "1021", "missing_share": "1", "n_reps": "10"}
         run_preset("delta-impute", 18, overrides, out_dir=tmp_path)
@@ -469,7 +555,7 @@ class TestExactQuantiles:
         # At defaults the 10,000-draw quantiles fall on the exact atoms 2**7,
         # 2**12 and 2**19, bit for bit.
         sim = ImputationSimParams()
-        draws = sample_delta_impute(sim, 0.25, 10_000, rng=substream(7, 0))
+        draws = bias_factors(sim, sample_delta_impute(sim, 0.25, 10_000, rng=substream(7, 0)))
         monte_carlo = tuple(np.percentile(draws, [2.5, 50.0, 97.5]).tolist())
         assert exact_delta_quantiles(sim, 0.25, "per_cell") == monte_carlo
 
