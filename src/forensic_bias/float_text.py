@@ -1,21 +1,24 @@
 """repr's text of many floats at once, computed on their uint64 bit patterns.
 
-shortest_texts(bits) returns the same str as float.__repr__ for every
-float, without calling it.  A finite nonzero float's shortest decimal
+shortest_texts(bits, sep) returns the same str as float.__repr__(v) + sep
+for every float v, without calling it; sep is "", "," or CR LF, the
+separators of a CSV field.  A finite nonzero float's shortest decimal
 that reads back to it is found by Schubfach (Giulietti 2020, the
 algorithm of the JDK's Double.toString): JDK DoubleToDecimal.toDecimal
 on arrays, with the two changes that give repr's digits.  The digits are
 then laid out by repr's rules: fixed notation when the decimal point
 position is in [-3, 16], else d.ddde±XX with at least two exponent
 digits, a leading "-" on negatives, and ".0" on integral values.  Zeros,
-infinities and NaNs go through repr.
+infinities and NaNs go through repr, and sep is added to their text.
 
 Each block of values becomes a character table, one row of slots per
-value (digits, exponent digits and the constant characters), and each
-value's text is a gather of its layout's slots: one row of slot numbers
-per (sign, digit count, decimal point) key that occurs, built once and
-cached.  The gathered uint32 code points, viewed as a fixed-width str
-array, give the str objects through .tolist(); NUL padding drops off.
+value (digits, exponent digits and the constant characters, the
+separators' among them), and each value's text is a gather of its
+layout's slots: one row of slot numbers per (sign, digit count, decimal
+point) key that occurs, built once and cached, with the separator's slots
+appended, so a field's separator costs no step of its own.  The gathered
+uint32 code points, viewed as a fixed-width str array, give the str
+objects through .tolist(); NUL padding drops off.
 
 Outputs calls this for float columns of at least outputs._SHORTEST_MIN
 distinct values: a call costs ≈0.3 ms whatever its size, so smaller
@@ -171,10 +174,11 @@ def _shortest_decimal(bits: np.ndarray, g_table: np.ndarray) -> tuple[np.ndarray
 
 # Columns of a kernel block's character table: 16 four-character groups'
 # worth of digits 1-16, then digit 0 and the exponent's three digits, then
-# the constants.  _layout rows name these slots.
-_D0, _EXP100, _EXP10, _EXP1, _ZERO, _DOT, _MINUS, _E, _PLUS, _NUL = range(16, 26)
+# the constants.  _layout rows and _SEPARATORS name these slots.
+_D0, _EXP100, _EXP10, _EXP1, _ZERO, _DOT, _MINUS, _E, _PLUS, _COMMA, _CR, _LF, _NUL = range(16, 29)
 _DIGIT_SLOTS = [_D0, *range(16)]
-_CONSTANTS = np.frombuffer(b"0.-e+\0\0\0", dtype=np.uint32)[:, None, None]
+_CONSTANTS = np.frombuffer(b"0.-e+,\r\n\0\0\0\0", dtype=np.uint32)[:, None, None]
+_SEPARATORS = {"": (), ",": (_COMMA,), "\r\n": (_CR, _LF)}
 # A layout key: (sign * 17 + digits - 1) * 24 + form, where form 0-19 is
 # fixed notation with the decimal point at -3..16, and 20-23 scientific
 # notation with a positive or negative exponent of two or three digits.
@@ -203,8 +207,8 @@ def _layout(key: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-def _block_texts(bits: np.ndarray, tables: tuple[np.ndarray, ...]) -> list[str]:
-    """repr of each finite nonzero float of a block, from its bits."""
+def _block_texts(bits: np.ndarray, tables: tuple[np.ndarray, ...], tail: tuple[int, ...]) -> list[str]:
+    """repr of each finite nonzero float of a block, from its bits, followed by the tail slots."""
     g_table, group_chars, group_zeros, forms = tables
     n = bits.size
     f, e = _shortest_decimal(bits, g_table)
@@ -226,7 +230,7 @@ def _block_texts(bits: np.ndarray, tables: tuple[np.ndarray, ...]) -> list[str]:
     trailing = zeros[0]
     for i in (1, 2, 3):
         trailing = zeros[i] + (groups[i] == 0) * trailing
-    chars = np.empty((7, n, 4), dtype=np.uint8)
+    chars = np.empty((8, n, 4), dtype=np.uint8)
     group_chars.take(groups, axis=0, out=chars[:4])
     group_chars.take(np.abs(point - 1), axis=0, out=chars[4])
     chars[4, :, 0] = d0 + ord("0")
@@ -235,7 +239,7 @@ def _block_texts(bits: np.ndarray, tables: tuple[np.ndarray, ...]) -> list[str]:
     key += (16 - trailing.astype(np.intp)) * _FORMS
     key += (bits >> _U63).astype(np.intp) * (17 * _FORMS)
     present = np.flatnonzero(np.bincount(key, minlength=_N_KEYS))
-    rows = [_layout(k) for k in present.tolist()]
+    rows = [_layout(k) + tail for k in present.tolist()]
     width = max(map(len, rows))
     slots = np.array([row + (_NUL,) * (width - len(row)) for row in rows])
     # Slot s of row i is chars[s // 4, i, s % 4].
@@ -253,20 +257,22 @@ def _block_texts(bits: np.ndarray, tables: tuple[np.ndarray, ...]) -> list[str]:
     return texts
 
 
-def shortest_texts(bits: np.ndarray) -> np.ndarray:
-    """repr of the floats with these uint64 bit patterns, as an object array of str.
+def shortest_texts(bits: np.ndarray, sep: str = "") -> np.ndarray:
+    """repr of the floats with these uint64 bit patterns, each followed by sep, as an object array of str.
 
-    Zeros, infinities and NaNs go through repr; the others through
+    sep is "", "," or "\\r\\n"; any other is a KeyError.  Zeros,
+    infinities and NaNs go through repr; the others through
     _shortest_decimal and _layout, in blocks of at most _BLOCK.
     """
+    tail = _SEPARATORS[sep]
     special = (bits & _MASK63) - _U1 >= _FINITE_MAX
     regular = bits[~special]
     blocks = np.array_split(regular, -(-regular.size // _BLOCK)) if regular.size else ()
-    texts = itertools.chain.from_iterable(_block_texts(b, _tables()) for b in blocks)
+    texts = itertools.chain.from_iterable(_block_texts(b, _tables(), tail) for b in blocks)
     texts = np.fromiter(texts, dtype=object, count=regular.size)
     if regular.size == bits.size:
         return texts
     out = np.empty(bits.size, dtype=object)
-    out[special] = list(map(float.__repr__, bits[special].view(np.float64).tolist()))
+    out[special] = [repr(v) + sep for v in bits[special].view(np.float64).tolist()]
     out[~special] = texts
     return out

@@ -152,10 +152,10 @@ def monte_carlo_chains(
     All replicates are drawn in one substream_uniforms call and evaluated
     at once, so run i is the same chain, bit for bit, in a study of any
     size.  Sums keep the terms' order and logs of drawn values are scalar
-    math.log (np.log can differ in the last bit), so every replicate is
-    bit-identical to evaluating its chain one report at a time.  Raises
-    OverflowError, checked in log space, when p_same/p_diff or a reported
-    odds exceeds float range.
+    math.log, mapped over the values into one array (np.log can differ in
+    the last bit), so every replicate is bit-identical to evaluating its
+    chain one report at a time.  Raises OverflowError, checked in log
+    space, when p_same/p_diff or a reported odds exceeds float range.
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs!r}")
@@ -188,7 +188,7 @@ def monte_carlo_chains(
     lr_mismatch = math.log((1.0 - model.p_same) / (1.0 - model.p_diff))
     neutral_lr = np.where(match, lr_match, lr_mismatch)
     linear_impute = profile.impute(shares, trait[:, None]).ravel().tolist()
-    log_impute = np.reshape([math.log(v) for v in linear_impute], (n_runs, k))
+    log_impute = np.fromiter(map(math.log, linear_impute), np.float64, n_runs * k).reshape(n_runs, k)
     log_context = np.where(trait, profile.context(True), profile.context(False))
     cascade_lr = neutral_lr + log_impute + log_context[:, None]
 

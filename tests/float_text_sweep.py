@@ -4,9 +4,11 @@
 
 Draws N uniform uint64 bit patterns (default 10**7) in chunks, formats
 them with float_text.shortest_texts and with float.__repr__, and exits 1
-on the first chunk with a mismatch, printing a few of them.  Zeros,
-infinities and NaNs go through repr on both sides.  pytest does not
-collect this file; CI runs it as its own step on every numpy it tests.
+on the first chunk with a mismatch, printing a few of them.  The first
+SEP_PATTERNS of each chunk are also formatted with each CSV separator,
+shortest_texts(bits, sep) against repr + sep.  Zeros, infinities and NaNs
+go through repr on both sides.  pytest does not collect this file; CI
+runs it as its own step on every numpy it tests.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 from forensic_bias.float_text import shortest_texts
 
 CHUNK = 10**6
+SEP_PATTERNS = 10**5
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -31,16 +34,25 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     for done in range(0, args.count, CHUNK):
         bits = rng.integers(0, 2**64, min(CHUNK, args.count - done), dtype=np.uint64)
-        got = shortest_texts(bits).tolist()
         want = list(map(float.__repr__, bits.view(np.float64).tolist()))
-        if got != want:
-            bad = [(hex(b), g, w) for b, g, w in zip(bits.tolist(), got, want) if g != w]
-            print(f"{len(bad)} mismatches in patterns {done}..{done + bits.size - 1}:", file=sys.stderr)
-            for pattern, g, w in bad[:10]:
-                print(f"  {pattern}: kernel {g!r}, repr {w!r}", file=sys.stderr)
-            return 1
+        checks = [(bits, "", want)]
+        checks += [(bits[:SEP_PATTERNS], sep, [w + sep for w in want[:SEP_PATTERNS]]) for sep in (",", "\r\n")]
+        for patterns, sep, expected in checks:
+            got = shortest_texts(patterns, sep).tolist()
+            if got != expected:
+                bad = [(hex(b), g, w) for b, g, w in zip(patterns.tolist(), got, expected) if g != w]
+                print(
+                    f"{len(bad)} mismatches with sep {sep!r} in patterns {done}..{done + patterns.size - 1}:",
+                    file=sys.stderr,
+                )
+                for pattern, g, w in bad[:10]:
+                    print(f"  {pattern}: kernel {g!r}, repr + sep {w!r}", file=sys.stderr)
+                return 1
     elapsed = time.perf_counter() - started
-    print(f"{args.count} bit patterns (seed {args.seed}) match repr; numpy {np.__version__}, {elapsed:.1f} s")
+    print(
+        f"{args.count} bit patterns (seed {args.seed}) match repr, and repr + sep on the first "
+        f"{SEP_PATTERNS} of each chunk of {CHUNK}; numpy {np.__version__}, {elapsed:.1f} s"
+    )
     return 0
 
 

@@ -130,9 +130,13 @@ def test_distinct_float_formatting_equals_per_value(tmp_path, monkeypatch, case)
     column, distinct, kernel = DISTINCT_CASES[case]
     calls, kernel_calls = [], []
     float_texts, shortest_texts = outputs._float_texts, float_text.shortest_texts
-    monkeypatch.setattr(outputs, "_float_texts", lambda values: calls.append(values.size) or float_texts(values))
     monkeypatch.setattr(
-        float_text, "shortest_texts", lambda bits: kernel_calls.append(bits.size) or shortest_texts(bits)
+        outputs, "_float_texts", lambda values, sep: calls.append(values.size) or float_texts(values, sep)
+    )
+    monkeypatch.setattr(
+        float_text,
+        "shortest_texts",
+        lambda bits, sep="": kernel_calls.append(bits.size) or shortest_texts(bits, sep),
     )
     write_csv(tmp_path / "got.csv", {"x": column})
     assert bool(calls) is distinct
@@ -142,6 +146,58 @@ def test_distinct_float_formatting_equals_per_value(tmp_path, monkeypatch, case)
     got = (tmp_path / "got.csv").read_bytes()
     assert got == (tmp_path / "want.csv").read_bytes()
     assert got.decode().split("\r\n")[1:-1] == [format_value(v) for v in values]
+
+
+# Every field carries the separator that follows it: "," or, in the last
+# column, CR LF.  Kernel columns get theirs from float_text's own slots.
+_ROWS = outputs._BLOCK_ROWS + 1
+_QUOTED = ['a,"b"', "plain", "line\nbreak", "", 'q"'] * (_SHORTEST_MIN // 5 + 1)
+
+SEPARATOR_CASES = {
+    # (columns, the separator of each kernel call in order)
+    "kernel-last": ({"i": np.arange(_SHORTEST_MIN), "x": _MANY}, ["\r\n"]),
+    "kernel-middle": ({"i": np.arange(_SHORTEST_MIN), "x": _MANY, "n": list(range(_SHORTEST_MIN))}, [","]),
+    "kernel-with-specials": (
+        {
+            "a": np.concatenate([_MANY, _MIXED]),
+            "b": -np.concatenate([_MIXED, _MANY]),
+            "i": range(_MANY.size + _MIXED.size),
+        },
+        [",", ","],
+    ),
+    "kernel-lone": ({"x": _MANY}, ["\r\n"]),
+    "kernel-lone-with-specials": ({"x": np.concatenate([_MIXED, -_MANY])}, ["\r\n"]),
+    "str-lone-with-empty": ({"s": ["", "a,b", "x", "", 'say "hi"']}, []),
+    "zero-rows": ({"x": np.array([]), "s": [], "i": np.arange(0)}, []),
+    "block-plus-one-rows": (
+        {
+            "i": range(_ROWS),
+            "x": np.random.default_rng(5).lognormal(0.0, 3.0, _ROWS),
+            "s": ["a,b", "c"] * (_ROWS // 2) + [""],
+        },
+        [","],
+    ),
+    "block-plus-one-rows-kernel-last": (
+        {"s": ["", 'x"'] * (_ROWS // 2) + ["z"], "x": np.random.default_rng(6).normal(0.0, 1e9, _ROWS)},
+        ["\r\n"],
+    ),
+    "quoted-str-next-to-kernel": ({"label": _QUOTED[:_SHORTEST_MIN], "x": _MANY}, ["\r\n"]),
+    "kernel-next-to-quoted-str": ({"x": _MANY, "label, quoted": _QUOTED[:_SHORTEST_MIN]}, [","]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEPARATOR_CASES))
+def test_fields_with_separators_equal_reference(tmp_path, monkeypatch, case):
+    columns, kernel_seps = SEPARATOR_CASES[case]
+    seps, shortest_texts = [], float_text.shortest_texts
+    monkeypatch.setattr(
+        float_text, "shortest_texts", lambda bits, sep="": seps.append(sep) or shortest_texts(bits, sep)
+    )
+    write_csv(tmp_path / "got.csv", columns)
+    assert seps == kernel_seps
+    values = [c.ravel().tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
+    _reference_write_csv(tmp_path / "want.csv", list(columns), zip(*values))
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_broadcast_view_formats_each_stored_element_once(tmp_path):
@@ -279,6 +335,18 @@ def _kernel_mismatches(values: np.ndarray) -> list[tuple[str, str]]:
     got = float_text.shortest_texts(values.view(np.uint64)).tolist()
     want = list(map(float.__repr__, values.tolist()))
     return [(g, w) for g, w in zip(got, want) if g != w]
+
+
+@pytest.mark.parametrize("sep", ["", ",", "\r\n"])
+def test_shortest_texts_append_the_separator(sep):
+    values = np.concatenate([_MIXED, _MANY, -_MANY, ORACLE_CASES["extremes"]()])
+    got = float_text.shortest_texts(values.view(np.uint64), sep).tolist()
+    assert got == [repr(v) + sep for v in values.tolist()]
+
+
+def test_shortest_texts_rejects_other_separators():
+    with pytest.raises(KeyError):
+        float_text.shortest_texts(np.array([1.5]).view(np.uint64), ";")
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
