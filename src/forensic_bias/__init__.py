@@ -26,16 +26,13 @@ from .contextual import (
     race_example_delta,
 )
 from .relevance import (
-    Factor,
     FiniteJoint,
     JointSchemaError,
     RelevanceVerdict,
     Verdict,
     ZeroMassEventError,
     builtin_joint_names,
-    classify_fixture,
     classify_relevance,
-    joint_from_dag_factors,
     load_builtin_joint,
     parse_joint_fixture,
 )

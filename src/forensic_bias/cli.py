@@ -121,13 +121,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     overrides = _load_overrides(args.config, args.set_args)
     overrides.pop("preset", None)  # allowed in files for `validate`; run takes --preset
     try:
-        manifest = run_preset(
-            args.preset,
-            args.seed,
-            overrides,
-            out_dir=args.out,
-            threads=args.threads,
-        )
+        manifest = run_preset(args.preset, args.seed, overrides, out_dir=args.out)
     except ConfigError:
         raise
     except (ValueError, ArithmeticError) as exc:

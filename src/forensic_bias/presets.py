@@ -11,9 +11,7 @@ seed, fully resolved parameters, and a sha256 checksum per artifact.
 A rerun removes the old manifest before its first write, so a run
 that fails midway leaves no manifest; an old manifest it cannot remove
 is a ConfigError, and the previous run stays as it was.  Every preset
-runs in one thread; the thread count that run_preset accepts is only
-validated, kept for callers that pass it, and never reaches a runner or
-the manifest.
+runs in one thread.
 """
 
 from __future__ import annotations
@@ -618,7 +616,6 @@ def run_preset(
     overrides: Mapping[str, object] | None = None,
     *,
     out_dir: Path,
-    threads: int = 1,
 ) -> RunManifest:
     """Resolve, run, write the artifacts, checksum them, and write the manifest last.
 
@@ -629,8 +626,6 @@ def run_preset(
     """
     preset = get_preset(name)
     validate_seed(seed)
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads!r}")
     params = preset.schema.resolve(dict(overrides or {}))
     out_dir = Path(out_dir)
     try:

@@ -8,8 +8,8 @@ behaviour of the evidence given the source hypothesis E:
 
 This module represents small discrete joints exactly, classifies a named
 information variable as TaskRelevant or TaskIrrelevant by complete
-enumeration, and builds joints from conditional-probability factors given
-in topological order.
+enumeration, and builds joints from fixture text that gives
+conditional-probability factors in topological order.
 
 Joint fixture file format (one directive per line, '#' starts a comment):
 
@@ -33,12 +33,12 @@ other token by Fraction's grammar (21/188, 1e-1), so a fixture designed
 to be task-irrelevant yields a discrepancy of exactly zero.
 
 Arithmetic is exact and runs on Python ints.  Every mass and factor
-entry is read once as an integer ratio (a float at its exact binary
-value).  Fixture rows and Factor tables share one core: each factor's
-rows are scaled by the lcm of their denominators, and their DAG product
-is a set of integer weights over one common denominator.  Conditionals
-and the tolerance are compared on those weights by cross-multiplying;
-the largest gap becomes a float by one correctly rounded int division.
+entry is read once as an integer ratio (a FiniteJoint's float mass at
+its exact binary value).  Each factor's rows are scaled by the lcm of
+their denominators, and their DAG product is a set of integer weights
+over one common denominator.  Conditionals and the tolerance are
+compared on those weights by cross-multiplying; the largest gap becomes
+a float by one correctly rounded int division.
 """
 
 from __future__ import annotations
@@ -56,12 +56,9 @@ __all__ = [
     "JointSchemaError",
     "ZeroMassEventError",
     "FiniteJoint",
-    "Factor",
     "Verdict",
     "RelevanceVerdict",
     "classify_relevance",
-    "classify_fixture",
-    "joint_from_dag_factors",
     "parse_joint_fixture",
     "load_builtin_joint",
     "builtin_joint_names",
@@ -296,65 +293,22 @@ def classify_relevance(
     return RelevanceVerdict(verdict, worst_num / worst_den)
 
 
-@dataclass(frozen=True)
-class Factor:
-    """Conditional table P(variable | parents) for one node of a DAG.
-
-    `table` maps each full parent assignment (a tuple, empty for roots)
-    to the probabilities over `domain` in order: floats, ints or
-    Fractions, each read at its exact value.  Every row must sum to 1
-    within 1e-9, compared exactly.
-    """
-
-    variable: str
-    domain: tuple[str, ...]
-    parents: tuple[str, ...] = ()
-    table: Mapping[tuple[str, ...], Sequence[object]] = field(default_factory=dict, hash=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "domain", _check_domain(self.variable, self.domain))
-        object.__setattr__(self, "parents", tuple(self.parents))
-        object.__setattr__(self, "table", {tuple(k): tuple(v) for k, v in self.table.items()})
-
-
-def joint_from_dag_factors(factors: Sequence[Factor]) -> FiniteJoint:
-    """Multiply conditional factors, given in topological order, into a joint.
-
-    Each factor's parents must already have been declared by an earlier
-    factor; rows are validated for arity, domain membership, and unit sum.
-    Each factor's rows are scaled to integers by the lcm of their
-    denominators, so the joint's weights are integer products over the
-    product of those lcms.
-    """
-    factors = tuple(factors)
-    if not factors:
-        raise JointSchemaError("joint_from_dag_factors requires at least one factor")
-    read = []
-    for f in factors:
-        where = f"factor for {f.variable!r}"
-        rows = {key: [_ratio(p, f"{where}: row {key!r}") for p in row] for key, row in f.table.items()}
-        read.append((f.variable, f.domain, f.parents, rows, f.table))
-    return _joint_from_rows(read)
-
-
 def _joint_from_rows(factors) -> FiniteJoint:
     """The joint of factors whose entries are already exact ratios.
 
-    Each factor is (variable, domain, parents, rows, table): rows maps a
-    parent key to its entries as (numerator, denominator) pairs, and
-    table, if not None, holds the entries as given, for the row-sum
-    message (else that message shows the exact sum).
+    Each factor is (variable, domain, parents, rows): rows maps a parent
+    key to its entries as (numerator, denominator) pairs.
     """
     declared: dict[str, tuple[int, tuple[str, ...]]] = {}  # variable: (position, domain)
     tables = []  # per factor: (domain, parent positions, {parent key: integer row})
     denominator = 1
-    for variable, domain, parents, ratios, table in factors:
+    for variable, domain, parents, ratios in factors:
         if variable in declared:
-            raise JointSchemaError(f"variable {variable!r} declared twice")
+            raise JointSchemaError(f"variable {variable!r} has a second factor")
         expected_rows = 1
         for parent in parents:
             if parent not in declared:
-                raise JointSchemaError(f"factor for {variable!r} references undeclared parent {parent!r}")
+                raise JointSchemaError(f"factor for {variable!r} names parent {parent!r}, which has no earlier factor")
             expected_rows *= len(declared[parent][1])
         if len(ratios) != expected_rows:
             raise JointSchemaError(f"factor for {variable!r} has {len(ratios)} rows, expected {expected_rows}")
@@ -375,7 +329,7 @@ def _joint_from_rows(factors) -> FiniteJoint:
             if min(scaled) < 0:
                 raise JointSchemaError(f"factor for {variable!r}: negative entry in row {key!r}")
             if _off_one(sum(scaled), scale):
-                total = Fraction(sum(scaled), scale) if table is None else sum(table[key])
+                total = Fraction(sum(scaled), scale)
                 raise JointSchemaError(f"factor for {variable!r}: row {key!r} sums to {total!r}, not 1")
         tables.append((domain, tuple(declared[p][0] for p in parents), rows))
         denominator *= scale
@@ -453,7 +407,7 @@ def parse_joint_fixture(text: str) -> tuple[FiniteJoint, dict[str, tuple[str, ..
             if child not in domains:
                 raise JointSchemaError(f"line {lineno}: factor for undeclared variable {child!r}")
             rows = {}
-            factors.append((child, domains[child], parents, rows, None))
+            factors.append((child, domains[child], parents, rows))
         elif "|" in line:
             if rows is None:
                 raise JointSchemaError(f"line {lineno}: probability row outside a factor block")
@@ -477,18 +431,6 @@ def parse_joint_fixture(text: str) -> tuple[FiniteJoint, dict[str, tuple[str, ..
     if len(roles["hypothesis"]) != 1 or len(roles["info"]) != 1:
         raise JointSchemaError("hypothesis and info roles must each name exactly one variable")
     return _joint_from_rows(factors), roles
-
-
-def classify_fixture(text: str, tolerance: float = 1e-9) -> RelevanceVerdict:
-    """Parse a fixture and classify its info variable."""
-    joint, roles = parse_joint_fixture(text)
-    return classify_relevance(
-        joint,
-        tolerance,
-        evidence=roles["evidence"],
-        info=roles["info"][0],
-        hypothesis=roles["hypothesis"][0],
-    )
 
 
 def _joint_dir():

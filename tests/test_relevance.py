@@ -10,16 +10,13 @@ import numpy as np
 import pytest
 
 from forensic_bias.relevance import (
-    Factor,
     FiniteJoint,
     JointSchemaError,
     Verdict,
     ZeroMassEventError,
     _parse_number,
     builtin_joint_names,
-    classify_fixture,
     classify_relevance,
-    joint_from_dag_factors,
     load_builtin_joint,
     parse_joint_fixture,
 )
@@ -47,6 +44,26 @@ def oracle_max_discrepancy(joint, evidence, info, hypothesis):
                 rhs = prob({**fixed, info: i, hypothesis: e}) / p_ie
                 worst = max(worst, abs(lhs - rhs))
     return worst
+
+
+def _fixture_text(factors, roles="hypothesis=E info=I evidence=X"):
+    """Fixture text of (variable, domain, parents, table) factors in topological order.
+
+    table maps each parent key to its row.  Every entry is written as its
+    exact numerator/denominator, which _parse_number reads by Fraction, so
+    a float entry keeps its exact binary value.
+    """
+    lines = [f"roles {roles}"]
+    lines += [" ".join(("variable", variable, *domain)) for variable, domain, _, _ in factors]
+    for variable, _, parents, table in factors:
+        lines.append(" ".join(("factor", variable, "|", *parents)))
+        for key, row in table.items():
+            lines.append(" ".join((*key, "|", *("%d/%d" % Fraction(p).as_integer_ratio() for p in row))))
+    return "\n".join(lines) + "\n"
+
+
+def _joint(factors, roles="hypothesis=E info=I evidence=X"):
+    return parse_joint_fixture(_fixture_text(factors, roles))[0]
 
 
 def _classify_builtin(name, tolerance=1e-9):
@@ -112,17 +129,17 @@ class TestBuiltinFixtures:
 class TestClassifier:
     def _independent_joint(self):
         # I is pure noise attached to an (X, Y, E) comparison model.
-        return joint_from_dag_factors(
+        return _joint(
             [
-                Factor("E", ("same", "diff"), (), {(): (Fraction(1, 2), Fraction(1, 2))}),
-                Factor("I", ("a", "b"), (), {(): (Fraction(1, 4), Fraction(3, 4))}),
-                Factor(
+                ("E", ("same", "diff"), (), {(): (Fraction(1, 2), Fraction(1, 2))}),
+                ("I", ("a", "b"), (), {(): (Fraction(1, 4), Fraction(3, 4))}),
+                (
                     "X",
                     ("0", "1"),
                     ("E",),
                     {("same",): (Fraction(1, 3), Fraction(2, 3)), ("diff",): (Fraction(1, 2), Fraction(1, 2))},
                 ),
-                Factor(
+                (
                     "Y",
                     ("0", "1"),
                     ("X", "E"),
@@ -133,7 +150,8 @@ class TestClassifier:
                         ("1", "diff"): (Fraction(1, 2), Fraction(1, 2)),
                     },
                 ),
-            ]
+            ],
+            roles="hypothesis=E info=I evidence=X,Y",
         )
 
     def test_independent_info_is_exactly_irrelevant(self):
@@ -246,17 +264,18 @@ class TestClassifier:
             p_i = rng.uniform(0.1, 0.9)
             xy_same = rng.dirichlet(np.ones(4))
             xy_diff = rng.dirichlet(np.ones(4))
-            joint = joint_from_dag_factors(
+            joint = _joint(
                 [
-                    Factor("E", ("same", "diff"), (), {(): (p_e, 1 - p_e)}),
-                    Factor("I", ("y", "n"), ("E",), {("same",): (p_i, 1 - p_i), ("diff",): (p_i, 1 - p_i)}),
-                    Factor(
+                    ("E", ("same", "diff"), (), {(): (p_e, 1 - p_e)}),
+                    ("I", ("y", "n"), ("E",), {("same",): (p_i, 1 - p_i), ("diff",): (p_i, 1 - p_i)}),
+                    (
                         "XY",
                         ("00", "01", "10", "11"),
                         ("E",),
                         {("same",): tuple(xy_same), ("diff",): tuple(xy_diff)},
                     ),
-                ]
+                ],
+                roles="hypothesis=E info=I evidence=XY",
             )
             verdict = classify_relevance(joint, evidence=("XY",))
             assert verdict.verdict is Verdict.TASK_IRRELEVANT
@@ -271,11 +290,11 @@ class TestClassifier:
             shifted[0], shifted[3] = shifted[3], shifted[0]
             if abs(float(base[0] - base[3])) < 0.05:
                 continue
-            joint = joint_from_dag_factors(
+            joint = _joint(
                 [
-                    Factor("E", ("same", "diff"), (), {(): (0.5, 0.5)}),
-                    Factor("I", ("y", "n"), (), {(): (0.5, 0.5)}),
-                    Factor(
+                    ("E", ("same", "diff"), (), {(): (0.5, 0.5)}),
+                    ("I", ("y", "n"), (), {(): (0.5, 0.5)}),
+                    (
                         "XY",
                         ("00", "01", "10", "11"),
                         ("I", "E"),
@@ -286,7 +305,8 @@ class TestClassifier:
                             ("n", "diff"): (0.25, 0.25, 0.25, 0.25),
                         },
                     ),
-                ]
+                ],
+                roles="hypothesis=E info=I evidence=XY",
             )
             verdict = classify_relevance(joint, evidence=("XY",))
             assert verdict.verdict is Verdict.TASK_RELEVANT
@@ -335,37 +355,15 @@ class TestJointConstruction:
         assert joint.mass(("1",)) == 0
 
     def test_dag_product_of_independents(self):
-        joint = joint_from_dag_factors(
+        joint = _joint(
             [
-                Factor("A", ("0", "1"), (), {(): (0.3, 0.7)}),
-                Factor("B", ("0", "1"), (), {(): (0.6, 0.4)}),
-            ]
+                ("A", ("0", "1"), (), {(): (0.3, 0.7)}),
+                ("B", ("0", "1"), (), {(): (0.6, 0.4)}),
+            ],
+            roles="hypothesis=A info=B evidence=A",
         )
-        assert joint.mass(("0", "1")) == pytest.approx(0.12)
+        assert joint.mass(("0", "1")) == Fraction(0.3) * Fraction(0.4)
         assert abs(sum(joint.pmf.values()) - 1) < 1e-12
-
-    def test_dag_undeclared_parent_rejected(self):
-        with pytest.raises(JointSchemaError, match="undeclared parent"):
-            joint_from_dag_factors(
-                [Factor("A", ("0", "1"), ("B",), {("0",): (1.0, 0.0), ("1",): (0.0, 1.0)})]
-            )
-
-    def test_dag_missing_row_rejected(self):
-        with pytest.raises(JointSchemaError, match="rows"):
-            joint_from_dag_factors(
-                [
-                    Factor("A", ("0", "1"), (), {(): (0.5, 0.5)}),
-                    Factor("B", ("0", "1"), ("A",), {("0",): (0.5, 0.5)}),
-                ]
-            )
-
-    def test_dag_row_sum_rejected(self):
-        with pytest.raises(JointSchemaError, match="sums to"):
-            joint_from_dag_factors([Factor("A", ("0", "1"), (), {(): (0.5, 0.6)})])
-
-    def test_dag_row_arity_rejected(self):
-        with pytest.raises(JointSchemaError, match="entries"):
-            joint_from_dag_factors([Factor("A", ("0", "1"), (), {(): (1.0,)})])
 
 
 class TestFixtureParsing:
@@ -375,7 +373,10 @@ class TestFixtureParsing:
         path = resources.files("forensic_bias").joinpath(
             "fixtures/joints/tool_shape_relevant.txt"
         )
-        verdict = classify_fixture(path.read_text(encoding="utf-8"))
+        joint, roles = parse_joint_fixture(path.read_text(encoding="utf-8"))
+        verdict = classify_relevance(
+            joint, evidence=roles["evidence"], info=roles["info"][0], hypothesis=roles["hypothesis"][0]
+        )
         assert verdict.max_discrepancy == float(Fraction(21, 188))
 
     def test_roles_parsed(self):
@@ -406,6 +407,43 @@ class TestFixtureParsing:
         )
         joint, _ = parse_joint_fixture(text)
         assert joint.mass(("s", "a", "0")) == Fraction(1, 3) * Fraction(1, 2) * Fraction(1, 4)
+
+    @pytest.mark.parametrize(
+        "factors, message",
+        [
+            ("factor A\n| 1/2 1/2\nfactor A\n| 1/2 1/2\nfactor B\n| 1 0\n", "variable 'A' has a second factor"),
+            (
+                "factor A | B\n0 | 1 0\n1 | 0 1\nfactor B\n| 1/2 1/2\n",
+                "factor for 'A' names parent 'B', which has no earlier factor",
+            ),
+            ("factor A\n| 1/2 1/2\nfactor B | A\n0 | 1/2 1/2\n", "factor for 'B' has 1 rows, expected 2"),
+            (
+                "factor A\n| 1/2 1/2\nfactor B | A\n0 0 | 1/2 1/2\n1 | 1/2 1/2\n",
+                "factor for 'B': row key ('0', '0') does not match parents ('A',)",
+            ),
+            (
+                "factor A\n| 1/2 1/2\nfactor B | A\n0 | 1/2 1/2\n2 | 1/2 1/2\n",
+                "factor for 'B': '2' not in domain of parent 'A'",
+            ),
+            ("factor A\n| 1\nfactor B\n| 1/2 1/2\n", "factor for 'A': row () has 1 entries for a domain of size 2"),
+            ("factor A\n| -1/4 5/4\nfactor B\n| 1/2 1/2\n", "factor for 'A': negative entry in row ()"),
+            ("factor A\n| 0.5 0.6\nfactor B\n| 1/2 1/2\n", "factor for 'A': row () sums to Fraction(11, 10), not 1"),
+        ],
+        ids=[
+            "second-factor",
+            "undeclared-parent",
+            "missing-row",
+            "key-arity",
+            "parent-value",
+            "row-length",
+            "negative-entry",
+            "row-sum",
+        ],
+    )
+    def test_malformed_factor_rejected(self, factors, message):
+        text = "roles hypothesis=A info=A evidence=B\nvariable A 0 1\nvariable B 0 1\n" + factors
+        with pytest.raises(JointSchemaError, match=f"^{re.escape(message)}$"):
+            parse_joint_fixture(text)
 
 
 class TestNumberReader:
@@ -471,11 +509,11 @@ class TestNumberReader:
         assert list(joint.pmf) == list(expected)
         assert dict(joint.pmf) == expected
         gap = reference_discrepancy(joint.variables, expected, roles["evidence"], "I", "E")
-        assert classify_fixture(text).max_discrepancy == float(gap)
+        assert classify_relevance(joint, evidence=roles["evidence"]).max_discrepancy == float(gap)
 
 
 def _fraction_factors(text):
-    """A fixture's factors with every entry read by Fraction(token)."""
+    """A fixture's (variable, domain, parents, table) factors, every entry read by Fraction(token)."""
     domains, blocks = {}, []
     for raw in text.splitlines():
         line = raw.partition("#")[0]
@@ -488,7 +526,7 @@ def _fraction_factors(text):
         elif "|" in line and head != "roles":
             left, _, right = line.partition("|")
             blocks[-1][2][tuple(left.split())] = tuple(Fraction(t) for t in right.split())
-    return [Factor(variable, domains[variable], parents, table) for variable, parents, table in blocks]
+    return [(variable, domains[variable], parents, table) for variable, parents, table in blocks]
 
 
 # ------------------------------------------------------------------ oracle
@@ -498,14 +536,17 @@ def _fraction_factors(text):
 
 
 def reference_joint(factors):
-    """{assignment: Fraction mass} of the DAG product, zero masses left out."""
-    order = {f.variable: i for i, f in enumerate(factors)}
+    """{assignment: Fraction mass} of the DAG product, zero masses left out.
+
+    factors are (variable, domain, parents, table) tuples in topological order.
+    """
+    order = {variable: i for i, (variable, _, _, _) in enumerate(factors)}
     pmf = {}
-    for assignment in itertools.product(*(f.domain for f in factors)):
+    for assignment in itertools.product(*(domain for _, domain, _, _ in factors)):
         mass = Fraction(1)
-        for f in factors:
-            parent_key = tuple(assignment[order[p]] for p in f.parents)
-            mass = mass * Fraction(f.table[parent_key][f.domain.index(assignment[order[f.variable]])])
+        for variable, domain, parents, table in factors:
+            parent_key = tuple(assignment[order[p]] for p in parents)
+            mass = mass * Fraction(table[parent_key][domain.index(assignment[order[variable]])])
             if mass == 0:
                 break
         if mass != 0:
@@ -574,13 +615,13 @@ def _random_dag(rng, make_row):
         parents = tuple(rng.choice(earlier, n_parents, replace=False).tolist()) if n_parents else ()
         keys = itertools.product(*(domains[p] for p in parents))
         table = {key: make_row(rng, len(domain)) for key in keys}
-        factors.append(Factor(name, domain, parents, table))
+        factors.append((name, domain, parents, table))
         domains[name] = domain
     return factors, tuple(sorted(n for n in names if n.startswith("Z")))
 
 
 def _assert_matches_reference(factors, evidence):
-    joint = joint_from_dag_factors(factors)
+    joint = _joint(factors, roles=f"hypothesis=E info=I evidence={','.join(evidence)}")
     expected_pmf = reference_joint(factors)
     assert list(joint.pmf) == list(expected_pmf)
     assert dict(joint.pmf) == expected_pmf
@@ -628,12 +669,12 @@ class TestReferenceOracle:
         for _ in range(30):
             p_i = _rational_row(rng, 3)
             factors = [
-                Factor("E", ("s", "d"), (), {(): (Fraction(2, 7), Fraction(5, 7))}),
-                Factor("I", ("a", "b", "c"), ("E",), {("s",): p_i, ("d",): _rational_row(rng, 3)}),
-                Factor("X", ("0", "1"), ("E",), {("s",): _rational_row(rng, 2), ("d",): _rational_row(rng, 2)}),
+                ("E", ("s", "d"), (), {(): (Fraction(2, 7), Fraction(5, 7))}),
+                ("I", ("a", "b", "c"), ("E",), {("s",): p_i, ("d",): _rational_row(rng, 3)}),
+                ("X", ("0", "1"), ("E",), {("s",): _rational_row(rng, 2), ("d",): _rational_row(rng, 2)}),
             ]
             try:
-                verdict = classify_relevance(joint_from_dag_factors(factors), 0.0, evidence=("X",))
+                verdict = classify_relevance(_joint(factors), 0.0, evidence=("X",))
             except ZeroMassEventError:
                 continue
             assert verdict.max_discrepancy == 0.0
@@ -642,21 +683,21 @@ class TestReferenceOracle:
     def test_sum_tolerance_is_exact(self):
         # A row may miss 1 by exactly the binary value of 1e-9, and not by more.
         edge = Fraction(1e-9)
-        ok = Factor("A", ("0", "1"), (), {(): (Fraction(1, 2), Fraction(1, 2) + edge)})
-        assert joint_from_dag_factors([ok]).mass(("1",)) == Fraction(1, 2) + edge
-        over = Factor("A", ("0", "1"), (), {(): (Fraction(1, 2), Fraction(1, 2) + edge + Fraction(1, 10**30))})
+
+        def factor_a(second):
+            return [("A", ("0", "1"), (), {(): (Fraction(1, 2), second)})]
+
+        roles = "hypothesis=A info=A evidence=A"
+        assert _joint(factor_a(Fraction(1, 2) + edge), roles).mass(("1",)) == Fraction(1, 2) + edge
         with pytest.raises(JointSchemaError, match=r"row \(\) sums to Fraction\("):
-            joint_from_dag_factors([over])
-        under = Factor("A", ("0", "1"), (), {(): (Fraction(1, 2), Fraction(1, 2) - edge - Fraction(1, 10**30))})
-        with pytest.raises(JointSchemaError, match="sums to"):
-            joint_from_dag_factors([under])
+            _joint(factor_a(Fraction(1, 2) + edge + Fraction(1, 10**30)), roles)
+        with pytest.raises(JointSchemaError, match=r"row \(\) sums to Fraction\("):
+            _joint(factor_a(Fraction(1, 2) - edge - Fraction(1, 10**30)), roles)
         FiniteJoint((("A", ("0", "1")),), {("0",): Fraction(1, 2), ("1",): Fraction(1, 2) - edge})
         with pytest.raises(JointSchemaError, match="joint mass sums to"):
             FiniteJoint((("A", ("0", "1")),), {("0",): Fraction(1, 2), ("1",): Fraction(1, 2) - 2 * edge})
 
-    def test_float_row_sum_message_keeps_the_float_sum(self):
-        with pytest.raises(JointSchemaError, match=r"sums to 1\.1, not 1"):
-            joint_from_dag_factors([Factor("A", ("0", "1"), (), {(): (0.5, 0.6)})])
+    def test_joint_mass_sum_message_keeps_the_float_sum(self):
         with pytest.raises(JointSchemaError, match=r"joint mass sums to 0\.8999999999999999, not 1"):
             FiniteJoint((("A", ("0", "1")),), {("0",): 0.7, ("1",): 0.2})
 
@@ -669,5 +710,3 @@ class TestReferenceOracle:
     def test_non_finite_entries_rejected(self, bad):
         with pytest.raises(JointSchemaError, match="not a finite number"):
             FiniteJoint((("A", ("0", "1")),), {("0",): 1.0, ("1",): bad})
-        with pytest.raises(JointSchemaError, match="not a finite number"):
-            joint_from_dag_factors([Factor("A", ("0", "1"), (), {(): (1.0, bad)})])
