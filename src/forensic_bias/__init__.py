@@ -55,7 +55,6 @@ from .feedback import (
     BetaPrior,
     DEFAULT_PRIOR,
     FeedbackRegime,
-    PairedFeedbackResult,
     run_paired_feedback,
     simulate_feedback,
 )

@@ -8,11 +8,12 @@ convictions are wrongful and trait-skewed: those cases feed distorted
 observations back into the belief, which then converges to the wrong
 place, and more slowly toward truth than a clean record would.
 
-A regime is only its (wrongful_rate, trait_skew) pair; the truthful one
-is (0, 1).  Every regime consumes the random stream identically (two
-uniforms per case), so running two on generators with the same seed
-compares them under common random numbers, and a regime with a zero
-wrongful rate reproduces the truthful run bit for bit.
+A regime is only its (wrongful_rate, trait_skew) pair; the truthful one,
+FeedbackRegime(), is (0, 1).  The two courts are always run as a pair
+under common random numbers, and every result is an array whose first
+row is the truthful court and second the biased one.  simulate_feedback
+draws one stream of cases and returns both belief trajectories; with a
+zero wrongful rate its two rows are equal bit for bit.
 
 A final posterior mean depends only on the trait count K, which is
 Binomial(n_obs, p) in either regime.  Under common random numbers each
@@ -41,7 +42,6 @@ __all__ = [
     "DEFAULT_PRIOR",
     "simulate_feedback",
     "exact_final_mean_and_gap",
-    "PairedFeedbackResult",
     "run_paired_feedback",
 ]
 
@@ -67,14 +67,6 @@ class FeedbackRegime:
             raise ValueError(f"trait_skew must be positive and finite, got {skew!r}")
         object.__setattr__(self, "wrongful_rate", rate)
         object.__setattr__(self, "trait_skew", skew)
-
-    @classmethod
-    def truthful(cls) -> "FeedbackRegime":
-        return cls()
-
-    @classmethod
-    def biased(cls, wrongful_rate: float = 0.06, trait_skew: float = 2.0) -> "FeedbackRegime":
-        return cls(wrongful_rate, trait_skew)
 
 
 @dataclass(frozen=True)
@@ -122,25 +114,28 @@ def _wrongful_trait_rate(regime: FeedbackRegime, alpha_true: float) -> float:
 
 
 def simulate_feedback(
-    regime: FeedbackRegime,
+    biased: FeedbackRegime,
     alpha_true: float,
     n_obs: int = 100,
     prior: BetaPrior = DEFAULT_PRIOR,
     *,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """The posterior means after cases 1, 2, ..., n_obs of one belief
-    trajectory, as an (n_obs,) array.  Case j reads column j of
+    """The posterior means after cases 1, 2, ..., n_obs of a truthful and
+    a biased belief trajectory under common random numbers, as a
+    (2, n_obs) array, truthful first.  Case j reads column j of
     rng.random((2, n_obs)): row 0 decides whether it is wrongful, row 1
     whether it shows the trait."""
     alpha_true = _validate_alpha(alpha_true)
     if n_obs < 1:
         raise ValueError(f"n_obs must be >= 1, got {n_obs!r}")
-    skewed = _wrongful_trait_rate(regime, alpha_true)
+    skewed = _wrongful_trait_rate(biased, alpha_true)
     wrongful, trait = rng.random((2, n_obs))
-    traits = trait < np.where(wrongful < regime.wrongful_rate, skewed, alpha_true)
+    traits = np.stack(
+        (trait < alpha_true, trait < np.where(wrongful < biased.wrongful_rate, skewed, alpha_true))
+    )
     steps = np.arange(1, n_obs + 1, dtype=float)
-    return (prior.a + np.cumsum(traits)) / (prior.a + prior.b + steps)
+    return (prior.a + np.cumsum(traits, axis=1)) / (prior.a + prior.b + steps)
 
 
 def exact_final_mean_and_gap(
@@ -161,27 +156,6 @@ def exact_final_mean_and_gap(
     gaps = np.abs((prior.a + counts) / total - alpha_true)
     mean = (prior.a + n_obs * p) / total
     return mean, float(np.exp(binomial_log_pmf(n_obs, p, counts)) @ gaps)
-
-
-@dataclass(frozen=True, eq=False)
-class PairedFeedbackResult:
-    """Final posterior means from truthful/biased pairs under common random
-    numbers, and their gaps to alpha_true, as (n_seeds,) float64 arrays."""
-
-    alpha_true: float
-    n_obs: int
-    truthful_means: np.ndarray
-    biased_means: np.ndarray
-    truthful_gaps: np.ndarray
-    biased_gaps: np.ndarray
-
-    @property
-    def mean_truthful_gap(self) -> float:
-        return float(np.mean(self.truthful_gaps))
-
-    @property
-    def mean_biased_gap(self) -> float:
-        return float(np.mean(self.biased_gaps))
 
 
 def _paired_cells(biased: FeedbackRegime, alpha_true: float, skewed: float) -> list[float]:
@@ -205,11 +179,12 @@ def run_paired_feedback(
     alpha_true: float = 0.5,
     n_obs: int = 100,
     prior: BetaPrior = DEFAULT_PRIOR,
-    biased: FeedbackRegime | None = None,
+    biased: FeedbackRegime = FeedbackRegime(0.06, 2.0),
     *,
     master_seed: int,
-) -> PairedFeedbackResult:
-    """Replicate truthful and biased runs under common random numbers.
+) -> np.ndarray:
+    """Final posterior means of truthful and biased runs under common
+    random numbers, as a (2, n_seeds) float64 array, truthful first.
 
     Each replicate's cell counts c are one row of a single
     Multinomial(n_obs, cells) draw of shape (n_seeds, 4) from
@@ -223,20 +198,8 @@ def run_paired_feedback(
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds!r}")
     if n_obs < 1:
         raise ValueError(f"n_obs must be >= 1, got {n_obs!r}")
-    if biased is None:
-        biased = FeedbackRegime.biased()
     alpha_true = _validate_alpha(alpha_true)
     skewed = _wrongful_trait_rate(biased, alpha_true)
     cells = _paired_cells(biased, alpha_true, skewed)
-    counts = substream(master_seed, 1).multinomial(n_obs, cells, size=n_seeds)
-    total = prior.a + prior.b + n_obs
-    truthful_means = (prior.a + (counts[:, 0] + counts[:, 1])) / total
-    biased_means = (prior.a + (counts[:, 0] + counts[:, 2])) / total
-    return PairedFeedbackResult(
-        alpha_true=alpha_true,
-        n_obs=n_obs,
-        truthful_means=truthful_means,
-        biased_means=biased_means,
-        truthful_gaps=np.abs(truthful_means - alpha_true),
-        biased_gaps=np.abs(biased_means - alpha_true),
-    )
+    c0, c1, c2, _ = substream(master_seed, 1).multinomial(n_obs, cells, size=n_seeds).T
+    return (prior.a + np.stack((c0 + c1, c0 + c2))) / (prior.a + prior.b + n_obs)

@@ -431,55 +431,39 @@ _FEEDBACK_SCHEMA = PresetSchema(
 
 def _run_feedback(params: dict, seed: int) -> dict[str, object]:
     prior = BetaPrior(params["prior_a"], params["prior_b"])
-    biased_regime = FeedbackRegime.biased(params["wrongful_rate"], params["trait_skew"])
-    truthful_regime = FeedbackRegime.truthful()
+    biased = FeedbackRegime(params["wrongful_rate"], params["trait_skew"])
+    alpha_true, n_obs = params["alpha_true"], params["n_obs"]
 
     # Illustrative pair under common random numbers, on its own substream.
-    n_obs = params["n_obs"]
-    truthful, biased = (
-        simulate_feedback(regime, params["alpha_true"], n_obs, prior, rng=substream(seed, 0))
-        for regime in (truthful_regime, biased_regime)
-    )
     trajectory = {
         "step": np.broadcast_to(np.arange(1, n_obs + 1), (2, n_obs)),
-        "posterior_mean": np.concatenate((truthful, biased)),
+        "posterior_mean": simulate_feedback(biased, alpha_true, n_obs, prior, rng=substream(seed, 0)),
         "regime": np.broadcast_to(np.array(["truthful", "biased"])[:, None], (2, n_obs)),
         "seed": np.broadcast_to(0, 2 * n_obs),
     }
 
     with warnings.catch_warnings():
-        # The illustrative biased trajectory has already warned if the
+        # The illustrative trajectories have already warned if the
         # wrongful-case trait rate is clamped; the replicates and the exact
-        # means share its parameters, so one warning per run says it all.
+        # means share their parameters, so one warning per run says it all.
         warnings.filterwarnings("ignore", message=r"trait_skew \* alpha_true", category=RuntimeWarning)
-        result = run_paired_feedback(
-            params["n_seeds"],
-            params["alpha_true"],
-            n_obs,
-            prior,
-            biased_regime,
-            master_seed=seed,
+        means = run_paired_feedback(params["n_seeds"], alpha_true, n_obs, prior, biased, master_seed=seed)
+        exact_truthful, exact_biased = (
+            exact_final_mean_and_gap(regime, alpha_true, n_obs, prior) for regime in (FeedbackRegime(), biased)
         )
-        exact_truthful = exact_final_mean_and_gap(truthful_regime, params["alpha_true"], n_obs, prior)
-        exact_biased = exact_final_mean_and_gap(biased_regime, params["alpha_true"], n_obs, prior)
+    gaps = np.abs(means - alpha_true)
     return {
         "trajectory.csv": trajectory,
-        "gaps.csv": {
-            "seed": range(len(result.truthful_means)),
-            "truthful_final_mean": result.truthful_means,
-            "biased_final_mean": result.biased_means,
-            "truthful_gap": result.truthful_gaps,
-            "biased_gap": result.biased_gaps,
-        },
+        "gaps.csv": {"seed": range(params["n_seeds"]), "truthful_final_mean": means[0], "biased_final_mean": means[1]},
         "aggregate.json": {
-            "alpha_true": result.alpha_true,
-            "n_obs": result.n_obs,
+            "alpha_true": alpha_true,
+            "n_obs": n_obs,
             "n_seeds": params["n_seeds"],
             "prior_mean": prior.mean,
-            "mean_final_truthful": float(np.mean(result.truthful_means)),
-            "mean_final_biased": float(np.mean(result.biased_means)),
-            "mean_gap_truthful": result.mean_truthful_gap,
-            "mean_gap_biased": result.mean_biased_gap,
+            "mean_final_truthful": float(np.mean(means[0])),
+            "mean_final_biased": float(np.mean(means[1])),
+            "mean_gap_truthful": float(np.mean(gaps[0])),
+            "mean_gap_biased": float(np.mean(gaps[1])),
             "exact_mean_final_truthful": exact_truthful[0],
             "exact_mean_final_biased": exact_biased[0],
             "exact_mean_gap_truthful": exact_truthful[1],

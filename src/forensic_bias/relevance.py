@@ -26,8 +26,10 @@ Joint fixture file format (one directive per line, '#' starts a comment):
     curved same | 0.1 0.1 0.1 0.7
     ...
 
-Each factor row lists the parent assignment left of the bar and the
-probabilities over the child's domain (in declared order) right of it.
+Each role is given once, on one roles line or spread over several, and
+a factor names each parent once.  Each factor row lists the parent
+assignment left of the bar and the probabilities over the child's
+domain (in declared order) right of it.
 Decimals (0.25, .5, 5.) are read straight to exact integer ratios, any
 other token by Fraction's grammar (21/188, 1e-1), so a fixture designed
 to be task-irrelevant yields a discrepancy of exactly zero.
@@ -305,6 +307,8 @@ def _joint_from_rows(factors) -> FiniteJoint:
     for variable, domain, parents, ratios in factors:
         if variable in declared:
             raise JointSchemaError(f"variable {variable!r} has a second factor")
+        if len(set(parents)) != len(parents):
+            raise JointSchemaError(f"factor for {variable!r} names a parent twice: {parents!r}")
         expected_rows = 1
         for parent in parents:
             if parent not in declared:
@@ -391,6 +395,8 @@ def parse_joint_fixture(text: str) -> tuple[FiniteJoint, dict[str, tuple[str, ..
                 role, names = spec.split("=", 1)
                 if role not in ("hypothesis", "info", "evidence"):
                     raise JointSchemaError(f"line {lineno}: unknown role {role!r}")
+                if role in roles:
+                    raise JointSchemaError(f"line {lineno}: role {role!r} given twice")
                 roles[role] = tuple(n for n in names.split(",") if n)
         elif head == "variable":
             if len(tokens) < 3:

@@ -10,12 +10,10 @@ Replicated experiments draw those streams in batch: substream_uniforms
 returns many replicates' first m uniforms as one array, and its row for
 index i equals substream(seed, i).random(m) bit for bit.  It seeds all
 replicates at once by redoing numpy's SeedSequence entropy mixing and
-the PCG64 seeding step (O'Neill 2014) on arrays.  A short row (m at
-most _SHORT_ROWS) is then computed on arrays too: each draw's 128-bit
-state comes from the seeded state by a jump-ahead, and the XSL-RR
-output and numpy's double conversion follow.  A long row is drawn by
-numpy's own generator, set to that row's seeded state.  Both paths
-equal substream(seed, i).random(m) bit for bit.
+the PCG64 seeding step (O'Neill 2014) on arrays.  The draws are then
+computed on arrays too: each draw's 128-bit state comes from the seeded
+state by a jump-ahead, and the XSL-RR output and numpy's double
+conversion follow.
 """
 
 from __future__ import annotations
@@ -118,15 +116,6 @@ def _seed_states(entropy: np.ndarray) -> np.ndarray:
     return (words[0::2] | (words[1::2] << np.uint64(32))).T
 
 
-# Rows of at most _SHORT_ROWS uniforms are computed by jump-ahead on arrays
-# (_draw_by_jump), longer rows, such as propagation's 1 + 2k draws for k
-# above 31, by numpy's generator one row at a time (_draw_by_generator).
-# The array path's cost grows with m, while the generator's is ≈4 µs of
-# state setting per row plus numpy's own draws.  Median time of the array
-# path over the generator's, for 256 and for 1,000 rows (Linux, 2 shared
-# cores, Python 3.11.7, numpy 2.4.6): 0.33 at m = 32, 0.63-0.80 at m = 64,
-# 0.83-0.96 at m = 96, 1.06-1.35 at m = 128, and 1.4-1.6 at m = 200.
-_SHORT_ROWS = 64
 # Values per block of rows in _draw_by_jump: its ≈10 uint64 temporaries of
 # a block stay at 64 kB each, whatever the row count.  Blocks of 8,192
 # values beat fixed blocks of 256, 512 and 1,024 rows at (1,000, 11),
@@ -198,21 +187,6 @@ def _draw_by_jump(out: np.ndarray, words: np.ndarray) -> None:
         np.multiply(draws >> _U11, 2.0**-53, out=out[start : start + block])
 
 
-def _draw_by_generator(out: np.ndarray, words: np.ndarray) -> None:
-    """Fill out's rows by setting one numpy PCG64 generator to each row's seeded state."""
-    gen = np.random.Generator(np.random.PCG64(0))
-    bit_generator = gen.bit_generator
-    seeded = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": seeded, "has_uint32": 0, "uinteger": 0}
-    for row, (s_hi, s_lo, q_hi, q_lo) in zip(out, words.tolist()):
-        # PCG64's seeding step: state = (inc + initstate) * MULT + inc.
-        inc = ((q_hi << 65) | (q_lo << 1) | 1) & _MASK128
-        seeded["inc"] = inc
-        seeded["state"] = ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        bit_generator.state = state
-        gen.random(out=row)
-
-
 def substream_uniforms(master_seed: int, indices: Iterable[int], m: int) -> np.ndarray:
     """substream(master_seed, i).random(m) for every i in indices, as rows.
 
@@ -249,9 +223,5 @@ def substream_uniforms(master_seed: int, indices: Iterable[int], m: int) -> np.n
     entropy[: len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
     entropy[len(seed_words)] = index & np.uint64(_MASK32)
     entropy[len(seed_words) + 1] = index >> np.uint64(32)
-    words = _seed_states(entropy)
-    if m <= _SHORT_ROWS:
-        _draw_by_jump(out, words)
-    else:
-        _draw_by_generator(out, words)
+    _draw_by_jump(out, _seed_states(entropy))
     return out

@@ -1,5 +1,6 @@
 """Parameter schemas, config parsing, and the command-line harness."""
 
+import csv
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import forensic_bias
@@ -290,6 +292,22 @@ class TestRunPreset:
         clamps = [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert len(clamps) == 1
         assert "clamping" in str(clamps[0].message)
+
+    @pytest.mark.parametrize("overrides", [{}, {"alpha_true": "0.3", "wrongful_rate": "0.4", "n_obs": "7"}])
+    def test_feedback_gaps_csv_holds_the_means(self, tmp_path, overrides):
+        # gaps.csv holds each replicate's two final means; aggregate.json's
+        # mean gaps are the mean of |column - alpha_true| over those columns.
+        run_preset("feedback", 5, {"n_seeds": "60", **overrides}, out_dir=tmp_path)
+        with open(tmp_path / "gaps.csv", newline="", encoding="utf-8") as f:
+            header, *rows = csv.reader(f)
+        assert header == ["seed", "truthful_final_mean", "biased_final_mean"]
+        assert [int(row[0]) for row in rows] == list(range(60))
+        aggregate = json.loads((tmp_path / "aggregate.json").read_text())
+        alpha_true = aggregate["alpha_true"]
+        for i, regime in enumerate(("truthful", "biased"), start=1):
+            column = np.array([float(row[i]) for row in rows])
+            assert aggregate[f"mean_final_{regime}"] == float(np.mean(column))
+            assert aggregate[f"mean_gap_{regime}"] == float(np.mean(np.abs(column - alpha_true)))
 
 
 class TestCli:

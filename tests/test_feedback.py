@@ -40,8 +40,8 @@ class TestBetaPrior:
         def means(trait_uniforms, prior=DEFAULT_PRIOR):
             uniforms = np.array([[0.9] * len(trait_uniforms), trait_uniforms])
             return simulate_feedback(
-                FeedbackRegime.truthful(), 0.5, len(trait_uniforms), prior, rng=_FixedUniforms(uniforms)
-            )
+                FeedbackRegime(), 0.5, len(trait_uniforms), prior, rng=_FixedUniforms(uniforms)
+            )[0]
 
         up = means([0.1])
         assert up[0] == BetaPrior(13.0, 8.0).mean
@@ -64,20 +64,14 @@ class _FixedUniforms:
 
 
 class TestRegime:
-    def test_constructors(self):
-        t = FeedbackRegime.truthful()
-        assert t == FeedbackRegime(0.0, 1.0)
-        b = FeedbackRegime.biased()
-        assert b.wrongful_rate == 0.06 and b.trait_skew == 2.0
-
     @pytest.mark.parametrize("rate", [-0.1, 1.5])
     def test_rate_bounds(self, rate):
         with pytest.raises(ValueError):
-            FeedbackRegime.biased(wrongful_rate=rate)
+            FeedbackRegime(wrongful_rate=rate)
 
     def test_skew_positive(self):
         with pytest.raises(ValueError):
-            FeedbackRegime.biased(trait_skew=0.0)
+            FeedbackRegime(trait_skew=0.0)
 
 
 class TestSimulate:
@@ -85,8 +79,9 @@ class TestSimulate:
         # The recorded means must equal the conjugate closed form: a case
         # showing the trait (the second row's uniform below the true rate)
         # increments a, any other increments b.
-        means = simulate_feedback(FeedbackRegime.truthful(), 0.5, 50, rng=substream(1))
-        assert means.shape == (50,)
+        both = simulate_feedback(FeedbackRegime(), 0.5, 50, rng=substream(1))
+        assert both.shape == (2, 50)
+        means = both[0]
         belief = DEFAULT_PRIOR
         for trait, mean in zip(substream(1).random((2, 50))[1] < 0.5, means):
             belief = BetaPrior(belief.a + trait, belief.b + (not trait))
@@ -94,30 +89,43 @@ class TestSimulate:
         assert means[0] in (13 / 21, 12 / 21)
 
     def test_deterministic_given_stream(self):
-        a = simulate_feedback(FeedbackRegime.biased(), 0.5, 100, rng=substream(2, 5))
-        b = simulate_feedback(FeedbackRegime.biased(), 0.5, 100, rng=substream(2, 5))
+        a = simulate_feedback(FeedbackRegime(0.06, 2.0), 0.5, 100, rng=substream(2, 5))
+        b = simulate_feedback(FeedbackRegime(0.06, 2.0), 0.5, 100, rng=substream(2, 5))
         np.testing.assert_array_equal(a, b)
 
     def test_zero_rate_biased_equals_truthful_bitwise(self):
-        t = simulate_feedback(FeedbackRegime.truthful(), 0.37, 200, rng=substream(3))
-        # Skewed but never wrongful: the skew is never applied.
-        b = simulate_feedback(FeedbackRegime(0.0, 2.0), 0.37, 200, rng=substream(3))
-        np.testing.assert_array_equal(t, b)
+        # Skewed but never wrongful: the skew is never applied, so the two
+        # rows are equal bit for bit.
+        t, b = simulate_feedback(FeedbackRegime(0.0, 2.0), 0.37, 200, rng=substream(3))
+        assert np.array_equal(t.view(np.uint64), b.view(np.uint64))
+
+    def test_rows_read_one_draw(self):
+        # Row 0 is the truthful trajectory: its trait shows when the second
+        # uniform falls below the true rate, whatever the first.  Row 1 reads
+        # the skewed rate in wrongful cases, so with skew above 1 it never
+        # shows fewer traits.
+        t, b = simulate_feedback(FeedbackRegime(0.3, 1.5), 0.4, 300, rng=substream(9))
+        wrongful, trait = substream(9).random((2, 300))
+        total = DEFAULT_PRIOR.a + DEFAULT_PRIOR.b + np.arange(1, 301)
+        np.testing.assert_array_equal(t, (DEFAULT_PRIOR.a + np.cumsum(trait < 0.4)) / total)
+        want = trait < np.where(wrongful < 0.3, 1.5 * 0.4, 0.4)
+        np.testing.assert_array_equal(b, (DEFAULT_PRIOR.a + np.cumsum(want)) / total)
+        assert np.all(b >= t) and np.any(b > t)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            simulate_feedback(FeedbackRegime.truthful(), 0.0, 10, rng=substream(4))
+            simulate_feedback(FeedbackRegime(), 0.0, 10, rng=substream(4))
         with pytest.raises(ValueError):
-            simulate_feedback(FeedbackRegime.truthful(), 0.5, 0, rng=substream(4))
+            simulate_feedback(FeedbackRegime(), 0.5, 0, rng=substream(4))
 
     def test_skew_clamp_warns(self):
         with pytest.warns(RuntimeWarning, match="clamping"):
-            simulate_feedback(FeedbackRegime.biased(0.5, 3.0), 0.4, 20, rng=substream(5))
+            simulate_feedback(FeedbackRegime(0.5, 3.0), 0.4, 20, rng=substream(5))
 
     def test_paired_run_warns_once_per_call(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            run_paired_feedback(30, 0.4, 20, biased=FeedbackRegime.biased(0.5, 3.0), master_seed=5)
+            run_paired_feedback(30, 0.4, 20, biased=FeedbackRegime(0.5, 3.0), master_seed=5)
         assert [str(w.message).count("clamping") for w in caught] == [1]
         assert caught[0].filename == __file__
 
@@ -125,53 +133,47 @@ class TestSimulate:
 class TestTruthfulConvergence:
     def test_mean_gap_shrinks_with_more_cases(self):
         # Consistency at two scales: longer records lie closer to truth.
-        short = run_paired_feedback(300, 0.5, 100, master_seed=11)
-        long = run_paired_feedback(300, 0.5, 2_000, master_seed=11)
-        assert long.mean_truthful_gap < short.mean_truthful_gap
+        short = _mean_gaps(run_paired_feedback(300, 0.5, 100, master_seed=11), 0.5)
+        long = _mean_gaps(run_paired_feedback(300, 0.5, 2_000, master_seed=11), 0.5)
+        assert long[0] < short[0]
 
     def test_posterior_concentrates_near_truth(self):
-        res = run_paired_feedback(500, 0.3, 2_000, master_seed=13)
-        assert abs(float(np.mean(res.truthful_means)) - 0.3) < 0.01
+        truthful, _ = run_paired_feedback(500, 0.3, 2_000, master_seed=13)
+        assert abs(float(np.mean(truthful)) - 0.3) < 0.01
 
 
 class TestPairedExperiment:
     def test_biased_mean_gap_exceeds_truthful(self):
-        res = run_paired_feedback(1_000, 0.5, 100, master_seed=0)
-        assert res.mean_biased_gap > res.mean_truthful_gap
+        truthful_gap, biased_gap = _mean_gaps(run_paired_feedback(1_000, 0.5, 100, master_seed=0), 0.5)
+        assert biased_gap > truthful_gap
 
     def test_biased_mean_dominates_pairwise(self):
         # Under common random numbers a wrongful, trait-skewed case can only
         # push the posterior mean up; at least one occurs in ~95% of runs.
-        res = run_paired_feedback(1_000, 0.5, 100, master_seed=0)
-        t = np.array(res.truthful_means)
-        b = np.array(res.biased_means)
+        t, b = run_paired_feedback(1_000, 0.5, 100, master_seed=0)
         assert np.all(b >= t - TOL)
         assert float(np.mean(b > t)) >= 0.90
 
     def test_gap_win_rate_band(self):
         # The biased run's *gap* only beats the truthful one when the
         # truthful trajectory did not overshoot; measured near 0.71.
-        res = run_paired_feedback(1_000, 0.5, 100, master_seed=0)
-        win = float(
-            np.mean(np.array(res.biased_gaps) > np.array(res.truthful_gaps))
-        )
+        truthful_gaps, biased_gaps = np.abs(run_paired_feedback(1_000, 0.5, 100, master_seed=0) - 0.5)
+        win = float(np.mean(biased_gaps > truthful_gaps))
         assert 0.60 < win < 0.85
 
     def test_biased_converges_slower(self):
-        short = run_paired_feedback(400, 0.5, 100, master_seed=7)
-        long = run_paired_feedback(400, 0.5, 1_000, master_seed=7)
+        short = _mean_gaps(run_paired_feedback(400, 0.5, 100, master_seed=7), 0.5)
+        long = _mean_gaps(run_paired_feedback(400, 0.5, 1_000, master_seed=7), 0.5)
         # Both regimes improve with data, but the biased gap shrinks by a
         # smaller factor: the wrongful stream never stops feeding it.
-        t_ratio = long.mean_truthful_gap / short.mean_truthful_gap
-        b_ratio = long.mean_biased_gap / short.mean_biased_gap
-        assert long.mean_biased_gap < short.mean_biased_gap
+        t_ratio, b_ratio = long / short
+        assert long[1] < short[1]
         assert b_ratio > t_ratio
 
     def test_reproducible(self):
         a = run_paired_feedback(50, 0.5, 100, master_seed=21)
         b = run_paired_feedback(50, 0.5, 100, master_seed=21)
-        for name in ("truthful_means", "biased_means", "truthful_gaps", "biased_gaps"):
-            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize(
         "alpha_true, n_obs, regime, order",
@@ -190,22 +192,18 @@ class TestPairedExperiment:
         # only in wrongful cases, at a trait rate skewed up or down.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            res = run_paired_feedback(
-                200, alpha_true, n_obs, biased=FeedbackRegime.biased(*regime), master_seed=3
-            )
-        k_truthful, k_biased = _trait_counts(res, DEFAULT_PRIOR)
+            means = run_paired_feedback(200, alpha_true, n_obs, biased=FeedbackRegime(*regime), master_seed=3)
+        assert means.dtype == np.float64 and means.shape == (2, 200)
+        k_truthful, k_biased = _trait_counts(means, n_obs, DEFAULT_PRIOR)
         assert np.all((0 <= k_truthful) & (k_truthful <= n_obs))
         if order == "biased >= truthful":
             assert np.all(k_biased >= k_truthful) and np.any(k_biased > k_truthful)
         elif order == "biased <= truthful":
             assert np.all(k_biased <= k_truthful) and np.any(k_biased < k_truthful)
         elif order == "equal":
-            np.testing.assert_array_equal(res.biased_means, res.truthful_means)
+            np.testing.assert_array_equal(means[1], means[0])
         else:  # every case is wrongful and shows the trait at a clamped rate of 1
             assert np.all(k_biased == n_obs)
-        for means, gaps in ((res.truthful_means, res.truthful_gaps), (res.biased_means, res.biased_gaps)):
-            assert means.dtype == gaps.dtype == np.float64 and means.shape == gaps.shape == (200,)
-            np.testing.assert_array_equal(gaps, np.abs(means - alpha_true))
 
     def test_validation(self):
         for n_seeds, alpha_true, n_obs in ((0, 0.5, 100), (5, 0.5, 0), (5, 0.0, 100), (5, 1.0, 100)):
@@ -213,16 +211,18 @@ class TestPairedExperiment:
                 run_paired_feedback(n_seeds, alpha_true, n_obs, master_seed=0)
 
 
-def _trait_counts(result, prior):
+def _mean_gaps(means, alpha_true):
+    """The (truthful, biased) mean gaps |final mean - alpha_true|."""
+    return np.mean(np.abs(means - alpha_true), axis=1)
+
+
+def _trait_counts(means, n_obs, prior):
     """Each replicate's (truthful, biased) trait counts K, read back from
     its final means, which must be (a + K) / (a + b + n_obs) bit for bit."""
-    total = prior.a + prior.b + result.n_obs
-    counts = []
-    for means in (result.truthful_means, result.biased_means):
-        k = np.rint(means * total - prior.a).astype(np.int64)
-        np.testing.assert_array_equal(means, (prior.a + k) / total)
-        counts.append(k)
-    return counts
+    total = prior.a + prior.b + n_obs
+    k = np.rint(means * total - prior.a).astype(np.int64)
+    np.testing.assert_array_equal(means, (prior.a + k) / total)
+    return k
 
 
 def _object_path_cells(regime, alpha_true):
@@ -286,11 +286,11 @@ class TestPairedMatchesReference:
         ],
     )
     def test_equals_object_path(self, master_seed, n_seeds, alpha_true, n_obs, prior, regime):
-        biased = FeedbackRegime.biased(*regime)
+        biased = FeedbackRegime(*regime)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             got = run_paired_feedback(n_seeds, alpha_true, n_obs, prior, biased, master_seed=master_seed)
-        k_truthful, k_biased = _trait_counts(got, prior)
+        k_truthful, k_biased = _trait_counts(got, n_obs, prior)
         both, truthful_only, biased_only, neither = _object_path_cells(biased, alpha_true)
         assert truthful_only == 0 or biased_only == 0
         # The support of (c0, one-sided count), c0-major, each c0's row over
@@ -336,12 +336,12 @@ class TestExactFinalMeanAndGap:
     @pytest.mark.parametrize(
         "regime, alpha_true, n_obs, prior",
         [
-            (FeedbackRegime.truthful(), 0.5, 1, DEFAULT_PRIOR),
-            (FeedbackRegime.truthful(), 0.3, 6, DEFAULT_PRIOR),
-            (FeedbackRegime.biased(), 0.5, 6, DEFAULT_PRIOR),
-            (FeedbackRegime.biased(0.5, 3.0), 0.4, 5, DEFAULT_PRIOR),
-            (FeedbackRegime.biased(1.0, 3.0), 0.4, 4, DEFAULT_PRIOR),
-            (FeedbackRegime.biased(0.2, 1.5), 0.1, 6, BetaPrior(0.3, 7.0)),
+            (FeedbackRegime(), 0.5, 1, DEFAULT_PRIOR),
+            (FeedbackRegime(), 0.3, 6, DEFAULT_PRIOR),
+            (FeedbackRegime(0.06, 2.0), 0.5, 6, DEFAULT_PRIOR),
+            (FeedbackRegime(0.5, 3.0), 0.4, 5, DEFAULT_PRIOR),
+            (FeedbackRegime(1.0, 3.0), 0.4, 4, DEFAULT_PRIOR),
+            (FeedbackRegime(0.2, 1.5), 0.1, 6, BetaPrior(0.3, 7.0)),
         ],
     )
     def test_matches_enumeration(self, regime, alpha_true, n_obs, prior):
@@ -354,25 +354,22 @@ class TestExactFinalMeanAndGap:
 
     def test_defaults(self):
         # Gaps from the exact binomial sum in fractions, rounded to float.
-        truthful = exact_final_mean_and_gap(FeedbackRegime.truthful(), 0.5)
-        biased = exact_final_mean_and_gap(FeedbackRegime.biased(), 0.5)
+        truthful = exact_final_mean_and_gap(FeedbackRegime(), 0.5)
+        biased = exact_final_mean_and_gap(FeedbackRegime(0.06, 2.0), 0.5)
         assert truthful == pytest.approx((62 / 120, 0.03578914726952875), rel=1e-13)
         assert biased == pytest.approx((65 / 120, 0.04854660119493734), rel=1e-13)
 
     def test_monte_carlo_within_four_standard_errors(self):
-        res = run_paired_feedback(master_seed=7)
-        for regime, means, gaps in (
-            (FeedbackRegime.truthful(), res.truthful_means, res.truthful_gaps),
-            (FeedbackRegime.biased(), res.biased_means, res.biased_gaps),
-        ):
-            for sample, exact in zip((means, gaps), exact_final_mean_and_gap(regime, 0.5)):
+        # run_paired_feedback's default biased regime is (0.06, 2.0).
+        for regime, means in zip((FeedbackRegime(), FeedbackRegime(0.06, 2.0)), run_paired_feedback(master_seed=7)):
+            for sample, exact in zip((means, np.abs(means - 0.5)), exact_final_mean_and_gap(regime, 0.5)):
                 se = np.std(sample, ddof=1) / math.sqrt(len(sample))
                 assert abs(np.mean(sample) - exact) < 4 * se
 
     def test_validation_and_clamp_warning(self):
         with pytest.raises(ValueError):
-            exact_final_mean_and_gap(FeedbackRegime.truthful(), 0.5, 0)
+            exact_final_mean_and_gap(FeedbackRegime(), 0.5, 0)
         with pytest.raises(ValueError):
-            exact_final_mean_and_gap(FeedbackRegime.truthful(), 1.0)
+            exact_final_mean_and_gap(FeedbackRegime(), 1.0)
         with pytest.warns(RuntimeWarning, match="clamping"):
-            exact_final_mean_and_gap(FeedbackRegime.biased(0.5, 3.0), 0.4)
+            exact_final_mean_and_gap(FeedbackRegime(0.5, 3.0), 0.4)

@@ -85,8 +85,8 @@ PINS = {
     },
     ("feedback", "small"): {
         "aggregate.json": "f72bd454ecd727ef5a7090c5112b4f218e6006a01d99f34bb4d661e1dc2068f5",
-        "gaps.csv": "f00242aebc7cbe16bede7dbc13aa26d9cc598f9f11155d195a13b0255a61bd51",
-        "manifest.json": "a9b20de0b6fd7255f40d2c3b29f6581ebefa3070d2b54ef77256929414862ffb",
+        "gaps.csv": "63af399216334ec3ba167640063b037948f3f94ddffe6c54b8ba020c783872f7",
+        "manifest.json": "575a1174a6af07ee165587692a85819db2f9944b49767ebe0db15b7763efda24",
         "trajectory.csv": "d7551664818ba7bba9226837f3bd4ce37a7ab73d26bb960cb3bcd42aa88b603e",
     },
     ("propagation", "small"): {

@@ -392,6 +392,23 @@ class TestFixtureParsing:
         with pytest.raises(JointSchemaError, match="role"):
             parse_joint_fixture(text)
 
+    @pytest.mark.parametrize(
+        "roles, lineno",
+        [
+            ("roles hypothesis=E info=I evidence=X\nroles hypothesis=I\n", 2),
+            ("roles hypothesis=E info=I evidence=X hypothesis=I\n", 1),
+            ("roles hypothesis=E\nroles info=I evidence=X\nroles hypothesis=E\n", 3),
+        ],
+        ids=["second-line", "same-line", "same-value"],
+    )
+    def test_role_given_twice_rejected(self, roles, lineno):
+        body = "variable E s d\nvariable I a b\nvariable X 0 1\nfactor E\n| 1/2 1/2\nfactor I\n| 1/2 1/2\nfactor X\n| 1/2 1/2\n"
+        with pytest.raises(JointSchemaError, match=f"^line {lineno}: role 'hypothesis' given twice$"):
+            parse_joint_fixture(roles + body)
+        # Roles spread over several lines, each given once, are accepted.
+        _, parsed = parse_joint_fixture("roles hypothesis=E\nroles info=I evidence=X\n" + body)
+        assert parsed == {"hypothesis": ("E",), "info": ("I",), "evidence": ("X",)}
+
     def test_factor_for_undeclared_variable_rejected(self):
         text = "roles hypothesis=A info=A evidence=A\nfactor B\n| 1.0\n"
         with pytest.raises(JointSchemaError, match="undeclared"):
@@ -428,6 +445,10 @@ class TestFixtureParsing:
             ("factor A\n| 1\nfactor B\n| 1/2 1/2\n", "factor for 'A': row () has 1 entries for a domain of size 2"),
             ("factor A\n| -1/4 5/4\nfactor B\n| 1/2 1/2\n", "factor for 'A': negative entry in row ()"),
             ("factor A\n| 0.5 0.6\nfactor B\n| 1/2 1/2\n", "factor for 'A': row () sums to Fraction(11, 10), not 1"),
+            (
+                "factor A\n| 1/2 1/2\nfactor B | A A\n0 0 | 1/2 1/2\n0 1 | 1 0\n1 0 | 1 0\n1 1 | 1/2 1/2\n",
+                "factor for 'B' names a parent twice: ('A', 'A')",
+            ),
         ],
         ids=[
             "second-factor",
@@ -438,6 +459,7 @@ class TestFixtureParsing:
             "row-length",
             "negative-entry",
             "row-sum",
+            "repeated-parent",
         ],
     )
     def test_malformed_factor_rejected(self, factors, message):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from forensic_bias.propagation import monte_carlo_chains
-from forensic_bias.seeding import _BLOCK_VALUES, _SHORT_ROWS, substream, substream_uniforms, validate_seed
+from forensic_bias.seeding import _BLOCK_VALUES, substream, substream_uniforms, validate_seed
 
 SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 2**64 - 1]
 # One-word indices, the one-word edge, two-word indices (a second
@@ -24,32 +24,38 @@ def _assert_bits_equal(got, want):
 
 
 class TestSubstreamUniformsBitExact:
-    # Rows of up to _SHORT_ROWS draws are computed by jump-ahead on arrays,
-    # longer ones by numpy's generator: both sides of the boundary.
-    @pytest.mark.parametrize("m", [0, 1, 11, _SHORT_ROWS, _SHORT_ROWS + 1, 200])
+    # Every row length takes the jump-ahead path, short rows as chain-study
+    # draws them and rows past 64 draws as long chains do.
+    @pytest.mark.parametrize("m", [0, 1, 11, 64, 65, 200])
     @pytest.mark.parametrize("master_seed", SEEDS)
     def test_equals_substream(self, master_seed, m):
         _assert_bits_equal(substream_uniforms(master_seed, INDICES, m), _reference(master_seed, INDICES, m))
 
-    @pytest.mark.parametrize("m", [1, 11, _SHORT_ROWS])
+    @pytest.mark.parametrize("m", [1, 11, 64])
     def test_rows_past_a_block(self, m):
         # The array path fills _BLOCK_VALUES // m rows at a time.
         indices = range(2**64 - _BLOCK_VALUES // m - 7, 2**64)
         _assert_bits_equal(substream_uniforms(2**64 - 1, indices, m), _reference(2**64 - 1, indices, m))
 
+    def test_rows_longer_than_a_block(self):
+        # A row of more than _BLOCK_VALUES draws is a block of its own.
+        indices = [0, 2**64 - 1, 5]
+        m = _BLOCK_VALUES + 3
+        _assert_bits_equal(substream_uniforms(7, indices, m), _reference(7, indices, m))
+
     @pytest.mark.parametrize(
         "indices",
         [range(0), range(5, 6), range(3, 3000, 7), range(2**64 - 1, 2**64 - 50, -4), range(2**32 + 9, 2**32 - 9, -1)],
     )
-    @pytest.mark.parametrize("m", [3, _SHORT_ROWS + 1])
+    @pytest.mark.parametrize("m", [3, 65])
     def test_range_equals_its_list(self, indices, m):
         got = substream_uniforms(7, indices, m)
         _assert_bits_equal(got, substream_uniforms(7, list(indices), m))
         _assert_bits_equal(got, _reference(7, indices, m))
 
-    @pytest.mark.parametrize("k", [(_SHORT_ROWS - 1) // 2, (_SHORT_ROWS - 1) // 2 + 1])
+    @pytest.mark.parametrize("k", [31, 32])
     def test_propagation_on_both_paths(self, k):
-        # m = 1 + 2k draws per replicate: one chain length on each side of _SHORT_ROWS.
+        # m = 1 + 2k draws per replicate: chain lengths of 63 and 65 draws a row.
         study = monte_carlo_chains(40, master_seed=11, k=k)
         draws = _reference(11, range(40), 1 + 2 * k)
         assert np.array_equal(study.columns["trait"][:, 0, 0], draws[:, 0] < 0.15)
