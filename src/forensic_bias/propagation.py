@@ -114,11 +114,11 @@ class PropagationStudy:
     broadcast view.  `columns` maps each results.csv header, in order, to
     its column, so its C-order rows put the run outermost.  `log_terms`
     maps each live tilt term ("impute", "context", "tilde_peer") to its
-    log values; a report's terms sum to log(reported_odds) -
-    log(neutral_odds).  `summary` maps each summary.csv header (mode,
-    analyst_index, mean_bias_ratio, q025, median, q975), in order, to its
-    column: statistics over the runs.  The quantiles are numpy's default
-    linear ones (Hyndman & Fan type 7) over the n_runs replicates.
+    log values; a report's terms sum to log(bias_ratio).  `summary` maps
+    each summary.csv header (mode, analyst_index, mean_bias_ratio, q025,
+    median, q975), in order, to its column: statistics over the runs.  The
+    quantiles are numpy's default linear ones (Hyndman & Fan type 7) over
+    the n_runs replicates.
     """
 
     n_runs: int
@@ -220,7 +220,6 @@ def monte_carlo_chains(
             ("run_id", np.arange(n_runs)[:, None, None]),
             ("analyst_index", np.arange(1, k + 1)),
             ("neutral_odds", np.exp(neutral_log)[:, None, :]),
-            ("reported_odds", np.exp(reported_log)),
             ("bias_ratio", ratio),
             ("trait", trait[:, None, None]),
             ("missing_share", shares[:, None, :]),

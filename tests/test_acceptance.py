@@ -176,7 +176,7 @@ class TestAcceptance:
                 assert later >= earlier
             # Run i is the k = 1 chain drawn from substream(7, i); axis 1 is the mode.
             one = monte_carlo_chains(100, master_seed=7, k=1)
-            for column in (one.columns["reported_odds"], one.columns["neutral_odds"]):
+            for column in (one.columns["bias_ratio"], one.columns["neutral_odds"]):
                 assert column[:, 0].tolist() == column[:, 1].tolist()
             total = sum(one.log_terms.values())
             assert total[:, 0].tolist() == total[:, 1].tolist()
@@ -205,12 +205,11 @@ class TestAcceptance:
                 assert abs(probability(log_odds(float(p))) - p) <= 1e-12
 
             # Per-term attribution: over all 10,000 reports of a default
-            # study, the live log terms sum to log(reported / neutral).
+            # study, the live log terms sum to log(bias_ratio).
             study = monte_carlo_chains(1000, master_seed=2024)
-            assert study.columns["reported_odds"].size == 10_000
+            assert study.columns["bias_ratio"].size == 10_000
             total = sum(study.log_terms.values())
-            gap = np.log(study.columns["reported_odds"]) - np.log(study.columns["neutral_odds"])
-            assert np.abs(total - gap).max() <= 1e-10
+            assert np.abs(total - np.log(study.columns["bias_ratio"])).max() <= 1e-10
 
     def test_10_relevance_oracle(self):
         with criterion(10, "relevance verdicts match a full-enumeration oracle"):

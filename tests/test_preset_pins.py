@@ -30,6 +30,13 @@ SMALL = {
 # Further pinned configurations, keyed like PINS.
 VARIANTS = {
     ("propagation", "default"): {},
+    # A fixed share is one broadcast value, and a different source draws its
+    # matches against p_match_diff.
+    ("propagation", "fixed-share"): {
+        **SMALL["propagation"],
+        "missing_share": "0.25",
+        "same_source": "false",
+    },
     ("delta-impute", "exact"): {**SMALL["delta-impute"], "mask_mode": "exact"},
     # A CDF window of M = 43,636..56,364.  numpy's binomial draws by
     # inversion from 0 up only where s <= 1/2 and n * s < 30, and there it
@@ -90,9 +97,9 @@ PINS = {
         "trajectory.csv": "d7551664818ba7bba9226837f3bd4ce37a7ab73d26bb960cb3bcd42aa88b603e",
     },
     ("propagation", "small"): {
-        "manifest.json": "7bfaff5be3f31603e3085752973efaaed80a8523fec0eb698afbe5835401856b",
+        "manifest.json": "d93a2dd2e555527ee3916c2ec88b955989dac5f26aa6196dc12359ef168e9a0c",
         "report.json": "75fdc1c7ad8e82ca41474801404f8410dffc1582a4f258a1283dae21182b3918",
-        "results.csv": "0c12c15c0cbd6b49f3f809e24b1148438f08b1856201a12ddbd1c2378cab0943",
+        "results.csv": "235752c2c3000f93346ce09ab567e18e8d3b5b38d51388f199e06df26a24c6bd",
         "summary.csv": "d29dfd69ce5e039a8efd5e3f7ba19bd4e62d0f0cae4658e9608be7fb25b80e0c",
     },
     ("trier", "small"): {
@@ -100,10 +107,16 @@ PINS = {
         "manifest.json": "d87dcbf0c0b88bf643311ebb5398927a6524d992d5c5f4173eaf04402b59c9f9",
     },
     ("propagation", "default"): {
-        "manifest.json": "f148df3b8795a07198a15b322e644deb6b0dd6c337c579904281b258b05a2f78",
+        "manifest.json": "0a2e802e0e8efdb4033404b8e64c3edc76709f071a1748c43f1e32515bc3ba78",
         "report.json": "f832197f6c0099611a1eae8e635b22d9ddb3ef8df04840de7e05e684ae2bd281",
-        "results.csv": "34ad70aaab73b52e70fa7e6e471881d6f50144edb8e4234fbcbf4a3f676880eb",
+        "results.csv": "52df95dc84a0c7b0f63b51099b062d86336786b9423e03c7c45df7ae2e1eb02a",
         "summary.csv": "fd08b3b67f5551c6fee698ade5649f8b7f4449044993033dd949d2bcaef4510f",
+    },
+    ("propagation", "fixed-share"): {
+        "manifest.json": "2ac073d1e93da8f0a8f34ef882fbbc79c176916a721a85772c33b46a56f8d835",
+        "report.json": "bf5cb12662c667ae418ffe03494f2af2b5e2115050e5cef5d44188202f6af146",
+        "results.csv": "b2a28da63e791f3c43eac4e0929539a4ecc6de4ce7e6ec887dbf7b48e6fed7a9",
+        "summary.csv": "cc27125df80ffcf3e8f82e85d04f437cdd79b4d7c37644b71513223c72ed6e17",
     },
 }
 

@@ -1,10 +1,12 @@
 """Cascade vs snowball chains and their replicated comparison."""
 
+import csv
 import math
 
 import numpy as np
 import pytest
 
+from forensic_bias.cli import main
 from forensic_bias.contextual import race_example_delta
 from forensic_bias.fingerprints import CellAgreementModel
 from forensic_bias.propagation import BiasProfile, ChainMode, monte_carlo_chains
@@ -16,7 +18,6 @@ HEADER = [
     "run_id",
     "analyst_index",
     "neutral_odds",
-    "reported_odds",
     "bias_ratio",
     "trait",
     "missing_share",
@@ -53,9 +54,10 @@ def _oracle_chain(
 ):
     """Reference: one paired chain, one report and one log term at a time.
 
-    Returns (trait, {mode: [(missing share, neutral odds, reported odds,
-    bias ratio, {term label: log value})] per report}), with all six
-    terms labelled, unit terms included.
+    Returns (trait, {mode: [(missing share, neutral odds, bias ratio,
+    {term label: log value})] per report}), with all six terms labelled,
+    unit terms included.  The bias ratio is derived from the reported log
+    odds, as the kernel derives it.
     """
     if profile is None:
         profile = BiasProfile.standard(trait_prob)
@@ -95,7 +97,6 @@ def _oracle_chain(
                 (
                     share,
                     float(np.exp(neutral)),
-                    float(np.exp(reported)),
                     float(np.exp(reported - neutral)),
                     terms,
                 )
@@ -135,9 +136,9 @@ class TestKernelMatchesScalarOracle:
         for run_id in range(n_runs):
             trait, oracle = _oracle_chain(substream(seed, run_id), **kwargs)
             expected = [
-                (mode.value, run_id, j, neutral, reported, ratio, trait, share)
+                (mode.value, run_id, j, neutral, ratio, trait, share)
                 for mode in ChainMode
-                for j, (share, neutral, reported, ratio, _) in enumerate(oracle[mode], start=1)
+                for j, (share, neutral, ratio, _) in enumerate(oracle[mode], start=1)
             ]
             got = rows[run_id * per_run : (run_id + 1) * per_run]
             assert got == expected
@@ -209,15 +210,14 @@ class TestRunChain:
 
     def test_unbiased_profile_reports_neutral(self):
         study = monte_carlo_chains(1, master_seed=2, profile=BiasProfile(0.0, 0.0, None, 0.0))
-        columns = study.columns
-        assert np.array_equal(columns["reported_odds"], columns["neutral_odds"])
-        assert np.allclose(columns["bias_ratio"], 1.0, rtol=0.0, atol=TOL)
+        # Every log term is zero, so the reported log odds equal the neutral
+        # ones bit for bit and each ratio is exp(0.0).
+        assert (study.columns["bias_ratio"] == 1.0).all()
         assert all(not term.any() for term in study.log_terms.values())
 
     def test_ledger_soundness(self):
         study = monte_carlo_chains(1, master_seed=3)
-        columns = study.columns
-        gap = np.log(columns["reported_odds"]) - np.log(columns["neutral_odds"]) - _total_log(study)
+        gap = np.log(study.columns["bias_ratio"]) - _total_log(study)
         assert np.abs(gap).max() <= 1e-10
 
     def test_counterfactual_removal(self):
@@ -247,8 +247,8 @@ class TestRunChain:
 
     def test_k1_pair_bit_identical(self):
         study = monte_carlo_chains(100, master_seed=7, k=1)
-        reported = study.columns["reported_odds"]
-        assert reported[:, CASCADE].tolist() == reported[:, SNOWBALL].tolist()
+        ratio = study.columns["bias_ratio"]
+        assert ratio[:, CASCADE].tolist() == ratio[:, SNOWBALL].tolist()
         for name, term in study.log_terms.items():
             assert term[:, CASCADE].tolist() == term[:, SNOWBALL].tolist(), name
 
@@ -260,8 +260,8 @@ class TestRunChain:
         # Raw posterior odds under a 1/10 prior never clear 1 here, so the
         # conformity count stays zero and the modes coincide.
         study = monte_carlo_chains(20, master_seed=9, peer_history="posterior")
-        reported = study.columns["reported_odds"]
-        assert reported[:, CASCADE].tolist() == reported[:, SNOWBALL].tolist()
+        ratio = study.columns["bias_ratio"]
+        assert ratio[:, CASCADE].tolist() == ratio[:, SNOWBALL].tolist()
 
     def test_fixed_missing_share_applied(self):
         study = monte_carlo_chains(1, master_seed=10, missing_share=0.2)
@@ -295,8 +295,8 @@ class TestMonteCarlo:
         study = monte_carlo_chains(1, master_seed=99)
         _, oracle = _oracle_chain(substream(99, 0))
         ratio = study.columns["bias_ratio"][0]
-        assert ratio[CASCADE].tolist() == [r[3] for r in oracle[ChainMode.CASCADE]]
-        assert ratio[SNOWBALL].tolist() == [r[3] for r in oracle[ChainMode.SNOWBALL]]
+        assert ratio[CASCADE].tolist() == [r[2] for r in oracle[ChainMode.CASCADE]]
+        assert ratio[SNOWBALL].tolist() == [r[2] for r in oracle[ChainMode.SNOWBALL]]
         assert _rows(study) == _rows(monte_carlo_chains(4, master_seed=99))[:10]
 
     def test_impute_logs_are_scalar_math_log(self):
@@ -329,6 +329,35 @@ class TestMonteCarlo:
         ]
         assert _rows(study) == rebuilt
         assert [row[0] for row in rebuilt[:4]] == ["cascade"] * 2 + ["snowball"] * 2
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_reported_odds_are_neutral_times_ratio(self, case):
+        # results.csv writes no reported odds: a reader takes them as
+        # neutral_odds * bias_ratio, which is exp(prior + neutral_lr + the
+        # live log terms) up to the last bits.
+        kwargs = ORACLE_CASES[case]
+        study = monte_carlo_chains(1000, master_seed=7, **kwargs)
+        model = kwargs.get("model", CellAgreementModel())
+        prior = -math.log(kwargs.get("pool_n", 10))
+        lr_match = math.log(model.p_same / model.p_diff)
+        lr_mismatch = math.log((1.0 - model.p_same) / (1.0 - model.p_diff))
+        # A match lifts the neutral odds above the prior, a mismatch lowers them.
+        assert lr_mismatch < 0.0 < lr_match
+        neutral = study.columns["neutral_odds"]
+        reported_lr = np.where(neutral > math.exp(prior), lr_match, lr_mismatch)
+        for name in LIVE_TERMS:
+            reported_lr = reported_lr + study.log_terms[name]
+        want = np.exp(prior + reported_lr)
+        got = neutral * study.columns["bias_ratio"]
+        assert np.abs(got / want - 1.0).max() <= 1e-15
+
+    def test_results_csv_header(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["run", "--preset", "propagation", "--seed", "7", "--set", "n_runs=2", "--out", str(out)]) == 0
+        with (out / "results.csv").open(encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0] == HEADER
+        assert len(rows) == 1 + 2 * 2 * 5
 
     def test_mean_curves_separate(self):
         study = monte_carlo_chains(300, master_seed=42)

@@ -105,7 +105,9 @@ class TestChainHandoff:
         _, row, log_lrs, log_betas = _snowball_handoff(61)
         assert len(log_lrs) == 5
         prior = log_prior_odds(10)
-        expected = prior + sum(v - prior for v in np.log(row["reported_odds"]).tolist())
+        # A report's reported odds are its neutral odds times its bias ratio.
+        reported = row["neutral_odds"] * row["bias_ratio"]
+        expected = prior + sum(v - prior for v in np.log(reported).tolist())
         got = _log(case_report(10, log_lrs, log_betas), "biased_guilt_odds")
         assert abs(got - expected) <= 1e-10
 
