@@ -61,6 +61,7 @@ from .feedback import (
 from .propagation import (
     BiasProfile,
     ChainMode,
+    ChainParams,
     PropagationStudy,
     monte_carlo_chains,
 )

@@ -52,7 +52,7 @@ from .fingerprints import (
 )
 from .odds import LOG_FLOAT_MAX, log_prior_odds
 from .outputs import MANIFEST_NAME, RunManifest, write_csv, write_json, write_manifest, write_text
-from .propagation import ChainMode, monte_carlo_chains
+from .propagation import ChainMode, ChainParams, monte_carlo_chains
 from .relevance import builtin_joint_names, classify_relevance, load_builtin_joint
 from .seeding import substream, validate_seed
 from .trier import case_report
@@ -495,18 +495,10 @@ _PROPAGATION_SCHEMA = PresetSchema(
 def _run_propagation(params: dict, seed: int) -> dict[str, object]:
     model = _agreement_model(params["p_match_same"], params["p_match_diff"])
     share = None if params["missing_share"] == "random" else float(params["missing_share"])
+    chain_fields = ("k", "pool_n", "trait_prob", "same_source", "peer_history")
     try:
-        study = monte_carlo_chains(
-            params["n_runs"],
-            master_seed=seed,
-            k=params["k"],
-            pool_n=params["pool_n"],
-            trait_prob=params["trait_prob"],
-            model=model,
-            same_source=params["same_source"],
-            missing_share=share,
-            peer_history=params["peer_history"],
-        )
+        chain = ChainParams(**{name: params[name] for name in chain_fields}, model=model, missing_share=share)
+        study = monte_carlo_chains(chain, params["n_runs"], master_seed=seed)
     except OverflowError as exc:
         named = ", ".join(f"{k}={params[k]!r}" for k in ("p_match_same", "p_match_diff", "k"))
         raise ConfigError(f"{exc} at {named}; use a larger p_match_diff or a smaller k") from exc

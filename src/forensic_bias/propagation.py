@@ -17,21 +17,21 @@ exactly.
 The history handed to the conformity term is, by default, each
 predecessor's evidence contribution: reported posterior odds divided by
 the shared prior, i.e. the reported LR as odds relative to an even prior
-(peer_history="contribution").  Passing peer_history="posterior" records
+(peer_history="contribution").  With peer_history="posterior" it records
 raw reported posterior odds instead; with a small prior (say 1/10) those
 rarely clear 1, which mutes the history term and makes snowball collapse
 onto cascade.
 
-One pass evaluates every replicate at once, as arrays of log terms.
-A chain is a run of a PropagationStudy: run i of
-monte_carlo_chains(n, master_seed=s) is the paired chain drawn from
-substream(s, i), whatever n is.
+A ChainParams record holds a chain's parameters, checked once.  One
+pass evaluates every replicate at once, as arrays of log terms: run i of
+monte_carlo_chains(chain, n, master_seed=s) is the paired chain drawn
+from substream(s, i), whatever n is.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -44,6 +44,7 @@ from .seeding import substream_uniforms
 __all__ = [
     "ChainMode",
     "BiasProfile",
+    "ChainParams",
     "PropagationStudy",
     "monte_carlo_chains",
 ]
@@ -59,19 +60,21 @@ _MODES = (ChainMode.CASCADE, ChainMode.SNOWBALL)
 
 @dataclass(frozen=True)
 class BiasProfile:
-    """Coefficients of the per-analyst tilt terms.
+    """Coefficients of the per-analyst tilt terms; the defaults are the
+    chain experiments' profile.
 
     impute      1 + impute_share * missing_share + impute_trait * trait
-    context     log tilt race_example_delta(context_trait_prob, trait), 0 when None
+    context     on: log tilt race_example_delta(trait_prob, trait) at the
+                chain's trait_prob; off: 0
     tilde_peer  1 + conformity * (number of earlier supportive reports)
 
     peer, tilde_impute and tilde_context are unit in every profile.
     """
 
-    impute_share: float
-    impute_trait: float
-    context_trait_prob: float | None
-    conformity: float
+    impute_share: float = 1.0
+    impute_trait: float = 0.5
+    context: bool = True
+    conformity: float = 1.0
 
     def __post_init__(self) -> None:
         for name in ("impute_share", "impute_trait", "conformity"):
@@ -80,29 +83,56 @@ class BiasProfile:
                 raise ValueError(f"BiasProfile.{name} must be finite and >= 0, got {value!r}")
             object.__setattr__(self, name, value)
 
-    @classmethod
-    def standard(cls, trait_prob: float = 0.15) -> "BiasProfile":
-        """The profile used by the chain experiments.
 
-        Imputation tilts by 1 + missing_share (+0.5 more on trait cases);
-        context tilts like an analyst doubling a rare trait's source-side
-        rate; the only active history term is the conformity count.
-        """
-        return cls(impute_share=1.0, impute_trait=0.5, context_trait_prob=trait_prob, conformity=1.0)
+def _check_count(name: str, value: object) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be an int >= 1, got {value!r}")
 
-    def impute(self, missing_share, trait):
-        """Linear imputation tilt; takes floats or broadcastable arrays."""
-        return 1.0 + self.impute_share * missing_share + self.impute_trait * trait
 
-    def context(self, trait: bool) -> float:
-        """Log context tilt for a case with or without the trait."""
-        if self.context_trait_prob is None:
-            return 0.0
-        return race_example_delta(self.context_trait_prob, trait)
+@dataclass(frozen=True)
+class ChainParams:
+    """One chain experiment's parameters, checked once when built, and the
+    constants a sampler and an exact law of the chain share.  trait_prob
+    must lie in (0, 0.5) when the profile's context is on; a missing_share
+    of None draws each analyst's share uniform on [0, 0.5).  Raises
+    ValueError naming a bad field, or OverflowError when p_same/p_diff
+    exceeds float range."""
 
-    def tilde_peer(self, supportive: int) -> float:
-        """Linear conformity tilt after `supportive` earlier supportive reports."""
-        return 1.0 + self.conformity * supportive
+    k: int = 5
+    pool_n: int = 10
+    trait_prob: float = 0.15
+    model: CellAgreementModel = CellAgreementModel()
+    profile: BiasProfile = BiasProfile()
+    same_source: bool = True
+    missing_share: float | None = None
+    peer_history: str = "contribution"
+    log_prior: float = field(init=False, repr=False)
+    lr_match: float = field(init=False, repr=False)  # neutral log LR of a match
+    lr_mismatch: float = field(init=False, repr=False)
+    log_context: tuple[float, float] = field(init=False, repr=False)  # indexed by the trait T
+    impute_trait_term: tuple[float, float] = field(init=False, repr=False)  # impute_trait * T, by T
+    log_tilde_peer: tuple[float, ...] = field(init=False, repr=False)  # by earlier supportive reports, 0..k-1
+
+    def __post_init__(self) -> None:
+        _check_count("k", self.k)
+        if not 0.0 <= self.trait_prob <= 1.0:
+            raise ValueError(f"trait_prob must lie in [0, 1], got {self.trait_prob!r}")
+        share = self.missing_share
+        if share is not None and (isinstance(share, bool) or not 0.0 <= share <= 1.0):
+            raise ValueError(f"missing_share must be None or lie in [0, 1], got {share!r}")
+        if self.peer_history not in ("contribution", "posterior"):
+            raise ValueError(f"peer_history must be 'contribution' or 'posterior', got {self.peer_history!r}")
+        model, profile, p = self.model, self.profile, self.trait_prob
+        match_ratio = model.p_same / model.p_diff
+        if not math.isfinite(match_ratio):
+            raise OverflowError(f"the match likelihood ratio p_same/p_diff = {match_ratio} exceeds float range")
+        context = (race_example_delta(p, False), race_example_delta(p, True)) if profile.context else (0.0, 0.0)
+        object.__setattr__(self, "log_prior", log_prior_odds(self.pool_n))
+        object.__setattr__(self, "lr_match", math.log(match_ratio))
+        object.__setattr__(self, "lr_mismatch", math.log((1.0 - model.p_same) / (1.0 - model.p_diff)))
+        object.__setattr__(self, "log_context", context)
+        object.__setattr__(self, "impute_trait_term", (profile.impute_trait * False, profile.impute_trait * True))
+        object.__setattr__(self, "log_tilde_peer", tuple(math.log(1.0 + profile.conformity * c) for c in range(self.k)))
 
 
 @dataclass(frozen=True)
@@ -131,20 +161,8 @@ class PropagationStudy:
         return tuple(self.summary["mean_bias_ratio"][_MODES.index(mode)].tolist())
 
 
-def monte_carlo_chains(
-    n_runs: int = 1000,
-    *,
-    master_seed: int,
-    k: int = 5,
-    pool_n: int = 10,
-    trait_prob: float = 0.15,
-    model: CellAgreementModel = CellAgreementModel(),
-    profile: BiasProfile | None = None,
-    same_source: bool = True,
-    missing_share: float | None = None,
-    peer_history: str = "contribution",
-) -> PropagationStudy:
-    """Replicate paired chains; deterministic for a given master seed.
+def monte_carlo_chains(chain: ChainParams, n_runs: int, *, master_seed: int) -> PropagationStudy:
+    """Replicate the paired chain; deterministic for a given master seed.
 
     Replicate i reads the first uniforms of substream(master_seed, i), in
     an order that is part of the reproducibility contract: trait, then
@@ -154,47 +172,31 @@ def monte_carlo_chains(
     size.  Sums keep the terms' order and logs of drawn values are scalar
     math.log, mapped over the values into one array (np.log can differ in
     the last bit), so every replicate is bit-identical to evaluating its
-    chain one report at a time.  Raises OverflowError, checked in log
-    space, when p_same/p_diff or a reported odds exceeds float range.
+    chain one report at a time.  Raises ValueError for a bad n_runs, before
+    any draw (the record checked the rest), and OverflowError, checked in
+    log space, when a reported odds exceeds float range.
     """
-    if n_runs < 1:
-        raise ValueError(f"n_runs must be >= 1, got {n_runs!r}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k!r}")
-    prior = log_prior_odds(pool_n)
-    if not 0.0 <= trait_prob <= 1.0:
-        raise ValueError(f"trait_prob must lie in [0, 1], got {trait_prob!r}")
-    if missing_share is not None and not 0.0 <= missing_share <= 1.0:
-        raise ValueError(f"missing_share must lie in [0, 1], got {missing_share!r}")
-    if peer_history not in ("contribution", "posterior"):
-        raise ValueError(
-            f"peer_history must be 'contribution' or 'posterior', got {peer_history!r}"
-        )
-    if profile is None:
-        profile = BiasProfile.standard(trait_prob)
-    m = 1 + k if missing_share is not None else 1 + 2 * k
+    _check_count("n_runs", n_runs)
+    k, prior = chain.k, chain.log_prior
+    m = 1 + k if chain.missing_share is not None else 1 + 2 * k
     draws = substream_uniforms(master_seed, range(n_runs), m)
-    trait = draws[:, 0] < trait_prob
-    if missing_share is None:
+    trait = draws[:, 0] < chain.trait_prob
+    if chain.missing_share is None:
         shares = draws[:, 1 : k + 1] * 0.5
     else:
-        shares = np.full((n_runs, k), float(missing_share))
-    match = draws[:, -k:] < (model.p_same if same_source else model.p_diff)
+        shares = np.full((n_runs, k), float(chain.missing_share))
+    match = draws[:, -k:] < (chain.model.p_same if chain.same_source else chain.model.p_diff)
 
-    match_ratio = model.p_same / model.p_diff
-    if not math.isfinite(match_ratio):
-        raise OverflowError(f"the match likelihood ratio p_same/p_diff = {match_ratio} exceeds float range")
-    lr_match = math.log(match_ratio)
-    lr_mismatch = math.log((1.0 - model.p_same) / (1.0 - model.p_diff))
-    neutral_lr = np.where(match, lr_match, lr_mismatch)
-    linear_impute = profile.impute(shares, trait[:, None]).ravel().tolist()
+    neutral_lr = np.where(match, chain.lr_match, chain.lr_mismatch)
+    impute_trait = np.where(trait, chain.impute_trait_term[True], chain.impute_trait_term[False])
+    linear_impute = (1.0 + chain.profile.impute_share * shares + impute_trait[:, None]).ravel().tolist()
     log_impute = np.fromiter(map(math.log, linear_impute), np.float64, n_runs * k).reshape(n_runs, k)
-    log_context = np.where(trait, profile.context(True), profile.context(False))
+    log_context = np.where(trait, chain.log_context[True], chain.log_context[False])
     cascade_lr = neutral_lr + log_impute + log_context[:, None]
 
     # Snowball: the conformity term counts the supportive reports so far;
     # cascade's stays zero.
-    by_count = np.array([math.log(profile.tilde_peer(c)) for c in range(k)])
+    by_count = np.array(chain.log_tilde_peer)
     shape = (n_runs, 2, k)
     tilde_peer = np.zeros(shape)
     conformity = tilde_peer[:, 1]
@@ -202,7 +204,7 @@ def monte_carlo_chains(
     for j in range(k):
         conformity[:, j] = by_count[supportive]
         history = cascade_lr[:, j] + conformity[:, j]
-        if peer_history == "posterior":
+        if chain.peer_history == "posterior":
             history = prior + history
         supportive += history >= 0.0
     neutral_log = prior + neutral_lr

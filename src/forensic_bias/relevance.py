@@ -27,7 +27,8 @@ Joint fixture file format (one directive per line, '#' starts a comment):
     ...
 
 Each role is given once, on one roles line or spread over several, and
-a factor names each parent once.  Each factor row lists the parent
+names at least one variable that no other role names; a factor names
+each parent once.  Each factor row lists the parent
 assignment left of the bar and the probabilities over the child's
 domain (in declared order) right of it.
 Decimals (0.25, .5, 5.) are read straight to exact integer ratios, any
@@ -398,6 +399,9 @@ def parse_joint_fixture(text: str) -> tuple[FiniteJoint, dict[str, tuple[str, ..
                 if role in roles:
                     raise JointSchemaError(f"line {lineno}: role {role!r} given twice")
                 roles[role] = tuple(n for n in names.split(",") if n)
+                named = [n for given in roles.values() for n in given]
+                if not roles[role] or len(set(named)) < len(named):
+                    raise JointSchemaError(f"line {lineno}: role {role!r} names no variable, or one named before: {names!r}")
         elif head == "variable":
             if len(tokens) < 3:
                 raise JointSchemaError(f"line {lineno}: variable needs a name and a domain")

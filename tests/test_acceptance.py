@@ -16,6 +16,7 @@ import numpy as np
 from forensic_bias import (
     CellAgreementModel,
     ChainMode,
+    ChainParams,
     DEFAULT_PRIOR,
     FeedbackRegime,
     ImputationSimParams,
@@ -165,7 +166,7 @@ class TestAcceptance:
     def test_07_cascade_vs_snowball(self):
         with criterion(7, "snowball dominates cascade; k=1 coincides bit-exactly (<30s)"):
             started = time.perf_counter()
-            study = monte_carlo_chains(1000, master_seed=42)
+            study = monte_carlo_chains(ChainParams(), 1000, master_seed=42)
             cascade = study.mean_curve(ChainMode.CASCADE)
             snowball = study.mean_curve(ChainMode.SNOWBALL)
             for i, (c, s) in enumerate(zip(cascade, snowball)):
@@ -175,7 +176,7 @@ class TestAcceptance:
             for earlier, later in zip(snowball, snowball[1:]):
                 assert later >= earlier
             # Run i is the k = 1 chain drawn from substream(7, i); axis 1 is the mode.
-            one = monte_carlo_chains(100, master_seed=7, k=1)
+            one = monte_carlo_chains(ChainParams(k=1), 100, master_seed=7)
             for column in (one.columns["bias_ratio"], one.columns["neutral_odds"]):
                 assert column[:, 0].tolist() == column[:, 1].tolist()
             total = sum(one.log_terms.values())
@@ -206,7 +207,7 @@ class TestAcceptance:
 
             # Per-term attribution: over all 10,000 reports of a default
             # study, the live log terms sum to log(bias_ratio).
-            study = monte_carlo_chains(1000, master_seed=2024)
+            study = monte_carlo_chains(ChainParams(), 1000, master_seed=2024)
             assert study.columns["bias_ratio"].size == 10_000
             total = sum(study.log_terms.values())
             assert np.abs(total - np.log(study.columns["bias_ratio"])).max() <= 1e-10

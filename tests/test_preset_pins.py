@@ -37,6 +37,17 @@ VARIANTS = {
         "missing_share": "0.25",
         "same_source": "false",
     },
+    # Every chain field off its default, so a field dropped between the
+    # preset's parameters and the chain record moves a hash.
+    ("propagation", "every-field"): {
+        **SMALL["propagation"],
+        "k": "3",
+        "pool_n": "7",
+        "trait_prob": "0.3",
+        "p_match_same": "0.6",
+        "p_match_diff": "0.2",
+        "peer_history": "posterior",
+    },
     ("delta-impute", "exact"): {**SMALL["delta-impute"], "mask_mode": "exact"},
     # A CDF window of M = 43,636..56,364.  numpy's binomial draws by
     # inversion from 0 up only where s <= 1/2 and n * s < 30, and there it
@@ -117,6 +128,12 @@ PINS = {
         "report.json": "bf5cb12662c667ae418ffe03494f2af2b5e2115050e5cef5d44188202f6af146",
         "results.csv": "b2a28da63e791f3c43eac4e0929539a4ecc6de4ce7e6ec887dbf7b48e6fed7a9",
         "summary.csv": "cc27125df80ffcf3e8f82e85d04f437cdd79b4d7c37644b71513223c72ed6e17",
+    },
+    ("propagation", "every-field"): {
+        "manifest.json": "5d168c7f23526f61912071384b7cc3678ec102c1adb30fb23af069623060d15c",
+        "report.json": "f4ada49c31aad29b57ab1ce8f6c1e5b6c10e46f8d4733dbcf4f9f4dc89d08725",
+        "results.csv": "58730af3cd5c4b88b49cab041549e29e2ca5c0495b3975813349457e0c77c34a",
+        "summary.csv": "7ac4ab6a83bc78e106735c64dda6ac96fb6d4b44599a2ece5284a4f9a04bb5b4",
     },
 }
 

@@ -9,7 +9,7 @@ import pytest
 from forensic_bias.cli import main
 from forensic_bias.contextual import race_example_delta
 from forensic_bias.fingerprints import CellAgreementModel
-from forensic_bias.propagation import BiasProfile, ChainMode, monte_carlo_chains
+from forensic_bias.propagation import BiasProfile, ChainMode, ChainParams, monte_carlo_chains
 from forensic_bias.seeding import substream
 
 TOL = 1e-12
@@ -40,38 +40,29 @@ def _total_log(study):
     return total
 
 
-def _oracle_chain(
-    rng,
-    *,
-    k=5,
-    pool_n=10,
-    trait_prob=0.15,
-    model=CellAgreementModel(),
-    profile=None,
-    same_source=True,
-    missing_share=None,
-    peer_history="contribution",
-):
+def _oracle_chain(rng, chain):
     """Reference: one paired chain, one report and one log term at a time.
 
-    Returns (trait, {mode: [(missing share, neutral odds, bias ratio,
-    {term label: log value})] per report}), with all six terms labelled,
-    unit terms included.  The bias ratio is derived from the reported log
-    odds, as the kernel derives it.
+    Reads only the record's fields, not its derived constants, and takes
+    each term from the profile's coefficients.  Returns (trait, {mode:
+    [(missing share, neutral odds, bias ratio, {term label: log value})]
+    per report}), with all six terms labelled, unit terms included.  The
+    bias ratio is derived from the reported log odds, as the kernel
+    derives it.
     """
-    if profile is None:
-        profile = BiasProfile.standard(trait_prob)
-    trait = bool(rng.random() < trait_prob)
-    if missing_share is None:
+    k, model, profile = chain.k, chain.model, chain.profile
+    trait = bool(rng.random() < chain.trait_prob)
+    if chain.missing_share is None:
         shares = tuple(float(s) for s in rng.random(k) * 0.5)
     else:
-        shares = (float(missing_share),) * k
-    p_agree = model.p_same if same_source else model.p_diff
+        shares = (float(chain.missing_share),) * k
+    p_agree = model.p_same if chain.same_source else model.p_diff
     matches = tuple(bool(m) for m in (rng.random(k) < p_agree))
 
-    prior = -math.log(pool_n)
+    prior = -math.log(chain.pool_n)
     lr_match = math.log(model.p_same / model.p_diff)
     lr_mismatch = math.log((1.0 - model.p_same) / (1.0 - model.p_diff))
+    context = race_example_delta(chain.trait_prob, trait) if profile.context else 0.0
     out = {}
     for mode in ChainMode:
         snowball = mode is ChainMode.SNOWBALL
@@ -81,12 +72,12 @@ def _oracle_chain(
             neutral_lr = lr_match if match else lr_mismatch
             supportive = sum(1 for h in history if h >= 0.0)
             terms = {
-                "impute": math.log(profile.impute(share, trait)),
-                "context": profile.context(trait),
+                "impute": math.log(1.0 + profile.impute_share * share + profile.impute_trait * trait),
+                "context": context,
                 "peer": 0.0,
                 "tilde_impute": 0.0,
                 "tilde_context": 0.0,
-                "tilde_peer": math.log(profile.tilde_peer(supportive)) if snowball else 0.0,
+                "tilde_peer": math.log(1.0 + profile.conformity * supportive) if snowball else 0.0,
             }
             reported_lr = neutral_lr
             for value in terms.values():
@@ -101,7 +92,7 @@ def _oracle_chain(
                     terms,
                 )
             )
-            history = history + (reported_lr if peer_history == "contribution" else reported,)
+            history = history + (reported_lr if chain.peer_history == "contribution" else reported,)
         out[mode] = reports
     return trait, out
 
@@ -113,13 +104,13 @@ ORACLE_CASES = {
     "different-source": {"same_source": False},
     "k1": {"k": 1},
     "k12-pool1": {"k": 12, "pool_n": 1},
-    "unbiased": {"profile": BiasProfile(0.0, 0.0, None, 0.0)},
+    "unbiased": {"profile": BiasProfile(0.0, 0.0, False, 0.0)},
     # log(0.5) + log(2.0) == 0.0 exactly: every mismatching report sits on
     # the supportive threshold, so `>=` against `>` shows.
     "tie": {
         "model": CellAgreementModel(0.75, 0.5),
         "missing_share": 1.0,
-        "profile": BiasProfile(1.0, 0.0, None, 1.0),
+        "profile": BiasProfile(1.0, 0.0, False, 1.0),
     },
 }
 
@@ -128,13 +119,13 @@ class TestKernelMatchesScalarOracle:
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
     def test_study_bit_equal(self, case, seed):
-        kwargs = ORACLE_CASES[case]
+        chain = ChainParams(**ORACLE_CASES[case])
         n_runs = 80
-        study = monte_carlo_chains(n_runs, master_seed=seed, **kwargs)
+        study = monte_carlo_chains(chain, n_runs, master_seed=seed)
         rows = _rows(study)
         per_run = len(rows) // n_runs
         for run_id in range(n_runs):
-            trait, oracle = _oracle_chain(substream(seed, run_id), **kwargs)
+            trait, oracle = _oracle_chain(substream(seed, run_id), chain)
             expected = [
                 (mode.value, run_id, j, neutral, ratio, trait, share)
                 for mode in ChainMode
@@ -146,11 +137,11 @@ class TestKernelMatchesScalarOracle:
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
     def test_chain_ledgers_bit_equal(self, case, seed):
-        kwargs = ORACLE_CASES[case]
-        study = monte_carlo_chains(20, master_seed=seed, **kwargs)
+        chain = ChainParams(**ORACLE_CASES[case])
+        study = monte_carlo_chains(chain, 20, master_seed=seed)
         assert tuple(study.log_terms) == LIVE_TERMS
         for run_id in range(20):
-            _, oracle = _oracle_chain(substream(seed, run_id), **kwargs)
+            _, oracle = _oracle_chain(substream(seed, run_id), chain)
             for m, mode in enumerate(ChainMode):
                 for j, (*_, terms) in enumerate(oracle[mode]):
                     assert all(terms[name] == 0.0 for name in UNIT_TERMS)
@@ -159,27 +150,30 @@ class TestKernelMatchesScalarOracle:
 
 
 class TestProfile:
+    def test_defaults_are_the_chain_profile(self):
+        assert BiasProfile() == BiasProfile(1.0, 0.5, True, 1.0)
+        assert ChainParams().profile == BiasProfile()
+
     def test_standard_direct_terms(self):
-        profile = BiasProfile.standard(0.15)
-        assert profile.impute(0.25, True) == pytest.approx(1.75, abs=TOL)
-        assert profile.impute(0.25, False) == pytest.approx(1.25, abs=TOL)
-        assert profile.impute(0.0, False) == pytest.approx(1.0, abs=TOL)
-        assert math.exp(profile.context(True)) == 2.0
-        assert profile.context(False) == race_example_delta(0.15, False)
-        assert BiasProfile(0.0, 0.0, None, 0.0).context(True) == 0.0
+        chain = ChainParams(trait_prob=0.15)
+        assert chain.impute_trait_term == (0.0, 0.5)
+        assert math.exp(chain.log_context[True]) == 2.0
+        assert chain.log_context[False] == race_example_delta(0.15, False)
+        assert ChainParams(profile=BiasProfile(0.0, 0.0, False, 0.0)).log_context == (0.0, 0.0)
         # The direct terms are the same in both modes; peer is no live term.
-        study = monte_carlo_chains(1, master_seed=13)
+        study = monte_carlo_chains(chain, 1, master_seed=13)
         assert not set(UNIT_TERMS) & set(study.log_terms)
         for name in ("impute", "context"):
             cascade, snowball = study.log_terms[name][0]
             assert cascade.tolist() == snowball.tolist()
 
     def test_standard_history_terms(self):
-        profile = BiasProfile.standard(0.15)
+        chain = ChainParams()
         supportive = sum(1 for v in (2.0, 3.0) if math.log(v) >= 0.0)
-        assert profile.tilde_peer(supportive) == pytest.approx(3.0, abs=TOL)
+        assert math.exp(chain.log_tilde_peer[supportive]) == pytest.approx(3.0, abs=TOL)
+        assert chain.log_tilde_peer == tuple(math.log(1.0 + c) for c in range(5))
         # Only the conformity count is a live history term, and only in snowball.
-        study = monte_carlo_chains(1, master_seed=14)
+        study = monte_carlo_chains(chain, 1, master_seed=14)
         assert not set(UNIT_TERMS) & set(study.log_terms)
         tilde_peer = study.log_terms["tilde_peer"][0]
         assert tilde_peer[CASCADE].tolist() == [0.0] * 5
@@ -187,43 +181,95 @@ class TestProfile:
 
     def test_coefficients_validated(self):
         with pytest.raises(ValueError):
-            BiasProfile(-1.0, 0.5, 0.15, 1.0)
+            BiasProfile(-1.0, 0.5, True, 1.0)
         with pytest.raises(ValueError):
-            BiasProfile(1.0, 0.5, 0.15, float("nan"))
+            BiasProfile(1.0, 0.5, True, float("nan"))
 
     def test_cascade_delta_product(self):
         # A cascade report's tilt is its direct terms' product, a sum of logs.
-        profile = BiasProfile.standard(0.15)
-        combined = math.log(profile.impute(0.25, True)) + profile.context(True)
+        chain = ChainParams(trait_prob=0.15)
+        combined = math.log(1.0 + 0.25 + chain.impute_trait_term[True]) + chain.log_context[True]
         assert math.exp(combined) == pytest.approx(3.5, abs=TOL)
+
+
+class TestChainParams:
+    """Every chain field is checked when the record is built, before any draw."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("k", 0),
+            ("k", 2.0),
+            ("k", True),
+            ("trait_prob", 1.5),
+            ("trait_prob", 0.7),
+            ("trait_prob", 0.0),
+            ("missing_share", 2.0),
+            ("missing_share", True),
+            ("peer_history", "gossip"),
+            ("pool_n", 0),
+            ("pool_n", True),
+        ],
+    )
+    def test_bad_field_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            ChainParams(**{field: value})
+
+    def test_trait_prob_free_with_context_off(self):
+        # Without the context term trait_prob is only the trait's rate.
+        off = BiasProfile(context=False)
+        for p in (0.0, 0.5, 0.7, 1.0):
+            assert ChainParams(trait_prob=p, profile=off).log_context == (0.0, 0.0)
+        with pytest.raises(ValueError, match="^trait_prob must lie in"):
+            ChainParams(trait_prob=1.5, profile=off)
+
+    def test_match_ratio_overflow(self):
+        with pytest.raises(OverflowError, match="p_same/p_diff"):
+            ChainParams(model=CellAgreementModel(0.5, 5e-324))
+
+    @pytest.mark.parametrize("n_runs", [0, 3.0, True, float(2**62)])
+    def test_bad_n_runs_named(self, n_runs):
+        # Refused before any draw: numpy would refuse 2**62 runs' uniforms
+        # with a message of its own.
+        with pytest.raises(ValueError, match="^n_runs must be an int >= 1"):
+            monte_carlo_chains(ChainParams(), n_runs, master_seed=12)
+
+    def test_constants(self):
+        chain = ChainParams(k=3, pool_n=7, model=CellAgreementModel(0.6, 0.2))
+        assert chain.log_prior == -math.log(7)
+        assert chain.lr_match == math.log(0.6 / 0.2)
+        assert chain.lr_mismatch == math.log(0.4 / 0.8)
+        assert len(chain.log_tilde_peer) == 3
+        with pytest.raises(TypeError):
+            ChainParams(lr_match=0.0)
 
 
 class TestRunChain:
     """Single paired chains, each a run of a study."""
 
     def test_report_shape(self):
-        study = monte_carlo_chains(1, master_seed=1)
+        study = monte_carlo_chains(ChainParams(), 1, master_seed=1)
         assert all(column.shape == (1, 2, 5) for column in study.columns.values())
         assert study.columns["analyst_index"][0, SNOWBALL].tolist() == [1, 2, 3, 4, 5]
         assert tuple(study.log_terms) == LIVE_TERMS
         assert all(term.shape == (1, 2, 5) for term in study.log_terms.values())
 
     def test_unbiased_profile_reports_neutral(self):
-        study = monte_carlo_chains(1, master_seed=2, profile=BiasProfile(0.0, 0.0, None, 0.0))
+        study = monte_carlo_chains(ChainParams(profile=BiasProfile(0.0, 0.0, False, 0.0)), 1, master_seed=2)
         # Every log term is zero, so the reported log odds equal the neutral
         # ones bit for bit and each ratio is exp(0.0).
         assert (study.columns["bias_ratio"] == 1.0).all()
         assert all(not term.any() for term in study.log_terms.values())
 
     def test_ledger_soundness(self):
-        study = monte_carlo_chains(1, master_seed=3)
+        study = monte_carlo_chains(ChainParams(), 1, master_seed=3)
         gap = np.log(study.columns["bias_ratio"]) - _total_log(study)
         assert np.abs(gap).max() <= 1e-10
 
     def test_counterfactual_removal(self):
         # Removing the conformity term from a snowball report leaves exactly
         # the cascade report of the same chain.
-        study = monte_carlo_chains(1, master_seed=4)
+        study = monte_carlo_chains(ChainParams(), 1, master_seed=4)
         total = _total_log(study)[0]
         without_peer = total[SNOWBALL] - study.log_terms["tilde_peer"][0, SNOWBALL]
         assert without_peer == pytest.approx(total[CASCADE], abs=TOL)
@@ -233,92 +279,75 @@ class TestRunChain:
         # With no missing cells and no trait, the only active tilt is the
         # context term below one: every cascade report is deflated.
         expected = math.exp(race_example_delta(0.15, False))
-        study = monte_carlo_chains(40, master_seed=5, missing_share=0.0)
+        study = monte_carlo_chains(ChainParams(missing_share=0.0), 40, master_seed=5)
         absent = ~study.columns["trait"][:, CASCADE, 0]
         assert absent.any(), "no trait-absent chain in 40 seeds"
         ratios = study.columns["bias_ratio"][absent, CASCADE]
         assert np.allclose(ratios, expected, rtol=0.0, atol=1e-12)
 
     def test_pair_sharing_draws(self):
-        study = monte_carlo_chains(1, master_seed=6)
+        study = monte_carlo_chains(ChainParams(), 1, master_seed=6)
         for name in ("trait", "missing_share", "neutral_odds"):
             cascade, snowball = study.columns[name][0]
             assert cascade.tolist() == snowball.tolist()
 
     def test_k1_pair_bit_identical(self):
-        study = monte_carlo_chains(100, master_seed=7, k=1)
+        study = monte_carlo_chains(ChainParams(k=1), 100, master_seed=7)
         ratio = study.columns["bias_ratio"]
         assert ratio[:, CASCADE].tolist() == ratio[:, SNOWBALL].tolist()
         for name, term in study.log_terms.items():
             assert term[:, CASCADE].tolist() == term[:, SNOWBALL].tolist(), name
 
     def test_snowball_dominates_cascade_pointwise(self):
-        ratio = monte_carlo_chains(60, master_seed=8).columns["bias_ratio"]
+        ratio = monte_carlo_chains(ChainParams(), 60, master_seed=8).columns["bias_ratio"]
         assert (ratio[:, SNOWBALL] >= ratio[:, CASCADE] - TOL).all()
 
     def test_posterior_history_collapses_snowball(self):
         # Raw posterior odds under a 1/10 prior never clear 1 here, so the
         # conformity count stays zero and the modes coincide.
-        study = monte_carlo_chains(20, master_seed=9, peer_history="posterior")
+        study = monte_carlo_chains(ChainParams(peer_history="posterior"), 20, master_seed=9)
         ratio = study.columns["bias_ratio"]
         assert ratio[:, CASCADE].tolist() == ratio[:, SNOWBALL].tolist()
 
     def test_fixed_missing_share_applied(self):
-        study = monte_carlo_chains(1, master_seed=10, missing_share=0.2)
+        study = monte_carlo_chains(ChainParams(missing_share=0.2), 1, master_seed=10)
         assert (study.columns["missing_share"] == 0.2).all()
 
     def test_random_missing_share_below_half(self):
-        shares = monte_carlo_chains(1, master_seed=11).columns["missing_share"]
+        shares = monte_carlo_chains(ChainParams(), 1, master_seed=11).columns["missing_share"]
         assert ((0.0 <= shares) & (shares < 0.5)).all()
-
-    def test_validation(self):
-        for bad in (
-            {"k": 0},
-            {"trait_prob": 1.5},
-            {"missing_share": 2.0},
-            {"peer_history": "gossip"},
-            {"pool_n": 0},
-            {"pool_n": True},
-        ):
-            with pytest.raises(ValueError):
-                monte_carlo_chains(1, master_seed=12, **bad)
-        # pool_n is checked before any draw: numpy would refuse this many
-        # runs' uniforms, before allocating, with a message of its own.
-        with pytest.raises(ValueError, match="pool_n"):
-            monte_carlo_chains(2**62, master_seed=12, pool_n=0)
 
 
 class TestMonteCarlo:
     def test_single_run_matches_pair(self):
         # A one-run study is the paired chain drawn from substream(99, 0),
         # and the same chain is run 0 of a larger study.
-        study = monte_carlo_chains(1, master_seed=99)
-        _, oracle = _oracle_chain(substream(99, 0))
+        study = monte_carlo_chains(ChainParams(), 1, master_seed=99)
+        _, oracle = _oracle_chain(substream(99, 0), ChainParams())
         ratio = study.columns["bias_ratio"][0]
         assert ratio[CASCADE].tolist() == [r[2] for r in oracle[ChainMode.CASCADE]]
         assert ratio[SNOWBALL].tolist() == [r[2] for r in oracle[ChainMode.SNOWBALL]]
-        assert _rows(study) == _rows(monte_carlo_chains(4, master_seed=99))[:10]
+        assert _rows(study) == _rows(monte_carlo_chains(ChainParams(), 4, master_seed=99))[:10]
 
     def test_impute_logs_are_scalar_math_log(self):
         # np.log can differ from math.log in the last bit (on 16 of these
         # 5,000 values with numpy 2.4.6 on x86-64), which would break
         # bit-equality with a chain evaluated one report at a time.
-        study = monte_carlo_chains(1000, master_seed=7)
-        profile = BiasProfile.standard()
+        study = monte_carlo_chains(ChainParams(), 1000, master_seed=7)
         shares = study.columns["missing_share"][:, 0].ravel().tolist()
         traits = study.columns["trait"][:, 0].ravel().tolist()
-        want = np.array([math.log(profile.impute(s, t)) for s, t in zip(shares, traits)])
+        want = np.array([math.log(1.0 + 1.0 * s + 0.5 * t) for s, t in zip(shares, traits)])
         got = study.log_terms["impute"][:, 0].ravel()
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
     def test_record_layout(self):
-        rows = _rows(monte_carlo_chains(8, master_seed=1))
+        rows = _rows(monte_carlo_chains(ChainParams(), 8, master_seed=1))
         assert len(rows) == 8 * 5 * 2
         assert {row[0] for row in rows} == {"cascade", "snowball"}
         assert {row[1] for row in rows} == set(range(8))
 
     def test_columns_keyed_by_record_fields(self):
-        study = monte_carlo_chains(3, master_seed=1, k=2)
+        study = monte_carlo_chains(ChainParams(k=2), 3, master_seed=1)
         assert list(study.columns) == HEADER
         assert all(column.shape == (3, 2, 2) for column in study.columns.values())
         rebuilt = [
@@ -335,10 +364,10 @@ class TestMonteCarlo:
         # results.csv writes no reported odds: a reader takes them as
         # neutral_odds * bias_ratio, which is exp(prior + neutral_lr + the
         # live log terms) up to the last bits.
-        kwargs = ORACLE_CASES[case]
-        study = monte_carlo_chains(1000, master_seed=7, **kwargs)
-        model = kwargs.get("model", CellAgreementModel())
-        prior = -math.log(kwargs.get("pool_n", 10))
+        chain = ChainParams(**ORACLE_CASES[case])
+        study = monte_carlo_chains(chain, 1000, master_seed=7)
+        model = chain.model
+        prior = -math.log(chain.pool_n)
         lr_match = math.log(model.p_same / model.p_diff)
         lr_mismatch = math.log((1.0 - model.p_same) / (1.0 - model.p_diff))
         # A match lifts the neutral odds above the prior, a mismatch lowers them.
@@ -360,7 +389,7 @@ class TestMonteCarlo:
         assert len(rows) == 1 + 2 * 2 * 5
 
     def test_mean_curves_separate(self):
-        study = monte_carlo_chains(300, master_seed=42)
+        study = monte_carlo_chains(ChainParams(), 300, master_seed=42)
         cascade = study.mean_curve(ChainMode.CASCADE)
         snowball = study.mean_curve(ChainMode.SNOWBALL)
         assert snowball[0] == pytest.approx(cascade[0], abs=TOL)
@@ -369,7 +398,7 @@ class TestMonteCarlo:
         assert all(b >= a - TOL for a, b in zip(snowball, snowball[1:]))
 
     def test_summary_quantiles_ordered(self):
-        summary = monte_carlo_chains(200, master_seed=17).summary
+        summary = monte_carlo_chains(ChainParams(), 200, master_seed=17).summary
         assert list(summary) == ["mode", "analyst_index", "mean_bias_ratio", "q025", "median", "q975"]
         assert all(column.shape == (2, 5) for column in summary.values())
         assert np.all(summary["q025"] <= summary["median"])
@@ -377,7 +406,7 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("n_runs", [1, 7, 1000])
     def test_summary_mean_is_mean_of_its_column(self, n_runs):
-        study = monte_carlo_chains(n_runs, master_seed=3)
+        study = monte_carlo_chains(ChainParams(), n_runs, master_seed=3)
         summary, ratio = study.summary, study.columns["bias_ratio"]
         for mode in (CASCADE, SNOWBALL):
             for i in range(5):
@@ -386,6 +415,3 @@ class TestMonteCarlo:
                 assert summary["mean_bias_ratio"][mode, i] == ratio[:, mode, i].mean()
         assert study.mean_curve(ChainMode.SNOWBALL) == tuple(summary["mean_bias_ratio"][SNOWBALL].tolist())
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            monte_carlo_chains(0, master_seed=0)

@@ -359,10 +359,11 @@ class TestJointConstruction:
             [
                 ("A", ("0", "1"), (), {(): (0.3, 0.7)}),
                 ("B", ("0", "1"), (), {(): (0.6, 0.4)}),
+                ("C", ("0",), (), {(): (1,)}),
             ],
-            roles="hypothesis=A info=B evidence=A",
+            roles="hypothesis=A info=B evidence=C",
         )
-        assert joint.mass(("0", "1")) == Fraction(0.3) * Fraction(0.4)
+        assert joint.mass(("0", "1", "0")) == Fraction(0.3) * Fraction(0.4)
         assert abs(sum(joint.pmf.values()) - 1) < 1e-12
 
 
@@ -409,8 +410,24 @@ class TestFixtureParsing:
         _, parsed = parse_joint_fixture("roles hypothesis=E\nroles info=I evidence=X\n" + body)
         assert parsed == {"hypothesis": ("E",), "info": ("I",), "evidence": ("X",)}
 
+    @pytest.mark.parametrize(
+        "roles, lineno, message",
+        [
+            ("roles hypothesis=E info=E evidence=X\n", 1, "role 'info' names no variable, or one named before: 'E'"),
+            ("roles hypothesis=E info=I evidence=X,X\n", 1, "role 'evidence' names no variable, or one named before: 'X,X'"),
+            ("roles hypothesis=E info=I\nroles evidence=X,E\n", 2, "role 'evidence' names no variable, or one named before: 'X,E'"),
+            ("roles hypothesis=E info=I evidence=\n", 1, "role 'evidence' names no variable, or one named before: ''"),
+        ],
+        ids=["hypothesis-is-info", "evidence-twice", "evidence-is-hypothesis", "empty-evidence"],
+    )
+    def test_overlapping_or_empty_roles_rejected(self, roles, lineno, message):
+        # Refused at the roles line, before classify_relevance sees them.
+        body = "variable E s d\nvariable I a b\nvariable X 0 1\nfactor E\n| 1/2 1/2\nfactor I\n| 1/2 1/2\nfactor X\n| 1/2 1/2\n"
+        with pytest.raises(JointSchemaError, match=f"^line {lineno}: {re.escape(message)}$"):
+            parse_joint_fixture(roles + body)
+
     def test_factor_for_undeclared_variable_rejected(self):
-        text = "roles hypothesis=A info=A evidence=A\nfactor B\n| 1.0\n"
+        text = "roles hypothesis=A info=B evidence=C\nfactor B\n| 1.0\n"
         with pytest.raises(JointSchemaError, match="undeclared"):
             parse_joint_fixture(text)
 
@@ -463,7 +480,7 @@ class TestFixtureParsing:
         ],
     )
     def test_malformed_factor_rejected(self, factors, message):
-        text = "roles hypothesis=A info=A evidence=B\nvariable A 0 1\nvariable B 0 1\n" + factors
+        text = "roles hypothesis=A info=B evidence=C\nvariable A 0 1\nvariable B 0 1\nvariable C 0\nfactor C\n| 1\n" + factors
         with pytest.raises(JointSchemaError, match=f"^{re.escape(message)}$"):
             parse_joint_fixture(text)
 
@@ -516,7 +533,7 @@ class TestNumberReader:
             _parse_number(token)
 
     def test_malformed_token_in_a_fixture(self):
-        text = "roles hypothesis=A info=A evidence=A\nvariable A 0 1\nfactor A\n| 1/0 1\n"
+        text = "roles hypothesis=A info=B evidence=C\nvariable A 0 1\nfactor A\n| 1/0 1\n"
         with pytest.raises(JointSchemaError, match=r"cannot parse probability '1/0'"):
             parse_joint_fixture(text)
 
@@ -707,10 +724,11 @@ class TestReferenceOracle:
         edge = Fraction(1e-9)
 
         def factor_a(second):
-            return [("A", ("0", "1"), (), {(): (Fraction(1, 2), second)})]
+            # B and C, of one value each, only give the roles their variables.
+            return [("A", ("0", "1"), (), {(): (Fraction(1, 2), second)})] + [(v, ("0",), (), {(): (1,)}) for v in "BC"]
 
-        roles = "hypothesis=A info=A evidence=A"
-        assert _joint(factor_a(Fraction(1, 2) + edge), roles).mass(("1",)) == Fraction(1, 2) + edge
+        roles = "hypothesis=A info=B evidence=C"
+        assert _joint(factor_a(Fraction(1, 2) + edge), roles).mass(("1", "0", "0")) == Fraction(1, 2) + edge
         with pytest.raises(JointSchemaError, match=r"row \(\) sums to Fraction\("):
             _joint(factor_a(Fraction(1, 2) + edge + Fraction(1, 10**30)), roles)
         with pytest.raises(JointSchemaError, match=r"row \(\) sums to Fraction\("):

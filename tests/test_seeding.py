@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from forensic_bias.propagation import monte_carlo_chains
+from forensic_bias.propagation import ChainParams, monte_carlo_chains
 from forensic_bias.seeding import _BLOCK_VALUES, substream, substream_uniforms, validate_seed
 
 SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 2**64 - 1]
@@ -56,7 +56,7 @@ class TestSubstreamUniformsBitExact:
     @pytest.mark.parametrize("k", [31, 32])
     def test_propagation_on_both_paths(self, k):
         # m = 1 + 2k draws per replicate: chain lengths of 63 and 65 draws a row.
-        study = monte_carlo_chains(40, master_seed=11, k=k)
+        study = monte_carlo_chains(ChainParams(k=k), 40, master_seed=11)
         draws = _reference(11, range(40), 1 + 2 * k)
         assert np.array_equal(study.columns["trait"][:, 0, 0], draws[:, 0] < 0.15)
         _assert_bits_equal(study.columns["missing_share"][:, 0, :], draws[:, 1 : k + 1] * 0.5)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from forensic_bias.odds import log_prior_odds
-from forensic_bias.propagation import monte_carlo_chains
+from forensic_bias.propagation import ChainParams, monte_carlo_chains
 from forensic_bias.trier import case_report
 
 TOL = 1e-12
@@ -93,7 +93,7 @@ class TestSystemicRatio:
 def _snowball_handoff(seed):
     """A one-run chain study and its snowball analysts' log LRs and log
     bias ratios, the trier's streams as they come out of the study."""
-    study = monte_carlo_chains(1, master_seed=seed)
+    study = monte_carlo_chains(ChainParams(), 1, master_seed=seed)
     prior = log_prior_odds(10)
     row = {name: column[0, 1] for name, column in study.columns.items()}
     log_lrs = [v - prior for v in np.log(row["neutral_odds"]).tolist()]
