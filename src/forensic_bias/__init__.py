@@ -54,6 +54,7 @@ from .fingerprints import (
 from .feedback import (
     BetaPrior,
     DEFAULT_PRIOR,
+    FeedbackParams,
     FeedbackRegime,
     run_paired_feedback,
     simulate_feedback,

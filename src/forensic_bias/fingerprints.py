@@ -6,6 +6,9 @@ lifted).  An examiner who fills missing cells by copying the suspect's
 exemplar ("imputation") manufactures agreement, which inflates the
 reported likelihood ratio by a factor of r = p_same/p_diff per imputed
 cell, so by exactly r**M for M missing cells, whatever the prints show.
+An ImputationSimParams record holds one experiment's grid, model,
+missing share and mask mode, checked once when built, and the values
+derived from them; every function below reads it.
 The Monte Carlo over that factor (sample_delta_impute) draws only that
 sufficient statistic, M ~ Binomial(n, s), one per replicate, by inverse
 CDF: each of the generator's uniforms is looked up, through a guide
@@ -32,13 +35,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from .odds import LOG_FLOAT_MAX
+from .odds import LOG_FLOAT_MAX, _check_count
 
 __all__ = [
     "parse_grid",
@@ -136,25 +139,6 @@ def impute_from_reference(latent: str, reference: str) -> str:
     return "".join(cx if cy == "?" else cy for cx, cy in zip(reference, latent))
 
 
-def _round_half_up(x: float) -> int:
-    # round() would take 12.5 to 12 (banker's rounding); the share contract
-    # is half-up, so 0.25 of 50 cells masks 13 of them.
-    return int(math.floor(x + 0.5))
-
-
-def _fixed_count(n: int, missing_share: float, mode: str) -> int | None:
-    """The missing count M of an n-cell grid when it cannot vary:
-    round-half-up(s * n) for an exact mask or a share of 0 or 1.  None when
-    M ~ Binomial(n, s)."""
-    if not 0.0 <= missing_share <= 1.0:
-        raise ValueError(f"missing_share must lie in [0, 1], got {missing_share!r}")
-    if mode not in ("exact", "per_cell"):
-        raise ValueError(f"mode must be 'exact' or 'per_cell', got {mode!r}")
-    if mode == "exact" or missing_share in (0.0, 1.0):
-        return _round_half_up(missing_share * n)
-    return None
-
-
 @dataclass(frozen=True)
 class CellAgreementModel:
     """Per-cell agreement rates: p_same under same source, p_diff otherwise.
@@ -177,33 +161,49 @@ class CellAgreementModel:
 
 @dataclass(frozen=True)
 class ImputationSimParams:
-    """Grid shape and agreement model of the imputation-bias Monte Carlo.
-    OverflowError when the per-cell factor r = p_same/p_diff is infinite."""
+    """One imputation-bias Monte Carlo's parameters, checked once when
+    built: the grid shape, the agreement model, the missing share s and
+    the mask mode ("per_cell": each cell is missing with probability s, so
+    M ~ Binomial(n, s); "exact": M = round-half-up(s * n)).  It sets the
+    cell count n, log r = log(p_same/p_diff), and fixed, the missing count
+    M when it cannot vary (an exact mask, or a share of 0 or 1), else None.
+    Raises ValueError naming a bad field, or OverflowError when r exceeds
+    float range."""
 
     rows: int = 10
     cols: int = 5
     model: CellAgreementModel = CellAgreementModel()
+    missing_share: float = 0.25
+    mask_mode: str = "per_cell"
+    n: int = field(init=False, repr=False)
+    log_r: float = field(init=False, repr=False)
+    fixed: int | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"grid shape must be positive, got {self.rows}x{self.cols}")
+        _check_count("rows", self.rows)
+        _check_count("cols", self.cols)
+        share = self.missing_share
+        if isinstance(share, bool) or not 0.0 <= share <= 1.0:
+            raise ValueError(f"missing_share must lie in [0, 1], got {share!r}")
+        if self.mask_mode not in ("exact", "per_cell"):
+            raise ValueError(f"mask_mode must be 'exact' or 'per_cell', got {self.mask_mode!r}")
         if math.isinf(ratio := self.model.p_same / self.model.p_diff):
             raise OverflowError(f"the match ratio p_same/p_diff = {ratio} exceeds float range")
+        n = self.rows * self.cols
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "log_r", math.log(ratio))
+        # Rounded half up, not by round(), which takes 12.5 to 12: 0.25 of
+        # 50 cells masks 13 of them.
+        fixed = math.floor(share * n + 0.5) if self.mask_mode == "exact" or share in (0.0, 1.0) else None
+        object.__setattr__(self, "fixed", fixed)
 
 
-def sample_delta_impute(
-    params: ImputationSimParams = ImputationSimParams(),
-    missing_share: float = 0.25,
-    n_reps: int = 10_000,
-    *,
-    rng: np.random.Generator,
-    mask_mode: str = "per_cell",
-) -> np.ndarray:
+def sample_delta_impute(params: ImputationSimParams, n_reps: int, *, rng: np.random.Generator) -> np.ndarray:
     """Monte Carlo draws of the missing count M, an int64 array of n_reps;
     bias_factors turns them into the imputation bias factors r**M.
 
     Only M is drawn, so memory grows with n_reps and not with the grid.
-    "per_cell": one row of rng.random(n_reps) uniforms, each read through
+    A varying M: one row of rng.random(n_reps) uniforms, each read through
     the binomial CDF on the counts lo..hi within n*s ± (40*sigma + 40), the
     table exact_delta_quantiles reads: M = lo + the number of the entries
     cdf[:-1] at or below u, so hi at most.  The mass outside that window is
@@ -213,16 +213,13 @@ def sample_delta_impute(
     edge and, where the bucket holds one entry, compares u with it; only a
     u whose bucket holds two or more entries (the tails, and many buckets
     of a wide window) is searched among them.  u * 1024 is exact, so each
-    count equals searchsorted's.  "exact", or a share of 0 or 1:
-    M = round-half-up(s * n), no draws.  Raises ValueError when the window
-    holds more than _MAX_WINDOW counts."""
-    if n_reps < 1:
-        raise ValueError(f"n_reps must be >= 1, got {n_reps!r}")
-    n = params.rows * params.cols
-    fixed = _fixed_count(n, missing_share, mask_mode)
-    if fixed is not None:
-        return np.full(n_reps, fixed, dtype=np.int64)
-    lo, cdf = _count_cdf(n, missing_share)
+    count equals searchsorted's.  A fixed M: no draws.  Raises ValueError
+    for a bad n_reps, and when the window holds more than _MAX_WINDOW
+    counts."""
+    _check_count("n_reps", n_reps)
+    if params.fixed is not None:
+        return np.full(n_reps, params.fixed, dtype=np.int64)
+    lo, cdf = _count_cdf(params.n, params.missing_share)
     entries, u = cdf[:-1], rng.random(n_reps)
     # first[b]: the entries at or below b / 1024, the left edge of bucket b.
     first = np.searchsorted(entries, _GUIDE_EDGES, side="right")
@@ -246,21 +243,20 @@ def bias_factors(params: ImputationSimParams, counts: np.ndarray) -> np.ndarray:
     """The imputation bias factors r**M, r = p_same/p_diff, of the missing
     counts M, as exp(M * log r).  Raises OverflowError, checked in log
     space, if one exceeds float range."""
-    log_draws = counts * math.log(params.model.p_same / params.model.p_diff)
+    log_draws = counts * params.log_r
     if log_draws.max() > LOG_FLOAT_MAX:
         raise OverflowError(f"the draw r**{counts.max()} = e**{log_draws.max():.1f} exceeds float range")
     return np.exp(log_draws, out=log_draws)
 
 
-def exact_mean_delta(params: ImputationSimParams, missing_share: float, mask_mode: str) -> float:
+def exact_mean_delta(params: ImputationSimParams) -> float:
     """Exact mean of sample_delta_impute's draws: (1 - s + s * r) ** n per cell,
     r ** round-half-up(s * n) for an exact mask; OverflowError past float range."""
-    n = params.rows * params.cols
-    r = params.model.p_same / params.model.p_diff
-    if mask_mode == "exact":
-        log_mean = _round_half_up(missing_share * n) * math.log(r)
+    if params.mask_mode == "exact":
+        log_mean = params.fixed * params.log_r
     else:
-        log_mean = n * math.log1p(missing_share * (r - 1.0))
+        r = params.model.p_same / params.model.p_diff
+        log_mean = params.n * math.log1p(params.missing_share * (r - 1.0))
     if log_mean > LOG_FLOAT_MAX:
         raise OverflowError(f"the exact mean e**{log_mean:.1f} exceeds float range")
     return math.exp(log_mean)
@@ -313,30 +309,24 @@ def _count_cdf(n: int, missing_share: float) -> tuple[int, np.ndarray]:
     return lo, cdf
 
 
-def exact_delta_quantiles(
-    params: ImputationSimParams, missing_share: float, mask_mode: str
-) -> tuple[float, float, float]:
+def exact_delta_quantiles(params: ImputationSimParams) -> tuple[float, float, float]:
     """Exact 2.5%, 50% and 97.5% quantiles of sample_delta_impute's draws.
 
     A draw is r**M with r > 1 and M ~ Binomial(n, s) per cell, so each
     quantile is r**j for the first count j whose cumulative probability
-    reaches the level.  The pmf and the power are taken in log space.  An
-    exact mask, or a share of 0 or 1, gives r**round-half-up(s * n) for all
-    three without building the pmf; otherwise it is built only on the
-    counts within n*s ± (40*sigma + 40).  Raises OverflowError past float
-    range and ValueError when that window holds more than _MAX_WINDOW
-    counts.
+    reaches the level.  The pmf and the power are taken in log space.  A
+    fixed M gives r**M for all three without building the pmf; otherwise
+    it is built only on the counts within n*s ± (40*sigma + 40).  Raises
+    OverflowError past float range and ValueError when that window holds
+    more than _MAX_WINDOW counts.
     """
-    n = params.rows * params.cols
-    fixed = _fixed_count(n, missing_share, mask_mode)
-    log_r = math.log(params.model.p_same / params.model.p_diff)
-    if fixed is not None:
-        counts = [fixed] * 3
+    if params.fixed is not None:
+        counts = [params.fixed] * 3
     else:
-        lo, cdf = _count_cdf(n, missing_share)
+        lo, cdf = _count_cdf(params.n, params.missing_share)
         counts = lo + np.searchsorted(cdf, [0.025 - _CDF_SLACK, 0.5 - _CDF_SLACK, 0.975 - _CDF_SLACK])
     # The draws' own arithmetic, so a quantile the Monte Carlo hits is equal.
-    log_quantiles = np.asarray(counts) * log_r
+    log_quantiles = np.asarray(counts) * params.log_r
     if log_quantiles.max() > LOG_FLOAT_MAX:
         raise OverflowError(f"the exact quantile e**{log_quantiles.max():.1f} exceeds float range")
     q025, median, q975 = np.exp(log_quantiles).tolist()
@@ -397,20 +387,16 @@ def bias_factor_percentiles(params: ImputationSimParams, counts: np.ndarray, lev
     return _lerp(order_stats[: len(gamma)], order_stats[len(gamma) :], gamma)
 
 
-def exact_relative_standard_error(
-    params: ImputationSimParams, missing_share: float, mask_mode: str, n_reps: int
-) -> float | None:
+def exact_relative_standard_error(params: ImputationSimParams, n_reps: int) -> float | None:
     """Exact standard error of the mean of n_reps draws, relative to the
     exact mean: sqrt(expm1(L) / n_reps) with
     L = n * (log1p(s * (r**2 - 1)) - 2 * log1p(s * (r - 1))), the log of
-    E[r**2M] / E[r**M]**2.  0.0 when M is fixed (an exact mask, share 0 or
-    1); None past float range."""
-    n = params.rows * params.cols
-    if _fixed_count(n, missing_share, mask_mode) is not None:
+    E[r**2M] / E[r**M]**2.  0.0 when M is fixed; None past float range."""
+    if params.fixed is not None:
         return 0.0
     r = params.model.p_same / params.model.p_diff
-    s = missing_share
-    log_ratio = n * (math.log1p(s * (r * r - 1.0)) - 2.0 * math.log1p(s * (r - 1.0)))
+    s = params.missing_share
+    log_ratio = params.n * (math.log1p(s * (r * r - 1.0)) - 2.0 * math.log1p(s * (r - 1.0)))
     if log_ratio <= 0.0:  # rounding, when r is within a few ulps of 1
         return 0.0
     # log expm1(L) = L + log(1 - e**-L), finite for every L > 0.

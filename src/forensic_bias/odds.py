@@ -28,6 +28,13 @@ __all__ = [
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
+def _check_count(name: str, value: object) -> None:
+    """ValueError naming the count unless it is an int >= 1; a bool, a
+    float and a numpy integer are refused."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+
+
 def log_prior_odds(pool_n: int) -> float:
     """Log of the uniform prior odds 1/n that the suspect is the source
     in a closed pool of n candidates, suspect included.
@@ -35,10 +42,7 @@ def log_prior_odds(pool_n: int) -> float:
     A pool of one gives even odds (log 0.0); larger pools shrink the
     prior harmonically.  Raises ValueError unless pool_n is an int >= 1
     (a bool is refused)."""
-    if isinstance(pool_n, bool) or not isinstance(pool_n, int):
-        raise ValueError(f"pool_n must be an int, got {pool_n!r}")
-    if pool_n < 1:
-        raise ValueError(f"pool_n must be >= 1, got {pool_n!r}")
+    _check_count("pool_n", pool_n)
     return -math.log(pool_n)
 
 

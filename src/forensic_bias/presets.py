@@ -17,7 +17,6 @@ runs in one thread.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -30,6 +29,7 @@ from .config import ConfigError, ParamSpec, PresetSchema
 from .contextual import MAYFIELD_DELTAS, average_bias, mayfield_average, race_example_delta
 from .feedback import (
     BetaPrior,
+    FeedbackParams,
     FeedbackRegime,
     exact_final_mean_and_gap,
     run_paired_feedback,
@@ -360,18 +360,10 @@ def _agreement_model(p_same: float, p_diff: float) -> CellAgreementModel:
 def _run_delta_impute(params: dict, seed: int) -> dict[str, object]:
     model = _agreement_model(params["p_same"], params["p_diff"])
     try:
-        sim = ImputationSimParams(rows=params["rows"], cols=params["cols"], model=model)
-        exact_mean = exact_mean_delta(sim, params["missing_share"], params["mask_mode"])
-        exact_q025, exact_median, exact_q975 = exact_delta_quantiles(
-            sim, params["missing_share"], params["mask_mode"]
-        )
-        counts = sample_delta_impute(
-            sim,
-            params["missing_share"],
-            params["n_reps"],
-            rng=substream(seed, 0),
-            mask_mode=params["mask_mode"],
-        )
+        sim = ImputationSimParams(params["rows"], params["cols"], model, params["missing_share"], params["mask_mode"])
+        exact_mean = exact_mean_delta(sim)
+        exact_q025, exact_median, exact_q975 = exact_delta_quantiles(sim)
+        counts = sample_delta_impute(sim, params["n_reps"], rng=substream(seed, 0))
         draws = bias_factors(sim, counts)
     except (OverflowError, ValueError) as exc:  # past float range, or too wide a pmf window
         named = ", ".join(f"{k}={params[k]!r}" for k in ("rows", "cols", "missing_share", "p_same", "p_diff"))
@@ -390,9 +382,7 @@ def _run_delta_impute(params: dict, seed: int) -> dict[str, object]:
             "mean_delta": top * float(scaled.mean()),
             "exact_mean_delta": exact_mean,
             "mc_standard_error": se,
-            "exact_relative_standard_error": exact_relative_standard_error(
-                sim, params["missing_share"], params["mask_mode"], n_reps
-            ),
+            "exact_relative_standard_error": exact_relative_standard_error(sim, n_reps),
             "q025": float(q025),
             "median": float(median),
             "q975": float(q975),
@@ -433,24 +423,17 @@ def _run_feedback(params: dict, seed: int) -> dict[str, object]:
     prior = BetaPrior(params["prior_a"], params["prior_b"])
     biased = FeedbackRegime(params["wrongful_rate"], params["trait_skew"])
     alpha_true, n_obs = params["alpha_true"], params["n_obs"]
+    experiment = FeedbackParams(alpha_true, n_obs, prior, biased)
 
     # Illustrative pair under common random numbers, on its own substream.
     trajectory = {
         "step": np.broadcast_to(np.arange(1, n_obs + 1), (2, n_obs)),
-        "posterior_mean": simulate_feedback(biased, alpha_true, n_obs, prior, rng=substream(seed, 0)),
+        "posterior_mean": simulate_feedback(experiment, rng=substream(seed, 0)),
         "regime": np.broadcast_to(np.array(["truthful", "biased"])[:, None], (2, n_obs)),
         "seed": np.broadcast_to(0, 2 * n_obs),
     }
-
-    with warnings.catch_warnings():
-        # The illustrative trajectories have already warned if the
-        # wrongful-case trait rate is clamped; the replicates and the exact
-        # means share their parameters, so one warning per run says it all.
-        warnings.filterwarnings("ignore", message=r"trait_skew \* alpha_true", category=RuntimeWarning)
-        means = run_paired_feedback(params["n_seeds"], alpha_true, n_obs, prior, biased, master_seed=seed)
-        exact_truthful, exact_biased = (
-            exact_final_mean_and_gap(regime, alpha_true, n_obs, prior) for regime in (FeedbackRegime(), biased)
-        )
+    means = run_paired_feedback(experiment, params["n_seeds"], master_seed=seed)
+    exact_truthful, exact_biased = exact_final_mean_and_gap(experiment)
     gaps = np.abs(means - alpha_true)
     return {
         "trajectory.csv": trajectory,

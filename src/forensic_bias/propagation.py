@@ -38,7 +38,7 @@ import numpy as np
 
 from .contextual import race_example_delta
 from .fingerprints import CellAgreementModel, percentiles
-from .odds import LOG_FLOAT_MAX, log_prior_odds
+from .odds import LOG_FLOAT_MAX, _check_count, log_prior_odds
 from .seeding import substream_uniforms
 
 __all__ = [
@@ -77,16 +77,13 @@ class BiasProfile:
     conformity: float = 1.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.context, bool):
+            raise ValueError(f"BiasProfile.context must be a bool, got {self.context!r}")
         for name in ("impute_share", "impute_trait", "conformity"):
             value = float(getattr(self, name))
             if not math.isfinite(value) or value < 0.0:
                 raise ValueError(f"BiasProfile.{name} must be finite and >= 0, got {value!r}")
             object.__setattr__(self, name, value)
-
-
-def _check_count(name: str, value: object) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{name} must be an int >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -115,6 +112,8 @@ class ChainParams:
 
     def __post_init__(self) -> None:
         _check_count("k", self.k)
+        if not isinstance(self.same_source, bool):
+            raise ValueError(f"same_source must be a bool, got {self.same_source!r}")
         if not 0.0 <= self.trait_prob <= 1.0:
             raise ValueError(f"trait_prob must lie in [0, 1], got {self.trait_prob!r}")
         share = self.missing_share

@@ -18,6 +18,7 @@ from forensic_bias import (
     ChainMode,
     ChainParams,
     DEFAULT_PRIOR,
+    FeedbackParams,
     FeedbackRegime,
     ImputationSimParams,
     PRESETS,
@@ -147,8 +148,8 @@ class TestAcceptance:
             for mask in itertools.product((False, True), repeat=6):
                 weight = math.prod(share if m else 1.0 - share for m in mask)
                 oracle += weight * ratio ** sum(mask)
-            params = ImputationSimParams(rows=2, cols=3, model=model)
-            draws = bias_factors(params, sample_delta_impute(params, share, 10_000, rng=substream(0, 0)))
+            params = ImputationSimParams(rows=2, cols=3, model=model, missing_share=share)
+            draws = bias_factors(params, sample_delta_impute(params, 10_000, rng=substream(0, 0)))
             mean = float(draws.mean())
             assert abs(mean - oracle) <= 0.02 * oracle
 
@@ -156,10 +157,10 @@ class TestAcceptance:
         with criterion(6, "biased feedback converges worse and slower (<10s)"):
             started = time.perf_counter()
             biased = FeedbackRegime(0.06, 2.0)
-            short = run_paired_feedback(1000, 0.5, 100, DEFAULT_PRIOR, biased, master_seed=0)
+            short = run_paired_feedback(FeedbackParams(0.5, 100, DEFAULT_PRIOR, biased), 1000, master_seed=0)
             short_truthful_gap, short_biased_gap = np.mean(np.abs(short - 0.5), axis=1)
             assert short_biased_gap > short_truthful_gap
-            long = run_paired_feedback(1000, 0.5, 1000, DEFAULT_PRIOR, biased, master_seed=0)
+            long = run_paired_feedback(FeedbackParams(0.5, 1000, DEFAULT_PRIOR, biased), 1000, master_seed=0)
             assert np.mean(np.abs(long[1] - 0.5)) < short_biased_gap
             assert time.perf_counter() - started < 10.0
 

@@ -11,6 +11,7 @@ import pytest
 from forensic_bias.feedback import (
     BetaPrior,
     DEFAULT_PRIOR,
+    FeedbackParams,
     FeedbackRegime,
     exact_final_mean_and_gap,
     run_paired_feedback,
@@ -39,9 +40,8 @@ class TestBetaPrior:
         # when below the true rate 0.5).
         def means(trait_uniforms, prior=DEFAULT_PRIOR):
             uniforms = np.array([[0.9] * len(trait_uniforms), trait_uniforms])
-            return simulate_feedback(
-                FeedbackRegime(), 0.5, len(trait_uniforms), prior, rng=_FixedUniforms(uniforms)
-            )[0]
+            params = FeedbackParams(0.5, len(trait_uniforms), prior, FeedbackRegime())
+            return simulate_feedback(params, rng=_FixedUniforms(uniforms))[0]
 
         up = means([0.1])
         assert up[0] == BetaPrior(13.0, 8.0).mean
@@ -74,12 +74,52 @@ class TestRegime:
             FeedbackRegime(trait_skew=0.0)
 
 
+class TestFeedbackParams:
+    """Every field is checked, and a clamp warned of, once: when the record
+    is built."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("alpha_true", 0.0),
+            ("alpha_true", 1.0),
+            ("alpha_true", float("nan")),
+            ("n_obs", 0),
+            ("n_obs", 2.5),
+            ("n_obs", True),
+        ],
+    )
+    def test_bad_field_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            FeedbackParams(**{field: value})
+
+    @pytest.mark.parametrize("n_seeds", [0, 2.5, True])
+    def test_bad_n_seeds_named(self, n_seeds):
+        with pytest.raises(ValueError, match="^n_seeds must be an int >= 1"):
+            run_paired_feedback(FeedbackParams(), n_seeds, master_seed=0)
+
+    def test_skewed_rate(self):
+        assert FeedbackParams(0.3, biased=FeedbackRegime(0.5, 1.5)).skewed == 1.5 * 0.3
+        assert FeedbackParams(0.3, biased=FeedbackRegime()).skewed == 0.3
+
+    def test_clamp_warns_once_when_built_and_never_after(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            params = FeedbackParams(0.4, 20, biased=FeedbackRegime(0.5, 3.0))
+            assert params.skewed == 1.0
+            simulate_feedback(params, rng=substream(5))
+            run_paired_feedback(params, 30, master_seed=5)
+            exact_final_mean_and_gap(params)
+        assert [str(w.message).count("clamping") for w in caught] == [1]
+        assert caught[0].filename == __file__
+
+
 class TestSimulate:
     def test_posterior_mean_identity(self):
         # The recorded means must equal the conjugate closed form: a case
         # showing the trait (the second row's uniform below the true rate)
         # increments a, any other increments b.
-        both = simulate_feedback(FeedbackRegime(), 0.5, 50, rng=substream(1))
+        both = simulate_feedback(FeedbackParams(0.5, 50, biased=FeedbackRegime()), rng=substream(1))
         assert both.shape == (2, 50)
         means = both[0]
         belief = DEFAULT_PRIOR
@@ -89,14 +129,15 @@ class TestSimulate:
         assert means[0] in (13 / 21, 12 / 21)
 
     def test_deterministic_given_stream(self):
-        a = simulate_feedback(FeedbackRegime(0.06, 2.0), 0.5, 100, rng=substream(2, 5))
-        b = simulate_feedback(FeedbackRegime(0.06, 2.0), 0.5, 100, rng=substream(2, 5))
+        params = FeedbackParams(0.5, 100, biased=FeedbackRegime(0.06, 2.0))
+        a = simulate_feedback(params, rng=substream(2, 5))
+        b = simulate_feedback(params, rng=substream(2, 5))
         np.testing.assert_array_equal(a, b)
 
     def test_zero_rate_biased_equals_truthful_bitwise(self):
         # Skewed but never wrongful: the skew is never applied, so the two
         # rows are equal bit for bit.
-        t, b = simulate_feedback(FeedbackRegime(0.0, 2.0), 0.37, 200, rng=substream(3))
+        t, b = simulate_feedback(FeedbackParams(0.37, 200, biased=FeedbackRegime(0.0, 2.0)), rng=substream(3))
         assert np.array_equal(t.view(np.uint64), b.view(np.uint64))
 
     def test_rows_read_one_draw(self):
@@ -104,7 +145,7 @@ class TestSimulate:
         # uniform falls below the true rate, whatever the first.  Row 1 reads
         # the skewed rate in wrongful cases, so with skew above 1 it never
         # shows fewer traits.
-        t, b = simulate_feedback(FeedbackRegime(0.3, 1.5), 0.4, 300, rng=substream(9))
+        t, b = simulate_feedback(FeedbackParams(0.4, 300, biased=FeedbackRegime(0.3, 1.5)), rng=substream(9))
         wrongful, trait = substream(9).random((2, 300))
         total = DEFAULT_PRIOR.a + DEFAULT_PRIOR.b + np.arange(1, 301)
         np.testing.assert_array_equal(t, (DEFAULT_PRIOR.a + np.cumsum(trait < 0.4)) / total)
@@ -114,56 +155,54 @@ class TestSimulate:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            simulate_feedback(FeedbackRegime(), 0.0, 10, rng=substream(4))
+            FeedbackParams(0.0, 10)
         with pytest.raises(ValueError):
-            simulate_feedback(FeedbackRegime(), 0.5, 0, rng=substream(4))
+            FeedbackParams(0.5, 0)
 
     def test_skew_clamp_warns(self):
+        # The record warns; the simulation it feeds does not.
         with pytest.warns(RuntimeWarning, match="clamping"):
-            simulate_feedback(FeedbackRegime(0.5, 3.0), 0.4, 20, rng=substream(5))
+            params = FeedbackParams(0.4, 20, biased=FeedbackRegime(0.5, 3.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            simulate_feedback(params, rng=substream(5))
 
-    def test_paired_run_warns_once_per_call(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run_paired_feedback(30, 0.4, 20, biased=FeedbackRegime(0.5, 3.0), master_seed=5)
-        assert [str(w.message).count("clamping") for w in caught] == [1]
-        assert caught[0].filename == __file__
 
 
 class TestTruthfulConvergence:
     def test_mean_gap_shrinks_with_more_cases(self):
         # Consistency at two scales: longer records lie closer to truth.
-        short = _mean_gaps(run_paired_feedback(300, 0.5, 100, master_seed=11), 0.5)
-        long = _mean_gaps(run_paired_feedback(300, 0.5, 2_000, master_seed=11), 0.5)
+        short = _mean_gaps(run_paired_feedback(FeedbackParams(0.5, 100), 300, master_seed=11), 0.5)
+        long = _mean_gaps(run_paired_feedback(FeedbackParams(0.5, 2_000), 300, master_seed=11), 0.5)
         assert long[0] < short[0]
 
     def test_posterior_concentrates_near_truth(self):
-        truthful, _ = run_paired_feedback(500, 0.3, 2_000, master_seed=13)
+        truthful, _ = run_paired_feedback(FeedbackParams(0.3, 2_000), 500, master_seed=13)
         assert abs(float(np.mean(truthful)) - 0.3) < 0.01
 
 
 class TestPairedExperiment:
     def test_biased_mean_gap_exceeds_truthful(self):
-        truthful_gap, biased_gap = _mean_gaps(run_paired_feedback(1_000, 0.5, 100, master_seed=0), 0.5)
+        truthful_gap, biased_gap = _mean_gaps(run_paired_feedback(FeedbackParams(0.5, 100), 1_000, master_seed=0), 0.5)
         assert biased_gap > truthful_gap
 
     def test_biased_mean_dominates_pairwise(self):
         # Under common random numbers a wrongful, trait-skewed case can only
         # push the posterior mean up; at least one occurs in ~95% of runs.
-        t, b = run_paired_feedback(1_000, 0.5, 100, master_seed=0)
+        t, b = run_paired_feedback(FeedbackParams(0.5, 100), 1_000, master_seed=0)
         assert np.all(b >= t - TOL)
         assert float(np.mean(b > t)) >= 0.90
 
     def test_gap_win_rate_band(self):
         # The biased run's *gap* only beats the truthful one when the
         # truthful trajectory did not overshoot; measured near 0.71.
-        truthful_gaps, biased_gaps = np.abs(run_paired_feedback(1_000, 0.5, 100, master_seed=0) - 0.5)
+        truthful_gaps, biased_gaps = np.abs(run_paired_feedback(FeedbackParams(0.5, 100), 1_000, master_seed=0) - 0.5)
         win = float(np.mean(biased_gaps > truthful_gaps))
         assert 0.60 < win < 0.85
 
     def test_biased_converges_slower(self):
-        short = _mean_gaps(run_paired_feedback(400, 0.5, 100, master_seed=7), 0.5)
-        long = _mean_gaps(run_paired_feedback(400, 0.5, 1_000, master_seed=7), 0.5)
+        short = _mean_gaps(run_paired_feedback(FeedbackParams(0.5, 100), 400, master_seed=7), 0.5)
+        long = _mean_gaps(run_paired_feedback(FeedbackParams(0.5, 1_000), 400, master_seed=7), 0.5)
         # Both regimes improve with data, but the biased gap shrinks by a
         # smaller factor: the wrongful stream never stops feeding it.
         t_ratio, b_ratio = long / short
@@ -171,8 +210,8 @@ class TestPairedExperiment:
         assert b_ratio > t_ratio
 
     def test_reproducible(self):
-        a = run_paired_feedback(50, 0.5, 100, master_seed=21)
-        b = run_paired_feedback(50, 0.5, 100, master_seed=21)
+        a = run_paired_feedback(FeedbackParams(0.5, 100), 50, master_seed=21)
+        b = run_paired_feedback(FeedbackParams(0.5, 100), 50, master_seed=21)
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize(
@@ -192,7 +231,8 @@ class TestPairedExperiment:
         # only in wrongful cases, at a trait rate skewed up or down.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            means = run_paired_feedback(200, alpha_true, n_obs, biased=FeedbackRegime(*regime), master_seed=3)
+            params = FeedbackParams(alpha_true, n_obs, biased=FeedbackRegime(*regime))
+        means = run_paired_feedback(params, 200, master_seed=3)
         assert means.dtype == np.float64 and means.shape == (2, 200)
         k_truthful, k_biased = _trait_counts(means, n_obs, DEFAULT_PRIOR)
         assert np.all((0 <= k_truthful) & (k_truthful <= n_obs))
@@ -206,9 +246,11 @@ class TestPairedExperiment:
             assert np.all(k_biased == n_obs)
 
     def test_validation(self):
-        for n_seeds, alpha_true, n_obs in ((0, 0.5, 100), (5, 0.5, 0), (5, 0.0, 100), (5, 1.0, 100)):
+        with pytest.raises(ValueError):
+            run_paired_feedback(FeedbackParams(), 0, master_seed=0)
+        for fields in ({"n_obs": 0}, {"alpha_true": 0.0}, {"alpha_true": 1.0}):
             with pytest.raises(ValueError):
-                run_paired_feedback(n_seeds, alpha_true, n_obs, master_seed=0)
+                FeedbackParams(**fields)
 
 
 def _mean_gaps(means, alpha_true):
@@ -289,7 +331,8 @@ class TestPairedMatchesReference:
         biased = FeedbackRegime(*regime)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            got = run_paired_feedback(n_seeds, alpha_true, n_obs, prior, biased, master_seed=master_seed)
+            params = FeedbackParams(alpha_true, n_obs, prior, biased)
+        got = run_paired_feedback(params, n_seeds, master_seed=master_seed)
         k_truthful, k_biased = _trait_counts(got, n_obs, prior)
         both, truthful_only, biased_only, neither = _object_path_cells(biased, alpha_true)
         assert truthful_only == 0 or biased_only == 0
@@ -347,29 +390,34 @@ class TestExactFinalMeanAndGap:
     def test_matches_enumeration(self, regime, alpha_true, n_obs, prior):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            mean, gap = exact_final_mean_and_gap(regime, alpha_true, n_obs, prior)
-        want_mean, want_gap = _enumerated_final_mean_and_gap(regime, alpha_true, n_obs, prior)
-        assert mean == pytest.approx(float(want_mean), rel=1e-13)
-        assert gap == pytest.approx(float(want_gap), rel=1e-12)
+            params = FeedbackParams(alpha_true, n_obs, prior, regime)
+        for (mean, gap), court in zip(exact_final_mean_and_gap(params), (FeedbackRegime(), regime)):
+            want_mean, want_gap = _enumerated_final_mean_and_gap(court, alpha_true, n_obs, prior)
+            assert mean == pytest.approx(float(want_mean), rel=1e-13)
+            assert gap == pytest.approx(float(want_gap), rel=1e-12)
 
     def test_defaults(self):
         # Gaps from the exact binomial sum in fractions, rounded to float.
-        truthful = exact_final_mean_and_gap(FeedbackRegime(), 0.5)
-        biased = exact_final_mean_and_gap(FeedbackRegime(0.06, 2.0), 0.5)
+        truthful, biased = exact_final_mean_and_gap(FeedbackParams(0.5, 100, biased=FeedbackRegime(0.06, 2.0)))
         assert truthful == pytest.approx((62 / 120, 0.03578914726952875), rel=1e-13)
         assert biased == pytest.approx((65 / 120, 0.04854660119493734), rel=1e-13)
 
     def test_monte_carlo_within_four_standard_errors(self):
-        # run_paired_feedback's default biased regime is (0.06, 2.0).
-        for regime, means in zip((FeedbackRegime(), FeedbackRegime(0.06, 2.0)), run_paired_feedback(master_seed=7)):
-            for sample, exact in zip((means, np.abs(means - 0.5)), exact_final_mean_and_gap(regime, 0.5)):
+        # FeedbackParams' default biased regime is (0.06, 2.0).
+        params = FeedbackParams()
+        exact_pairs = exact_final_mean_and_gap(params)
+        for means, exact_pair in zip(run_paired_feedback(params, 1000, master_seed=7), exact_pairs):
+            for sample, exact in zip((means, np.abs(means - 0.5)), exact_pair):
                 se = np.std(sample, ddof=1) / math.sqrt(len(sample))
                 assert abs(np.mean(sample) - exact) < 4 * se
 
     def test_validation_and_clamp_warning(self):
         with pytest.raises(ValueError):
-            exact_final_mean_and_gap(FeedbackRegime(), 0.5, 0)
+            FeedbackParams(0.5, 0)
         with pytest.raises(ValueError):
-            exact_final_mean_and_gap(FeedbackRegime(), 1.0)
+            FeedbackParams(1.0)
         with pytest.warns(RuntimeWarning, match="clamping"):
-            exact_final_mean_and_gap(FeedbackRegime(0.5, 3.0), 0.4)
+            params = FeedbackParams(0.4, biased=FeedbackRegime(0.5, 3.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exact_final_mean_and_gap(params)

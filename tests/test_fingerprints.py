@@ -201,37 +201,38 @@ class TestDeltaImpute:
         assert report["delta_impute"] == 2.0**3
 
     def test_no_missing_is_unit(self):
-        counts = sample_delta_impute(ImputationSimParams(rows=2, cols=3), 0.0, 5, rng=substream(15))
+        sim = ImputationSimParams(rows=2, cols=3, missing_share=0.0)
+        counts = sample_delta_impute(sim, 5, rng=substream(15))
         assert counts.dtype == np.int64 and np.all(counts == 0)
-        assert np.all(bias_factors(ImputationSimParams(rows=2, cols=3), counts) == 1.0)
+        assert np.all(bias_factors(sim, counts) == 1.0)
 
     def test_full_mask_is_ratio_power_n(self):
-        sim = ImputationSimParams(rows=2, cols=3)
-        counts = sample_delta_impute(sim, 1.0, 5, rng=substream(15))
+        sim = ImputationSimParams(rows=2, cols=3, missing_share=1.0)
+        counts = sample_delta_impute(sim, 5, rng=substream(15))
         assert counts.dtype == np.int64 and np.all(counts == 6)
         np.testing.assert_allclose(bias_factors(sim, counts), 2.0**6, rtol=1e-12, atol=0.0)
 
     def test_never_deflates(self):
         # r = p_same/p_diff > 1, so a factor r**M is never below 1.
-        sim = ImputationSimParams(rows=2, cols=3, model=CellAgreementModel(0.7, 0.2))
         for share in (0.0, 0.25, 1.0):
             for mode in ("per_cell", "exact"):
-                counts = sample_delta_impute(sim, share, 200, rng=substream(15), mask_mode=mode)
+                sim = ImputationSimParams(2, 3, CellAgreementModel(0.7, 0.2), share, mode)
+                counts = sample_delta_impute(sim, 200, rng=substream(15))
                 assert np.all(bias_factors(sim, counts) >= 1.0)
 
     def test_monte_carlo_matches_binomial_mean(self):
         # Per-cell masking makes n_missing ~ Binomial(n, s), so
         # E[delta] = (1 - s + s * p_same/p_diff)^n.
         sim = ImputationSimParams(rows=2, cols=3)
-        draws = bias_factors(sim, sample_delta_impute(sim, 0.25, 4_000, rng=substream(13)))
+        draws = bias_factors(sim, sample_delta_impute(sim, 4_000, rng=substream(13)))
         expected = 1.25**6
         assert abs(draws.mean() - expected) / expected < 0.05
 
     def test_exact_mask_mode_is_degenerate(self):
         # n_missing is pinned at 3, so every draw is (p_same/p_diff)^3 up
         # to the rounding of the log-space round trip.
-        sim = ImputationSimParams(rows=2, cols=3)
-        counts = sample_delta_impute(sim, 0.5, 50, rng=substream(14), mask_mode="exact")
+        sim = ImputationSimParams(rows=2, cols=3, missing_share=0.5, mask_mode="exact")
+        counts = sample_delta_impute(sim, 50, rng=substream(14))
         assert np.all(counts == 3)
         assert np.all(np.abs(bias_factors(sim, counts) - 2.0**3) <= 1e-11)
 
@@ -239,11 +240,50 @@ class TestDeltaImpute:
         with pytest.raises(ValueError):
             ImputationSimParams(rows=0)
         with pytest.raises(ValueError):
-            sample_delta_impute(n_reps=0, rng=substream(16))
+            sample_delta_impute(ImputationSimParams(), 0, rng=substream(16))
         with pytest.raises(ValueError, match="missing_share"):
-            sample_delta_impute(missing_share=1.5, rng=substream(16))
+            ImputationSimParams(missing_share=1.5)
         with pytest.raises(ValueError, match="mode"):
-            sample_delta_impute(mask_mode="often", rng=substream(16))
+            ImputationSimParams(mask_mode="often")
+
+
+class TestImputationSimParams:
+    """Every field is checked when the record is built, before any draw or
+    exact value is computed."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("missing_share", 1.5),
+            ("missing_share", -0.5),
+            ("missing_share", float("nan")),
+            ("missing_share", True),
+            ("mask_mode", "often"),
+            ("rows", 2.5),
+            ("rows", True),
+            ("rows", 0),
+            ("cols", 2.5),
+            ("cols", True),
+            ("cols", 0),
+        ],
+    )
+    def test_bad_field_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            ImputationSimParams(**{field: value})
+
+    @pytest.mark.parametrize("n_reps", [2.5, True, 0])
+    def test_bad_n_reps_named(self, n_reps):
+        with pytest.raises(ValueError, match="^n_reps must be an int >= 1"):
+            sample_delta_impute(ImputationSimParams(), n_reps, rng=substream(16))
+
+    @pytest.mark.parametrize(
+        "share, mode, fixed",
+        [(0.25, "per_cell", None), (0.0, "per_cell", 0), (1.0, "per_cell", 50), (0.25, "exact", 13), (0.0, "exact", 0)],
+    )
+    def test_derived_constants(self, share, mode, fixed):
+        # 0.25 of 50 cells is 12.5, rounded half up to 13.
+        sim = ImputationSimParams(10, 5, CellAgreementModel(0.7, 0.2), share, mode)
+        assert (sim.n, sim.fixed, sim.log_r) == (50, fixed, math.log(0.7 / 0.2))
 
 
 # (seed, rows, cols, model, same_source, missing_share, mask_mode, n_reps):
@@ -277,8 +317,8 @@ class TestSampleMatchesObjectOracle:
     def test_same_missing_count_and_draw(self, case):
         seed, rows, cols, model, _same_source, share, mode, n_reps = case
         n, log_r = rows * cols, math.log(model.p_same / model.p_diff)
-        sim = ImputationSimParams(rows, cols, model)
-        counts = sample_delta_impute(sim, share, n_reps, rng=substream(seed, 0), mask_mode=mode)
+        sim = ImputationSimParams(rows, cols, model, share, mode)
+        counts = sample_delta_impute(sim, n_reps, rng=substream(seed, 0))
         assert counts.shape == (n_reps,) and counts.dtype == np.int64
         draws = bias_factors(sim, counts)
         # Each draw is r**M in the log-space arithmetic, bit for bit.
@@ -320,7 +360,7 @@ class TestInverseCdfDraw:
         lo, cdf = _count_cdf(rows * cols, share)
         uniforms = substream(seed, 0).random(5_000)
         want = np.minimum(lo + np.searchsorted(cdf, uniforms, side="right"), lo + len(cdf) - 1)
-        got = sample_delta_impute(ImputationSimParams(rows, cols, model), share, 5_000, rng=substream(seed, 0))
+        got = sample_delta_impute(ImputationSimParams(rows, cols, model, share), 5_000, rng=substream(seed, 0))
         np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("n, share", [(50, 0.25), (63, 0.4), (100, 0.999)])
@@ -352,7 +392,7 @@ class TestInverseCdfDraw:
         below = [0.0, 5e-324, np.nextafter(cdf[0], 0.0)]
         above = [cdf[-1], np.nextafter(cdf[-1], 2.0), 1.0, np.nextafter(1.0, 0.0)]
         counts = sample_delta_impute(
-            ImputationSimParams(10, 10), 0.999, len(below) + len(above), rng=_FixedUniforms(below + above)
+            ImputationSimParams(10, 10, missing_share=0.999), len(below) + len(above), rng=_FixedUniforms(below + above)
         )
         np.testing.assert_array_equal(counts, [lo] * len(below) + [hi] * len(above))
 
@@ -363,7 +403,7 @@ class TestInverseCdfDraw:
         n, n_reps = 100_000, 20_000
         lo, cdf = _count_cdf(n, 0.5)
         assert lo > 0
-        counts = sample_delta_impute(ImputationSimParams(1000, 100, model), 0.5, n_reps, rng=substream(seed, 0))
+        counts = sample_delta_impute(ImputationSimParams(1000, 100, model, 0.5), n_reps, rng=substream(seed, 0))
         expected = n_reps * np.exp(binomial_log_pmf(n, 0.5, np.arange(lo, lo + len(cdf))))
         observed = np.bincount(counts - lo, minlength=len(cdf))
         assert len(observed) == len(cdf)
@@ -372,9 +412,9 @@ class TestInverseCdfDraw:
 
     def test_too_wide_a_window_is_refused(self):
         # sigma = 5e5 counts: a window of about 4e7, past the cap.
-        sim = ImputationSimParams(10**6, 10**6, CellAgreementModel(0.5, 0.4999999999999))
+        sim = ImputationSimParams(10**6, 10**6, CellAgreementModel(0.5, 0.4999999999999), 0.5)
         with pytest.raises(ValueError, match=f"need the pmf at .* counts, more than {_MAX_WINDOW}"):
-            sample_delta_impute(sim, 0.5, 10, rng=substream(19, 0))
+            sample_delta_impute(sim, 10, rng=substream(19, 0))
 
 
 # (rows, cols, share): the default window, skewed shares, the two counts of
@@ -398,7 +438,8 @@ class TestGuideTable:
     @staticmethod
     def _assert_searchsorted_counts(rows, cols, share, uniforms):
         lo, cdf = _count_cdf(rows * cols, share)
-        got = sample_delta_impute(ImputationSimParams(rows, cols), share, len(uniforms), rng=_FixedUniforms(uniforms))
+        sim = ImputationSimParams(rows, cols, missing_share=share)
+        got = sample_delta_impute(sim, len(uniforms), rng=_FixedUniforms(uniforms))
         np.testing.assert_array_equal(got, lo + np.searchsorted(cdf[:-1], uniforms, side="right"))
 
     @pytest.mark.parametrize("rows, cols, share", GUIDE_WINDOWS)
@@ -449,52 +490,51 @@ class TestHistogramQuantiles:
         ],
     )
     def test_matches_percentiles_of_the_draws(self, n_reps, rows, cols, share, model):
-        sim = ImputationSimParams(rows, cols, model)
+        sim = ImputationSimParams(rows, cols, model, share)
         for seed in range(3):
-            self._assert_percentile_bytes(sim, sample_delta_impute(sim, share, n_reps, rng=substream(seed, 0)))
+            self._assert_percentile_bytes(sim, sample_delta_impute(sim, n_reps, rng=substream(seed, 0)))
 
     @pytest.mark.parametrize("share, mode", [(0.25, "exact"), (0.0, "per_cell"), (1.0, "per_cell")])
     @pytest.mark.parametrize("n_reps", [1, 2, 40])
     def test_fixed_masks(self, share, mode, n_reps):
-        sim = ImputationSimParams(model=CellAgreementModel(0.7, 0.2))
-        self._assert_percentile_bytes(sim, sample_delta_impute(sim, share, n_reps, rng=substream(5), mask_mode=mode))
+        sim = ImputationSimParams(model=CellAgreementModel(0.7, 0.2), missing_share=share, mask_mode=mode)
+        self._assert_percentile_bytes(sim, sample_delta_impute(sim, n_reps, rng=substream(5)))
 
 
 class TestExactMean:
     def test_per_cell_closed_form(self):
         sim = ImputationSimParams(rows=10, cols=5)
-        assert exact_mean_delta(sim, 0.25, "per_cell") == pytest.approx(1.25**50, rel=1e-12)
+        assert exact_mean_delta(sim) == pytest.approx(1.25**50, rel=1e-12)
 
     def test_per_cell_matches_enumeration(self):
-        model = CellAgreementModel(0.7, 0.2)
-        sim = ImputationSimParams(rows=2, cols=3, model=model)
         share, r = 0.4, 0.7 / 0.2
+        sim = ImputationSimParams(rows=2, cols=3, model=CellAgreementModel(0.7, 0.2), missing_share=share)
         oracle = sum(
             math.comb(6, m) * share**m * (1 - share) ** (6 - m) * r**m for m in range(7)
         )
-        assert exact_mean_delta(sim, share, "per_cell") == pytest.approx(oracle, rel=1e-12)
+        assert exact_mean_delta(sim) == pytest.approx(oracle, rel=1e-12)
 
     def test_exact_mode_rounds_half_up(self):
-        sim = ImputationSimParams(rows=10, cols=5)
-        assert exact_mean_delta(sim, 0.25, "exact") == pytest.approx(2.0**13, rel=1e-12)
+        sim = ImputationSimParams(rows=10, cols=5, mask_mode="exact")
+        assert exact_mean_delta(sim) == pytest.approx(2.0**13, rel=1e-12)
 
     def test_overflow_raises_before_exponentiating(self):
         sim = ImputationSimParams(rows=60, cols=60)
         with pytest.raises(OverflowError, match="exact mean"):
-            exact_mean_delta(sim, 0.25, "per_cell")
+            exact_mean_delta(sim)
         # The draws themselves still fit at 60x60 ...
-        assert np.all(np.isfinite(bias_factors(sim, sample_delta_impute(sim, 0.25, 20, rng=substream(17)))))
+        assert np.all(np.isfinite(bias_factors(sim, sample_delta_impute(sim, 20, rng=substream(17)))))
         # ... but not at 80x80, where the counts are still drawn.
         big = ImputationSimParams(rows=80, cols=80)
-        counts = sample_delta_impute(big, 0.25, 20, rng=substream(17))
+        counts = sample_delta_impute(big, 20, rng=substream(17))
         with pytest.raises(OverflowError, match="draw"):
             bias_factors(big, counts)
 
     def test_estimate_finite_where_the_sum_overflows(self, tmp_path):
         # Every draw is r**1021 ~ 2.2e307, so the plain sum of ten overflows;
         # the preset's mean, scaled by the largest draw, does not.
-        sim = ImputationSimParams(rows=1, cols=1021)
-        draws = bias_factors(sim, sample_delta_impute(sim, 1.0, 10, rng=substream(18)))
+        sim = ImputationSimParams(rows=1, cols=1021, missing_share=1.0)
+        draws = bias_factors(sim, sample_delta_impute(sim, 10, rng=substream(18)))
         assert np.all(np.isfinite(draws))
         overrides = {"rows": "1", "cols": "1021", "missing_share": "1", "n_reps": "10"}
         run_preset("delta-impute", 18, overrides, out_dir=tmp_path)
@@ -540,46 +580,46 @@ class TestExactQuantiles:
     )
     def test_per_cell_matches_enumeration(self, rows, cols, share, p_same, p_diff):
         model = CellAgreementModel(p_same, p_diff)
-        sim = ImputationSimParams(rows=rows, cols=cols, model=model)
+        sim = ImputationSimParams(rows=rows, cols=cols, model=model, missing_share=share)
         r = Fraction(p_same) / Fraction(p_diff)
         want = [float(r**m) for m in _enumerated_quantile_counts(rows * cols, share, r)]
-        got = exact_delta_quantiles(sim, share, "per_cell")
+        got = exact_delta_quantiles(sim)
         assert got == pytest.approx(want, rel=1e-12)
         assert all(type(q) is float for q in got)
 
     def test_exact_mode_rounds_half_up(self):
-        sim = ImputationSimParams(rows=10, cols=5)
-        assert exact_delta_quantiles(sim, 0.25, "exact") == pytest.approx((2.0**13,) * 3, rel=1e-12)
+        sim = ImputationSimParams(rows=10, cols=5, mask_mode="exact")
+        assert exact_delta_quantiles(sim) == pytest.approx((2.0**13,) * 3, rel=1e-12)
 
     def test_defaults_equal_the_monte_carlo_where_it_hits(self):
         # At defaults the 10,000-draw quantiles fall on the exact atoms 2**7,
         # 2**12 and 2**19, bit for bit.
         sim = ImputationSimParams()
-        draws = bias_factors(sim, sample_delta_impute(sim, 0.25, 10_000, rng=substream(7, 0)))
+        draws = bias_factors(sim, sample_delta_impute(sim, 10_000, rng=substream(7, 0)))
         monte_carlo = tuple(np.percentile(draws, [2.5, 50.0, 97.5]).tolist())
-        assert exact_delta_quantiles(sim, 0.25, "per_cell") == monte_carlo
+        assert exact_delta_quantiles(sim) == monte_carlo
 
     def test_overflow_raises(self):
         with pytest.raises(OverflowError, match="exact quantile"):
-            exact_delta_quantiles(ImputationSimParams(rows=80, cols=80), 0.25, "per_cell")
+            exact_delta_quantiles(ImputationSimParams(rows=80, cols=80))
 
     @pytest.mark.parametrize("share", [0.5, 1e-3, 1.0 - 1e-3])
     def test_window_matches_the_full_pmf(self, share):
         # 10**5 cells: the window keeps about an eighth of the counts at
         # share 1/2 and a few hundred at the skewed shares.
         model = CellAgreementModel(0.5, 0.4999)
-        sim = ImputationSimParams(rows=1000, cols=100, model=model)
+        sim = ImputationSimParams(rows=1000, cols=100, model=model, missing_share=share)
         n = sim.rows * sim.cols
         cdf = np.cumsum(np.exp(binomial_log_pmf(n, share, np.arange(n + 1))))
         counts = np.searchsorted(cdf, [0.025 - 1e-9, 0.5 - 1e-9, 0.975 - 1e-9])
         want = np.exp(counts * math.log(model.p_same / model.p_diff)).tolist()
-        assert exact_delta_quantiles(sim, share, "per_cell") == tuple(want)
+        assert exact_delta_quantiles(sim) == tuple(want)
 
     def test_too_wide_a_window_is_refused(self):
         # sigma = 5e5 counts: a window of about 4e7, past the cap.
-        sim = ImputationSimParams(10**6, 10**6, CellAgreementModel(0.5, 0.4999999999999))
+        sim = ImputationSimParams(10**6, 10**6, CellAgreementModel(0.5, 0.4999999999999), 0.5)
         with pytest.raises(ValueError, match="exact quantiles need the pmf at"):
-            exact_delta_quantiles(sim, 0.5, "per_cell")
+            exact_delta_quantiles(sim)
 
     def test_infinite_match_ratio_is_refused(self):
         with pytest.raises(OverflowError, match="p_same/p_diff"):
@@ -587,9 +627,10 @@ class TestExactQuantiles:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            exact_delta_quantiles(ImputationSimParams(), 1.5, "per_cell")
+            ImputationSimParams(missing_share=1.5)
         with pytest.raises(ValueError):
-            exact_delta_quantiles(ImputationSimParams(), 0.25, "often")
+            ImputationSimParams(mask_mode="often")
+
 
 
 # Both ends, numpy's own levels, and levels just inside the ends.

@@ -185,6 +185,12 @@ class TestProfile:
         with pytest.raises(ValueError):
             BiasProfile(1.0, 0.5, True, float("nan"))
 
+    @pytest.mark.parametrize("context", [0.15, 1, "false", None])
+    def test_context_must_be_a_bool(self, context):
+        # Read by truthiness, 0.15 would turn the context term on.
+        with pytest.raises(ValueError, match="^BiasProfile.context must be a bool"):
+            BiasProfile(context=context)
+
     def test_cascade_delta_product(self):
         # A cascade report's tilt is its direct terms' product, a sum of logs.
         chain = ChainParams(trait_prob=0.15)
@@ -209,6 +215,9 @@ class TestChainParams:
             ("peer_history", "gossip"),
             ("pool_n", 0),
             ("pool_n", True),
+            # Read by truthiness, "false" would run a same-source chain.
+            ("same_source", "false"),
+            ("same_source", 1),
         ],
     )
     def test_bad_field_named(self, field, value):
