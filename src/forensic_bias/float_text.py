@@ -1,7 +1,7 @@
-"""repr's text of many floats at once, computed on their uint64 bit patterns.
+"""repr's text of many floats at once, as bytes, computed on their uint64 bit patterns.
 
-shortest_texts(bits, sep) returns the same str as float.__repr__(v) + sep
-for every float v, without calling it; sep is "", "," or CR LF, the
+shortest_texts(bits, sep) returns the UTF-8 bytes of float.__repr__(v) +
+sep for every float v, without calling it; sep is "", "," or CR LF, the
 separators of a CSV field.  A finite nonzero float's shortest decimal
 that reads back to it is found by Schubfach (Giulietti 2020, the
 algorithm of the JDK's Double.toString): JDK DoubleToDecimal.toDecimal
@@ -11,14 +11,15 @@ position is in [-3, 16], else d.ddde±XX with at least two exponent
 digits, a leading "-" on negatives, and ".0" on integral values.  Zeros,
 infinities and NaNs go through repr, and sep is added to their text.
 
-Each block of values becomes a character table, one row of slots per
-value (digits, exponent digits and the constant characters, the
+Each block of values becomes a uint8 character table, one row of slots
+per value (digits, exponent digits and the constant characters, the
 separators' among them), and each value's text is a gather of its
 layout's slots: one row of slot numbers per (sign, digit count, decimal
 point) key that occurs, built once and cached, with the separator's slots
 appended, so a field's separator costs no step of its own.  The gathered
-uint32 code points, viewed as a fixed-width str array, give the str
-objects through .tolist(); NUL padding drops off.
+characters, viewed as a fixed-width bytes array, are assigned into the
+object array returned, which makes the bytes objects; NUL padding drops
+off.
 
 Outputs calls this for float columns of at least outputs._SHORTEST_MIN
 distinct values: a call costs ≈0.3 ms whatever its size, so smaller
@@ -28,7 +29,6 @@ columns are faster through repr.
 from __future__ import annotations
 
 import functools
-import itertools
 
 import numpy as np
 
@@ -207,8 +207,8 @@ def _layout(key: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-def _block_texts(bits: np.ndarray, tables: tuple[np.ndarray, ...], tail: tuple[int, ...]) -> list[str]:
-    """repr of each finite nonzero float of a block, from its bits, followed by the tail slots."""
+def _block_texts(bits: np.ndarray, tables: tuple[np.ndarray, ...], tail: tuple[int, ...], out: np.ndarray) -> None:
+    """Into out, repr of each finite nonzero float of a block as bytes, from its bits, followed by the tail slots."""
     g_table, group_chars, group_zeros, forms = tables
     n = bits.size
     f, e = _shortest_decimal(bits, g_table)
@@ -248,17 +248,15 @@ def _block_texts(bits: np.ndarray, tables: tuple[np.ndarray, ...], tail: tuple[i
     row_of_key[present] = np.arange(present.size)
     layout = row_of_key.take(key)
     flat = chars.ravel()
-    texts = []
     for start in range(0, n, _GATHER_ROWS):
         stop = min(n, start + _GATHER_ROWS)
         index = slots.take(layout[start:stop], axis=0)
         index += np.arange(4 * start, 4 * stop, 4)[:, None]
-        texts += flat.take(index).astype(np.uint32).view(f"<U{width}").ravel().tolist()
-    return texts
+        out[start:stop] = flat.take(index).view(f"S{width}").ravel()
 
 
 def shortest_texts(bits: np.ndarray, sep: str = "") -> np.ndarray:
-    """repr of the floats with these uint64 bit patterns, each followed by sep, as an object array of str.
+    """repr of the floats with these uint64 bit patterns, each followed by sep, as an object array of bytes.
 
     sep is "", "," or "\\r\\n"; any other is a KeyError.  Zeros,
     infinities and NaNs go through repr; the others through
@@ -267,12 +265,13 @@ def shortest_texts(bits: np.ndarray, sep: str = "") -> np.ndarray:
     tail = _SEPARATORS[sep]
     special = (bits & _MASK63) - _U1 >= _FINITE_MAX
     regular = bits[~special]
-    blocks = np.array_split(regular, -(-regular.size // _BLOCK)) if regular.size else ()
-    texts = itertools.chain.from_iterable(_block_texts(b, _tables(), tail) for b in blocks)
-    texts = np.fromiter(texts, dtype=object, count=regular.size)
+    texts = np.empty(regular.size, dtype=object)
+    sections = -(-regular.size // _BLOCK)
+    for block, into in zip(np.array_split(regular, sections), np.array_split(texts, sections)) if sections else ():
+        _block_texts(block, _tables(), tail, into)
     if regular.size == bits.size:
         return texts
     out = np.empty(bits.size, dtype=object)
-    out[special] = [repr(v) + sep for v in bits[special].view(np.float64).tolist()]
+    out[special] = [(repr(v) + sep).encode() for v in bits[special].view(np.float64).tolist()]
     out[~special] = texts
     return out

@@ -3,11 +3,10 @@
 Given identical inputs these produce identical bytes on every platform:
 write_csv emits the csv module's excel dialect itself (CRLF line endings,
 a field quoted only when it must be) with floats rendered by repr, and
-JSON is written with sorted keys.  Every writer encodes its text as
-UTF-8 and writes the bytes in binary mode, so no newline is translated,
-and returns the sha256 of exactly the bytes it wrote.  Manifests carry
-no timestamps or host details, so a rerun with the same seed is
-byte-for-byte comparable.
+JSON is written with sorted keys.  Every writer writes UTF-8 bytes in
+binary mode, so no newline is translated, and returns the sha256 of
+exactly the bytes it wrote.  Manifests carry no timestamps or host
+details, so a rerun with the same seed is byte-for-byte comparable.
 
 format_value is the canonical text of one CSV field.  write_csv takes a
 table as columns, a {header: column} mapping of equal-length columns,
@@ -15,24 +14,25 @@ and formats each column once: one whose values all have one exact type
 among float, int, str and bool maps that type's formatter over it, any
 other goes through format_value value by value.  An ndarray column's
 rows are its elements in C order, with the text of their .tolist()
-values; each stored element is formatted once, so a broadcast view costs
-what the array it repeats costs.  A float64 array column, or a list or
-tuple of exact floats, of at least _DISTINCT_MIN stored values formats
-each distinct float bit pattern once and indexes the texts back, so a
-column of few distinct values costs what those values cost.  Unequal
-columns are a ValueError.
+values; only its stored elements (index 0 on each stride-0 axis) are
+formatted.  A float64 array column, or a list or tuple of exact floats,
+of at least _DISTINCT_MIN stored values sorts its bit patterns once and,
+when some repeat, formats each distinct one once and indexes the texts
+back.  Unequal columns are a ValueError.
 
-Every field's text carries the separator that follows it: "," or, in
-the last column, CR LF.  Quoting, the empty field of a one-column table
-included, is decided on the bare text before the separator is added.
-Each block of _BLOCK_ROWS rows is then one "".join over a list of fields
-filled column by column by strided slice assignment, so no row is built
-or joined on its own.
+Every field is the UTF-8 bytes of its text and the separator that
+follows it: "," or, in the last column, CR LF.  Quoting, the empty field
+of a one-column table included, is decided on the bare text.  A
+column's fields keep its stored shape.  When every column has one
+shape, each block of whole leading-axis slices, about _BLOCK_ROWS rows,
+is one b"".join over an object array filled by broadcast assignment of
+each column's fields, so no broadcast column is expanded to one field
+per row.  Columns of unequal shapes are flattened to rows first.
 
 A column of at least _SHORTEST_MIN distinct floats gets repr's text
 without calling repr: float_text computes the shortest decimal that
 round-trips on the uint64 bit patterns by Schubfach (Giulietti 2020),
-and lays it out by repr's rules, the separator's characters included.
+and lays it out by repr's rules as bytes, the separator's included.
 The text equals repr's, at ≈0.45 µs a value against repr's ≈0.7, but
 each call costs ≈0.3 ms, so smaller columns keep repr.
 """
@@ -42,6 +42,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import re
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
@@ -67,7 +68,9 @@ MANIFEST_NAME = "manifest.json"
 
 
 def format_value(value: object) -> str:
-    """Canonical text for one CSV field."""
+    """Canonical text for one CSV field; a NumPy scalar reads as its Python value."""
+    if isinstance(value, np.generic):
+        value = value.item()
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, Enum):
@@ -88,14 +91,14 @@ _COLUMN_FORMATTERS = {
 # Characters that make the excel dialect quote a field.
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
 
-# Rows joined into one write: bounds the size of each string written.
+# Rows joined into one write: bounds the size of each block of bytes.
 _BLOCK_ROWS = 1024
 
-# Float columns of at least this many stored values are formatted once per
-# distinct value (_float_texts).  Below it, np.unique costs about what the
-# repr calls it can save or more, and its first call in a process raises
-# the peak RSS by ≈0.4 MB (numpy 2.4.6), which would show in runs that
-# write only small tables.
+# Float columns of at least this many stored values sort their bit
+# patterns (_float_texts).  Below it, the sort costs about what the repr
+# calls it can save or more, and its first call in a process raises the
+# peak RSS by ≈0.4 MB (numpy 2.4.6), which would show in runs that write
+# only small tables.
 _DISTINCT_MIN = 64
 # Float columns of at least this many distinct values have repr's text
 # computed on arrays (float_text.shortest_texts); fewer go through
@@ -115,59 +118,70 @@ def _quote_minimal(fields: list[str], lone: bool) -> list[str]:
     return [f or '""' for f in fields] if lone and "" in fields else fields
 
 
-def _float_texts(values: np.ndarray, sep: str) -> list[str]:
-    """repr + sep of each value of a 1-d float64 array, each distinct bit pattern formatted once.
+def _float_texts(values: np.ndarray, sep: str) -> np.ndarray:
+    """repr + sep of each value of a 1-d float64 array as bytes, each distinct bit pattern formatted once.
 
-    Bit patterns, not values, are compared, so -0.0 and 0.0 stay apart
-    and every NaN keeps its own text.
+    One argsort of the bit patterns finds the repeats; a column without
+    any is formatted in its own order.  Bit patterns, not values, are
+    compared, so -0.0 and 0.0 stay apart and every NaN keeps its own text.
     """
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    if bits.size >= _SHORTEST_MIN:
+    bits = values.view(np.int64)
+    order = bits.argsort()
+    ordered = bits[order]
+    first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    # Not first.all(): its buffers grew a process's peak RSS by ≈0.13 MB (numpy 2.4.6).
+    distinct = bits if np.count_nonzero(first) == bits.size else ordered[first]
+    if distinct.size >= _SHORTEST_MIN:
         # Imported here, so that runs without a large float column never load it.
         from .float_text import shortest_texts
 
-        texts = shortest_texts(bits.view(np.uint64), sep)
+        texts = shortest_texts(distinct.view(np.uint64), sep)
     else:
-        texts = np.array([repr(v) + sep for v in bits.view(np.float64).tolist()], dtype=object)
-    return texts[inverse].tolist()
+        texts = np.array([(repr(v) + sep).encode() for v in distinct.view(np.float64).tolist()], dtype=object)
+    if distinct is bits:
+        return texts
+    inverse = np.empty(bits.size, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return texts[inverse]
 
 
-def _format_column(column: Sequence[object] | np.ndarray, lone: bool, sep: str) -> list[str]:
-    """The fields of one column, each followed by sep; lone as in _quote_minimal."""
+def _format_column(column: Sequence[object] | np.ndarray, lone: bool, sep: str) -> np.ndarray:
+    """The fields of one column, each followed by sep, as bytes of its stored shape; lone as in _quote_minimal."""
     if isinstance(column, np.ndarray):
         # Index 0 on the stride-0 axes, which a broadcast view repeats.
         stored = column[(*(slice(None) if s else slice(0, 1) for s in column.strides), ...)]
         if stored.dtype == np.float64 and stored.size >= _DISTINCT_MIN:
-            text = _float_texts(stored.ravel(), sep)
+            texts = _float_texts(stored.ravel(), sep)
         else:
-            text = _format_column(stored.ravel().tolist(), lone, sep)
-        if stored.size == column.size:
-            return text
-        return np.broadcast_to(np.array(text, dtype=object).reshape(stored.shape), column.shape).ravel().tolist()
+            texts = _format_column(stored.ravel().tolist(), lone, sep)
+        return texts.reshape(stored.shape)
     types = set(map(type, column))
     kind = types.pop() if len(types) == 1 else None
     if kind is float and len(column) >= _DISTINCT_MIN:
         return _float_texts(np.array(column, dtype=np.float64), sep)
     text = list(map(_COLUMN_FORMATTERS.get(kind) or format_value, column))
-    if kind not in (float, int, bool):
-        text = _quote_minimal(text, lone)
-    return [t + sep for t in text]
+    if kind in (float, int, bool):
+        # These texts hold no NUL: one join, encode and split make the fields.
+        return np.array((sep + "\0").join(text + [""]).encode().split(b"\0")[:-1], dtype=object)
+    return np.array([(t + sep).encode() for t in _quote_minimal(text, lone)], dtype=object)
 
 
-def _blocks(texts: list[list[str]], n_rows: int) -> Iterator[str]:
-    """The CSV text of n_rows rows, one str per _BLOCK_ROWS, from columns of fields with their separators."""
-    width = len(texts)
-    for start in range(0, n_rows, _BLOCK_ROWS):
-        stop = min(n_rows, start + _BLOCK_ROWS)
-        fields = [""] * (width * (stop - start))
+def _blocks(texts: list[np.ndarray], shape: tuple[int, ...]) -> Iterator[bytes]:
+    """The CSV bytes of a nonempty table of this shape, from fields that broadcast to it, by leading-axis slices."""
+    lead = shape[0]
+    step = max(1, _BLOCK_ROWS // math.prod(shape[1:]))
+    fields = np.empty((min(step, lead), *shape[1:], len(texts)), dtype=object)
+    for start in range(0, lead, step):
+        block = fields[: lead - start]
         for j, text in enumerate(texts):
-            fields[j::width] = text[start:stop]
-        yield "".join(fields)
+            block[..., j] = text if text.shape[0] == 1 else text[start : start + step]
+        yield b"".join(block.ravel().tolist())
 
 
 def write_csv(path: Path, columns: Mapping[str, Sequence[object] | np.ndarray]) -> str:
     """Write columns, a {header: column} mapping, as a CSV table; returns its sha256."""
-    sizes = [c.size if isinstance(c, np.ndarray) else len(c) for c in columns.values()]
+    shapes = [c.shape if isinstance(c, np.ndarray) else (len(c),) for c in columns.values()]
+    sizes = [math.prod(shape) for shape in shapes]
     n_rows = sizes[0] if sizes else 0
     for name, size in zip(columns, sizes):
         if size != n_rows:
@@ -176,13 +190,15 @@ def write_csv(path: Path, columns: Mapping[str, Sequence[object] | np.ndarray]) 
     lone = len(columns) == 1
     seps = [","] * (len(columns) - 1) + ["\r\n"]
     texts = [_format_column(c, lone, sep) for c, sep in zip(columns.values(), seps)]
-    header = ",".join(_quote_minimal(list(columns), lone)) + "\r\n"
+    if len(set(shapes)) != 1 or not shapes[0]:
+        texts = [np.broadcast_to(t, s).reshape(n_rows) for t, s in zip(texts, shapes)]
+        shapes = [(n_rows,)]
+    header = (",".join(_quote_minimal(list(columns), lone)) + "\r\n").encode("utf-8")
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        for block in itertools.chain([header], _blocks(texts, n_rows)):
-            data = block.encode("utf-8")
-            digest.update(data)
-            fh.write(data)
+        for block in itertools.chain([header], _blocks(texts, shapes[0]) if n_rows else ()):
+            digest.update(block)
+            fh.write(block)
     return digest.hexdigest()
 
 

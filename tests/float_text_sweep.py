@@ -3,10 +3,11 @@
     PYTHONPATH=src python tests/float_text_sweep.py [--count N] [--seed S]
 
 Draws N uniform uint64 bit patterns (default 10**7) in chunks, formats
-them with float_text.shortest_texts and with float.__repr__, and exits 1
-on the first chunk with a mismatch, printing a few of them.  The first
+them with float_text.shortest_texts and with float.__repr__, compares the
+kernel's bytes with the UTF-8 bytes of repr's text, and exits 1 on the
+first chunk with a mismatch, printing a few of them.  The first
 SEP_PATTERNS of each chunk are also formatted with each CSV separator,
-shortest_texts(bits, sep) against repr + sep.  Zeros, infinities and NaNs
+shortest_texts(bits, sep) against (repr + sep).encode().  Zeros, infinities and NaNs
 go through repr on both sides.  pytest does not collect this file; CI
 runs it as its own step on every numpy it tests.
 """
@@ -35,8 +36,10 @@ def main(argv: list[str] | None = None) -> int:
     for done in range(0, args.count, CHUNK):
         bits = rng.integers(0, 2**64, min(CHUNK, args.count - done), dtype=np.uint64)
         want = list(map(float.__repr__, bits.view(np.float64).tolist()))
-        checks = [(bits, "", want)]
-        checks += [(bits[:SEP_PATTERNS], sep, [w + sep for w in want[:SEP_PATTERNS]]) for sep in (",", "\r\n")]
+        checks = [(bits, "", [w.encode() for w in want])]
+        checks += [
+            (bits[:SEP_PATTERNS], sep, [(w + sep).encode() for w in want[:SEP_PATTERNS]]) for sep in (",", "\r\n")
+        ]
         for patterns, sep, expected in checks:
             got = shortest_texts(patterns, sep).tolist()
             if got != expected:

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import math
 import random
+import tracemalloc
 from enum import Enum
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ import pytest
 
 from forensic_bias import float_text, outputs
 from forensic_bias.outputs import _DISTINCT_MIN, _SHORTEST_MIN, format_value, write_csv
+from forensic_bias.propagation import ChainParams, monte_carlo_chains
 
 
 def _reference_write_csv(path, header, rows):
@@ -81,6 +83,37 @@ ARRAY_CASES = {
     "non-contiguous": {"x": np.arange(40.0).reshape(4, 10)[::2, 1::3], "b": np.arange(6) % 2 == 0},
     "0-d": {"x": np.array(0.25), "o": np.array("a,b", dtype=object), "i": [7]},
     "empty": {"x": np.array([]), "i": np.broadcast_to(np.array([1, 2]), (0, 2)), "s": []},
+    # Blocks are whole slices of the leading axis: 1537 runs of 14 rows do
+    # not divide _BLOCK_ROWS, and the columns are stored as (n,1,1),
+    # (1,2,1), (1,1,k), (n,1,k) and (n,2,k).
+    "leading-axis-not-dividing-a-block": {
+        "run": np.broadcast_to(np.arange(1537)[:, None, None], (1537, 2, 7)),
+        "mode": np.broadcast_to(np.array(["p", "q,r"])[:, None], (1537, 2, 7)),
+        "index": np.broadcast_to(np.arange(1, 8), (1537, 2, 7)),
+        "share": np.broadcast_to(np.random.default_rng(20).random((1537, 1, 7)), (1537, 2, 7)),
+        "ratio": np.random.default_rng(21).lognormal(0.0, 2.0, (1537, 2, 7)),
+        "flag": np.broadcast_to((np.arange(1537) % 3 == 0)[:, None, None], (1537, 2, 7)),
+    },
+    # One slice of the leading axis holds more rows than a block.
+    "inner-axes-past-a-block": {
+        "row": np.broadcast_to(np.arange(3)[:, None], (3, 2000)),
+        "x": np.arange(6000.0).reshape(3, 2000) / 7.0,
+        "s": np.broadcast_to(np.array(["a", "", 'b"'])[:, None], (3, 2000)),
+    },
+    # Unequal shapes, as in feedback's trajectory.csv, are flattened to rows.
+    "mixed-shapes": {
+        "step": np.broadcast_to(np.arange(1, 1501), (2, 1500)),
+        "mean": np.random.default_rng(22).integers(0, 300, (2, 1500)) / 7.0,
+        "regime": np.broadcast_to(np.array(["truthful", "biased"])[:, None], (2, 1500)),
+        "seed": np.broadcast_to(0, 3000),
+        "i": range(3000),
+    },
+    # A column of distinct floats skips the inverse; its neighbour repeats.
+    "distinct-next-to-repeats": {
+        "distinct": np.random.default_rng(23).lognormal(0.0, 3.0, 3000),
+        "repeats": np.tile(np.random.default_rng(24).lognormal(0.0, 3.0, 1500), 2),
+        "few": np.tile([0.5, -0.0, 1e16], 1000),
+    },
 }
 
 
@@ -236,6 +269,12 @@ def test_fuzzed_str_tables_equal_csv_writer(tmp_path):
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes(), (header, rows)
 
 
+def test_numpy_scalars_read_as_python_values(tmp_path):
+    write_csv(tmp_path / "n.csv", CASES["numpy-scalars"])
+    assert (tmp_path / "n.csv").read_bytes() == b"f,i,b\r\n0.1,3,true\r\n1e+16,-4,false\r\n"
+    assert [format_value(v) for v in (np.float64(0.1), np.bool_(True), np.int64(-4))] == ["0.1", "true", "-4"]
+
+
 def test_single_empty_field_is_quoted(tmp_path):
     write_csv(tmp_path / "s.csv", CASES["single-empty-string"])
     assert (tmp_path / "s.csv").read_bytes() == b's\r\n""\r\nx\r\n""\r\n'
@@ -272,6 +311,23 @@ def test_writers_return_the_sha256_of_the_bytes_written(tmp_path):
     # "\n" is written as is, never as the platform's line separator.
     assert (tmp_path / "report.json").read_bytes().count(b"\r") == 0
     assert (tmp_path / "grid.txt").read_bytes() == b"m.?\n.m.\n"
+
+
+def test_results_csv_write_memory(tmp_path):
+    """write_csv's own tracemalloc peak on propagation's results.csv at 200,000 rows.
+
+    Measured 21.6 MiB (numpy 2.4.6); the writer that expanded every
+    broadcast column to one str per row peaked at 32.6 MiB.  The texts of
+    each column's stored values still grow with the rows.
+    """
+    study = monte_carlo_chains(ChainParams(), 20_000, master_seed=7)
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "results.csv", study.columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 26 * 2**20
 
 
 # The array kernel against repr, on its own.  Random bit patterns carry
@@ -331,9 +387,9 @@ ORACLE_CASES = {
 }
 
 
-def _kernel_mismatches(values: np.ndarray) -> list[tuple[str, str]]:
+def _kernel_mismatches(values: np.ndarray) -> list[tuple[bytes, bytes]]:
     got = float_text.shortest_texts(values.view(np.uint64)).tolist()
-    want = list(map(float.__repr__, values.tolist()))
+    want = [repr(v).encode() for v in values.tolist()]
     return [(g, w) for g, w in zip(got, want) if g != w]
 
 
@@ -341,7 +397,7 @@ def _kernel_mismatches(values: np.ndarray) -> list[tuple[str, str]]:
 def test_shortest_texts_append_the_separator(sep):
     values = np.concatenate([_MIXED, _MANY, -_MANY, ORACLE_CASES["extremes"]()])
     got = float_text.shortest_texts(values.view(np.uint64), sep).tolist()
-    assert got == [repr(v) + sep for v in values.tolist()]
+    assert got == [(repr(v) + sep).encode() for v in values.tolist()]
 
 
 def test_shortest_texts_rejects_other_separators():
