@@ -135,7 +135,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 1
     for name in sorted(manifest.artifacts):
         print(f"wrote {args.out / name}")
-    print(f"wrote {args.out / 'manifest.json'}")
+    print(f"wrote {args.out / MANIFEST_NAME}")
     return 0
 
 
@@ -149,11 +149,7 @@ def _cmd_list_presets() -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        text = args.config.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
-    raw = parse_config_text(text)
+    raw = _load_overrides(args.config, [])
     preset_name = args.preset or raw.pop("preset", None)
     if args.preset:
         raw.pop("preset", None)

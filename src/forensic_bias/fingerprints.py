@@ -115,11 +115,11 @@ def count_matches(exemplar: str, print_: str) -> tuple[int, int, int]:
     return len(agreeing), agreeing.count("m"), print_.count("?")
 
 
-def decide_source(n_matches: int, thresholds: tuple[int, int, int] = DEFAULT_THRESHOLDS) -> SourceDecision:
-    """Threshold the agreeing-minutiae count into a categorical decision."""
-    t_id, t_support, t_inconclusive = thresholds
-    if not t_id > t_support > t_inconclusive >= 0:
-        raise ValueError(f"thresholds must be strictly decreasing and nonnegative, got {thresholds!r}")
+def decide_source(n_matches: int) -> SourceDecision:
+    """Threshold the agreeing-minutiae count into a categorical decision at
+    DEFAULT_THRESHOLDS, the least counts for identification, support for
+    same source and inconclusive; below the last, exclusion."""
+    t_id, t_support, t_inconclusive = DEFAULT_THRESHOLDS
     if n_matches >= t_id:
         return SourceDecision.IDENTIFICATION
     if n_matches >= t_support:

@@ -3,10 +3,14 @@
 Given identical inputs these produce identical bytes on every platform:
 write_csv emits the csv module's excel dialect itself (CRLF line endings,
 a field quoted only when it must be) with floats rendered by repr, and
-JSON is written with sorted keys.  Every writer writes UTF-8 bytes in
-binary mode, so no newline is translated, and returns the sha256 of
-exactly the bytes it wrote.  Manifests carry no timestamps or host
-details, so a rerun with the same seed is byte-for-byte comparable.
+write_json dumps the object it is given, as json does, with sorted keys.
+That object holds dicts, lists, tuples, str, int, float, bool and None;
+an Enum or any other object json cannot write, or a dict whose keys
+cannot be sorted together, is a TypeError, and a nan or an infinity a
+ValueError.  Every writer writes UTF-8 bytes in binary mode, so no
+newline is translated, and returns the sha256 of exactly the bytes it
+wrote.  Manifests carry no timestamps or host details, so a rerun with
+the same seed is byte-for-byte comparable.
 
 format_value is the canonical text of one CSV field.  write_csv takes a
 table as columns, a {header: column} mapping of equal-length columns,
@@ -45,7 +49,7 @@ import json
 import math
 import re
 from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from pathlib import Path
 
@@ -202,16 +206,6 @@ def write_csv(path: Path, columns: Mapping[str, Sequence[object] | np.ndarray]) 
     return digest.hexdigest()
 
 
-def _jsonable(value: object) -> object:
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, Mapping):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def write_text(path: Path, text: str) -> str:
     """Write text as UTF-8, newlines untranslated; returns the sha256 of the bytes."""
     data = text.encode("utf-8")
@@ -222,7 +216,7 @@ def write_text(path: Path, text: str) -> str:
 
 def write_json(path: Path, obj: object) -> str:
     """Write obj as JSON with sorted keys; returns the sha256 of the bytes."""
-    text = json.dumps(_jsonable(obj), indent=2, sort_keys=True, allow_nan=False)
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     return write_text(path, text + "\n")
 
 
@@ -247,16 +241,7 @@ class RunManifest:
 
 def write_manifest(out_dir: Path, manifest: RunManifest) -> Path:
     path = out_dir / MANIFEST_NAME
-    write_json(
-        path,
-        {
-            "preset": manifest.preset,
-            "seed": manifest.seed,
-            "parameters": manifest.parameters,
-            "artifacts": manifest.artifacts,
-            "tool_version": manifest.tool_version,
-        },
-    )
+    write_json(path, asdict(manifest))
     return path
 
 
@@ -268,18 +253,11 @@ def read_manifest(out_dir: Path) -> RunManifest:
     file name and a digest string.
     """
     data = json.loads((out_dir / MANIFEST_NAME).read_text(encoding="utf-8"))
+    names = [f.name for f in fields(RunManifest)]
     try:
-        manifest = RunManifest(
-            preset=data["preset"],
-            seed=data["seed"],
-            parameters=data["parameters"],
-            artifacts=data["artifacts"],
-            tool_version=data["tool_version"],
-        )
+        manifest = RunManifest(**{name: data[name] for name in names})
     except (KeyError, TypeError):
-        raise ValueError(
-            "not a run manifest (needs preset, seed, parameters, artifacts, tool_version)"
-        ) from None
+        raise ValueError(f"not a run manifest (needs {', '.join(names)})") from None
     artifacts = manifest.artifacts
     if not isinstance(artifacts, dict) or not all(
         isinstance(digest, str) and name not in ("", "..") and Path(name).name == name

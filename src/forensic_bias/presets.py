@@ -148,6 +148,15 @@ def _check_array_sizes(*arrays: tuple) -> Callable[[Mapping[str, object]], str |
     return check
 
 
+def _agreement_problem(params: Mapping[str, object], same: str, diff: str) -> str | None:
+    """CellAgreementModel's refusal of the match rates named same and diff, or None."""
+    try:
+        CellAgreementModel(params[same], params[diff])
+    except ValueError as exc:
+        return f"parameters {same} and {diff}: {exc}"
+    return None
+
+
 def _detail_columns(key: str, detail: Mapping[str, Mapping[str, object]]) -> dict[str, list]:
     """CSV columns of a {name: {field: value}} report: `key` names, then each field."""
     first = next(iter(detail.values()))
@@ -323,7 +332,7 @@ def _run_imputation_grid(params: dict, seed: int) -> dict[str, object]:
 _check_draws_size = _check_array_sizes(("(n_reps,) draws", ("n_reps",), lambda n: (n,)))
 
 
-def _check_delta_sizes(params: Mapping[str, object]) -> str | None:
+def _check_delta(params: Mapping[str, object]) -> str | None:
     # The missing count is drawn and its pmf computed in int64.
     rows, cols = params["rows"], params["cols"]
     if rows * cols > 2**63 - 1:
@@ -331,7 +340,7 @@ def _check_delta_sizes(params: Mapping[str, object]) -> str | None:
             f"parameters rows and cols: the grid's rows * cols = {rows * cols} cells "
             f"exceeds the int64 limit 2**63 - 1 (got rows={rows!r}, cols={cols!r})"
         )
-    return _check_draws_size(params)
+    return _check_draws_size(params) or _agreement_problem(params, "p_same", "p_diff")
 
 
 _DELTA_SCHEMA = PresetSchema(
@@ -346,19 +355,12 @@ _DELTA_SCHEMA = PresetSchema(
         ParamSpec("n_reps", int, 10_000, "Monte Carlo replicates", _check_at_least(1)),
         ParamSpec("mask_mode", str, "per_cell", "masking: exact count or per-cell coin", _check_choice("exact", "per_cell")),
     ),
-    check=_check_delta_sizes,
+    check=_check_delta,
 )
 
 
-def _agreement_model(p_same: float, p_diff: float) -> CellAgreementModel:
-    try:
-        return CellAgreementModel(p_same, p_diff)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _run_delta_impute(params: dict, seed: int) -> dict[str, object]:
-    model = _agreement_model(params["p_same"], params["p_diff"])
+    model = CellAgreementModel(params["p_same"], params["p_diff"])
     try:
         sim = ImputationSimParams(params["rows"], params["cols"], model, params["missing_share"], params["mask_mode"])
         exact_mean = exact_mean_delta(sim)
@@ -457,6 +459,13 @@ def _run_feedback(params: dict, seed: int) -> dict[str, object]:
 
 # -------------------------------------------------------------- propagation
 
+_check_chain_size = _check_array_sizes(("(n_runs, 1 + 2k) uniforms", ("n_runs", "k"), lambda n, k: (n, 1 + 2 * k)))
+
+
+def _check_propagation(params: Mapping[str, object]) -> str | None:
+    return _check_chain_size(params) or _agreement_problem(params, "p_match_same", "p_match_diff")
+
+
 _PROPAGATION_SCHEMA = PresetSchema(
     name="propagation",
     summary="Cascade vs snowball bias along a chain of analysts, replicated.",
@@ -471,12 +480,12 @@ _PROPAGATION_SCHEMA = PresetSchema(
         ParamSpec("same_source", bool, True, "ground truth of the case"),
         ParamSpec("peer_history", str, "contribution", "history handed to tilde terms", _check_choice("contribution", "posterior")),
     ),
-    check=_check_array_sizes(("(n_runs, 1 + 2k) uniforms", ("n_runs", "k"), lambda n, k: (n, 1 + 2 * k))),
+    check=_check_propagation,
 )
 
 
 def _run_propagation(params: dict, seed: int) -> dict[str, object]:
-    model = _agreement_model(params["p_match_same"], params["p_match_diff"])
+    model = CellAgreementModel(params["p_match_same"], params["p_match_diff"])
     share = None if params["missing_share"] == "random" else float(params["missing_share"])
     chain_fields = ("k", "pool_n", "trait_prob", "same_source", "peer_history")
     try:
@@ -501,6 +510,32 @@ def _run_propagation(params: dict, seed: int) -> dict[str, object]:
 
 # -------------------------------------------------------------------- trier
 
+def _positive_list(text: str) -> list[float]:
+    """The values of a comma-separated list; ValueError unless there is at
+    least one and each is a finite number > 0."""
+    try:
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ValueError("expected comma-separated numbers") from None
+    if not values:
+        raise ValueError("needs at least one value")
+    if not all(0 < v < math.inf for v in values):
+        raise ValueError("all values must be finite and > 0")
+    return values
+
+
+def _check_streams(params: Mapping[str, object]) -> str | None:
+    lengths = []
+    for name in ("stream_lrs", "betas"):
+        try:
+            lengths.append(len(_positive_list(params[name])))
+        except ValueError as exc:
+            return f"parameter {name}: {exc}, got {params[name]!r}"
+    if lengths[0] != lengths[1]:
+        return "stream_lrs has {} values but betas has {}; they must match".format(*lengths)
+    return None
+
+
 _TRIER_SCHEMA = PresetSchema(
     name="trier",
     summary="Compound expert streams into guilt odds; systemic tilt is the product of the betas.",
@@ -510,28 +545,12 @@ _TRIER_SCHEMA = PresetSchema(
         ParamSpec("betas", str, "1.5,1.0,2.0", "comma-separated per-stream bias factors"),
         ParamSpec("context_lr", float, 1.0, "likelihood ratio of context heard directly", _check_positive),
     ),
+    check=_check_streams,
 )
 
 
-def _parse_positive_list(name: str, text: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"parameter {name}: expected comma-separated numbers, got {text!r}") from exc
-    if not values:
-        raise ConfigError(f"parameter {name}: needs at least one value, got {text!r}")
-    if not all(0 < v < math.inf for v in values):
-        raise ConfigError(f"parameter {name}: all values must be finite and > 0, got {text!r}")
-    return values
-
-
 def _run_trier(params: dict, seed: int) -> dict[str, object]:
-    lrs = _parse_positive_list("stream_lrs", params["stream_lrs"])
-    betas = _parse_positive_list("betas", params["betas"])
-    if len(lrs) != len(betas):
-        raise ConfigError(
-            f"stream_lrs has {len(lrs)} values but betas has {len(betas)}; they must match"
-        )
+    lrs, betas = _positive_list(params["stream_lrs"]), _positive_list(params["betas"])
     try:
         report = case_report(
             params["pool_n"],

@@ -6,6 +6,9 @@ at seeds 0 and 2**64 - 1.  A run must exit 0 (success) or 2 (config
 error).  After an exit 0, no artifact may hold an inf or a nan, and
 `bias verify` must pass on the run directory.  Sizes too large for numpy
 to hold their largest array must exit 2 naming the size parameter.
+`bias validate`, given the same overrides as a config file, must exit as
+the run does, except that a result past float range is found only by
+running: validate may accept what run refuses for that reason alone.
 """
 
 import math
@@ -82,6 +85,11 @@ def test_every_boundary_value_exits_0_or_2(preset, settings, too_big, tmp_path, 
             err = capsys.readouterr().err
             where = f"{preset} {setting} seed={seed}"
             assert code in (0, 2), f"{where}: exit {code}: {err}"
+            config = tmp_path / "overrides.txt"
+            config.write_text("".join(f"{key}={value}\n" for key, value in {**small, **setting}.items()))
+            validated = main(["validate", "--preset", preset, str(config)])
+            if code == 0 or "float range" not in err:
+                assert validated == code, f"{where}: validate exit {validated}, run exit {code}: {err}"
             if too_big is not None:
                 named = f"{too_big}={setting[too_big]}"
                 assert code == 2 and "error: parameter" in err and named in err, f"{where}: exit {code}: {err}"

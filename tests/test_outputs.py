@@ -311,6 +311,10 @@ def test_writers_return_the_sha256_of_the_bytes_written(tmp_path):
     # "\n" is written as is, never as the platform's line separator.
     assert (tmp_path / "report.json").read_bytes().count(b"\r") == 0
     assert (tmp_path / "grid.txt").read_bytes() == b"m.?\n.m.\n"
+    # JSON is written as given: an Enum is refused, not converted to its value.
+    with pytest.raises(TypeError):
+        outputs.write_json(tmp_path / "enum.json", {"colour": Colour.RED})
+    assert not (tmp_path / "enum.json").exists()
 
 
 def test_results_csv_write_memory(tmp_path):
