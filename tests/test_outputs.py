@@ -311,10 +311,23 @@ def test_writers_return_the_sha256_of_the_bytes_written(tmp_path):
     # "\n" is written as is, never as the platform's line separator.
     assert (tmp_path / "report.json").read_bytes().count(b"\r") == 0
     assert (tmp_path / "grid.txt").read_bytes() == b"m.?\n.m.\n"
-    # JSON is written as given: an Enum is refused, not converted to its value.
-    with pytest.raises(TypeError):
-        outputs.write_json(tmp_path / "enum.json", {"colour": Colour.RED})
-    assert not (tmp_path / "enum.json").exists()
+
+
+@pytest.mark.parametrize(
+    "obj, error",
+    [
+        ({"colour": Colour.RED}, TypeError),
+        ({1: "a", "b": 2}, TypeError),
+        ({"x": [1.0, math.nan]}, ValueError),
+    ],
+    ids=["enum", "mixed-keys", "nan"],
+)
+def test_json_is_written_as_given_or_not_at_all(tmp_path, obj, error):
+    # No value is converted: an Enum is not replaced by its value, keys are not
+    # made strings before sorting, and a nan is not written as NaN.
+    with pytest.raises(error):
+        outputs.write_json(tmp_path / "r.json", obj)
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_results_csv_write_memory(tmp_path):
