@@ -32,11 +32,11 @@ posterior mean and its gap to the true rate, for both courts.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._lazy import np
 from .odds import _check_count, binomial_log_pmf
 from .seeding import substream
 
@@ -68,7 +68,7 @@ class FeedbackRegime:
         rate, skew = float(self.wrongful_rate), float(self.trait_skew)
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"wrongful_rate must lie in [0, 1], got {rate!r}")
-        if not skew > 0.0 or not np.isfinite(skew):
+        if not skew > 0.0 or not math.isfinite(skew):
             raise ValueError(f"trait_skew must be positive and finite, got {skew!r}")
         object.__setattr__(self, "wrongful_rate", rate)
         object.__setattr__(self, "trait_skew", skew)
@@ -83,7 +83,7 @@ class BetaPrior:
 
     def __post_init__(self) -> None:
         a, b = float(self.a), float(self.b)
-        if not (a > 0.0 and b > 0.0 and np.isfinite(a) and np.isfinite(b)):
+        if not (a > 0.0 and b > 0.0 and math.isfinite(a) and math.isfinite(b)):
             raise ValueError(f"Beta parameters must be positive and finite, got a={a!r} b={b!r}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)

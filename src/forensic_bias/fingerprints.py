@@ -39,8 +39,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .odds import LOG_FLOAT_MAX, _check_count
 
 __all__ = [
@@ -222,7 +221,7 @@ def sample_delta_impute(params: ImputationSimParams, n_reps: int, *, rng: np.ran
     lo, cdf = _count_cdf(params.n, params.missing_share)
     entries, u = cdf[:-1], rng.random(n_reps)
     # first[b]: the entries at or below b / 1024, the left edge of bucket b.
-    first = np.searchsorted(entries, _GUIDE_EDGES, side="right")
+    first = np.searchsorted(entries, _guide_edges(), side="right")
     held = np.diff(first)
     # A bucket's one entry, which u passes or not; past an empty bucket, none.
     threshold = np.where(held == 1, cdf.take(first[:-1]), np.inf)
@@ -275,24 +274,12 @@ _CDF_SLACK = 1e-9
 _MAX_WINDOW = 10**6
 # sample_delta_impute's guide table: bucket b of [0, 1) starts at b / 1024.
 _GUIDE_BUCKETS = 1024
-_GUIDE_EDGES = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
+_guide_edges = functools.cache(lambda: np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS)
 
 
-@functools.lru_cache(maxsize=1)
-def _count_cdf(n: int, missing_share: float) -> tuple[int, np.ndarray]:
-    """(lo, cdf): the cumulative probabilities P(M <= j) of M ~ Binomial(n, s)
-    at the counts j = lo..hi within n*s ± (40*sigma + 40), hi = lo + len(cdf) - 1,
-    and cdf[-1] exactly 1; ValueError past _MAX_WINDOW counts.  It is the
-    one table that exact_delta_quantiles searches and that
-    sample_delta_impute reads through its guide table.  The last table is
-    kept for the next call with the same n and s, so a delta-impute run,
-    which asks for it twice, builds it once; it is read-only.
-
-    The pmf is summed in log space from the ratios
-    P(M = j + 1) / P(M = j) = (n - j) s / ((j + 1)(1 - s)) and scaled so the
-    window's mass is 1.  From log factorials it would not be: lgamma(n + 1)
-    alone is off by an ulp of n log n, a whole unit of log probability on a
-    10**15-cell grid."""
+def _count_window(n: int, missing_share: float) -> tuple[int, int]:
+    """(lo, hi) of the counts in n*s ± (40*sigma + 40) within 0..n; ValueError
+    past _MAX_WINDOW counts.  Plain math, so a schema can check it without numpy."""
     mean = n * missing_share
     half = 40.0 * math.sqrt(mean * (1.0 - missing_share)) + 40.0
     lo, hi = max(0, math.ceil(mean - half)), min(n, math.floor(mean + half))
@@ -300,6 +287,25 @@ def _count_cdf(n: int, missing_share: float) -> tuple[int, np.ndarray]:
         raise ValueError(
             f"the sampler and the exact quantiles need the pmf at {hi - lo + 1} counts, more than {_MAX_WINDOW}"
         )
+    return lo, hi
+
+
+@functools.lru_cache(maxsize=1)
+def _count_cdf(n: int, missing_share: float) -> tuple[int, np.ndarray]:
+    """(lo, cdf): the cumulative probabilities P(M <= j) of M ~ Binomial(n, s)
+    at the counts j = lo..hi of _count_window (its ValueError included),
+    and cdf[-1] exactly 1.  It is the one table that exact_delta_quantiles
+    searches and that sample_delta_impute reads through its guide table.
+    The last table is kept for the next call with the same n and s, so a
+    delta-impute run, which asks for it twice, builds it once; it is
+    read-only.
+
+    The pmf is summed in log space from the ratios
+    P(M = j + 1) / P(M = j) = (n - j) s / ((j + 1)(1 - s)) and scaled so the
+    window's mass is 1.  From log factorials it would not be: lgamma(n + 1)
+    alone is off by an ulp of n log n, a whole unit of log probability on a
+    10**15-cell grid."""
+    lo, hi = _count_window(n, missing_share)
     j = np.arange(lo, hi)
     log_odds = math.log(missing_share) - math.log1p(-missing_share)
     log_pmf = np.concatenate(([0.0], np.cumsum(np.log((n - j) / (j + 1.0)) + log_odds)))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import sys
 
-import numpy as np
+from ._lazy import np
 
 __all__ = [
     "log_prior_odds",

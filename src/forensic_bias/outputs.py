@@ -26,8 +26,11 @@ back.  Unequal columns are a ValueError.
 
 Every field is the UTF-8 bytes of its text and the separator that
 follows it: "," or, in the last column, CR LF.  Quoting, the empty field
-of a one-column table included, is decided on the bare text.  A
-column's fields keep its stored shape.  When every column has one
+of a one-column table included, is decided on the bare text.  A table
+with no ndarray column (none can be one while numpy is not imported) is
+one write of its rows, zipped from each column's list of fields; it
+imports numpy only for _float_texts.  Otherwise a column's fields keep
+its stored shape.  When every column has one
 shape, each block of whole leading-axis slices, about _BLOCK_ROWS rows,
 is one b"".join over an object array filled by broadcast assignment of
 each column's fields, so no broadcast column is expanded to one field
@@ -48,12 +51,13 @@ import itertools
 import json
 import math
 import re
+import sys
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from pathlib import Path
 
-import numpy as np
+from ._lazy import np
 
 __all__ = [
     "format_value",
@@ -72,8 +76,8 @@ MANIFEST_NAME = "manifest.json"
 
 
 def format_value(value: object) -> str:
-    """Canonical text for one CSV field; a NumPy scalar reads as its Python value."""
-    if isinstance(value, np.generic):
+    """Canonical text for one CSV field; a NumPy scalar (none while numpy is not imported) reads as its Python value."""
+    if "numpy" in sys.modules and isinstance(value, np.generic):
         value = value.item()
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -149,25 +153,30 @@ def _float_texts(values: np.ndarray, sep: str) -> np.ndarray:
     return texts[inverse]
 
 
-def _format_column(column: Sequence[object] | np.ndarray, lone: bool, sep: str) -> np.ndarray:
-    """The fields of one column, each followed by sep, as bytes of its stored shape; lone as in _quote_minimal."""
-    if isinstance(column, np.ndarray):
-        # Index 0 on the stride-0 axes, which a broadcast view repeats.
-        stored = column[(*(slice(None) if s else slice(0, 1) for s in column.strides), ...)]
-        if stored.dtype == np.float64 and stored.size >= _DISTINCT_MIN:
-            texts = _float_texts(stored.ravel(), sep)
-        else:
-            texts = _format_column(stored.ravel().tolist(), lone, sep)
-        return texts.reshape(stored.shape)
-    types = set(map(type, column))
+def _list_fields(values: Sequence[object], lone: bool, sep: str) -> list[bytes]:
+    """The fields of a column of Python values, each followed by sep, as bytes; lone as in _quote_minimal."""
+    types = set(map(type, values))
     kind = types.pop() if len(types) == 1 else None
-    if kind is float and len(column) >= _DISTINCT_MIN:
-        return _float_texts(np.array(column, dtype=np.float64), sep)
-    text = list(map(_COLUMN_FORMATTERS.get(kind) or format_value, column))
+    if kind is float and len(values) >= _DISTINCT_MIN:
+        return _float_texts(np.array(values, dtype=np.float64), sep).tolist()
+    text = list(map(_COLUMN_FORMATTERS.get(kind) or format_value, values))
     if kind in (float, int, bool):
         # These texts hold no NUL: one join, encode and split make the fields.
-        return np.array((sep + "\0").join(text + [""]).encode().split(b"\0")[:-1], dtype=object)
-    return np.array([(t + sep).encode() for t in _quote_minimal(text, lone)], dtype=object)
+        return (sep + "\0").join(text + [""]).encode().split(b"\0")[:-1]
+    return [(t + sep).encode() for t in _quote_minimal(text, lone)]
+
+
+def _format_column(column: Sequence[object] | np.ndarray, lone: bool, sep: str) -> np.ndarray:
+    """The fields of one column, each followed by sep, as bytes of its stored shape; lone as in _quote_minimal."""
+    if not isinstance(column, np.ndarray):
+        return np.array(_list_fields(column, lone, sep), dtype=object)
+    # Index 0 on the stride-0 axes, which a broadcast view repeats.
+    stored = column[(*(slice(None) if s else slice(0, 1) for s in column.strides), ...)]
+    if stored.dtype == np.float64 and stored.size >= _DISTINCT_MIN:
+        texts = _float_texts(stored.ravel(), sep)
+    else:
+        texts = np.array(_list_fields(stored.ravel().tolist(), lone, sep), dtype=object)
+    return texts.reshape(stored.shape)
 
 
 def _blocks(texts: list[np.ndarray], shape: tuple[int, ...]) -> Iterator[bytes]:
@@ -184,7 +193,8 @@ def _blocks(texts: list[np.ndarray], shape: tuple[int, ...]) -> Iterator[bytes]:
 
 def write_csv(path: Path, columns: Mapping[str, Sequence[object] | np.ndarray]) -> str:
     """Write columns, a {header: column} mapping, as a CSV table; returns its sha256."""
-    shapes = [c.shape if isinstance(c, np.ndarray) else (len(c),) for c in columns.values()]
+    arrays = "numpy" in sys.modules and any(isinstance(c, np.ndarray) for c in columns.values())
+    shapes = [c.shape if arrays and isinstance(c, np.ndarray) else (len(c),) for c in columns.values()]
     sizes = [math.prod(shape) for shape in shapes]
     n_rows = sizes[0] if sizes else 0
     for name, size in zip(columns, sizes):
@@ -193,14 +203,19 @@ def write_csv(path: Path, columns: Mapping[str, Sequence[object] | np.ndarray]) 
             raise ValueError(f"{path}: column {name!r} has {size} values, column {first!r} has {n_rows}")
     lone = len(columns) == 1
     seps = [","] * (len(columns) - 1) + ["\r\n"]
-    texts = [_format_column(c, lone, sep) for c, sep in zip(columns.values(), seps)]
-    if len(set(shapes)) != 1 or not shapes[0]:
-        texts = [np.broadcast_to(t, s).reshape(n_rows) for t, s in zip(texts, shapes)]
-        shapes = [(n_rows,)]
+    if arrays:
+        texts = [_format_column(c, lone, sep) for c, sep in zip(columns.values(), seps)]
+        if len(set(shapes)) != 1 or not shapes[0]:
+            texts = [np.broadcast_to(t, s).reshape(n_rows) for t, s in zip(texts, shapes)]
+            shapes = [(n_rows,)]
+        blocks = _blocks(texts, shapes[0]) if n_rows else ()
+    else:
+        texts = [_list_fields(c, lone, sep) for c, sep in zip(columns.values(), seps)]
+        blocks = [b"".join(itertools.chain.from_iterable(zip(*texts)))]
     header = (",".join(_quote_minimal(list(columns), lone)) + "\r\n").encode("utf-8")
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        for block in itertools.chain([header], _blocks(texts, shapes[0]) if n_rows else ()):
+        for block in itertools.chain([header], blocks):
             digest.update(block)
             fh.write(block)
     return digest.hexdigest()

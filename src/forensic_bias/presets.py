@@ -22,9 +22,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Mapping
 
-import numpy as np
-
 from . import __version__ as TOOL_VERSION
+from ._lazy import np
 from .config import ConfigError, ParamSpec, PresetSchema
 from .contextual import MAYFIELD_DELTAS, average_bias, mayfield_average, race_example_delta
 from .feedback import (
@@ -38,6 +37,7 @@ from .feedback import (
 from .fingerprints import (
     CellAgreementModel,
     ImputationSimParams,
+    _count_window,
     bias_factor_percentiles,
     bias_factors,
     count_matches,
@@ -340,6 +340,12 @@ def _check_delta(params: Mapping[str, object]) -> str | None:
             f"parameters rows and cols: the grid's rows * cols = {rows * cols} cells "
             f"exceeds the int64 limit 2**63 - 1 (got rows={rows!r}, cols={cols!r})"
         )
+    # A drawn missing count needs its pmf window, which these alone size.
+    if params["mask_mode"] == "per_cell" and 0.0 < (share := params["missing_share"]) < 1.0:
+        try:
+            _count_window(rows * cols, share)
+        except ValueError as exc:
+            return f"parameters rows, cols and missing_share: {exc} (got rows={rows!r}, cols={cols!r}, missing_share={share!r})"
     return _check_draws_size(params) or _agreement_problem(params, "p_same", "p_diff")
 
 
@@ -367,7 +373,7 @@ def _run_delta_impute(params: dict, seed: int) -> dict[str, object]:
         exact_q025, exact_median, exact_q975 = exact_delta_quantiles(sim)
         counts = sample_delta_impute(sim, params["n_reps"], rng=substream(seed, 0))
         draws = bias_factors(sim, counts)
-    except (OverflowError, ValueError) as exc:  # past float range, or too wide a pmf window
+    except OverflowError as exc:  # past float range; the schema refuses too wide a pmf window
         named = ", ".join(f"{k}={params[k]!r}" for k in ("rows", "cols", "missing_share", "p_same", "p_diff"))
         raise ConfigError(f"{exc} at {named}; use a smaller grid, missing_share or p_same/p_diff") from exc
     # numpy's default linear quantiles (Hyndman & Fan type 7) over the draws,

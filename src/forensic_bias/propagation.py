@@ -34,8 +34,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
+from ._lazy import np
 from .contextual import race_example_delta
 from .fingerprints import CellAgreementModel, percentiles
 from .odds import LOG_FLOAT_MAX, _check_count, log_prior_odds

@@ -18,9 +18,10 @@ conversion follow.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable
 
-import numpy as np
+from ._lazy import np
 
 __all__ = ["MAX_SEED", "validate_seed", "substream", "substream_uniforms"]
 
@@ -60,8 +61,6 @@ _MASK32 = 0xFFFFFFFF
 _MASK128 = 2**128 - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_XSHIFT = np.uint32(16)
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _POOL = 4  # SeedSequence's default pool size, in uint32 words
 
@@ -80,10 +79,26 @@ def _hash_constants(init: int, mult: int, count: int) -> tuple[np.ndarray, np.nd
     return column[:-1], column[1:]
 
 
-# Pool mixing hashes _POOL entropy words, then each word into the other three.
-_MIX_XOR, _MIX_MUL = _hash_constants(_INIT_A, _MULT_A, _POOL + _POOL * (_POOL - 1))
-# generate_state(4, uint64) hashes 8 words, cycling through the pool.
-_OUT_XOR, _OUT_MUL = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
+@functools.cache
+def _bind_constants() -> None:
+    """Bind the draws' numpy constants once, at the first draw or float_text's import of some."""
+    global _MIX_MULT_L, _MIX_MULT_R, _XSHIFT, _MIX_XOR, _MIX_MUL, _OUT_XOR, _OUT_MUL, _LIMB, _U1, _U11, _U32, _U58, _U63
+    _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+    _XSHIFT = np.uint32(16)
+    # Pool mixing hashes _POOL entropy words, then each word into the other three.
+    _MIX_XOR, _MIX_MUL = _hash_constants(_INIT_A, _MULT_A, _POOL + _POOL * (_POOL - 1))
+    # generate_state(4, uint64) hashes 8 words, cycling through the pool.
+    _OUT_XOR, _OUT_MUL = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
+    _LIMB = np.uint64(_MASK32)
+    _U1, _U11, _U32, _U58, _U63 = (np.uint64(b) for b in (1, 11, 32, 58, 63))
+
+
+def __getattr__(name: str) -> object:
+    # The constants float_text imports.
+    if name in ("_LIMB", "_U1", "_U32", "_U63"):
+        _bind_constants()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _hash(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
@@ -122,8 +137,6 @@ def _seed_states(entropy: np.ndarray) -> np.ndarray:
 # (1,000, 31) and (5,000, 11) rows and draws.
 _BLOCK_VALUES = 8192
 _MASK64 = 2**64 - 1
-_LIMB = np.uint64(_MASK32)
-_U1, _U11, _U32, _U58, _U63 = (np.uint64(b) for b in (1, 11, 32, 58, 63))
 
 
 def _jump_constants(m: int) -> np.ndarray:
@@ -208,7 +221,7 @@ def substream_uniforms(master_seed: int, indices: Iterable[int], m: int) -> np.n
     out = np.empty((len(indices), m))
     if not out.size:
         return out
-
+    _bind_constants()
     if isinstance(indices, range):
         # start + r * step, mod 2**64: every index lies in [0, 2**64), so
         # the wrapped product of a negative step lands on it exactly.

@@ -99,3 +99,18 @@ def test_every_boundary_value_exits_0_or_2(preset, settings, too_big, tmp_path, 
                     assert found is None, f"{where}: {path.name} holds {found.group()!r}"
                 assert main(["verify", str(out)]) == 0, where
             capsys.readouterr()
+
+
+def test_too_wide_a_pmf_window_is_refused_by_validate_as_by_run(tmp_path, capsys):
+    # 10**10 cells at share 1/2 need the pmf at 4,000,081 counts; the window
+    # depends on the grid and the share alone, so validate refuses it too.
+    settings = {"rows": "100000", "cols": "100000", "missing_share": "0.5", "p_same": "0.5000000001", "p_diff": "0.5"}
+    config = tmp_path / "overrides.txt"
+    config.write_text("".join(f"{key}={value}\n" for key, value in settings.items()))
+    out = tmp_path / "out"
+    assert main(["validate", "--preset", "delta-impute", str(config)]) == 2
+    validated = capsys.readouterr().err
+    assert main(["run", "--preset", "delta-impute", "--seed", "7", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == validated
+    assert "need the pmf at 4000081 counts" in validated
+    assert not out.exists()

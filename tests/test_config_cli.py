@@ -1,6 +1,7 @@
 """Parameter schemas, config parsing, and the command-line harness."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -22,6 +23,8 @@ from forensic_bias.config import ConfigError, parse_config_text, parse_set_args
 from forensic_bias.outputs import sha256_file
 from forensic_bias.presets import PRESETS, get_preset, run_preset
 from forensic_bias.seeding import validate_seed
+
+from test_preset_pins import PINS
 
 
 class TestConfigText:
@@ -157,6 +160,43 @@ class TestRunPreset:
         if bare == "True":
             pytest.skip("a bare import numpy already loads numpy.ma (numpy 1.x)")
         assert after == "False"
+
+    def test_closed_form_commands_leave_out_numpy(self, tmp_path):
+        # numpy is bound on first use, so importing the CLI, listing the
+        # presets, running and verifying the six closed-form ones, and
+        # validating any config never load it; ≈120 ms of set-up with numpy
+        # 2.4.  A delta-impute run in the same process then loads it and
+        # must still write its pinned bytes.  A fresh process, because this
+        # one has numpy loaded.
+        config = tmp_path / "delta.txt"
+        config.write_text("n_reps=400\n")
+        probe = (
+            "import contextlib, io, sys\n"
+            "from forensic_bias.cli import main\n"
+            "out, config = sys.argv[1:]\n"
+            "steps = {'import': 'numpy' in sys.modules}\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['list-presets']) == 0\n"
+            "    steps['list-presets'] = 'numpy' in sys.modules\n"
+            "    for name in ('mayfield', 'race', 'relevance', 'imputation-table', 'imputation-grid', 'trier'):\n"
+            "        assert main(['run', '--preset', name, '--seed', '7', '--out', f'{out}/{name}']) == 0\n"
+            "        assert main(['verify', f'{out}/{name}']) == 0\n"
+            "        steps[name] = 'numpy' in sys.modules\n"
+            "    assert main(['validate', '--preset', 'delta-impute', config]) == 0\n"
+            "    steps['validate'] = 'numpy' in sys.modules\n"
+            "    assert main(['run', '--preset', 'delta-impute', '--seed', '7', '--config', config, '--out', f'{out}/delta']) == 0\n"
+            "print({step: loaded for step, loaded in steps.items() if loaded})\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe, str(tmp_path), str(config)],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(Path(forensic_bias.__file__).parents[1])},
+        )
+        assert done.stdout.splitlines()[-1] == "{}"
+        estimate = (tmp_path / "delta" / "estimate.json").read_bytes()
+        assert hashlib.sha256(estimate).hexdigest() == PINS[("delta-impute", "small")]["estimate.json"]
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_runner_is_pure(self, name, tmp_path, monkeypatch):

@@ -126,6 +126,39 @@ def test_array_columns_equal_reference(tmp_path, case):
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
+# A table of lists takes the writer's list path, which loads no numpy; the
+# same table as ndarrays takes the array path.  Each kind of column, as a
+# list and the dtype of its ndarray:
+_KINDS = {
+    "int": ([0, -1, 2**62, 7, -(2**63), 3], np.int64),
+    "bool": ([True, False, False, True, True, False], np.bool_),
+    "enum": ([Colour.RED, Colour.BLUE] * 3, object),
+    "float": ([-0.0, math.inf, math.nan, 5e-324, 1e16, -math.inf], np.float64),
+    "quoted": (['a,"b"', "line\r\nbreak", "", "plain", 'q"', "x\ny"], np.str_),
+    "mixed": ([1, 0.5, "x,y", True, None, Colour.BLUE], object),
+}
+PARITY_CASES = {
+    **{kind: {kind: column} for kind, column in _KINDS.items()},
+    "every-kind": _KINDS,
+    "lone-empty-string": {"s": ([""], np.str_)},
+    # At least _DISTINCT_MIN floats, which both paths format through _float_texts.
+    "many-floats": {"x": (_KINDS["float"][0] * 20, np.float64)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARITY_CASES))
+def test_lists_and_arrays_write_the_same_bytes(tmp_path, case):
+    table = PARITY_CASES[case]
+    lists = {name: values for name, (values, _) in table.items()}
+    arrays = {name: np.array(values, dtype=dtype) for name, (values, dtype) in table.items()}
+    digests = [write_csv(tmp_path / "lists.csv", lists), write_csv(tmp_path / "arrays.csv", arrays)]
+    _reference_write_csv(tmp_path / "want.csv", list(table), zip(*lists.values()))
+    want = (tmp_path / "want.csv").read_bytes()
+    assert (tmp_path / "lists.csv").read_bytes() == want
+    assert (tmp_path / "arrays.csv").read_bytes() == want
+    assert digests == [hashlib.sha256(want).hexdigest()] * 2
+
+
 # Float columns of at least _DISTINCT_MIN stored values format each distinct
 # bit pattern once; -0.0 and 0.0, and NaNs of any sign or payload, must
 # still read as format_value reads them.
