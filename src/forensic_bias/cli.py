@@ -19,9 +19,9 @@ import functools
 import sys
 from pathlib import Path
 
-from .config import ConfigError, parse_config_text, parse_set_args
+from .config import ConfigError, format_params, parse_config_text, parse_set_args
 from .outputs import MANIFEST_NAME, read_manifest, verify_artifacts
-from .presets import PRESETS, ArtifactWriteError, get_preset, run_preset
+from .presets import PRESETS, ArtifactWriteError, get_preset, resolve_and_build, run_preset
 from .seeding import MAX_SEED
 
 __all__ = ["build_parser", "main"]
@@ -111,7 +111,7 @@ _SIZE_PARAMETERS = ("n_runs", "k", "n_seeds", "n_obs", "rows", "cols", "n_reps")
 
 def _out_of_memory_message(args: argparse.Namespace, overrides: dict[str, str]) -> str:
     params = get_preset(args.preset).schema.resolve(overrides)
-    sizes = ", ".join(f"{name}={params[name]!r}" for name in _SIZE_PARAMETERS if name in params)
+    sizes = format_params(params, [name for name in _SIZE_PARAMETERS if name in params])
     # A runner fails before the old manifest is removed, a writer after.
     state = "is left as it was" if (args.out / MANIFEST_NAME).exists() else "holds no manifest"
     return f"error: out of memory running preset {args.preset!r}{' at ' + sizes if sizes else ''}; {args.out} {state}"
@@ -155,8 +155,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         raw.pop("preset", None)
     if preset_name is None:
         raise ConfigError("no preset named: pass --preset or put 'preset=NAME' in the file")
-    preset = get_preset(preset_name)
-    params = preset.schema.resolve(raw)
+    params, _ = resolve_and_build(get_preset(preset_name), raw)
     print(f"OK: preset {preset_name}")
     for key in sorted(params):
         print(f"  {key} = {params[key]!r}")

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 __all__ = [
     "ConfigError",
     "ParamSpec",
     "PresetSchema",
+    "format_params",
     "parse_config_text",
     "parse_set_args",
 ]
@@ -115,6 +116,11 @@ class PresetSchema:
         if problem is not None:
             raise ConfigError(problem)
         return resolved
+
+
+def format_params(params: Mapping[str, object], names: Iterable[str] | None = None) -> str:
+    """The named parameters, by default every one, as "name=value, ..." text."""
+    return ", ".join(f"{name}={params[name]!r}" for name in (params if names is None else names))
 
 
 def parse_config_text(text: str) -> dict[str, str]:

@@ -166,8 +166,9 @@ class ImputationSimParams:
     M ~ Binomial(n, s); "exact": M = round-half-up(s * n)).  It sets the
     cell count n, log r = log(p_same/p_diff), and fixed, the missing count
     M when it cannot vary (an exact mask, or a share of 0 or 1), else None.
-    Raises ValueError naming a bad field, or OverflowError when r exceeds
-    float range."""
+    Raises ValueError naming a bad field, a grid past int64 (M is drawn in
+    it) or a drawn M's pmf window past _MAX_WINDOW counts; OverflowError
+    when r exceeds float range."""
 
     rows: int = 10
     cols: int = 5
@@ -188,12 +189,15 @@ class ImputationSimParams:
             raise ValueError(f"mask_mode must be 'exact' or 'per_cell', got {self.mask_mode!r}")
         if math.isinf(ratio := self.model.p_same / self.model.p_diff):
             raise OverflowError(f"the match ratio p_same/p_diff = {ratio} exceeds float range")
-        n = self.rows * self.cols
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "log_r", math.log(ratio))
+        if (n := self.rows * self.cols) > 2**63 - 1:
+            raise ValueError(f"parameters rows and cols: the grid's rows * cols = {n} cells exceeds the int64 limit 2**63 - 1")
         # Rounded half up, not by round(), which takes 12.5 to 12: 0.25 of
         # 50 cells masks 13 of them.
         fixed = math.floor(share * n + 0.5) if self.mask_mode == "exact" or share in (0.0, 1.0) else None
+        if fixed is None:
+            _count_window(n, share)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "log_r", math.log(ratio))
         object.__setattr__(self, "fixed", fixed)
 
 
@@ -213,8 +217,8 @@ def sample_delta_impute(params: ImputationSimParams, n_reps: int, *, rng: np.ran
     u whose bucket holds two or more entries (the tails, and many buckets
     of a wide window) is searched among them.  u * 1024 is exact, so each
     count equals searchsorted's.  A fixed M: no draws.  Raises ValueError
-    for a bad n_reps, and when the window holds more than _MAX_WINDOW
-    counts."""
+    for a bad n_reps; the record has refused a window of more than
+    _MAX_WINDOW counts."""
     _check_count("n_reps", n_reps)
     if params.fixed is not None:
         return np.full(n_reps, params.fixed, dtype=np.int64)
@@ -279,7 +283,7 @@ _guide_edges = functools.cache(lambda: np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BU
 
 def _count_window(n: int, missing_share: float) -> tuple[int, int]:
     """(lo, hi) of the counts in n*s ± (40*sigma + 40) within 0..n; ValueError
-    past _MAX_WINDOW counts.  Plain math, so a schema can check it without numpy."""
+    past _MAX_WINDOW counts.  Plain math, so the record checks it without numpy."""
     mean = n * missing_share
     half = 40.0 * math.sqrt(mean * (1.0 - missing_share)) + 40.0
     lo, hi = max(0, math.ceil(mean - half)), min(n, math.floor(mean + half))
@@ -293,8 +297,8 @@ def _count_window(n: int, missing_share: float) -> tuple[int, int]:
 @functools.lru_cache(maxsize=1)
 def _count_cdf(n: int, missing_share: float) -> tuple[int, np.ndarray]:
     """(lo, cdf): the cumulative probabilities P(M <= j) of M ~ Binomial(n, s)
-    at the counts j = lo..hi of _count_window (its ValueError included),
-    and cdf[-1] exactly 1.  It is the one table that exact_delta_quantiles
+    at the counts j = lo..hi of _count_window, which a built record has
+    passed, and cdf[-1] exactly 1.  It is the one table that exact_delta_quantiles
     searches and that sample_delta_impute reads through its guide table.
     The last table is kept for the next call with the same n and s, so a
     delta-impute run, which asks for it twice, builds it once; it is
@@ -322,9 +326,9 @@ def exact_delta_quantiles(params: ImputationSimParams) -> tuple[float, float, fl
     quantile is r**j for the first count j whose cumulative probability
     reaches the level.  The pmf and the power are taken in log space.  A
     fixed M gives r**M for all three without building the pmf; otherwise
-    it is built only on the counts within n*s ± (40*sigma + 40).  Raises
-    OverflowError past float range and ValueError when that window holds
-    more than _MAX_WINDOW counts.
+    it is built only on the counts within n*s ± (40*sigma + 40), which the
+    record has checked holds at most _MAX_WINDOW counts.  Raises
+    OverflowError past float range.
     """
     if params.fixed is not None:
         counts = [params.fixed] * 3

@@ -1,12 +1,16 @@
 """Named experiments behind the command-line harness.
 
 Each preset pairs a typed parameter schema with a runner, a pure function
-(params, seed) -> {file name: content} that touches no file.  A ".csv"
-artifact's content is a {header: column} mapping, a ".json" one's a
-JSON-ready object, and any other's its text.  run_preset is the only
-writer: it resolves parameters (defaults plus validated overrides),
-creates the output directory, runs the preset, writes each artifact by
-its extension, and writes the manifest last, recording the preset name,
+(params, record, seed) -> {file name: content} that touches no file.  A
+Monte Carlo preset's build step makes its checked record of the params,
+the one check of them against each other past its array sizes, and hands
+it to the runner.  resolve_and_build resolves the parameters (defaults
+plus validated overrides) and builds the record, for `bias run` and
+`bias validate` alike.  A ".csv" artifact's content is a {header: column}
+mapping, a ".json" one's a JSON-ready object, and any other's its text.
+run_preset is the only writer: it resolves and builds, creates the
+output directory, runs the preset, writes each artifact by its
+extension, and writes the manifest last, recording the preset name,
 seed, fully resolved parameters, and a sha256 checksum per artifact.
 A rerun removes the old manifest before its first write, so a run
 that fails midway leaves no manifest; an old manifest it cannot remove
@@ -24,7 +28,7 @@ from typing import Callable, Mapping
 
 from . import __version__ as TOOL_VERSION
 from ._lazy import np
-from .config import ConfigError, ParamSpec, PresetSchema
+from .config import ConfigError, ParamSpec, PresetSchema, format_params
 from .contextual import MAYFIELD_DELTAS, average_bias, mayfield_average, race_example_delta
 from .feedback import (
     BetaPrior,
@@ -37,7 +41,6 @@ from .feedback import (
 from .fingerprints import (
     CellAgreementModel,
     ImputationSimParams,
-    _count_window,
     bias_factor_percentiles,
     bias_factors,
     count_matches,
@@ -57,10 +60,7 @@ from .relevance import builtin_joint_names, classify_relevance, load_builtin_joi
 from .seeding import substream, validate_seed
 from .trier import case_report
 
-__all__ = ["Preset", "PRESETS", "get_preset", "run_preset", "ArtifactWriteError", "TOOL_VERSION"]
-
-
-Runner = Callable[[dict, int], dict[str, object]]
+__all__ = ["Preset", "PRESETS", "get_preset", "resolve_and_build", "run_preset", "ArtifactWriteError", "TOOL_VERSION"]
 
 
 class ArtifactWriteError(Exception):
@@ -70,8 +70,12 @@ class ArtifactWriteError(Exception):
 
 @dataclass(frozen=True)
 class Preset:
+    """A schema, a runner, and for a Monte Carlo preset the build step of
+    the runner's record, which is None without one."""
+
     schema: PresetSchema
-    run: Runner
+    run: Callable[[dict, object, int], dict[str, object]]
+    build: Callable[[dict], object] | None = None
 
 
 def _check_open(lo: float, hi: float) -> Callable[[object], str | None]:
@@ -138,23 +142,13 @@ def _check_array_sizes(*arrays: tuple) -> Callable[[Mapping[str, object]], str |
         for label, names, shape in arrays:
             size = 8 * math.prod(shape(*(params[name] for name in names)))
             if size > 2**63 - 1:
-                got = ", ".join(f"{name}={params[name]!r}" for name in names)
                 return (
                     f"parameter{'s' * (len(names) > 1)} {' and '.join(names)}: the {label} array takes "
-                    f"{size} bytes, more than the 2**63 - 1 bytes numpy allows in one array (got {got})"
+                    f"{size} bytes, more than the 2**63 - 1 bytes numpy allows in one array (got {format_params(params, names)})"
                 )
         return None
 
     return check
-
-
-def _agreement_problem(params: Mapping[str, object], same: str, diff: str) -> str | None:
-    """CellAgreementModel's refusal of the match rates named same and diff, or None."""
-    try:
-        CellAgreementModel(params[same], params[diff])
-    except ValueError as exc:
-        return f"parameters {same} and {diff}: {exc}"
-    return None
 
 
 def _detail_columns(key: str, detail: Mapping[str, Mapping[str, object]]) -> dict[str, list]:
@@ -171,7 +165,7 @@ _MAYFIELD_SCHEMA = PresetSchema(
 )
 
 
-def _run_mayfield(params: dict, seed: int) -> dict[str, object]:
+def _run_mayfield(params: dict, record: None, seed: int) -> dict[str, object]:
     return {
         "panel.csv": {"examiner": range(1, len(MAYFIELD_DELTAS) + 1), "delta": MAYFIELD_DELTAS},
         "report.json": {
@@ -195,7 +189,7 @@ _RACE_SCHEMA = PresetSchema(
 )
 
 
-def _run_race(params: dict, seed: int) -> dict[str, object]:
+def _run_race(params: dict, record: None, seed: int) -> dict[str, object]:
     p = params["trait_prob"]
     prior = log_prior_odds(params["pool_n"])
     delta_present = race_example_delta(p, trait_present=True)
@@ -205,9 +199,8 @@ def _run_race(params: dict, seed: int) -> dict[str, object]:
     biased_absent = neutral + delta_absent
     biased_log = max(biased_present, biased_absent)
     if biased_log > LOG_FLOAT_MAX:
-        named = ", ".join(f"{k}={params[k]!r}" for k in ("trait_prob", "pool_n", "lr_true"))
         raise ConfigError(
-            f"the biased posterior odds: e**{biased_log:.1f} exceeds float range at {named}; "
+            f"the biased posterior odds: e**{biased_log:.1f} exceeds float range at {format_params(params)}; "
             "use a smaller lr_true or a larger pool_n"
         )
     return {
@@ -235,7 +228,7 @@ _RELEVANCE_SCHEMA = PresetSchema(
 )
 
 
-def _run_relevance(params: dict, seed: int) -> dict[str, object]:
+def _run_relevance(params: dict, record: None, seed: int) -> dict[str, object]:
     detail = {}
     for name in builtin_joint_names():
         joint, roles = load_builtin_joint(name)
@@ -268,7 +261,7 @@ _TABLE_Y = ".m.mm."
 _TABLE_LATENT = "??.?m."
 
 
-def _run_imputation_table(params: dict, seed: int) -> dict[str, object]:
+def _run_imputation_table(params: dict, record: None, seed: int) -> dict[str, object]:
     imputed = impute_from_reference(_TABLE_LATENT, _TABLE_X)
     detail = {}
     for label, print_ in (("true_mark", _TABLE_Y), ("observed", _TABLE_LATENT), ("imputed", imputed)):
@@ -296,7 +289,7 @@ _GRID_SCHEMA = PresetSchema(
 )
 
 
-def _run_imputation_grid(params: dict, seed: int) -> dict[str, object]:
+def _run_imputation_grid(params: dict, record: None, seed: int) -> dict[str, object]:
     # The committed example: the true mark shares 5 minutiae with the
     # exemplar; smudging drops the observed count to 3 (Inconclusive) and
     # imputation raises it to 8 (SupportSameSource).
@@ -329,26 +322,6 @@ def _run_imputation_grid(params: dict, seed: int) -> dict[str, object]:
 
 # ------------------------------------------------------------- delta-impute
 
-_check_draws_size = _check_array_sizes(("(n_reps,) draws", ("n_reps",), lambda n: (n,)))
-
-
-def _check_delta(params: Mapping[str, object]) -> str | None:
-    # The missing count is drawn and its pmf computed in int64.
-    rows, cols = params["rows"], params["cols"]
-    if rows * cols > 2**63 - 1:
-        return (
-            f"parameters rows and cols: the grid's rows * cols = {rows * cols} cells "
-            f"exceeds the int64 limit 2**63 - 1 (got rows={rows!r}, cols={cols!r})"
-        )
-    # A drawn missing count needs its pmf window, which these alone size.
-    if params["mask_mode"] == "per_cell" and 0.0 < (share := params["missing_share"]) < 1.0:
-        try:
-            _count_window(rows * cols, share)
-        except ValueError as exc:
-            return f"parameters rows, cols and missing_share: {exc} (got rows={rows!r}, cols={cols!r}, missing_share={share!r})"
-    return _check_draws_size(params) or _agreement_problem(params, "p_same", "p_diff")
-
-
 _DELTA_SCHEMA = PresetSchema(
     name="delta-impute",
     summary="Monte Carlo distribution of the imputation bias factor.",
@@ -361,20 +334,23 @@ _DELTA_SCHEMA = PresetSchema(
         ParamSpec("n_reps", int, 10_000, "Monte Carlo replicates", _check_at_least(1)),
         ParamSpec("mask_mode", str, "per_cell", "masking: exact count or per-cell coin", _check_choice("exact", "per_cell")),
     ),
-    check=_check_delta,
+    check=_check_array_sizes(("(n_reps,) draws", ("n_reps",), lambda n: (n,))),
 )
 
 
-def _run_delta_impute(params: dict, seed: int) -> dict[str, object]:
+def _build_delta_impute(params: dict) -> ImputationSimParams:
     model = CellAgreementModel(params["p_same"], params["p_diff"])
+    return ImputationSimParams(params["rows"], params["cols"], model, params["missing_share"], params["mask_mode"])
+
+
+def _run_delta_impute(params: dict, sim: ImputationSimParams, seed: int) -> dict[str, object]:
     try:
-        sim = ImputationSimParams(params["rows"], params["cols"], model, params["missing_share"], params["mask_mode"])
         exact_mean = exact_mean_delta(sim)
         exact_q025, exact_median, exact_q975 = exact_delta_quantiles(sim)
         counts = sample_delta_impute(sim, params["n_reps"], rng=substream(seed, 0))
         draws = bias_factors(sim, counts)
-    except OverflowError as exc:  # past float range; the schema refuses too wide a pmf window
-        named = ", ".join(f"{k}={params[k]!r}" for k in ("rows", "cols", "missing_share", "p_same", "p_diff"))
+    except OverflowError as exc:  # a result past float range
+        named = format_params(params, ("rows", "cols", "missing_share", "p_same", "p_diff"))
         raise ConfigError(f"{exc} at {named}; use a smaller grid, missing_share or p_same/p_diff") from exc
     # numpy's default linear quantiles (Hyndman & Fan type 7) over the draws,
     # read off the histogram of the counts.
@@ -400,8 +376,8 @@ def _run_delta_impute(params: dict, seed: int) -> dict[str, object]:
             "n_reps": n_reps,
             "missing_share": params["missing_share"],
             "mask_mode": params["mask_mode"],
-            "p_same": model.p_same,
-            "p_diff": model.p_diff,
+            "p_same": sim.model.p_same,
+            "p_diff": sim.model.p_diff,
         },
     }
 
@@ -427,11 +403,14 @@ _FEEDBACK_SCHEMA = PresetSchema(
 )
 
 
-def _run_feedback(params: dict, seed: int) -> dict[str, object]:
+def _build_feedback(params: dict) -> FeedbackParams:
     prior = BetaPrior(params["prior_a"], params["prior_b"])
     biased = FeedbackRegime(params["wrongful_rate"], params["trait_skew"])
-    alpha_true, n_obs = params["alpha_true"], params["n_obs"]
-    experiment = FeedbackParams(alpha_true, n_obs, prior, biased)
+    return FeedbackParams(params["alpha_true"], params["n_obs"], prior, biased)
+
+
+def _run_feedback(params: dict, experiment: FeedbackParams, seed: int) -> dict[str, object]:
+    alpha_true, n_obs = experiment.alpha_true, experiment.n_obs
 
     # Illustrative pair under common random numbers, on its own substream.
     trajectory = {
@@ -450,7 +429,7 @@ def _run_feedback(params: dict, seed: int) -> dict[str, object]:
             "alpha_true": alpha_true,
             "n_obs": n_obs,
             "n_seeds": params["n_seeds"],
-            "prior_mean": prior.mean,
+            "prior_mean": experiment.prior.mean,
             "mean_final_truthful": float(np.mean(means[0])),
             "mean_final_biased": float(np.mean(means[1])),
             "mean_gap_truthful": float(np.mean(gaps[0])),
@@ -464,13 +443,6 @@ def _run_feedback(params: dict, seed: int) -> dict[str, object]:
 
 
 # -------------------------------------------------------------- propagation
-
-_check_chain_size = _check_array_sizes(("(n_runs, 1 + 2k) uniforms", ("n_runs", "k"), lambda n, k: (n, 1 + 2 * k)))
-
-
-def _check_propagation(params: Mapping[str, object]) -> str | None:
-    return _check_chain_size(params) or _agreement_problem(params, "p_match_same", "p_match_diff")
-
 
 _PROPAGATION_SCHEMA = PresetSchema(
     name="propagation",
@@ -486,19 +458,22 @@ _PROPAGATION_SCHEMA = PresetSchema(
         ParamSpec("same_source", bool, True, "ground truth of the case"),
         ParamSpec("peer_history", str, "contribution", "history handed to tilde terms", _check_choice("contribution", "posterior")),
     ),
-    check=_check_propagation,
+    check=_check_array_sizes(("(n_runs, 1 + 2k) uniforms", ("n_runs", "k"), lambda n, k: (n, 1 + 2 * k))),
 )
 
 
-def _run_propagation(params: dict, seed: int) -> dict[str, object]:
+def _build_propagation(params: dict) -> ChainParams:
     model = CellAgreementModel(params["p_match_same"], params["p_match_diff"])
     share = None if params["missing_share"] == "random" else float(params["missing_share"])
     chain_fields = ("k", "pool_n", "trait_prob", "same_source", "peer_history")
+    return ChainParams(**{name: params[name] for name in chain_fields}, model=model, missing_share=share)
+
+
+def _run_propagation(params: dict, chain: ChainParams, seed: int) -> dict[str, object]:
     try:
-        chain = ChainParams(**{name: params[name] for name in chain_fields}, model=model, missing_share=share)
         study = monte_carlo_chains(chain, params["n_runs"], master_seed=seed)
-    except OverflowError as exc:
-        named = ", ".join(f"{k}={params[k]!r}" for k in ("p_match_same", "p_match_diff", "k"))
+    except OverflowError as exc:  # a reported odds past float range
+        named = format_params(params, ("p_match_same", "p_match_diff", "k"))
         raise ConfigError(f"{exc} at {named}; use a larger p_match_diff or a smaller k") from exc
     return {
         "results.csv": study.columns,
@@ -555,7 +530,7 @@ _TRIER_SCHEMA = PresetSchema(
 )
 
 
-def _run_trier(params: dict, seed: int) -> dict[str, object]:
+def _run_trier(params: dict, record: None, seed: int) -> dict[str, object]:
     lrs, betas = _positive_list(params["stream_lrs"]), _positive_list(params["betas"])
     try:
         report = case_report(
@@ -565,8 +540,7 @@ def _run_trier(params: dict, seed: int) -> dict[str, object]:
             math.log(params["context_lr"]),
         )
     except OverflowError as exc:
-        named = ", ".join(f"{k}={params[k]!r}" for k in ("pool_n", "stream_lrs", "betas", "context_lr"))
-        raise ConfigError(f"{exc} at {named}; use smaller stream_lrs, betas or context_lr") from exc
+        raise ConfigError(f"{exc} at {format_params(params)}; use smaller stream_lrs, betas or context_lr") from exc
     return {"case_report.json": report}
 
 
@@ -578,9 +552,9 @@ PRESETS: dict[str, Preset] = {
     "relevance": Preset(_RELEVANCE_SCHEMA, _run_relevance),
     "imputation-table": Preset(_TABLE_SCHEMA, _run_imputation_table),
     "imputation-grid": Preset(_GRID_SCHEMA, _run_imputation_grid),
-    "delta-impute": Preset(_DELTA_SCHEMA, _run_delta_impute),
-    "feedback": Preset(_FEEDBACK_SCHEMA, _run_feedback),
-    "propagation": Preset(_PROPAGATION_SCHEMA, _run_propagation),
+    "delta-impute": Preset(_DELTA_SCHEMA, _run_delta_impute, _build_delta_impute),
+    "feedback": Preset(_FEEDBACK_SCHEMA, _run_feedback, _build_feedback),
+    "propagation": Preset(_PROPAGATION_SCHEMA, _run_propagation, _build_propagation),
     "trier": Preset(_TRIER_SCHEMA, _run_trier),
 }
 
@@ -594,6 +568,19 @@ def get_preset(name: str) -> Preset:
         ) from None
 
 
+def resolve_and_build(preset: Preset, overrides: Mapping[str, object]) -> tuple[dict[str, object], object]:
+    """The preset's resolved parameters and the record its build step makes
+    of them, None without one.  A record's ValueError or OverflowError is a
+    ConfigError naming every resolved parameter."""
+    params = preset.schema.resolve(overrides)
+    if preset.build is None:
+        return params, None
+    try:
+        return params, preset.build(params)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"{exc} (at {format_params(params)})") from exc
+
+
 def run_preset(
     name: str,
     seed: int,
@@ -601,7 +588,7 @@ def run_preset(
     *,
     out_dir: Path,
 ) -> RunManifest:
-    """Resolve, run, write the artifacts, checksum them, and write the manifest last.
+    """Resolve and build, run, write the artifacts, checksum them, and write the manifest last.
 
     Returns the manifest.  An out_dir that cannot be created, or whose
     old manifest cannot be removed, is a ConfigError.  A runner that
@@ -610,13 +597,13 @@ def run_preset(
     """
     preset = get_preset(name)
     validate_seed(seed)
-    params = preset.schema.resolve(dict(overrides or {}))
+    params, record = resolve_and_build(preset, overrides or {})
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"--out {out_dir}: cannot create the output directory: {exc}") from exc
-    artifacts = preset.run(params, seed)
+    artifacts = preset.run(params, record, seed)
     try:
         (out_dir / MANIFEST_NAME).unlink(missing_ok=True)
     except OSError as exc:

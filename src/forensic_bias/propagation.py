@@ -30,6 +30,7 @@ from substream(s, i), whatever n is.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -107,7 +108,6 @@ class ChainParams:
     lr_mismatch: float = field(init=False, repr=False)
     log_context: tuple[float, float] = field(init=False, repr=False)  # indexed by the trait T
     impute_trait_term: tuple[float, float] = field(init=False, repr=False)  # impute_trait * T, by T
-    log_tilde_peer: tuple[float, ...] = field(init=False, repr=False)  # by earlier supportive reports, 0..k-1
 
     def __post_init__(self) -> None:
         _check_count("k", self.k)
@@ -130,7 +130,10 @@ class ChainParams:
         object.__setattr__(self, "lr_mismatch", math.log((1.0 - model.p_same) / (1.0 - model.p_diff)))
         object.__setattr__(self, "log_context", context)
         object.__setattr__(self, "impute_trait_term", (profile.impute_trait * False, profile.impute_trait * True))
-        object.__setattr__(self, "log_tilde_peer", tuple(math.log(1.0 + profile.conformity * c) for c in range(self.k)))
+
+    @functools.cached_property  # built on first use, so checking a long chain costs O(1)
+    def log_tilde_peer(self) -> tuple[float, ...]:  # by earlier supportive reports, 0..k-1
+        return tuple(math.log(1.0 + self.profile.conformity * c) for c in range(self.k))
 
 
 @dataclass(frozen=True)

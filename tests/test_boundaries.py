@@ -9,6 +9,7 @@ to hold their largest array must exit 2 naming the size parameter.
 `bias validate`, given the same overrides as a config file, must exit as
 the run does, except that a result past float range is found only by
 running: validate may accept what run refuses for that reason alone.
+What run refuses before it computes, validate refuses with its message.
 """
 
 import math
@@ -78,16 +79,16 @@ def test_every_boundary_value_exits_0_or_2(preset, settings, too_big, tmp_path, 
             argv = ["run", "--preset", preset, "--seed", seed, "--out", str(out)]
             for key, value in {**small, **setting}.items():
                 argv += ["--set", f"{key}={value}"]
+            config = tmp_path / "overrides.txt"
+            config.write_text("".join(f"{key}={value}\n" for key, value in {**small, **setting}.items()))
             with warnings.catch_warnings():
                 # feedback warns, by design, when it clamps the wrongful-case trait rate.
                 warnings.filterwarnings("ignore", message=r"trait_skew \* alpha_true", category=RuntimeWarning)
                 code = main(argv)
-            err = capsys.readouterr().err
+                err = capsys.readouterr().err
+                validated = main(["validate", "--preset", preset, str(config)])
             where = f"{preset} {setting} seed={seed}"
             assert code in (0, 2), f"{where}: exit {code}: {err}"
-            config = tmp_path / "overrides.txt"
-            config.write_text("".join(f"{key}={value}\n" for key, value in {**small, **setting}.items()))
-            validated = main(["validate", "--preset", preset, str(config)])
             if code == 0 or "float range" not in err:
                 assert validated == code, f"{where}: validate exit {validated}, run exit {code}: {err}"
             if too_big is not None:
@@ -101,16 +102,40 @@ def test_every_boundary_value_exits_0_or_2(preset, settings, too_big, tmp_path, 
             capsys.readouterr()
 
 
-def test_too_wide_a_pmf_window_is_refused_by_validate_as_by_run(tmp_path, capsys):
-    # 10**10 cells at share 1/2 need the pmf at 4,000,081 counts; the window
-    # depends on the grid and the share alone, so validate refuses it too.
-    settings = {"rows": "100000", "cols": "100000", "missing_share": "0.5", "p_same": "0.5000000001", "p_diff": "0.5"}
+# Configs that run refuses before it computes anything: the record that
+# both commands build refuses each.
+REFUSED_WHEN_BUILT = [
+    # 10**10 cells at share 1/2 need the pmf at 4,000,081 counts.
+    pytest.param(
+        "delta-impute",
+        {"rows": "100000", "cols": "100000", "missing_share": "0.5", "p_same": "0.5000000001", "p_diff": "0.5"},
+        "need the pmf at 4000081 counts",
+        id="wide-pmf-window",
+    ),
+    *(
+        pytest.param(
+            "delta-impute",
+            {"p_diff": "5e-324", "missing_share": "0", "mask_mode": mode},
+            "p_same/p_diff = inf exceeds float range",
+            id=f"infinite-ratio-{mode}",
+        )
+        for mode in ("per_cell", "exact")
+    ),
+    pytest.param("propagation", {"p_match_diff": "5e-324"}, "p_same/p_diff = inf exceeds float range", id="infinite-match-ratio"),
+    pytest.param("delta-impute", {"rows": str(2**62), "cols": "4"}, "int64 limit 2**63 - 1", id="int64-grid"),
+]
+
+
+@pytest.mark.parametrize("preset, settings, message", REFUSED_WHEN_BUILT)
+def test_validate_refuses_what_run_refuses_before_computing(preset, settings, message, tmp_path, capsys):
     config = tmp_path / "overrides.txt"
     config.write_text("".join(f"{key}={value}\n" for key, value in settings.items()))
     out = tmp_path / "out"
-    assert main(["validate", "--preset", "delta-impute", str(config)]) == 2
+    assert main(["validate", "--preset", preset, str(config)]) == 2
     validated = capsys.readouterr().err
-    assert main(["run", "--preset", "delta-impute", "--seed", "7", "--config", str(config), "--out", str(out)]) == 2
+    assert main(["run", "--preset", preset, "--seed", "7", "--config", str(config), "--out", str(out)]) == 2
     assert capsys.readouterr().err == validated
-    assert "need the pmf at 4000081 counts" in validated
+    assert message in validated
+    for key in settings:
+        assert f"{key}=" in validated
     assert not out.exists()

@@ -21,7 +21,7 @@ from forensic_bias import presets
 from forensic_bias.cli import main
 from forensic_bias.config import ConfigError, parse_config_text, parse_set_args
 from forensic_bias.outputs import sha256_file
-from forensic_bias.presets import PRESETS, get_preset, run_preset
+from forensic_bias.presets import PRESETS, get_preset, resolve_and_build, run_preset
 from forensic_bias.seeding import validate_seed
 
 from test_preset_pins import PINS
@@ -206,11 +206,11 @@ class TestRunPreset:
         cwd = tmp_path / "cwd"
         cwd.mkdir()
         monkeypatch.chdir(cwd)
-        params = get_preset(name).schema.resolve({})
+        params, record = resolve_and_build(get_preset(name), {})
         with monkeypatch.context() as patch:
             patch.setattr(presets, "write_csv", no_write)
             patch.setattr(presets, "write_json", no_write)
-            artifacts = PRESETS[name].run(params, 7)
+            artifacts = PRESETS[name].run(params, record, 7)
         assert list(cwd.iterdir()) == []
         out = tmp_path / "out"
         run_preset(name, 7, out_dir=out)
@@ -332,6 +332,26 @@ class TestRunPreset:
         clamps = [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert len(clamps) == 1
         assert "clamping" in str(clamps[0].message)
+
+    def test_feedback_clamp_warns_once_under_validate(self, tmp_path, capsys):
+        # validate builds the record that run builds, so it warns as run does.
+        config = tmp_path / "clamped.txt"
+        config.write_text("preset=feedback\ntrait_skew=20\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["validate", str(config)]) == 0
+        assert [str(w.message).count("clamping") for w in caught] == [1]
+
+    def test_validate_of_a_long_chain_leaves_its_per_analyst_terms_unbuilt(self, tmp_path, capsys):
+        # ChainParams builds its k conformity logs on first use, so building
+        # the record, as validate does, costs O(1) in k.
+        params, chain = resolve_and_build(get_preset("propagation"), {"k": "5000000", "n_runs": "1"})
+        assert chain.k == 5_000_000 and "log_tilde_peer" not in vars(chain)
+        config = tmp_path / "long.txt"
+        config.write_text("preset=propagation\nk=5000000\nn_runs=1\n")
+        started = time.perf_counter()
+        assert main(["validate", str(config)]) == 0
+        assert time.perf_counter() - started < 0.5
 
     @pytest.mark.parametrize("overrides", [{}, {"alpha_true": "0.3", "wrongful_rate": "0.4", "n_obs": "7"}])
     def test_feedback_gaps_csv_holds_the_means(self, tmp_path, overrides):

@@ -405,12 +405,6 @@ class TestInverseCdfDraw:
         chi_square, critical = pooled_chi_square(observed, expected)
         assert chi_square <= critical
 
-    def test_too_wide_a_window_is_refused(self):
-        # sigma = 5e5 counts: a window of about 4e7, past the cap.
-        sim = ImputationSimParams(10**6, 10**6, CellAgreementModel(0.5, 0.4999999999999), 0.5)
-        with pytest.raises(ValueError, match=f"need the pmf at .* counts, more than {_MAX_WINDOW}"):
-            sample_delta_impute(sim, 10, rng=substream(19, 0))
-
 
 # (rows, cols, share): the default window, skewed shares, the two counts of
 # one cell, and 36,741 counts, where over half the guide buckets hold two or
@@ -610,11 +604,19 @@ class TestExactQuantiles:
         want = np.exp(counts * math.log(model.p_same / model.p_diff)).tolist()
         assert exact_delta_quantiles(sim) == tuple(want)
 
-    def test_too_wide_a_window_is_refused(self):
-        # sigma = 5e5 counts: a window of about 4e7, past the cap.
-        sim = ImputationSimParams(10**6, 10**6, CellAgreementModel(0.5, 0.4999999999999), 0.5)
-        with pytest.raises(ValueError, match="exact quantiles need the pmf at"):
-            exact_delta_quantiles(sim)
+    def test_too_wide_a_window_is_refused_when_built(self):
+        # sigma = 5e5 counts: a window of about 4e7, past the cap that the
+        # sampler and the exact quantiles share.  A fixed M needs no window.
+        model = CellAgreementModel(0.5, 0.4999999999999)
+        with pytest.raises(ValueError, match=f"sampler and the exact quantiles need the pmf at .* counts, more than {_MAX_WINDOW}"):
+            ImputationSimParams(10**6, 10**6, model, 0.5)
+        assert ImputationSimParams(10**6, 10**6, model, 0.5, "exact").fixed == 5 * 10**11
+
+    def test_grid_past_int64_is_refused_when_built(self):
+        # M is drawn in int64, so rows * cols must fit in it.
+        with pytest.raises(ValueError, match=r"parameters rows and cols: .* int64 limit 2\*\*63 - 1"):
+            ImputationSimParams(2**62, 2, missing_share=1e-300)
+        assert ImputationSimParams(2**63 - 1, 1, missing_share=1e-300).n == 2**63 - 1
 
     def test_infinite_match_ratio_is_refused(self):
         with pytest.raises(OverflowError, match="p_same/p_diff"):
