@@ -9,7 +9,7 @@ when memory runs out, reported in one line with the preset's size
 parameters and what --out holds.  `verify`
 exits 0 when every artifact matches the manifest, 1 when one does not
 or a file is missing or unlisted, and 2 when the manifest is absent or
-unreadable.
+unreadable.  A warning prints as one line, "warning: <message>".
 """
 
 from __future__ import annotations
@@ -17,12 +17,13 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import warnings
 from pathlib import Path
 
 from .config import ConfigError, format_params, parse_config_text, parse_set_args
 from .outputs import MANIFEST_NAME, read_manifest, verify_artifacts
 from .presets import PRESETS, ArtifactWriteError, get_preset, resolve_and_build, run_preset
-from .seeding import MAX_SEED
+from .seeding import validate_seed
 
 __all__ = ["build_parser", "main"]
 
@@ -32,9 +33,10 @@ def _seed_arg(text: str) -> int:
         seed = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}")
-    if not 0 <= seed <= MAX_SEED:
-        raise argparse.ArgumentTypeError(f"seed must lie in [0, 2**64 - 1], got {text!r}")
-    return seed
+    try:
+        return validate_seed(seed)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _positive_int(text: str) -> int:
@@ -178,8 +180,10 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    # A warning prints its message alone: no program path, no source line.
+    format_warning, warnings.formatwarning = warnings.formatwarning, lambda message, *_: f"warning: {message}\n"
     try:
+        args = _parser().parse_args(argv)
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "list-presets":
@@ -191,6 +195,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = format_warning
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

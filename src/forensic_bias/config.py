@@ -1,12 +1,12 @@
 """Typed experiment parameters with per-preset schemas.
 
 A preset declares its parameters as ParamSpecs (name, type, default,
-range check).  User overrides arrive as KEY=VALUE strings, either from
---set arguments or from a config file; resolution rejects unknown keys,
-type mismatches, non-finite floats, out-of-range values and values that
-are bad together (a schema's own check), with messages that name the
-offending parameters, and echoes every default into the resolved map so
-the manifest records the full effective configuration.
+help, and a range check only where no record refuses the value).  User
+overrides arrive as KEY=VALUE strings, either from --set arguments or
+from a config file; resolution rejects unknown keys, type mismatches,
+non-finite floats and what a ParamSpec's check refuses, with messages
+that name the parameter, and echoes every default into the resolved map
+so the manifest records the full effective configuration.
 """
 
 from __future__ import annotations
@@ -87,13 +87,11 @@ class ParamSpec:
 
 @dataclass(frozen=True)
 class PresetSchema:
-    """A preset's parameters; `check`, like ParamSpec's, returns an error
-    message for a resolved map whose values are bad together, else None."""
+    """A preset's name, one-line summary and parameters."""
 
     name: str
     summary: str
     params: tuple[ParamSpec, ...] = field(default=())
-    check: Callable[[Mapping[str, object]], str | None] | None = None
 
     def __post_init__(self) -> None:
         names = [p.name for p in self.params]
@@ -112,9 +110,6 @@ class PresetSchema:
         resolved: dict[str, object] = {}
         for p in self.params:
             resolved[p.name] = p.resolve(overrides[p.name]) if p.name in overrides else p.default
-        problem = self.check(resolved) if self.check is not None else None
-        if problem is not None:
-            raise ConfigError(problem)
         return resolved
 
 

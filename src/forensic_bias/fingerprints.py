@@ -144,18 +144,23 @@ class CellAgreementModel:
 
     Informative, non-degenerate evidence requires 0 < p_diff < p_same < 1;
     each agreeing cell then multiplies the source LR by p_same/p_diff and
-    each disagreeing cell by (1-p_same)/(1-p_diff).
+    each disagreeing cell by (1-p_same)/(1-p_diff).  It sets log_r =
+    log(p_same/p_diff); OverflowError when that ratio exceeds float range.
     """
 
     p_same: float = 0.5
     p_diff: float = 0.25
+    log_r: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         p_same, p_diff = float(self.p_same), float(self.p_diff)
         if not (0.0 < p_diff < p_same < 1.0):
             raise ValueError(f"need 0 < p_diff < p_same < 1, got p_same={p_same!r} p_diff={p_diff!r}")
+        if math.isinf(ratio := p_same / p_diff):
+            raise OverflowError(f"the match likelihood ratio p_same/p_diff = {ratio} exceeds float range")
         object.__setattr__(self, "p_same", p_same)
         object.__setattr__(self, "p_diff", p_diff)
+        object.__setattr__(self, "log_r", math.log(ratio))
 
 
 @dataclass(frozen=True)
@@ -167,8 +172,7 @@ class ImputationSimParams:
     cell count n, log r = log(p_same/p_diff), and fixed, the missing count
     M when it cannot vary (an exact mask, or a share of 0 or 1), else None.
     Raises ValueError naming a bad field, a grid past int64 (M is drawn in
-    it) or a drawn M's pmf window past _MAX_WINDOW counts; OverflowError
-    when r exceeds float range."""
+    it) or a drawn M's pmf window past _MAX_WINDOW counts."""
 
     rows: int = 10
     cols: int = 5
@@ -187,8 +191,6 @@ class ImputationSimParams:
             raise ValueError(f"missing_share must lie in [0, 1], got {share!r}")
         if self.mask_mode not in ("exact", "per_cell"):
             raise ValueError(f"mask_mode must be 'exact' or 'per_cell', got {self.mask_mode!r}")
-        if math.isinf(ratio := self.model.p_same / self.model.p_diff):
-            raise OverflowError(f"the match ratio p_same/p_diff = {ratio} exceeds float range")
         if (n := self.rows * self.cols) > 2**63 - 1:
             raise ValueError(f"parameters rows and cols: the grid's rows * cols = {n} cells exceeds the int64 limit 2**63 - 1")
         # Rounded half up, not by round(), which takes 12.5 to 12: 0.25 of
@@ -197,7 +199,7 @@ class ImputationSimParams:
         if fixed is None:
             _count_window(n, share)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "log_r", math.log(ratio))
+        object.__setattr__(self, "log_r", self.model.log_r)
         object.__setattr__(self, "fixed", fixed)
 
 

@@ -2,12 +2,12 @@
 
 Each preset pairs a typed parameter schema with a runner, a pure function
 (params, record, seed) -> {file name: content} that touches no file.  A
-Monte Carlo preset's build step makes its checked record of the params,
-the one check of them against each other past its array sizes, and hands
-it to the runner.  resolve_and_build resolves the parameters (defaults
-plus validated overrides) and builds the record, for `bias run` and
-`bias validate` alike.  A ".csv" artifact's content is a {header: column}
-mapping, a ".json" one's a JSON-ready object, and any other's its text.
+build step, the one check of the params against each other, makes the
+runner's record; a Monte Carlo record refuses each bad field itself.
+resolve_and_build resolves the parameters (defaults plus validated
+overrides) and builds the record, for `bias run` and `bias validate`
+alike.  A ".csv" artifact's content is a {header: column} mapping, a
+".json" one's a JSON-ready object, and any other's its text.
 run_preset is the only writer: it resolves and builds, creates the
 output directory, runs the preset, writes each artifact by its
 extension, and writes the manifest last, recording the preset name,
@@ -53,7 +53,7 @@ from .fingerprints import (
     parse_grid,
     sample_delta_impute,
 )
-from .odds import LOG_FLOAT_MAX, log_prior_odds
+from .odds import LOG_FLOAT_MAX, _check_count, log_prior_odds
 from .outputs import MANIFEST_NAME, RunManifest, write_csv, write_json, write_manifest, write_text
 from .propagation import ChainMode, ChainParams, monte_carlo_chains
 from .relevance import builtin_joint_names, classify_relevance, load_builtin_joint
@@ -70,27 +70,20 @@ class ArtifactWriteError(Exception):
 
 @dataclass(frozen=True)
 class Preset:
-    """A schema, a runner, and for a Monte Carlo preset the build step of
-    the runner's record, which is None without one."""
+    """A schema, a runner, the build step of the runner's record (None
+    without one), and the hint that ends a config error for a runner's
+    OverflowError (None: that error is a runtime failure)."""
 
     schema: PresetSchema
     run: Callable[[dict, object, int], dict[str, object]]
     build: Callable[[dict], object] | None = None
+    overflow_hint: str | None = None
 
 
 def _check_open(lo: float, hi: float) -> Callable[[object], str | None]:
     def check(value: object) -> str | None:
         if not lo < value < hi:
             return f"must lie strictly inside ({lo}, {hi})"
-        return None
-
-    return check
-
-
-def _check_closed(lo: float, hi: float) -> Callable[[object], str | None]:
-    def check(value: object) -> str | None:
-        if not lo <= value <= hi:
-            return f"must lie in [{lo}, {hi}]"
         return None
 
     return check
@@ -111,44 +104,27 @@ def _check_positive(value: object) -> str | None:
     return None
 
 
-def _check_choice(*choices: str) -> Callable[[object], str | None]:
-    def check(value: object) -> str | None:
-        if value not in choices:
-            return f"must be one of {sorted(choices)!r}"
-        return None
-
-    return check
-
-
 def _check_share_or_random(value: object) -> str | None:
-    if value == "random":
-        return None
     try:
-        share = float(value)
+        if value == "random" or 0.0 <= float(value) <= 1.0:
+            return None
     except ValueError:
-        return "must be 'random' or a number in [0, 1]"
-    if not 0.0 <= share <= 1.0:
-        return "must be 'random' or a number in [0, 1]"
-    return None
+        pass
+    return "must be 'random' or a number in [0, 1]"
 
 
-def _check_array_sizes(*arrays: tuple) -> Callable[[Mapping[str, object]], str | None]:
-    """A schema check refusing parameters that make a runner's float64 or
-    int64 array exceed the 2**63 - 1 bytes numpy allows in one array;
+def _check_array_sizes(params: Mapping[str, object], *arrays: tuple) -> None:
+    """ValueError for parameters that make a runner's float64 or int64
+    array exceed the 2**63 - 1 bytes numpy allows in one array;
     unchecked, numpy refuses the shape only at run time.  Each array is
     (label, the parameters that size it, their values -> its shape)."""
-
-    def check(params: Mapping[str, object]) -> str | None:
-        for label, names, shape in arrays:
-            size = 8 * math.prod(shape(*(params[name] for name in names)))
-            if size > 2**63 - 1:
-                return (
-                    f"parameter{'s' * (len(names) > 1)} {' and '.join(names)}: the {label} array takes "
-                    f"{size} bytes, more than the 2**63 - 1 bytes numpy allows in one array (got {format_params(params, names)})"
-                )
-        return None
-
-    return check
+    for label, names, shape in arrays:
+        size = 8 * math.prod(shape(*(params[name] for name in names)))
+        if size > 2**63 - 1:
+            raise ValueError(
+                f"parameter{'s' * (len(names) > 1)} {' and '.join(names)}: the {label} array takes "
+                f"{size} bytes, more than the 2**63 - 1 bytes numpy allows in one array"
+            )
 
 
 def _detail_columns(key: str, detail: Mapping[str, Mapping[str, object]]) -> dict[str, list]:
@@ -199,10 +175,7 @@ def _run_race(params: dict, record: None, seed: int) -> dict[str, object]:
     biased_absent = neutral + delta_absent
     biased_log = max(biased_present, biased_absent)
     if biased_log > LOG_FLOAT_MAX:
-        raise ConfigError(
-            f"the biased posterior odds: e**{biased_log:.1f} exceeds float range at {format_params(params)}; "
-            "use a smaller lr_true or a larger pool_n"
-        )
+        raise OverflowError(f"the biased posterior odds: e**{biased_log:.1f} exceeds float range")
     return {
         "report.json": {
             "trait_prob": p,
@@ -326,32 +299,30 @@ _DELTA_SCHEMA = PresetSchema(
     name="delta-impute",
     summary="Monte Carlo distribution of the imputation bias factor.",
     params=(
-        ParamSpec("rows", int, 10, "grid rows", _check_at_least(1)),
-        ParamSpec("cols", int, 5, "grid columns", _check_at_least(1)),
-        ParamSpec("p_same", float, 0.5, "per-cell agreement rate, same source", _check_open(0.0, 1.0)),
-        ParamSpec("p_diff", float, 0.25, "per-cell agreement rate, different source", _check_open(0.0, 1.0)),
-        ParamSpec("missing_share", float, 0.25, "share of cells smudged", _check_closed(0.0, 1.0)),
-        ParamSpec("n_reps", int, 10_000, "Monte Carlo replicates", _check_at_least(1)),
-        ParamSpec("mask_mode", str, "per_cell", "masking: exact count or per-cell coin", _check_choice("exact", "per_cell")),
+        ParamSpec("rows", int, 10, "grid rows"),
+        ParamSpec("cols", int, 5, "grid columns"),
+        ParamSpec("p_same", float, 0.5, "per-cell agreement rate, same source"),
+        ParamSpec("p_diff", float, 0.25, "per-cell agreement rate, different source"),
+        ParamSpec("missing_share", float, 0.25, "share of cells smudged"),
+        ParamSpec("n_reps", int, 10_000, "Monte Carlo replicates"),
+        ParamSpec("mask_mode", str, "per_cell", "masking: exact count or per-cell coin"),
     ),
-    check=_check_array_sizes(("(n_reps,) draws", ("n_reps",), lambda n: (n,))),
 )
 
 
 def _build_delta_impute(params: dict) -> ImputationSimParams:
     model = CellAgreementModel(params["p_same"], params["p_diff"])
-    return ImputationSimParams(params["rows"], params["cols"], model, params["missing_share"], params["mask_mode"])
+    sim = ImputationSimParams(params["rows"], params["cols"], model, params["missing_share"], params["mask_mode"])
+    _check_count("n_reps", params["n_reps"])
+    _check_array_sizes(params, ("(n_reps,) draws", ("n_reps",), lambda n: (n,)))
+    return sim
 
 
 def _run_delta_impute(params: dict, sim: ImputationSimParams, seed: int) -> dict[str, object]:
-    try:
-        exact_mean = exact_mean_delta(sim)
-        exact_q025, exact_median, exact_q975 = exact_delta_quantiles(sim)
-        counts = sample_delta_impute(sim, params["n_reps"], rng=substream(seed, 0))
-        draws = bias_factors(sim, counts)
-    except OverflowError as exc:  # a result past float range
-        named = format_params(params, ("rows", "cols", "missing_share", "p_same", "p_diff"))
-        raise ConfigError(f"{exc} at {named}; use a smaller grid, missing_share or p_same/p_diff") from exc
+    exact_mean = exact_mean_delta(sim)
+    exact_q025, exact_median, exact_q975 = exact_delta_quantiles(sim)
+    counts = sample_delta_impute(sim, params["n_reps"], rng=substream(seed, 0))
+    draws = bias_factors(sim, counts)
     # numpy's default linear quantiles (Hyndman & Fan type 7) over the draws,
     # read off the histogram of the counts.
     q025, median, q975 = bias_factor_percentiles(sim, counts, [2.5, 50.0, 97.5])
@@ -388,17 +359,13 @@ _FEEDBACK_SCHEMA = PresetSchema(
     name="feedback",
     summary="Conviction feedback loop: truthful vs biased belief convergence.",
     params=(
-        ParamSpec("alpha_true", float, 0.5, "true trait rate among sources", _check_open(0.0, 1.0)),
-        ParamSpec("n_obs", int, 100, "adjudicated cases per trajectory", _check_at_least(1)),
-        ParamSpec("n_seeds", int, 1000, "paired replicates", _check_at_least(1)),
-        ParamSpec("wrongful_rate", float, 0.06, "share of wrongful convictions when biased", _check_closed(0.0, 1.0)),
-        ParamSpec("trait_skew", float, 2.0, "trait rate multiplier on wrongful cases", _check_positive),
-        ParamSpec("prior_a", float, 12.0, "Beta prior a", _check_positive),
-        ParamSpec("prior_b", float, 8.0, "Beta prior b", _check_positive),
-    ),
-    check=_check_array_sizes(
-        ("(2, n_obs) trajectory uniforms", ("n_obs",), lambda m: (2, m)),
-        ("(n_seeds, 4) counts", ("n_seeds",), lambda n: (n, 4)),
+        ParamSpec("alpha_true", float, 0.5, "true trait rate among sources"),
+        ParamSpec("n_obs", int, 100, "adjudicated cases per trajectory"),
+        ParamSpec("n_seeds", int, 1000, "paired replicates"),
+        ParamSpec("wrongful_rate", float, 0.06, "share of wrongful convictions when biased"),
+        ParamSpec("trait_skew", float, 2.0, "trait rate multiplier on wrongful cases"),
+        ParamSpec("prior_a", float, 12.0, "Beta prior a"),
+        ParamSpec("prior_b", float, 8.0, "Beta prior b"),
     ),
 )
 
@@ -406,7 +373,14 @@ _FEEDBACK_SCHEMA = PresetSchema(
 def _build_feedback(params: dict) -> FeedbackParams:
     prior = BetaPrior(params["prior_a"], params["prior_b"])
     biased = FeedbackRegime(params["wrongful_rate"], params["trait_skew"])
-    return FeedbackParams(params["alpha_true"], params["n_obs"], prior, biased)
+    experiment = FeedbackParams(params["alpha_true"], params["n_obs"], prior, biased)
+    _check_count("n_seeds", params["n_seeds"])
+    _check_array_sizes(
+        params,
+        ("(2, n_obs) trajectory uniforms", ("n_obs",), lambda m: (2, m)),
+        ("(n_seeds, 4) counts", ("n_seeds",), lambda n: (n, 4)),
+    )
+    return experiment
 
 
 def _run_feedback(params: dict, experiment: FeedbackParams, seed: int) -> dict[str, object]:
@@ -448,17 +422,16 @@ _PROPAGATION_SCHEMA = PresetSchema(
     name="propagation",
     summary="Cascade vs snowball bias along a chain of analysts, replicated.",
     params=(
-        ParamSpec("n_runs", int, 1000, "paired replicates", _check_at_least(1)),
-        ParamSpec("k", int, 5, "analysts per chain", _check_at_least(1)),
-        ParamSpec("pool_n", int, 10, "suspect pool size", _check_at_least(1)),
-        ParamSpec("trait_prob", float, 0.15, "case trait probability", _check_open(0.0, 0.5)),
-        ParamSpec("p_match_same", float, 0.5, "match rate under same source", _check_open(0.0, 1.0)),
-        ParamSpec("p_match_diff", float, 0.25, "match rate under different source", _check_open(0.0, 1.0)),
+        ParamSpec("n_runs", int, 1000, "paired replicates"),
+        ParamSpec("k", int, 5, "analysts per chain"),
+        ParamSpec("pool_n", int, 10, "suspect pool size"),
+        ParamSpec("trait_prob", float, 0.15, "case trait probability"),
+        ParamSpec("p_match_same", float, 0.5, "match rate under same source"),
+        ParamSpec("p_match_diff", float, 0.25, "match rate under different source"),
         ParamSpec("missing_share", str, "random", "'random' (uniform on [0, 0.5)) or a fixed share", _check_share_or_random),
         ParamSpec("same_source", bool, True, "ground truth of the case"),
-        ParamSpec("peer_history", str, "contribution", "history handed to tilde terms", _check_choice("contribution", "posterior")),
+        ParamSpec("peer_history", str, "contribution", "history handed to tilde terms"),
     ),
-    check=_check_array_sizes(("(n_runs, 1 + 2k) uniforms", ("n_runs", "k"), lambda n, k: (n, 1 + 2 * k))),
 )
 
 
@@ -466,15 +439,14 @@ def _build_propagation(params: dict) -> ChainParams:
     model = CellAgreementModel(params["p_match_same"], params["p_match_diff"])
     share = None if params["missing_share"] == "random" else float(params["missing_share"])
     chain_fields = ("k", "pool_n", "trait_prob", "same_source", "peer_history")
-    return ChainParams(**{name: params[name] for name in chain_fields}, model=model, missing_share=share)
+    chain = ChainParams(**{name: params[name] for name in chain_fields}, model=model, missing_share=share)
+    _check_count("n_runs", params["n_runs"])
+    _check_array_sizes(params, ("(n_runs, 1 + 2k) uniforms", ("n_runs", "k"), lambda n, k: (n, 1 + 2 * k)))
+    return chain
 
 
 def _run_propagation(params: dict, chain: ChainParams, seed: int) -> dict[str, object]:
-    try:
-        study = monte_carlo_chains(chain, params["n_runs"], master_seed=seed)
-    except OverflowError as exc:  # a reported odds past float range
-        named = format_params(params, ("p_match_same", "p_match_diff", "k"))
-        raise ConfigError(f"{exc} at {named}; use a larger p_match_diff or a smaller k") from exc
+    study = monte_carlo_chains(chain, params["n_runs"], master_seed=seed)
     return {
         "results.csv": study.columns,
         "summary.csv": study.summary,
@@ -491,30 +463,16 @@ def _run_propagation(params: dict, chain: ChainParams, seed: int) -> dict[str, o
 
 # -------------------------------------------------------------------- trier
 
-def _positive_list(text: str) -> list[float]:
-    """The values of a comma-separated list; ValueError unless there is at
-    least one and each is a finite number > 0."""
+def _positive_list(params: Mapping[str, object], name: str) -> list[float]:
+    """The values of the comma-separated list params[name]; ValueError
+    naming it unless there is at least one and each is a finite number > 0."""
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [float(tok) for tok in params[name].split(",") if tok.strip()]
     except ValueError:
-        raise ValueError("expected comma-separated numbers") from None
-    if not values:
-        raise ValueError("needs at least one value")
-    if not all(0 < v < math.inf for v in values):
-        raise ValueError("all values must be finite and > 0")
+        values = []
+    if not values or not all(0 < v < math.inf for v in values):
+        raise ValueError(f"parameter {name}: expected comma-separated numbers, each finite and > 0, got {params[name]!r}")
     return values
-
-
-def _check_streams(params: Mapping[str, object]) -> str | None:
-    lengths = []
-    for name in ("stream_lrs", "betas"):
-        try:
-            lengths.append(len(_positive_list(params[name])))
-        except ValueError as exc:
-            return f"parameter {name}: {exc}, got {params[name]!r}"
-    if lengths[0] != lengths[1]:
-        return "stream_lrs has {} values but betas has {}; they must match".format(*lengths)
-    return None
 
 
 _TRIER_SCHEMA = PresetSchema(
@@ -526,21 +484,25 @@ _TRIER_SCHEMA = PresetSchema(
         ParamSpec("betas", str, "1.5,1.0,2.0", "comma-separated per-stream bias factors"),
         ParamSpec("context_lr", float, 1.0, "likelihood ratio of context heard directly", _check_positive),
     ),
-    check=_check_streams,
 )
 
 
-def _run_trier(params: dict, record: None, seed: int) -> dict[str, object]:
-    lrs, betas = _positive_list(params["stream_lrs"]), _positive_list(params["betas"])
-    try:
-        report = case_report(
-            params["pool_n"],
-            [math.log(v) for v in lrs],
-            [math.log(v) for v in betas],
-            math.log(params["context_lr"]),
-        )
-    except OverflowError as exc:
-        raise ConfigError(f"{exc} at {format_params(params)}; use smaller stream_lrs, betas or context_lr") from exc
+def _build_trier(params: dict) -> tuple[list[float], list[float]]:
+    """The stream LRs and the betas, parsed once; their lengths must match."""
+    lrs, betas = _positive_list(params, "stream_lrs"), _positive_list(params, "betas")
+    if len(lrs) != len(betas):
+        raise ValueError(f"stream_lrs has {len(lrs)} values but betas has {len(betas)}; they must match")
+    return lrs, betas
+
+
+def _run_trier(params: dict, streams: tuple[list[float], list[float]], seed: int) -> dict[str, object]:
+    lrs, betas = streams
+    report = case_report(
+        params["pool_n"],
+        [math.log(v) for v in lrs],
+        [math.log(v) for v in betas],
+        math.log(params["context_lr"]),
+    )
     return {"case_report.json": report}
 
 
@@ -548,14 +510,14 @@ def _run_trier(params: dict, record: None, seed: int) -> dict[str, object]:
 
 PRESETS: dict[str, Preset] = {
     "mayfield": Preset(_MAYFIELD_SCHEMA, _run_mayfield),
-    "race": Preset(_RACE_SCHEMA, _run_race),
+    "race": Preset(_RACE_SCHEMA, _run_race, overflow_hint="use a smaller lr_true or a larger pool_n"),
     "relevance": Preset(_RELEVANCE_SCHEMA, _run_relevance),
     "imputation-table": Preset(_TABLE_SCHEMA, _run_imputation_table),
     "imputation-grid": Preset(_GRID_SCHEMA, _run_imputation_grid),
-    "delta-impute": Preset(_DELTA_SCHEMA, _run_delta_impute, _build_delta_impute),
+    "delta-impute": Preset(_DELTA_SCHEMA, _run_delta_impute, _build_delta_impute, "use a smaller grid, missing_share or p_same/p_diff"),
     "feedback": Preset(_FEEDBACK_SCHEMA, _run_feedback, _build_feedback),
-    "propagation": Preset(_PROPAGATION_SCHEMA, _run_propagation, _build_propagation),
-    "trier": Preset(_TRIER_SCHEMA, _run_trier),
+    "propagation": Preset(_PROPAGATION_SCHEMA, _run_propagation, _build_propagation, "use a larger p_match_diff or a smaller k"),
+    "trier": Preset(_TRIER_SCHEMA, _run_trier, _build_trier, "use smaller stream_lrs, betas or context_lr"),
 }
 
 
@@ -591,7 +553,8 @@ def run_preset(
     """Resolve and build, run, write the artifacts, checksum them, and write the manifest last.
 
     Returns the manifest.  An out_dir that cannot be created, or whose
-    old manifest cannot be removed, is a ConfigError.  A runner that
+    old manifest cannot be removed, is a ConfigError, as is a runner's
+    OverflowError when the preset has an overflow_hint.  A runner that
     fails leaves out_dir as it was; a write that fails raises
     ArtifactWriteError and leaves no manifest.
     """
@@ -603,7 +566,12 @@ def run_preset(
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"--out {out_dir}: cannot create the output directory: {exc}") from exc
-    artifacts = preset.run(params, record, seed)
+    try:
+        artifacts = preset.run(params, record, seed)
+    except OverflowError as exc:  # a result past float range
+        if preset.overflow_hint is None:
+            raise
+        raise ConfigError(f"{exc} at {format_params(params)}; {preset.overflow_hint}") from exc
     try:
         (out_dir / MANIFEST_NAME).unlink(missing_ok=True)
     except OSError as exc:

@@ -92,8 +92,7 @@ class ChainParams:
     constants a sampler and an exact law of the chain share.  trait_prob
     must lie in (0, 0.5) when the profile's context is on; a missing_share
     of None draws each analyst's share uniform on [0, 0.5).  Raises
-    ValueError naming a bad field, or OverflowError when p_same/p_diff
-    exceeds float range."""
+    ValueError naming a bad field."""
 
     k: int = 5
     pool_n: int = 10
@@ -121,12 +120,9 @@ class ChainParams:
         if self.peer_history not in ("contribution", "posterior"):
             raise ValueError(f"peer_history must be 'contribution' or 'posterior', got {self.peer_history!r}")
         model, profile, p = self.model, self.profile, self.trait_prob
-        match_ratio = model.p_same / model.p_diff
-        if not math.isfinite(match_ratio):
-            raise OverflowError(f"the match likelihood ratio p_same/p_diff = {match_ratio} exceeds float range")
         context = (race_example_delta(p, False), race_example_delta(p, True)) if profile.context else (0.0, 0.0)
         object.__setattr__(self, "log_prior", log_prior_odds(self.pool_n))
-        object.__setattr__(self, "lr_match", math.log(match_ratio))
+        object.__setattr__(self, "lr_match", model.log_r)
         object.__setattr__(self, "lr_mismatch", math.log((1.0 - model.p_same) / (1.0 - model.p_diff)))
         object.__setattr__(self, "log_context", context)
         object.__setattr__(self, "impute_trait_term", (profile.impute_trait * False, profile.impute_trait * True))

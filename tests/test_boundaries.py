@@ -56,7 +56,7 @@ def _cases():
         pair = {"p_diff": "5e-324", "missing_share": "0", "mask_mode": mode}
         yield pytest.param("delta-impute", [pair], None, id=f"delta-impute-infinite-ratio-{mode}")
     # Each of these sizes makes an array of more than 2**63 - 1 bytes, which
-    # numpy refuses before allocating; the schema refuses it first.
+    # numpy refuses before allocating; the preset's build step refuses it first.
     for name, key, power in (
         ("propagation", "n_runs", 62),
         ("propagation", "n_runs", 63),
@@ -123,6 +123,30 @@ REFUSED_WHEN_BUILT = [
     ),
     pytest.param("propagation", {"p_match_diff": "5e-324"}, "p_same/p_diff = inf exceeds float range", id="infinite-match-ratio"),
     pytest.param("delta-impute", {"rows": str(2**62), "cols": "4"}, "int64 limit 2**63 - 1", id="int64-grid"),
+    # One field each: the record, or for a replicate count or trier's lists
+    # the build step, refuses it with its own message.
+    *(
+        pytest.param(preset, {key: value}, message, id=f"{preset}-{key}={value}")
+        for preset, key, value, message in (
+            ("delta-impute", "p_same", "1.5", "need 0 < p_diff < p_same < 1, got p_same=1.5 p_diff=0.25"),
+            ("delta-impute", "missing_share", "2", "missing_share must lie in [0, 1], got 2.0"),
+            ("delta-impute", "mask_mode", "often", "mask_mode must be 'exact' or 'per_cell', got 'often'"),
+            ("delta-impute", "n_reps", "0", "n_reps must be an int >= 1, got 0"),
+            ("feedback", "alpha_true", "1", "alpha_true must lie strictly inside (0, 1), got 1.0"),
+            ("feedback", "wrongful_rate", "-1", "wrongful_rate must lie in [0, 1], got -1.0"),
+            ("feedback", "trait_skew", "0", "trait_skew must be positive and finite, got 0.0"),
+            ("feedback", "prior_a", "0", "Beta parameters must be positive and finite, got a=0.0 b=8.0"),
+            ("feedback", "n_seeds", "0", "n_seeds must be an int >= 1, got 0"),
+            ("propagation", "trait_prob", "0.5", "trait_prob must be < 0.5 so the doubled rate stays valid, got 0.5"),
+            ("propagation", "k", "0", "k must be an int >= 1, got 0"),
+            ("propagation", "pool_n", "0", "pool_n must be an int >= 1, got 0"),
+            ("propagation", "p_match_same", "1", "need 0 < p_diff < p_same < 1, got p_same=1.0 p_diff=0.25"),
+            ("propagation", "peer_history", "x", "peer_history must be 'contribution' or 'posterior', got 'x'"),
+            ("propagation", "n_runs", "0", "n_runs must be an int >= 1, got 0"),
+            ("trier", "stream_lrs", "abc", "parameter stream_lrs: expected comma-separated numbers, each finite and > 0, got 'abc'"),
+            ("trier", "betas", "1,2", "stream_lrs has 3 values but betas has 2; they must match"),
+        )
+    ),
 ]
 
 

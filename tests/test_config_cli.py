@@ -335,12 +335,33 @@ class TestRunPreset:
 
     def test_feedback_clamp_warns_once_under_validate(self, tmp_path, capsys):
         # validate builds the record that run builds, so it warns as run does.
+        # main sets only the warning format, and puts the old one back.
         config = tmp_path / "clamped.txt"
         config.write_text("preset=feedback\ntrait_skew=20\n")
+        before = warnings.formatwarning
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(["validate", str(config)]) == 0
         assert [str(w.message).count("clamping") for w in caught] == [1]
+        assert warnings.formatwarning is before
+
+    def test_clamp_warning_is_one_line_on_the_command_line(self, tmp_path):
+        # The line names the user's settings, not the program line that warned.
+        config = tmp_path / "clamped.txt"
+        config.write_text("preset=feedback\ntrait_skew=3\nalpha_true=0.4\n")
+        run = ["run", "--preset", "feedback", "--seed", "7", "--config", str(config), "--out", str(tmp_path / "out")]
+        for argv in (run, ["validate", str(config)]):
+            done = subprocess.run(
+                [sys.executable, "-W", "default", "-m", "forensic_bias.cli", *argv],
+                capture_output=True,
+                text=True,
+                check=True,
+                env={**os.environ, "PYTHONPATH": str(Path(forensic_bias.__file__).parents[1])},
+            )
+            assert done.stderr == (
+                "warning: trait_skew * alpha_true = 1.2000000000000002 exceeds 1; "
+                "clamping the wrongful-case trait rate to 1\n"
+            ), argv
 
     def test_validate_of_a_long_chain_leaves_its_per_analyst_terms_unbuilt(self, tmp_path, capsys):
         # ChainParams builds its k conformity logs on first use, so building
@@ -705,10 +726,21 @@ class TestCli:
             assert f"{name}=" in err
         assert not (tmp_path / "x" / "results.csv").exists()
 
-    def test_bad_seed_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            ("-4", "seed must lie in [0, 2**64 - 1], got -4"),
+            (str(2**64), f"seed must lie in [0, 2**64 - 1], got {2**64}"),
+            ("x", "seed must be an integer, got 'x'"),
+        ],
+    )
+    def test_bad_seed_exit_2(self, seed, message, tmp_path, capsys):
+        # --seed is checked by seeding.validate_seed, the rule run_preset applies.
         with pytest.raises(SystemExit) as exc:
-            main(["run", "--preset", "mayfield", "--seed", "-4", "--out", str(tmp_path / "x")])
+            main(["run", "--preset", "mayfield", "--seed", seed, "--out", str(tmp_path / "x")])
         assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("threads", ["0", "-1", "x"])
     def test_bad_threads_exit_2_and_write_nothing(self, threads, tmp_path, capsys):
