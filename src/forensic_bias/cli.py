@@ -114,8 +114,11 @@ _SIZE_PARAMETERS = ("n_runs", "k", "n_seeds", "n_obs", "rows", "cols", "n_reps")
 def _out_of_memory_message(args: argparse.Namespace, overrides: dict[str, str]) -> str:
     params = get_preset(args.preset).schema.resolve(overrides)
     sizes = format_params(params, [name for name in _SIZE_PARAMETERS if name in params])
-    # A runner fails before the old manifest is removed, a writer after.
-    state = "is left as it was" if (args.out / MANIFEST_NAME).exists() else "holds no manifest"
+    # A runner fails before --out is created and its old manifest removed, a writer after.
+    if not args.out.exists():
+        state = "was not created"
+    else:
+        state = "is left as it was" if (args.out / MANIFEST_NAME).exists() else "holds no manifest"
     return f"error: out of memory running preset {args.preset!r}{' at ' + sizes if sizes else ''}; {args.out} {state}"
 
 

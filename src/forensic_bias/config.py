@@ -1,19 +1,19 @@
 """Typed experiment parameters with per-preset schemas.
 
-A preset declares its parameters as ParamSpecs (name, type, default,
-help, and a range check only where no record refuses the value).  User
-overrides arrive as KEY=VALUE strings, either from --set arguments or
-from a config file; resolution rejects unknown keys, type mismatches,
-non-finite floats and what a ParamSpec's check refuses, with messages
-that name the parameter, and echoes every default into the resolved map
-so the manifest records the full effective configuration.
+A preset declares its parameters as ParamSpecs: name, type, default and
+help, and no range check; a preset's build step and the library refuse
+a value out of range.  User overrides arrive as KEY=VALUE strings,
+either from --set arguments or from a config file; resolution rejects
+unknown keys, type mismatches and non-finite floats, with messages that
+name the parameter, and echoes every default into the resolved map so
+the manifest records the full effective configuration.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "ConfigError",
@@ -64,25 +64,12 @@ def _coerce(spec: "ParamSpec", raw: object) -> object:
 
 @dataclass(frozen=True)
 class ParamSpec:
-    """One parameter: its type, default, and an optional range check.
-
-    `check` returns an error message for a bad value and None otherwise,
-    so messages can state the violated bound precisely.
-    """
+    """One parameter: its name, type, default and help text."""
 
     name: str
     type: type
     default: object
     help: str = ""
-    check: Callable[[object], str | None] | None = None
-
-    def resolve(self, raw: object) -> object:
-        value = _coerce(self, raw)
-        if self.check is not None:
-            problem = self.check(value)
-            if problem is not None:
-                raise ConfigError(f"parameter {self.name}: {problem} (got {value!r})")
-        return value
 
 
 @dataclass(frozen=True)
@@ -99,7 +86,7 @@ class PresetSchema:
             raise ValueError(f"duplicate parameter names in schema {self.name!r}: {names!r}")
 
     def resolve(self, overrides: Mapping[str, object]) -> dict[str, object]:
-        """Defaults plus validated overrides; every parameter is present."""
+        """Defaults plus the overrides coerced to their types; every parameter is present."""
         known = {p.name for p in self.params}
         unknown = sorted(set(overrides) - known)
         if unknown:
@@ -109,7 +96,7 @@ class PresetSchema:
             )
         resolved: dict[str, object] = {}
         for p in self.params:
-            resolved[p.name] = p.resolve(overrides[p.name]) if p.name in overrides else p.default
+            resolved[p.name] = _coerce(p, overrides[p.name]) if p.name in overrides else p.default
         return resolved
 
 

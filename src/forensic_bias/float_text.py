@@ -32,6 +32,10 @@ import functools
 
 import numpy as np
 
+from . import seeding
+
+# seeding binds its numpy constants at its first draw; this module needs some at import.
+seeding._bind_constants()
 from .seeding import _LIMB, _U1, _U32, _U63, _mulhi
 
 __all__ = ["shortest_texts"]

@@ -2,14 +2,16 @@
 
 Each preset pairs a typed parameter schema with a runner, a pure function
 (params, record, seed) -> {file name: content} that touches no file.  A
-build step, the one check of the params against each other, makes the
-runner's record; a Monte Carlo record refuses each bad field itself.
-resolve_and_build resolves the parameters (defaults plus validated
+schema only types its parameters; every preset that takes one has a
+build step, the one place its values are checked: it makes the runner's
+record with the library's own functions and records, which refuse each
+bad field, and checks the params against each other.
+resolve_and_build resolves the parameters (defaults plus typed
 overrides) and builds the record, for `bias run` and `bias validate`
 alike.  A ".csv" artifact's content is a {header: column} mapping, a
 ".json" one's a JSON-ready object, and any other's its text.
-run_preset is the only writer: it resolves and builds, creates the
-output directory, runs the preset, writes each artifact by its
+run_preset is the only writer: it resolves and builds, runs the preset,
+creates the output directory, writes each artifact by its
 extension, and writes the manifest last, recording the preset name,
 seed, fully resolved parameters, and a sha256 checksum per artifact.
 A rerun removes the old manifest before its first write, so a run
@@ -56,7 +58,7 @@ from .fingerprints import (
 from .odds import LOG_FLOAT_MAX, _check_count, log_prior_odds
 from .outputs import MANIFEST_NAME, RunManifest, write_csv, write_json, write_manifest, write_text
 from .propagation import ChainMode, ChainParams, monte_carlo_chains
-from .relevance import builtin_joint_names, classify_relevance, load_builtin_joint
+from .relevance import _tolerance_ratio, builtin_joint_names, classify_relevance, load_builtin_joint
 from .seeding import substream, validate_seed
 from .trier import case_report
 
@@ -70,9 +72,10 @@ class ArtifactWriteError(Exception):
 
 @dataclass(frozen=True)
 class Preset:
-    """A schema, a runner, the build step of the runner's record (None
-    without one), and the hint that ends a config error for a runner's
-    OverflowError (None: that error is a runtime failure)."""
+    """A schema, a runner, the build step that checks the parameters and
+    makes the runner's record (None for a preset without parameters), and
+    the hint that ends a config error for a runner's OverflowError (None:
+    that error is a runtime failure)."""
 
     schema: PresetSchema
     run: Callable[[dict, object, int], dict[str, object]]
@@ -80,46 +83,19 @@ class Preset:
     overflow_hint: str | None = None
 
 
-def _check_open(lo: float, hi: float) -> Callable[[object], str | None]:
-    def check(value: object) -> str | None:
-        if not lo < value < hi:
-            return f"must lie strictly inside ({lo}, {hi})"
-        return None
-
-    return check
-
-
-def _check_at_least(lo: float) -> Callable[[object], str | None]:
-    def check(value: object) -> str | None:
-        if value < lo:
-            return f"must be >= {lo}"
-        return None
-
-    return check
-
-
-def _check_positive(value: object) -> str | None:
+def _check_positive(name: str, value: float) -> None:
+    """ValueError naming the field unless value > 0."""
     if not value > 0:
-        return "must be > 0"
-    return None
+        raise ValueError(f"{name} must be > 0, got {value!r}")
 
 
-def _check_share_or_random(value: object) -> str | None:
-    try:
-        if value == "random" or 0.0 <= float(value) <= 1.0:
-            return None
-    except ValueError:
-        pass
-    return "must be 'random' or a number in [0, 1]"
-
-
-def _check_array_sizes(params: Mapping[str, object], *arrays: tuple) -> None:
+def _check_array_sizes(*arrays: tuple) -> None:
     """ValueError for parameters that make a runner's float64 or int64
     array exceed the 2**63 - 1 bytes numpy allows in one array;
     unchecked, numpy refuses the shape only at run time.  Each array is
-    (label, the parameters that size it, their values -> its shape)."""
+    (label, the parameters that size it, its shape)."""
     for label, names, shape in arrays:
-        size = 8 * math.prod(shape(*(params[name] for name in names)))
+        size = 8 * math.prod(shape)
         if size > 2**63 - 1:
             raise ValueError(
                 f"parameter{'s' * (len(names) > 1)} {' and '.join(names)}: the {label} array takes "
@@ -158,19 +134,24 @@ _RACE_SCHEMA = PresetSchema(
     name="race",
     summary="Doubled-belief trait bias: overweight by 2 when present, underweight when absent.",
     params=(
-        ParamSpec("trait_prob", float, 0.15, "base rate of the irrelevant trait", _check_open(0.0, 0.5)),
-        ParamSpec("pool_n", int, 10, "suspect pool size for the worked posterior", _check_at_least(1)),
-        ParamSpec("lr_true", float, 1.0, "neutral likelihood ratio of the trait evidence", _check_positive),
+        ParamSpec("trait_prob", float, 0.15, "base rate of the irrelevant trait"),
+        ParamSpec("pool_n", int, 10, "suspect pool size for the worked posterior"),
+        ParamSpec("lr_true", float, 1.0, "neutral likelihood ratio of the trait evidence"),
     ),
 )
 
 
-def _run_race(params: dict, record: None, seed: int) -> dict[str, object]:
-    p = params["trait_prob"]
+def _build_race(params: dict) -> tuple[float, float, float, float]:
+    """The log prior odds, the present and absent trait tilts and the neutral log posterior odds."""
     prior = log_prior_odds(params["pool_n"])
-    delta_present = race_example_delta(p, trait_present=True)
-    delta_absent = race_example_delta(p, trait_present=False)
-    neutral = prior + math.log(params["lr_true"])
+    delta_present = race_example_delta(params["trait_prob"], trait_present=True)
+    delta_absent = race_example_delta(params["trait_prob"], trait_present=False)
+    _check_positive("lr_true", params["lr_true"])
+    return prior, delta_present, delta_absent, prior + math.log(params["lr_true"])
+
+
+def _run_race(params: dict, logs: tuple[float, float, float, float], seed: int) -> dict[str, object]:
+    prior, delta_present, delta_absent, neutral = logs
     biased_present = neutral + delta_present
     biased_absent = neutral + delta_absent
     biased_log = max(biased_present, biased_absent)
@@ -178,7 +159,7 @@ def _run_race(params: dict, record: None, seed: int) -> dict[str, object]:
         raise OverflowError(f"the biased posterior odds: e**{biased_log:.1f} exceeds float range")
     return {
         "report.json": {
-            "trait_prob": p,
+            "trait_prob": params["trait_prob"],
             "delta_present": math.exp(delta_present),
             "delta_absent": math.exp(delta_absent),
             "pool_n": params["pool_n"],
@@ -196,9 +177,13 @@ _RELEVANCE_SCHEMA = PresetSchema(
     name="relevance",
     summary="Classify the built-in joint fixtures as task-relevant or task-irrelevant.",
     params=(
-        ParamSpec("tolerance", float, 1e-9, "conditional-independence tolerance", _check_at_least(0.0)),
+        ParamSpec("tolerance", float, 1e-9, "conditional-independence tolerance"),
     ),
 )
+
+
+def _build_relevance(params: dict) -> None:
+    _tolerance_ratio(params["tolerance"])
 
 
 def _run_relevance(params: dict, record: None, seed: int) -> dict[str, object]:
@@ -314,7 +299,7 @@ def _build_delta_impute(params: dict) -> ImputationSimParams:
     model = CellAgreementModel(params["p_same"], params["p_diff"])
     sim = ImputationSimParams(params["rows"], params["cols"], model, params["missing_share"], params["mask_mode"])
     _check_count("n_reps", params["n_reps"])
-    _check_array_sizes(params, ("(n_reps,) draws", ("n_reps",), lambda n: (n,)))
+    _check_array_sizes(("(n_reps,) draws", ("n_reps",), (params["n_reps"],)))
     return sim
 
 
@@ -376,9 +361,8 @@ def _build_feedback(params: dict) -> FeedbackParams:
     experiment = FeedbackParams(params["alpha_true"], params["n_obs"], prior, biased)
     _check_count("n_seeds", params["n_seeds"])
     _check_array_sizes(
-        params,
-        ("(2, n_obs) trajectory uniforms", ("n_obs",), lambda m: (2, m)),
-        ("(n_seeds, 4) counts", ("n_seeds",), lambda n: (n, 4)),
+        ("(2, n_obs) trajectory uniforms", ("n_obs",), (2, params["n_obs"])),
+        ("(n_seeds, 4) counts", ("n_seeds",), (params["n_seeds"], 4)),
     )
     return experiment
 
@@ -428,7 +412,7 @@ _PROPAGATION_SCHEMA = PresetSchema(
         ParamSpec("trait_prob", float, 0.15, "case trait probability"),
         ParamSpec("p_match_same", float, 0.5, "match rate under same source"),
         ParamSpec("p_match_diff", float, 0.25, "match rate under different source"),
-        ParamSpec("missing_share", str, "random", "'random' (uniform on [0, 0.5)) or a fixed share", _check_share_or_random),
+        ParamSpec("missing_share", str, "random", "'random' (uniform on [0, 0.5)) or a fixed share"),
         ParamSpec("same_source", bool, True, "ground truth of the case"),
         ParamSpec("peer_history", str, "contribution", "history handed to tilde terms"),
     ),
@@ -437,11 +421,15 @@ _PROPAGATION_SCHEMA = PresetSchema(
 
 def _build_propagation(params: dict) -> ChainParams:
     model = CellAgreementModel(params["p_match_same"], params["p_match_diff"])
-    share = None if params["missing_share"] == "random" else float(params["missing_share"])
+    share = params["missing_share"]
+    try:
+        share = None if share == "random" else float(share)
+    except ValueError:
+        raise ValueError(f"missing_share must be 'random' or a number, got {share!r}") from None
     chain_fields = ("k", "pool_n", "trait_prob", "same_source", "peer_history")
     chain = ChainParams(**{name: params[name] for name in chain_fields}, model=model, missing_share=share)
     _check_count("n_runs", params["n_runs"])
-    _check_array_sizes(params, ("(n_runs, 1 + 2k) uniforms", ("n_runs", "k"), lambda n, k: (n, 1 + 2 * k)))
+    _check_array_sizes(("(n_runs, 1 + 2k) uniforms", ("n_runs", "k"), (params["n_runs"], 1 + 2 * params["k"])))
     return chain
 
 
@@ -479,16 +467,18 @@ _TRIER_SCHEMA = PresetSchema(
     name="trier",
     summary="Compound expert streams into guilt odds; systemic tilt is the product of the betas.",
     params=(
-        ParamSpec("pool_n", int, 10, "suspect pool size", _check_at_least(1)),
+        ParamSpec("pool_n", int, 10, "suspect pool size"),
         ParamSpec("stream_lrs", str, "2,3,5", "comma-separated neutral stream LRs"),
         ParamSpec("betas", str, "1.5,1.0,2.0", "comma-separated per-stream bias factors"),
-        ParamSpec("context_lr", float, 1.0, "likelihood ratio of context heard directly", _check_positive),
+        ParamSpec("context_lr", float, 1.0, "likelihood ratio of context heard directly"),
     ),
 )
 
 
 def _build_trier(params: dict) -> tuple[list[float], list[float]]:
     """The stream LRs and the betas, parsed once; their lengths must match."""
+    _check_count("pool_n", params["pool_n"])
+    _check_positive("context_lr", params["context_lr"])
     lrs, betas = _positive_list(params, "stream_lrs"), _positive_list(params, "betas")
     if len(lrs) != len(betas):
         raise ValueError(f"stream_lrs has {len(lrs)} values but betas has {len(betas)}; they must match")
@@ -510,8 +500,8 @@ def _run_trier(params: dict, streams: tuple[list[float], list[float]], seed: int
 
 PRESETS: dict[str, Preset] = {
     "mayfield": Preset(_MAYFIELD_SCHEMA, _run_mayfield),
-    "race": Preset(_RACE_SCHEMA, _run_race, overflow_hint="use a smaller lr_true or a larger pool_n"),
-    "relevance": Preset(_RELEVANCE_SCHEMA, _run_relevance),
+    "race": Preset(_RACE_SCHEMA, _run_race, _build_race, "use a smaller lr_true or a larger pool_n"),
+    "relevance": Preset(_RELEVANCE_SCHEMA, _run_relevance, _build_relevance),
     "imputation-table": Preset(_TABLE_SCHEMA, _run_imputation_table),
     "imputation-grid": Preset(_GRID_SCHEMA, _run_imputation_grid),
     "delta-impute": Preset(_DELTA_SCHEMA, _run_delta_impute, _build_delta_impute, "use a smaller grid, missing_share or p_same/p_diff"),
@@ -554,24 +544,25 @@ def run_preset(
 
     Returns the manifest.  An out_dir that cannot be created, or whose
     old manifest cannot be removed, is a ConfigError, as is a runner's
-    OverflowError when the preset has an overflow_hint.  A runner that
-    fails leaves out_dir as it was; a write that fails raises
-    ArtifactWriteError and leaves no manifest.
+    OverflowError when the preset has an overflow_hint.  The runner runs
+    before out_dir is created, so one that fails leaves out_dir as it
+    was, or not there; a write that fails raises ArtifactWriteError and
+    leaves no manifest.
     """
     preset = get_preset(name)
     validate_seed(seed)
     params, record = resolve_and_build(preset, overrides or {})
-    out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"--out {out_dir}: cannot create the output directory: {exc}") from exc
     try:
         artifacts = preset.run(params, record, seed)
     except OverflowError as exc:  # a result past float range
         if preset.overflow_hint is None:
             raise
         raise ConfigError(f"{exc} at {format_params(params)}; {preset.overflow_hint}") from exc
+    out_dir = Path(out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out_dir}: cannot create the output directory: {exc}") from exc
     try:
         (out_dir / MANIFEST_NAME).unlink(missing_ok=True)
     except OSError as exc:

@@ -218,6 +218,20 @@ class RelevanceVerdict:
         return self.verdict is Verdict.TASK_RELEVANT
 
 
+def _tolerance_ratio(tolerance: float) -> tuple[int, int]:
+    """The tolerance as an exact (numerator, denominator); ValueError
+    unless it is nonnegative.  An infinite tolerance reads as 1/0, above
+    every gap.  Fraction reads a rational without as_integer_ratio, such
+    as a numpy integer."""
+    if not tolerance >= 0:
+        raise ValueError(f"tolerance must be nonnegative, got {tolerance!r}")
+    if tolerance == math.inf:
+        return 1, 0
+    if hasattr(tolerance, "as_integer_ratio"):
+        return tolerance.as_integer_ratio()
+    return Fraction(tolerance).as_integer_ratio()
+
+
 def classify_relevance(
     joint: FiniteJoint,
     tolerance: float = 1e-9,
@@ -234,8 +248,7 @@ def classify_relevance(
     `tolerance`.  Raises ZeroMassEventError if any conditioning event
     (a hypothesis outcome, or a hypothesis-info pair) has zero mass.
     """
-    if not tolerance >= 0:
-        raise ValueError(f"tolerance must be nonnegative, got {tolerance!r}")
+    tol_num, tol_den = _tolerance_ratio(tolerance)
     evidence = tuple(evidence)
     if not evidence:
         raise JointSchemaError("evidence must name at least one variable")
@@ -282,14 +295,6 @@ def classify_relevance(
             den = w_e * w_ie
             if num * worst_den > worst_num * den:
                 worst_num, worst_den = num, den
-    # An infinite tolerance reads as 1/0, above every gap.  Fraction reads
-    # a rational without as_integer_ratio, such as a numpy integer.
-    if tolerance == math.inf:
-        tol_num, tol_den = 1, 0
-    elif hasattr(tolerance, "as_integer_ratio"):
-        tol_num, tol_den = tolerance.as_integer_ratio()
-    else:
-        tol_num, tol_den = Fraction(tolerance).as_integer_ratio()
     within = worst_num * tol_den <= tol_num * worst_den
     verdict = Verdict.TASK_IRRELEVANT if within else Verdict.TASK_RELEVANT
     # int / int is correctly rounded: the float nearest the exact gap.

@@ -93,14 +93,6 @@ def _bind_constants() -> None:
     _U1, _U11, _U32, _U58, _U63 = (np.uint64(b) for b in (1, 11, 32, 58, 63))
 
 
-def __getattr__(name: str) -> object:
-    # The constants float_text imports.
-    if name in ("_LIMB", "_U1", "_U32", "_U63"):
-        _bind_constants()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _hash(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
     values = (values ^ xor) * mul
     return values ^ (values >> _XSHIFT)

@@ -123,8 +123,8 @@ REFUSED_WHEN_BUILT = [
     ),
     pytest.param("propagation", {"p_match_diff": "5e-324"}, "p_same/p_diff = inf exceeds float range", id="infinite-match-ratio"),
     pytest.param("delta-impute", {"rows": str(2**62), "cols": "4"}, "int64 limit 2**63 - 1", id="int64-grid"),
-    # One field each: the record, or for a replicate count or trier's lists
-    # the build step, refuses it with its own message.
+    # One field each: the library call or record that the build step
+    # makes, or the build step itself, refuses it with its own message.
     *(
         pytest.param(preset, {key: value}, message, id=f"{preset}-{key}={value}")
         for preset, key, value, message in (
@@ -143,6 +143,14 @@ REFUSED_WHEN_BUILT = [
             ("propagation", "p_match_same", "1", "need 0 < p_diff < p_same < 1, got p_same=1.0 p_diff=0.25"),
             ("propagation", "peer_history", "x", "peer_history must be 'contribution' or 'posterior', got 'x'"),
             ("propagation", "n_runs", "0", "n_runs must be an int >= 1, got 0"),
+            ("propagation", "missing_share", "abc", "missing_share must be 'random' or a number, got 'abc'"),
+            ("propagation", "missing_share", "2", "missing_share must be None or lie in [0, 1], got 2.0"),
+            ("race", "trait_prob", "0.5", "trait_prob must be < 0.5 so the doubled rate stays valid, got 0.5"),
+            ("race", "pool_n", "0", "pool_n must be an int >= 1, got 0"),
+            ("race", "lr_true", "0", "lr_true must be > 0, got 0.0"),
+            ("relevance", "tolerance", "-1", "tolerance must be nonnegative, got -1.0"),
+            ("trier", "pool_n", "0", "pool_n must be an int >= 1, got 0"),
+            ("trier", "context_lr", "0", "context_lr must be > 0, got 0.0"),
             ("trier", "stream_lrs", "abc", "parameter stream_lrs: expected comma-separated numbers, each finite and > 0, got 'abc'"),
             ("trier", "betas", "1,2", "stream_lrs has 3 values but betas has 2; they must match"),
         )

@@ -62,9 +62,10 @@ class TestSchemas:
             schema.resolve({"n_obs": "many"})
 
     def test_range_violation_names_parameter_and_bound(self):
-        schema = PRESETS["race"].schema
-        with pytest.raises(ConfigError, match=r"trait_prob.*\(0.0, 0.5\)"):
-            schema.resolve({"trait_prob": "0.9"})
+        # The schema only types the value; the build step's library call refuses it.
+        assert PRESETS["race"].schema.resolve({"trait_prob": "0.9"})["trait_prob"] == 0.9
+        with pytest.raises(ConfigError, match=r"^trait_prob must be < 0.5 .*, got 0.9 \(at trait_prob=0.9, "):
+            resolve_and_build(PRESETS["race"], {"trait_prob": "0.9"})
 
     def test_defaults_echoed(self):
         params = PRESETS["propagation"].schema.resolve({})
@@ -499,6 +500,7 @@ class TestCli:
         assert "float range" in err
         for name in ("rows", "cols", "missing_share", "p_same", "p_diff"):
             assert f"{name}=" in err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
         "settings",
@@ -519,6 +521,7 @@ class TestCli:
         assert "float range" in err
         for name in ("pool_n", "stream_lrs", "betas", "context_lr"):
             assert f"{name}=" in err
+        assert not (tmp_path / "x").exists()
 
     def test_race_overflow_is_config_error(self, tmp_path, capsys):
         # Even prior odds and a doubled trait tilt put 1e308 past float range.
@@ -529,6 +532,7 @@ class TestCli:
         assert "float range" in err
         for name in ("trait_prob", "pool_n", "lr_true"):
             assert f"{name}=" in err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("preset", ["race", "propagation"])
     def test_trait_prob_an_ulp_below_half_runs(self, preset, tmp_path):
@@ -594,19 +598,20 @@ class TestCli:
         assert not (out / "manifest.json").exists()
         assert main(["verify", str(out)]) == 2
 
-    @pytest.mark.parametrize("stage", ["runner", "writer"])
+    @pytest.mark.parametrize("stage", ["runner", "writer", "runner-on-a-new-out"])
     def test_out_of_memory_is_one_line_naming_the_sizes(self, tmp_path, capsys, monkeypatch, stage):
         out = tmp_path / "propagation"
         argv = ["run", "--preset", "propagation", "--seed", "7", "--set", "n_runs=20", "--out", str(out)]
-        assert main(argv) == 0
+        if stage != "runner-on-a-new-out":
+            assert main(argv) == 0
 
         def out_of_memory(*args):
             raise MemoryError
 
-        if stage == "runner":
+        if stage.startswith("runner"):
             preset = PRESETS["propagation"]
             monkeypatch.setitem(PRESETS, "propagation", presets.Preset(preset.schema, out_of_memory))
-            state, verify_code = "is left as it was", 0
+            state, verify_code = ("is left as it was", 0) if stage == "runner" else ("was not created", 2)
         else:
             monkeypatch.setattr(presets, "write_csv", out_of_memory)
             state, verify_code = "holds no manifest", 2
@@ -724,7 +729,7 @@ class TestCli:
         assert what in err and "float range" in err
         for name in ("p_match_same", "p_match_diff", "k"):
             assert f"{name}=" in err
-        assert not (tmp_path / "x" / "results.csv").exists()
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
         "seed, message",
