@@ -1,6 +1,18 @@
 """Command-line harness: `bias run`, `bias list-presets`, `bias validate`,
 `bias verify`.
 
+`parse_args` reads the command line by one table, `_COMMANDS`, which
+also gives the usage line and the `-h`/`--help` text.  An option is
+`--flag value` or `--flag=value`, always spelled in full; the token
+after an option is its value even when it starts with `-`; a repeated
+option keeps its last value, and `--set` keeps every value, in order.
+A usage error (no or an unknown command, an unknown option or one
+without a value, a missing required option, the wrong number of
+positionals, a value its option refuses) prints a usage line and
+"bias <command>: error: <message>" on stderr and raises SystemExit(2)
+before anything is written; `-h` prints the help and raises
+SystemExit(0).
+
 Exit codes: 0 success, 2 for usage and configuration errors (unknown
 preset or key, type or range violation, bad seed), 1 for a numeric
 failure at runtime, reported with the module it came from, 1 when an
@@ -14,73 +26,167 @@ unreadable.  A warning prints as one line, "warning: <message>".
 
 from __future__ import annotations
 
-import argparse
-import functools
 import sys
 import warnings
+from collections.abc import Callable
 from pathlib import Path
+from types import SimpleNamespace
 
 from .config import ConfigError, format_params, parse_config_text, parse_set_args
 from .outputs import MANIFEST_NAME, read_manifest, verify_artifacts
 from .presets import PRESETS, ArtifactWriteError, get_preset, resolve_and_build, run_preset
 from .seeding import validate_seed
 
-__all__ = ["build_parser", "main"]
+__all__ = ["main", "parse_args"]
 
 
 def _seed_arg(text: str) -> int:
     try:
         seed = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}")
-    try:
-        return validate_seed(seed)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        raise ValueError(f"seed must be an integer, got {text!r}") from None
+    return validate_seed(seed)
 
 
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        raise ValueError(f"expected a positive integer, got {text!r}") from None
     if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        raise ValueError(f"expected a positive integer, got {text!r}")
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bias",
-        description="Seedable simulations of contextual bias in forensic evidence evaluation.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each command maps to (help, options, positionals).  An option maps its
+# flag to (dest, converter, required, repeatable, metavar, help); an
+# absent option reads None, or [] when repeatable.  A positional is
+# (dest, converter, help), all of them required.  A converter refuses a
+# value by raising ValueError.
+_COMMANDS = {
+    "run": (
+        "run a preset and write its artifacts plus a manifest",
+        {
+            "--preset": ("preset", str, True, False, "NAME", "preset name (see list-presets)"),
+            "--seed": ("seed", _seed_arg, True, False, "SEED", "master seed (unsigned 64-bit)"),
+            "--set": ("set_args", str, False, True, "KEY=VALUE", "override one parameter (repeatable)"),
+            "--config": ("config", Path, False, False, "FILE", "KEY=VALUE file of overrides"),
+            "--out": ("out", Path, True, False, "DIR", "output directory"),
+            "--threads": ("threads", _positive_int, False, False, "N", "accepted for compatibility; has no effect"),
+        },
+        (),
+    ),
+    "list-presets": ("list presets and their parameters", {}, ()),
+    "validate": (
+        "check a config file against a preset schema",
+        {
+            "--preset": (
+                "preset", str, False, False, "NAME", "preset to validate against (overrides the file's 'preset' key)"
+            ),
+        },
+        (("config", Path, "KEY=VALUE file to check"),),
+    ),
+    "verify": (
+        "check a run directory's files against its manifest",
+        {},
+        (("dir", Path, "output directory of a run"),),
+    ),
+}
 
-    run = sub.add_parser("run", help="run a preset and write its artifacts plus a manifest")
-    run.add_argument("--preset", required=True, help="preset name (see list-presets)")
-    run.add_argument("--seed", required=True, type=_seed_arg, help="master seed (unsigned 64-bit)")
-    run.add_argument(
-        "--set",
-        dest="set_args",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override one parameter (repeatable)",
-    )
-    run.add_argument("--config", type=Path, help="KEY=VALUE file of overrides")
-    run.add_argument("--out", required=True, type=Path, help="output directory")
-    run.add_argument("--threads", type=_positive_int, default=1, help="accepted for compatibility; has no effect")
+_HELP_FLAGS = ("-h", "--help")
 
-    sub.add_parser("list-presets", help="list presets and their parameters")
 
-    validate = sub.add_parser("validate", help="check a config file against a preset schema")
-    validate.add_argument("config", type=Path, help="KEY=VALUE file to check")
-    validate.add_argument("--preset", help="preset to validate against (overrides the file's 'preset' key)")
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: bias {{{','.join(_COMMANDS)}}} [-h] ..."
+    _, options, positionals = _COMMANDS[command]
+    words = ["usage: bias", command, "[-h]"]
+    for flag, (_, _, required, repeatable, metavar, _) in options.items():
+        word = f"{flag} {metavar}"
+        words.append(word if required else f"[{word}]..." if repeatable else f"[{word}]")
+    words += [dest for dest, _, _ in positionals]
+    return " ".join(words)
 
-    verify = sub.add_parser("verify", help="check a run directory's files against its manifest")
-    verify.add_argument("dir", type=Path, help="output directory of a run")
 
-    return parser
+def _help(command: str | None) -> str:
+    if command is None:
+        summary = "Seedable simulations of contextual bias in forensic evidence evaluation."
+        heading, rows = "commands", [(name, entry[0]) for name, entry in _COMMANDS.items()]
+        footer = ["", "`bias <command> -h` lists a command's options."]
+    else:
+        summary, options, positionals = _COMMANDS[command]
+        heading, rows = "arguments", [("-h, --help", "show this help and exit")]
+        rows += [(dest, text) for dest, _, text in positionals]
+        rows += [(f"{flag} {metavar}", text) for flag, (_, _, _, _, metavar, text) in options.items()]
+        footer = []
+    width = max(len(name) for name, _ in rows) + 2
+    lines = [_usage(command), "", summary, "", f"{heading}:"]
+    lines += [f"  {name.ljust(width)}{text}" for name, text in rows]
+    return "\n".join(lines + footer)
+
+
+def _usage_error(command: str | None, message: str) -> SystemExit:
+    prog = "bias" if command is None else f"bias {command}"
+    print(f"{_usage(command)}\n{prog}: error: {message}", file=sys.stderr)
+    return SystemExit(2)
+
+
+def _convert(command: str, name: str, converter: Callable[[str], object], text: str) -> object:
+    try:
+        return converter(text)
+    except ValueError as exc:
+        raise _usage_error(command, f"argument {name}: {exc}") from None
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """Read argv, the command line after the program name, by _COMMANDS.
+
+    Returns the command and one attribute per option and positional.
+    A usage error prints a usage line and an error line on stderr and
+    raises SystemExit(2); -h or --help prints the help on stdout and
+    raises SystemExit(0).
+    """
+    if not argv:
+        raise _usage_error(None, "no command given")
+    command, *rest = argv
+    if command in _HELP_FLAGS:
+        print(_help(None))
+        raise SystemExit(0)
+    if command not in _COMMANDS:
+        raise _usage_error(None, f"unknown command {command!r} (choose from {', '.join(_COMMANDS)})")
+    _, options, positionals = _COMMANDS[command]
+    values = {dest: [] if repeatable else None for dest, _, _, repeatable, _, _ in options.values()}
+    given: list[str] = []
+    tokens = iter(rest)
+    for token in tokens:
+        if token in _HELP_FLAGS:
+            print(_help(command))
+            raise SystemExit(0)
+        if not token.startswith("-"):
+            given.append(token)
+            continue
+        flag, equals, value = token.partition("=")
+        if flag not in options:
+            raise _usage_error(command, f"unknown option {flag}")
+        if not equals:
+            value = next(tokens, None)
+            if value is None:
+                raise _usage_error(command, f"argument {flag}: expected one value")
+        dest, converter, _, repeatable, _, _ = options[flag]
+        value = _convert(command, flag, converter, value)
+        if repeatable:
+            values[dest].append(value)
+        else:
+            values[dest] = value
+    missing = [flag for flag, (dest, _, required, *_) in options.items() if required and values[dest] is None]
+    missing += [dest for dest, _, _ in positionals[len(given) :]]
+    if missing:
+        raise _usage_error(command, f"the following arguments are required: {', '.join(missing)}")
+    if len(given) > len(positionals):
+        raise _usage_error(command, f"unrecognized arguments: {' '.join(given[len(positionals) :])}")
+    for (dest, converter, _), token in zip(positionals, given):
+        values[dest] = _convert(command, dest, converter, token)
+    return SimpleNamespace(command=command, **values)
 
 
 def _load_overrides(config_path: Path | None, set_args: list[str]) -> dict[str, str]:
@@ -111,7 +217,7 @@ def _runtime_error_module(exc: BaseException) -> str:
 _SIZE_PARAMETERS = ("n_runs", "k", "n_seeds", "n_obs", "rows", "cols", "n_reps")
 
 
-def _out_of_memory_message(args: argparse.Namespace, overrides: dict[str, str]) -> str:
+def _out_of_memory_message(args: SimpleNamespace, overrides: dict[str, str]) -> str:
     params = get_preset(args.preset).schema.resolve(overrides)
     sizes = format_params(params, [name for name in _SIZE_PARAMETERS if name in params])
     # A runner fails before --out is created and its old manifest removed, a writer after.
@@ -122,7 +228,7 @@ def _out_of_memory_message(args: argparse.Namespace, overrides: dict[str, str]) 
     return f"error: out of memory running preset {args.preset!r}{' at ' + sizes if sizes else ''}; {args.out} {state}"
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _cmd_run(args: SimpleNamespace) -> int:
     overrides = _load_overrides(args.config, args.set_args)
     overrides.pop("preset", None)  # allowed in files for `validate`; run takes --preset
     try:
@@ -153,7 +259,7 @@ def _cmd_list_presets() -> int:
     return 0
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: SimpleNamespace) -> int:
     raw = _load_overrides(args.config, [])
     preset_name = args.preset or raw.pop("preset", None)
     if args.preset:
@@ -167,7 +273,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     try:
         manifest = read_manifest(args.dir)
     except (OSError, ValueError) as exc:
@@ -178,15 +284,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(state == "ok" for state in status.values()) else 1
 
 
-# Built once per process: every call parses into a fresh namespace.
-_parser = functools.cache(build_parser)
-
-
 def main(argv: list[str] | None = None) -> int:
     # A warning prints its message alone: no program path, no source line.
     format_warning, warnings.formatwarning = warnings.formatwarning, lambda message, *_: f"warning: {message}\n"
     try:
-        args = _parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "list-presets":

@@ -65,15 +65,15 @@ def race_example_delta(trait_prob: float, trait_present: bool) -> float:
 
     The trait occurs with the same base rate p on both sides (so the trait
     carries no evidence), but exposure leads the analyst to act as if
-    sources carry it at 2p.  Requires p < 1/2 so the doubled rate is still
+    sources carry it at 2p.  Requires 0 < p < 1/2 so the doubled rate is still
     a probability.  Present traits are overweighted by exactly 2; absent
     traits are underweighted by (1-2p)/(1-p) = 2 - 1/(1-p), whose log is
     taken as log1p(-2p) - log1p(-p): 2p is exact, so nothing cancels as p
     nears 1/2, and one ulp below 1/2 the factor is e**-36.04, not 0.
     """
-    p = _open_unit("trait_prob", trait_prob)
-    if p >= 0.5:
-        raise ValueError(f"trait_prob must be < 0.5 so the doubled rate stays valid, got {p!r}")
+    p = float(trait_prob)
+    if not 0.0 < p < 0.5:
+        raise ValueError(f"trait_prob must lie strictly inside (0, 0.5) so the doubled rate stays valid, got {p!r}")
     if trait_present:
         return math.log(2.0)
     return math.log1p(-2.0 * p) - math.log1p(-p)

@@ -53,7 +53,7 @@ import math
 import re
 import sys
 from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 
@@ -256,7 +256,8 @@ class RunManifest:
 
 def write_manifest(out_dir: Path, manifest: RunManifest) -> Path:
     path = out_dir / MANIFEST_NAME
-    write_json(path, asdict(manifest))
+    # A shallow dict gives the same JSON as asdict, without its deep copy.
+    write_json(path, {field.name: getattr(manifest, field.name) for field in fields(manifest)})
     return path
 
 

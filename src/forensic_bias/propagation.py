@@ -116,7 +116,7 @@ class ChainParams:
             raise ValueError(f"trait_prob must lie in [0, 1], got {self.trait_prob!r}")
         share = self.missing_share
         if share is not None and (isinstance(share, bool) or not 0.0 <= share <= 1.0):
-            raise ValueError(f"missing_share must be None or lie in [0, 1], got {share!r}")
+            raise ValueError(f"missing_share must lie in [0, 1], got {share!r}")
         if self.peer_history not in ("contribution", "posterior"):
             raise ValueError(f"peer_history must be 'contribution' or 'posterior', got {self.peer_history!r}")
         model, profile, p = self.model, self.profile, self.trait_prob

@@ -102,6 +102,8 @@ def test_every_boundary_value_exits_0_or_2(preset, settings, too_big, tmp_path, 
             capsys.readouterr()
 
 
+TRAIT_PROB_RANGE = "trait_prob must lie strictly inside (0, 0.5) so the doubled rate stays valid"
+
 # Configs that run refuses before it computes anything: the record that
 # both commands build refuses each.
 REFUSED_WHEN_BUILT = [
@@ -137,15 +139,17 @@ REFUSED_WHEN_BUILT = [
             ("feedback", "trait_skew", "0", "trait_skew must be positive and finite, got 0.0"),
             ("feedback", "prior_a", "0", "Beta parameters must be positive and finite, got a=0.0 b=8.0"),
             ("feedback", "n_seeds", "0", "n_seeds must be an int >= 1, got 0"),
-            ("propagation", "trait_prob", "0.5", "trait_prob must be < 0.5 so the doubled rate stays valid, got 0.5"),
+            ("propagation", "trait_prob", "0", f"{TRAIT_PROB_RANGE}, got 0.0"),
+            ("propagation", "trait_prob", "0.5", f"{TRAIT_PROB_RANGE}, got 0.5"),
             ("propagation", "k", "0", "k must be an int >= 1, got 0"),
             ("propagation", "pool_n", "0", "pool_n must be an int >= 1, got 0"),
             ("propagation", "p_match_same", "1", "need 0 < p_diff < p_same < 1, got p_same=1.0 p_diff=0.25"),
             ("propagation", "peer_history", "x", "peer_history must be 'contribution' or 'posterior', got 'x'"),
             ("propagation", "n_runs", "0", "n_runs must be an int >= 1, got 0"),
             ("propagation", "missing_share", "abc", "missing_share must be 'random' or a number, got 'abc'"),
-            ("propagation", "missing_share", "2", "missing_share must be None or lie in [0, 1], got 2.0"),
-            ("race", "trait_prob", "0.5", "trait_prob must be < 0.5 so the doubled rate stays valid, got 0.5"),
+            ("propagation", "missing_share", "2", "missing_share must lie in [0, 1], got 2.0"),
+            ("race", "trait_prob", "0", f"{TRAIT_PROB_RANGE}, got 0.0"),
+            ("race", "trait_prob", "0.5", f"{TRAIT_PROB_RANGE}, got 0.5"),
             ("race", "pool_n", "0", "pool_n must be an int >= 1, got 0"),
             ("race", "lr_true", "0", "lr_true must be > 0, got 0.0"),
             ("relevance", "tolerance", "-1", "tolerance must be nonnegative, got -1.0"),

@@ -18,7 +18,7 @@ import pytest
 
 import forensic_bias
 from forensic_bias import presets
-from forensic_bias.cli import main
+from forensic_bias.cli import _COMMANDS, main, parse_args
 from forensic_bias.config import ConfigError, parse_config_text, parse_set_args
 from forensic_bias.outputs import sha256_file
 from forensic_bias.presets import PRESETS, get_preset, resolve_and_build, run_preset
@@ -64,7 +64,8 @@ class TestSchemas:
     def test_range_violation_names_parameter_and_bound(self):
         # The schema only types the value; the build step's library call refuses it.
         assert PRESETS["race"].schema.resolve({"trait_prob": "0.9"})["trait_prob"] == 0.9
-        with pytest.raises(ConfigError, match=r"^trait_prob must be < 0.5 .*, got 0.9 \(at trait_prob=0.9, "):
+        message = r"^trait_prob must lie strictly inside \(0, 0.5\) .*, got 0.9 \(at trait_prob=0.9, "
+        with pytest.raises(ConfigError, match=message):
             resolve_and_build(PRESETS["race"], {"trait_prob": "0.9"})
 
     def test_defaults_echoed(self):
@@ -167,8 +168,10 @@ class TestRunPreset:
         # presets, running and verifying the six closed-form ones, and
         # validating any config never load it; ≈120 ms of set-up with numpy
         # 2.4.  A delta-impute run in the same process then loads it and
-        # must still write its pinned bytes.  A fresh process, because this
-        # one has numpy loaded.
+        # must still write its pinned bytes.  Reading the command line, help
+        # included, loads neither argparse nor the gettext and locale
+        # modules argparse pulls in.  A fresh process, because this one has
+        # numpy loaded.
         config = tmp_path / "delta.txt"
         config.write_text("n_reps=400\n")
         probe = (
@@ -185,7 +188,11 @@ class TestRunPreset:
             "        steps[name] = 'numpy' in sys.modules\n"
             "    assert main(['validate', '--preset', 'delta-impute', config]) == 0\n"
             "    steps['validate'] = 'numpy' in sys.modules\n"
+            "    with contextlib.suppress(SystemExit):\n"
+            "        main(['run', '-h'])\n"
+            "    parsers = [name for name in ('argparse', 'gettext', 'locale') if name in sys.modules]\n"
             "    assert main(['run', '--preset', 'delta-impute', '--seed', '7', '--config', config, '--out', f'{out}/delta']) == 0\n"
+            "print(parsers)\n"
             "print({step: loaded for step, loaded in steps.items() if loaded})\n"
         )
         done = subprocess.run(
@@ -195,7 +202,7 @@ class TestRunPreset:
             check=True,
             env={**os.environ, "PYTHONPATH": str(Path(forensic_bias.__file__).parents[1])},
         )
-        assert done.stdout.splitlines()[-1] == "{}"
+        assert done.stdout.splitlines()[-2:] == ["[]", "{}"]
         estimate = (tmp_path / "delta" / "estimate.json").read_bytes()
         assert hashlib.sha256(estimate).hexdigest() == PINS[("delta-impute", "small")]["estimate.json"]
 
@@ -390,6 +397,10 @@ class TestRunPreset:
             column = np.array([float(row[i]) for row in rows])
             assert aggregate[f"mean_final_{regime}"] == float(np.mean(column))
             assert aggregate[f"mean_gap_{regime}"] == float(np.mean(np.abs(column - alpha_true)))
+
+
+# A complete run command; OUT stands for the output directory.
+RUN = ["run", "--preset", "mayfield", "--seed", "7", "--out", "OUT"]
 
 
 class TestCli:
@@ -756,10 +767,79 @@ class TestCli:
         assert f"expected a positive integer, got {threads!r}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_no_command_exit_2(self):
+    @pytest.mark.parametrize(
+        "argv, command, message",
+        [
+            pytest.param([], None, "no command given", id="no-command"),
+            pytest.param(["bogus"], None, "unknown command 'bogus'", id="unknown-command"),
+            pytest.param([*RUN, "--bogus", "1"], "run", "unknown option --bogus", id="unknown-option"),
+            pytest.param([*RUN, "--pre", "race"], "run", "unknown option --pre", id="prefix-abbreviation"),
+            pytest.param([*RUN, "--set"], "run", "argument --set: expected one value", id="no-value"),
+            pytest.param(
+                ["run", "--seed", "7"],
+                "run",
+                "the following arguments are required: --preset, --out",
+                id="missing-required",
+            ),
+            pytest.param([*RUN, "stray"], "run", "unrecognized arguments: stray", id="extra-positional"),
+            pytest.param(["verify"], "verify", "the following arguments are required: dir", id="no-positional"),
+            pytest.param(["validate", "a", "b"], "validate", "unrecognized arguments: b", id="two-positionals"),
+            pytest.param(
+                ["run", "--preset", "mayfield", "--seed", "x", "--out", "OUT"],
+                "run",
+                "argument --seed: seed must be an integer, got 'x'",
+                id="bad-seed",
+            ),
+            pytest.param(
+                [*RUN, "--threads", "0"],
+                "run",
+                "argument --threads: expected a positive integer, got '0'",
+                id="bad-threads",
+            ),
+        ],
+    )
+    def test_usage_error_exit_2_and_write_nothing(self, argv, command, message, tmp_path, capsys):
+        out = tmp_path / "x"
         with pytest.raises(SystemExit) as exc:
-            main([])
+            main([str(out) if arg == "OUT" else arg for arg in argv])
         assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        prog = "bias" if command is None else f"bias {command}"
+        usage, error = captured.err.splitlines()
+        assert usage.startswith(f"usage: {prog} ")
+        assert error.startswith(f"{prog}: error: {message}")
+        assert not out.exists()
+
+    def test_accepted_option_forms(self, tmp_path, capsys):
+        # --flag=value and --flag value; a repeated option keeps its last
+        # value, --set every value in order; an option's value may start with -.
+        argv = ["run", "--preset=race", "--set", "pool_n=4", "--preset", "mayfield", "--seed=7", "--set=a=b=c"]
+        args = parse_args([*argv, "--out", "-x"])
+        assert (args.preset, args.seed, args.set_args, args.out) == ("mayfield", 7, ["pool_n=4", "a=b=c"], Path("-x"))
+        assert (args.config, args.threads) == (None, None)
+        out = tmp_path / "run"
+        argv = ["run", "--preset=trier", "--preset", "race", "--seed=7", "--set", "pool_n=3", "--set", "pool_n=4"]
+        assert main([*argv, f"--out={out}"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["preset"], manifest["seed"], manifest["parameters"]["pool_n"]) == ("race", 7, 4)
+
+    @pytest.mark.parametrize("command", [None, *_COMMANDS])
+    def test_help_lists_every_option_and_exits_0(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"] if command else ["-h"])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if command is None:
+            expected = [f"  {name} " for name in _COMMANDS]
+        else:
+            summary, options, positionals = _COMMANDS[command]
+            expected = [summary, *(f"  {dest} " for dest, _, _ in positionals)]
+            expected += [f"  {flag} {metavar} " for flag, (_, _, _, _, metavar, _) in options.items()]
+            expected += [text for _, _, _, _, _, text in options.values()]
+        for text in expected:
+            assert text in captured.out, text
 
     def test_list_presets_names_all(self, capsys):
         assert main(["list-presets"]) == 0
