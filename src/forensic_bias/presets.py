@@ -284,13 +284,13 @@ _DELTA_SCHEMA = PresetSchema(
     name="delta-impute",
     summary="Monte Carlo distribution of the imputation bias factor.",
     params=(
-        ParamSpec("rows", int, 10, "grid rows"),
-        ParamSpec("cols", int, 5, "grid columns"),
-        ParamSpec("p_same", float, 0.5, "per-cell agreement rate, same source"),
-        ParamSpec("p_diff", float, 0.25, "per-cell agreement rate, different source"),
-        ParamSpec("missing_share", float, 0.25, "share of cells smudged"),
+        ParamSpec("rows", int, ImputationSimParams.rows, "grid rows"),
+        ParamSpec("cols", int, ImputationSimParams.cols, "grid columns"),
+        ParamSpec("p_same", float, ImputationSimParams.model.p_same, "per-cell agreement rate, same source"),
+        ParamSpec("p_diff", float, ImputationSimParams.model.p_diff, "per-cell agreement rate, different source"),
+        ParamSpec("missing_share", float, ImputationSimParams.missing_share, "share of cells smudged"),
         ParamSpec("n_reps", int, 10_000, "Monte Carlo replicates"),
-        ParamSpec("mask_mode", str, "per_cell", "masking: exact count or per-cell coin"),
+        ParamSpec("mask_mode", str, ImputationSimParams.mask_mode, "masking: exact count or per-cell coin"),
     ),
 )
 
@@ -344,13 +344,13 @@ _FEEDBACK_SCHEMA = PresetSchema(
     name="feedback",
     summary="Conviction feedback loop: truthful vs biased belief convergence.",
     params=(
-        ParamSpec("alpha_true", float, 0.5, "true trait rate among sources"),
-        ParamSpec("n_obs", int, 100, "adjudicated cases per trajectory"),
+        ParamSpec("alpha_true", float, FeedbackParams.alpha_true, "true trait rate among sources"),
+        ParamSpec("n_obs", int, FeedbackParams.n_obs, "adjudicated cases per trajectory"),
         ParamSpec("n_seeds", int, 1000, "paired replicates"),
-        ParamSpec("wrongful_rate", float, 0.06, "share of wrongful convictions when biased"),
-        ParamSpec("trait_skew", float, 2.0, "trait rate multiplier on wrongful cases"),
-        ParamSpec("prior_a", float, 12.0, "Beta prior a"),
-        ParamSpec("prior_b", float, 8.0, "Beta prior b"),
+        ParamSpec("wrongful_rate", float, FeedbackParams.biased.wrongful_rate, "share of wrongful convictions when biased"),
+        ParamSpec("trait_skew", float, FeedbackParams.biased.trait_skew, "trait rate multiplier on wrongful cases"),
+        ParamSpec("prior_a", float, FeedbackParams.prior.a, "Beta prior a"),
+        ParamSpec("prior_b", float, FeedbackParams.prior.b, "Beta prior b"),
     ),
 )
 
@@ -407,14 +407,14 @@ _PROPAGATION_SCHEMA = PresetSchema(
     summary="Cascade vs snowball bias along a chain of analysts, replicated.",
     params=(
         ParamSpec("n_runs", int, 1000, "paired replicates"),
-        ParamSpec("k", int, 5, "analysts per chain"),
-        ParamSpec("pool_n", int, 10, "suspect pool size"),
-        ParamSpec("trait_prob", float, 0.15, "case trait probability"),
-        ParamSpec("p_match_same", float, 0.5, "match rate under same source"),
-        ParamSpec("p_match_diff", float, 0.25, "match rate under different source"),
+        ParamSpec("k", int, ChainParams.k, "analysts per chain"),
+        ParamSpec("pool_n", int, ChainParams.pool_n, "suspect pool size"),
+        ParamSpec("trait_prob", float, ChainParams.trait_prob, "case trait probability"),
+        ParamSpec("p_match_same", float, ChainParams.model.p_same, "match rate under same source"),
+        ParamSpec("p_match_diff", float, ChainParams.model.p_diff, "match rate under different source"),
         ParamSpec("missing_share", str, "random", "'random' (uniform on [0, 0.5)) or a fixed share"),
-        ParamSpec("same_source", bool, True, "ground truth of the case"),
-        ParamSpec("peer_history", str, "contribution", "history handed to tilde terms"),
+        ParamSpec("same_source", bool, ChainParams.same_source, "ground truth of the case"),
+        ParamSpec("peer_history", str, ChainParams.peer_history, "history handed to tilde terms"),
     ),
 )
 

@@ -164,19 +164,20 @@ def monte_carlo_chains(chain: ChainParams, n_runs: int, *, master_seed: int) -> 
     Replicate i reads the first uniforms of substream(master_seed, i), in
     an order that is part of the reproducibility contract: trait, then
     the k missing shares (only when random), then the k match indicators.
-    All replicates are drawn in one substream_uniforms call and evaluated
-    at once, so run i is the same chain, bit for bit, in a study of any
-    size.  Sums keep the terms' order and logs of drawn values are scalar
-    math.log, mapped over the values into one array (np.log can differ in
-    the last bit), so every replicate is bit-identical to evaluating its
-    chain one report at a time.  Raises ValueError for a bad n_runs, before
-    any draw (the record checked the rest), and OverflowError, checked in
-    log space, when a reported odds exceeds float range.
+    Runs 0..n_runs-1 are drawn as the rows of one substream_uniforms call
+    and evaluated at once, so run i is the same chain, bit for bit, in a
+    study of any size.  Sums keep the terms' order and logs of drawn
+    values are scalar math.log, mapped over the values into one array
+    (np.log can differ in the last bit), so every replicate is
+    bit-identical to evaluating its chain one report at a time.  Raises
+    ValueError for a bad n_runs, before any draw (the record checked the
+    rest), and OverflowError, checked in log space, when a reported odds
+    exceeds float range.
     """
     _check_count("n_runs", n_runs)
     k, prior = chain.k, chain.log_prior
     m = 1 + k if chain.missing_share is not None else 1 + 2 * k
-    draws = substream_uniforms(master_seed, range(n_runs), m)
+    draws = substream_uniforms(master_seed, n_runs, m)
     trait = draws[:, 0] < chain.trait_prob
     if chain.missing_share is None:
         shares = draws[:, 1 : k + 1] * 0.5

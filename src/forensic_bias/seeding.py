@@ -7,19 +7,17 @@ execution order, and any single replicate can be re-created in
 isolation with substream(seed, i).
 
 Replicated experiments draw those streams in batch: substream_uniforms
-returns many replicates' first m uniforms as one array, and its row for
-index i equals substream(seed, i).random(m) bit for bit.  It seeds all
-replicates at once by redoing numpy's SeedSequence entropy mixing and
-the PCG64 seeding step (O'Neill 2014) on arrays.  The draws are then
-computed on arrays too: each draw's 128-bit state comes from the seeded
-state by a jump-ahead, and the XSL-RR output and numpy's double
-conversion follow.
+returns the first m uniforms of runs 0..n-1 as one array, and its row i
+equals substream(seed, i).random(m) bit for bit.  It seeds all runs at
+once by redoing numpy's SeedSequence entropy mixing and the PCG64
+seeding step (O'Neill 2014) on arrays.  The draws are then computed on
+arrays too: each draw's 128-bit state comes from the seeded state by a
+jump-ahead, and the XSL-RR output and numpy's double conversion follow.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Iterable
 
 from ._lazy import np
 
@@ -37,12 +35,6 @@ def validate_seed(seed: int) -> int:
     return seed
 
 
-def _validate_part(part: int) -> int:
-    if isinstance(part, bool) or not isinstance(part, int) or part < 0:
-        raise ValueError(f"substream path parts must be nonnegative ints, got {part!r}")
-    return part
-
-
 def substream(master_seed: int, *path: int) -> np.random.Generator:
     """Generator for one replicate, reproducible from (seed, path) alone.
 
@@ -51,7 +43,8 @@ def substream(master_seed: int, *path: int) -> np.random.Generator:
     """
     validate_seed(master_seed)
     for part in path:
-        _validate_part(part)
+        if isinstance(part, bool) or not isinstance(part, int) or part < 0:
+            raise ValueError(f"substream path parts must be nonnegative ints, got {part!r}")
     return np.random.default_rng(np.random.SeedSequence([master_seed, *path]))
 
 
@@ -192,39 +185,27 @@ def _draw_by_jump(out: np.ndarray, words: np.ndarray) -> None:
         np.multiply(draws >> _U11, 2.0**-53, out=out[start : start + block])
 
 
-def substream_uniforms(master_seed: int, indices: Iterable[int], m: int) -> np.ndarray:
-    """substream(master_seed, i).random(m) for every i in indices, as rows.
+def substream_uniforms(master_seed: int, n: int, m: int) -> np.ndarray:
+    """substream(master_seed, i).random(m) for runs i = 0..n-1, as rows.
 
-    Returns the (len(indices), m) float64 array whose row r equals
-    substream(master_seed, indices[r]).random(m) bit for bit.  Indices
-    follow substream's rules for path parts and must also lie below
-    2**64; a larger index raises ValueError rather than yield another
-    stream.  A range is checked by its first and last index.
+    Returns the (n, m) float64 array whose row i equals
+    substream(master_seed, i).random(m) bit for bit, so any one run can
+    still be re-created alone with substream(master_seed, i).  n and m
+    must be nonnegative ints.
     """
     validate_seed(master_seed)
-    if isinstance(indices, range):
-        ends = [_validate_part(i) for i in (indices[0], indices[-1])] if indices else []
-    else:
-        indices = ends = [_validate_part(i) for i in indices]
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 0:
-        raise ValueError(f"m must be a nonnegative int, got {m!r}")
-    if ends and max(ends) > MAX_SEED:
-        raise ValueError(f"substream_uniforms indices must lie below 2**64, got {max(ends)!r}")
-    out = np.empty((len(indices), m))
+    for name, count in (("n", n), ("m", m)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
+            raise ValueError(f"{name} must be a nonnegative int, got {count!r}")
+    out = np.empty((n, m))
     if not out.size:
         return out
     _bind_constants()
-    if isinstance(indices, range):
-        # start + r * step, mod 2**64: every index lies in [0, 2**64), so
-        # the wrapped product of a negative step lands on it exactly.
-        steps = np.arange(len(indices), dtype=np.uint64) * np.uint64(indices.step % 2**64)
-        index = np.uint64(indices[0]) + steps
-    else:
-        index = np.array(indices, dtype=np.uint64)
+    index = np.arange(n, dtype=np.uint64)
     # Entropy words as SeedSequence([seed, i]) assembles them: the seed's
     # one or two uint32 words, then the index's, zero-padded to the pool.
     seed_words = [master_seed & _MASK32] + ([master_seed >> 32] if master_seed >> 32 else [])
-    entropy = np.zeros((_POOL, len(index)), dtype=np.uint32)
+    entropy = np.zeros((_POOL, n), dtype=np.uint32)
     entropy[: len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
     entropy[len(seed_words)] = index & np.uint64(_MASK32)
     entropy[len(seed_words) + 1] = index >> np.uint64(32)

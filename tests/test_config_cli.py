@@ -20,8 +20,11 @@ import forensic_bias
 from forensic_bias import presets
 from forensic_bias.cli import _COMMANDS, main, parse_args
 from forensic_bias.config import ConfigError, parse_config_text, parse_set_args
+from forensic_bias.feedback import FeedbackParams
+from forensic_bias.fingerprints import ImputationSimParams
 from forensic_bias.outputs import sha256_file
 from forensic_bias.presets import PRESETS, get_preset, resolve_and_build, run_preset
+from forensic_bias.propagation import ChainParams
 from forensic_bias.seeding import validate_seed
 
 from test_preset_pins import PINS
@@ -60,6 +63,14 @@ class TestSchemas:
         schema = PRESETS["feedback"].schema
         with pytest.raises(ConfigError, match="n_obs.*expected int"):
             schema.resolve({"n_obs": "many"})
+
+    @pytest.mark.parametrize(
+        "name, record",
+        [("delta-impute", ImputationSimParams()), ("feedback", FeedbackParams()), ("propagation", ChainParams())],
+    )
+    def test_monte_carlo_defaults_are_the_records_defaults(self, name, record):
+        # A study quoted at a record's defaults is the preset's default run.
+        assert resolve_and_build(PRESETS[name], {})[1] == record
 
     def test_range_violation_names_parameter_and_bound(self):
         # The schema only types the value; the build step's library call refuses it.
@@ -161,6 +172,30 @@ class TestRunPreset:
         bare, after = numpy_ma.split()
         if bare == "True":
             pytest.skip("a bare import numpy already loads numpy.ma (numpy 1.x)")
+        assert after == "False"
+
+    def test_propagation_run_leaves_out_numpy_random(self, tmp_path):
+        # seeding.substream_uniforms redoes numpy's SeedSequence and PCG64
+        # on arrays, so a propagation run never imports numpy.random, which
+        # would raise its peak memory and slow its first run.  A fresh
+        # process, because other tests draw from numpy.random in this one.
+        probe = (
+            "import sys, numpy\n"
+            "bare = 'numpy.random' in sys.modules\n"
+            "from forensic_bias.cli import main\n"
+            "assert main(['run', '--preset', 'propagation', '--seed', '7', '--out', sys.argv[1]]) == 0\n"
+            "print(bare, 'numpy.random' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe, str(tmp_path / "propagation")],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(Path(forensic_bias.__file__).parents[1])},
+        )
+        bare, after = done.stdout.splitlines()[-1].split()
+        if bare == "True":
+            pytest.skip("a bare import numpy already loads numpy.random (numpy 1.x)")
         assert after == "False"
 
     def test_closed_form_commands_leave_out_numpy(self, tmp_path):

@@ -338,6 +338,19 @@ class TestMonteCarlo:
         assert ratio[SNOWBALL].tolist() == [r[2] for r in oracle[ChainMode.SNOWBALL]]
         assert _rows(study) == _rows(monte_carlo_chains(ChainParams(), 4, master_seed=99))[:10]
 
+    def test_runs_are_a_prefix_of_a_larger_study(self):
+        # k = 40 draws m = 81 uniforms a run, so a block of the batched
+        # draw is 101 rows and both studies cross a block edge.
+        chain = ChainParams(k=40)
+        small = monte_carlo_chains(chain, 120, master_seed=5)
+        large = monte_carlo_chains(chain, 250, master_seed=5)
+        for got, want in [(small.columns, large.columns), (small.log_terms, large.log_terms)]:
+            assert list(got) == list(want)
+            for name in got:
+                a, b = got[name], want[name][:120]
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes(), name
+
     def test_impute_logs_are_scalar_math_log(self):
         # np.log can differ from math.log in the last bit (on 16 of these
         # 5,000 values with numpy 2.4.6 on x86-64), which would break
