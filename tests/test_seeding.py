@@ -52,6 +52,17 @@ class TestSubstreamUniformsBitExact:
         odds = study.columns["neutral_odds"][:, 0, :]
         assert np.array_equal(odds == odds.max(), draws[:, k + 1 :] < 0.5)
 
+    @pytest.mark.parametrize("edge", [-1, 0, 1])
+    @pytest.mark.parametrize("m", [3, 65])
+    @pytest.mark.parametrize("master_seed", [7, 2**32 + 5])
+    def test_rows_are_a_prefix_of_a_longer_draw(self, master_seed, m, edge):
+        # Row i does not depend on n: a call that ends just before, on or
+        # just after a block edge is the head of a call two blocks long.
+        block = _BLOCK_VALUES // m
+        longer = substream_uniforms(master_seed, 2 * block + 5, m)
+        for n in (1, block + edge, 2 * block + edge):
+            _assert_bits_equal(substream_uniforms(master_seed, n, m), longer[:n])
+
     def test_range_of_replicates(self):
         _assert_bits_equal(substream_uniforms(7, 300, 3), _reference(7, 300, 3))
 
